@@ -1469,9 +1469,11 @@ class LoopLiftedEvaluator::Impl {
     return Status::OK();
   }
 
-  /// Axis navigation: descendant/child/attribute go through the shredded
+  /// Axis navigation: the descendant axes go through the shredded
   /// pre/size/level tables (staircase scans); the remaining axes use the
-  /// DOM back-pointers.
+  /// DOM pointers. A child step reads only the node's own children, so
+  /// shredding (and caching) the whole tree for it would cost more than
+  /// it saves — and would retain every result tree p0 ever navigates.
   void CollectAxis(const Item& item, const PathStep& step, Sequence* out) {
     Node* n = item.node();
     const NodePtr& anchor = item.anchor();
@@ -1480,7 +1482,7 @@ class LoopLiftedEvaluator::Impl {
     auto name_test_only = test.kind == NodeTest::Kind::kName && !test.wildcard;
 
     if ((step.axis == Axis::kDescendant ||
-         step.axis == Axis::kDescendantOrSelf || step.axis == Axis::kChild) &&
+         step.axis == Axis::kDescendantOrSelf) &&
         (name_test_only || (test.kind == NodeTest::Kind::kName && test.wildcard) ||
          test.kind == NodeTest::Kind::kElement) &&
         cfg_.shreds != nullptr) {
@@ -1492,18 +1494,12 @@ class LoopLiftedEvaluator::Impl {
       if (pre >= 0) {
         int32_t name_id = name_test_only ? shredded->NameId(test.name) : -1;
         if (name_test_only && name_id < 0) return;  // name never occurs
-        std::vector<int32_t> pres;
-        if (step.axis == Axis::kChild) {
-          pres = shredded->ChildElements(pre, name_id);
-        } else {
-          pres = shredded->DescendantElements(pre, name_id);
-          if (step.axis == Axis::kDescendantOrSelf) {
-            const auto& row = shredded->Row(pre);
-            bool self_matches =
-                row.kind == NodeKind::kElement &&
-                (name_id < 0 || row.name_id == name_id);
-            if (self_matches) pres.insert(pres.begin(), pre);
-          }
+        std::vector<int32_t> pres = shredded->DescendantElements(pre, name_id);
+        if (step.axis == Axis::kDescendantOrSelf) {
+          const auto& row = shredded->Row(pre);
+          bool self_matches = row.kind == NodeKind::kElement &&
+                              (name_id < 0 || row.name_id == name_id);
+          if (self_matches) pres.insert(pres.begin(), pre);
         }
         for (int32_t p : pres) {
           out->push_back(Item::NodeInTree(shredded->Row(p).dom, anchor));

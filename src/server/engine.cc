@@ -46,18 +46,13 @@ StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
   config.rpc = context.rpc;
   config.cancel = context.cancel;
   xquery::Interpreter interp(config);
+  XRPC_ASSIGN_OR_RETURN(
+      std::vector<xquery::QueryResult> call_results,
+      interp.CallModuleFunction(*module, *def, request.calls));
 
   std::vector<xdm::Sequence> results;
-  results.reserve(request.calls.size());
-  for (const std::vector<xdm::Sequence>& params : request.calls) {
-    if (context.cancel != nullptr) {
-      // A bulk request is cancelled between calls too, not only inside the
-      // interpreter: with many short calls the per-call boundary is the
-      // dominant poll point.
-      XRPC_RETURN_IF_ERROR(context.cancel->CheckCancelled());
-    }
-    XRPC_ASSIGN_OR_RETURN(xquery::QueryResult result,
-                          interp.CallModuleFunction(*module, *def, params));
+  results.reserve(call_results.size());
+  for (xquery::QueryResult& result : call_results) {
     if (pul != nullptr && !result.updates.empty()) {
       pul->BeginCall();
       pul->Merge(std::move(result.updates));

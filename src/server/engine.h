@@ -66,8 +66,9 @@ struct CallContext {
 /// An XQuery execution engine able to serve (bulk) XRPC requests.
 ///
 /// Implementations:
-///  - InterpreterEngine (here): per-call tree-walking evaluation; the
-///    reference semantics.
+///  - InterpreterEngine (here): tree-walking evaluation of all calls of a
+///    request in one evaluation context (shared path memo and join
+///    index); the reference semantics.
 ///  - compiler::RelationalEngine: loop-lifted relational plans with a
 ///    function cache (the MonetDB/XQuery role).
 ///  - wrapper::WrapperEngine: generates the Fig. 3 XQuery text for the
@@ -88,7 +89,8 @@ class ExecutionEngine {
       xquery::PendingUpdateList* pul) = 0;
 };
 
-/// Reference engine: resolves the function and interprets it once per call.
+/// Reference engine: resolves the function and interprets it for every
+/// call of the request in one interpreter evaluation context.
 ///
 /// With `reparse_per_request` the module source is re-parsed from the
 /// registry on every request, modeling a cache-less system (the "No

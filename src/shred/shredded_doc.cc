@@ -70,23 +70,6 @@ std::vector<int32_t> ShreddedDoc::DescendantElements(int32_t pre,
   return out;
 }
 
-std::vector<int32_t> ShreddedDoc::ChildElements(int32_t pre,
-                                                int32_t name_id) const {
-  std::vector<int32_t> out;
-  const NodeRow& v = rows_[pre];
-  int32_t i = pre + 1;
-  int32_t end = pre + v.size;
-  while (i <= end) {
-    const NodeRow& r = rows_[i];
-    if (r.kind == xml::NodeKind::kElement &&
-        (name_id < 0 || r.name_id == name_id)) {
-      out.push_back(i);
-    }
-    i += r.size + 1;  // staircase skip: jump over the child's subtree
-  }
-  return out;
-}
-
 std::vector<xml::Node*> ShreddedDoc::Attributes(int32_t pre,
                                                 int32_t name_id) const {
   std::vector<xml::Node*> out;

@@ -54,9 +54,6 @@ class ShreddedDoc {
   /// `name_id` (-1 = any element). Elements only.
   std::vector<int32_t> DescendantElements(int32_t pre, int32_t name_id) const;
 
-  /// Child scan at level+1.
-  std::vector<int32_t> ChildElements(int32_t pre, int32_t name_id) const;
-
   /// Attribute access (side table): matching attribute DOM nodes.
   std::vector<xml::Node*> Attributes(int32_t pre, int32_t name_id) const;
 

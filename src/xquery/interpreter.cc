@@ -7,6 +7,9 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
+#include <unordered_map>
+#include <utility>
 
 #include "base/string_util.h"
 #include "xml/serializer.h"
@@ -31,8 +34,9 @@ struct Focus {
   int64_t size = 0;
 };
 
-/// The tree-walking evaluator. One instance evaluates one query; it owns
-/// the variable environment, the focus, and the pending update list.
+/// The tree-walking evaluator. One instance evaluates one query, or all
+/// calls of one request; it owns the variable environment, the focus, the
+/// pending update list, and the path memo.
 class Evaluator {
  public:
   explicit Evaluator(const Interpreter::Config& config) : cfg_(config) {}
@@ -50,28 +54,41 @@ class Evaluator {
     return result;
   }
 
-  StatusOr<QueryResult> RunFunction(const LibraryModule& module,
-                                    const FunctionDef& function,
-                                    std::vector<Sequence> args) {
-    if (args.size() != function.arity()) {
-      return Status::TypeError("wrong number of arguments for " +
-                               function.name.Lexical());
-    }
+  /// Evaluates every call of one request in this evaluator, so the path
+  /// memo and join indexes persist across calls. Each call gets fresh
+  /// parameter bindings and its own pending update list.
+  StatusOr<std::vector<QueryResult>> RunFunction(
+      const LibraryModule& module, const FunctionDef& function,
+      std::vector<std::vector<Sequence>> calls) {
     XRPC_ASSIGN_OR_RETURN(Scope scope,
                           BuildScope(&module.prolog, module.target_ns));
     scopes_.push_back(std::move(scope));
-    size_t env_mark = vars_.size();
-    for (size_t i = 0; i < args.size(); ++i) {
-      XRPC_ASSIGN_OR_RETURN(
-          Sequence coerced,
-          CoerceToType(std::move(args[i]), function.params[i].type));
-      vars_.emplace_back(function.params[i].name.Clark(), std::move(coerced));
+    std::vector<QueryResult> results;
+    results.reserve(calls.size());
+    for (std::vector<Sequence>& args : calls) {
+      if (cfg_.cancel != nullptr) {
+        // With many short calls the per-call boundary is the dominant
+        // poll point.
+        XRPC_RETURN_IF_ERROR(cfg_.cancel->CheckCancelled());
+      }
+      if (args.size() != function.arity()) {
+        return Status::TypeError("wrong number of arguments for " +
+                                 function.name.Lexical());
+      }
+      for (size_t i = 0; i < args.size(); ++i) {
+        XRPC_ASSIGN_OR_RETURN(
+            Sequence coerced,
+            CoerceToType(std::move(args[i]), function.params[i].type));
+        vars_.emplace_back(function.params[i].name.Clark(),
+                           std::move(coerced));
+      }
+      QueryResult result;
+      XRPC_ASSIGN_OR_RETURN(result.sequence, Eval(*function.body));
+      vars_.clear();
+      result.updates = std::exchange(pul_, PendingUpdateList());
+      results.push_back(std::move(result));
     }
-    QueryResult result;
-    XRPC_ASSIGN_OR_RETURN(result.sequence, Eval(*function.body));
-    vars_.resize(env_mark);
-    result.updates = std::move(pul_);
-    return result;
+    return results;
   }
 
  private:
@@ -663,59 +680,55 @@ class Evaluator {
       }
     }
 
-    // Per-query path memo: the predicate-free step prefix applied to a
-    // single source node is deterministic within one evaluation, so bulk
-    // queries that re-apply the same path per call (the wrapper's
-    // generated query, the semi-join's Q_B3) pay the scan once. This is
-    // the amortization the paper observes in Saxon's bulk exec times.
+    // Path memo: the predicate-free step prefix applied to one source node
+    // is deterministic while documents do not change, which holds for a
+    // whole request. So bulk calls that re-apply the same path (the
+    // semi-join's Q_B3, the wrapper's generated query) pay the scan once;
+    // this is the amortization the paper observes in Saxon's bulk exec
+    // times. When the step after the prefix filters with plain
+    // comparisons, its candidates are memoized as well, and each call
+    // reduces to a probe of the entry's join index. Only nodes of
+    // document-rooted trees are memoized: calls share those, while
+    // constructed trees are per call. An entry whose tree was mutated
+    // since (a nested update applied mid-request) is rebuilt.
     size_t prefix = 0;
-    while (cfg_.enable_path_memo && prefix < e.steps.size() &&
-           e.steps[prefix].predicates.empty()) {
+    while (prefix < e.steps.size() && e.steps[prefix].predicates.empty()) {
       ++prefix;
     }
     size_t first_step = 0;
-    if (prefix > 0 && input.size() == 1 && input[0].IsNode()) {
+    Node* root = input.size() == 1 && input[0].IsNode()
+                     ? input[0].node()->Root()
+                     : nullptr;
+    if (prefix > 0 && root != nullptr && root->kind() == NodeKind::kDocument) {
+      const bool plain =
+          prefix < e.steps.size() && HasPlainPredicates(e.steps[prefix]);
       PathMemoKey key{&e, input[0].node()};
-      auto hit = path_memo_.find(key);
-      if (hit != path_memo_.end()) {
-        input = hit->second;
-      } else {
-        Sequence start = input;
+      auto it = path_memo_.find(key);
+      if (it == path_memo_.end() ||
+          it->second.stamp != root->mutation_stamp()) {
+        PathMemoEntry entry;
+        entry.anchor = root->shared_from_this();
+        entry.stamp = root->mutation_stamp();
+        entry.prefix = std::move(input);
         for (size_t i = 0; i < prefix; ++i) {
-          XRPC_ASSIGN_OR_RETURN(input, EvalStep(input, e.steps[i]));
-        }
-        path_memo_.emplace(key, input);
-      }
-      first_step = prefix;
-
-      // When the next step is the last one and its predicates are plain
-      // (non-positional) comparisons, memoize its candidate collection as
-      // well: repeated calls then reduce to predicate probes against the
-      // cached candidates — which the join index answers in O(1). This is
-      // what turns the bulk getPerson selection into a join.
-      if (first_step + 1 == e.steps.size()) {
-        const PathStep& last = e.steps[first_step];
-        bool plain = !last.predicates.empty();
-        for (const ExprPtr& pred : last.predicates) {
-          if (pred->kind != ExprKind::kComparison || HasPositionalRef(*pred)) {
-            plain = false;
-            break;
-          }
+          XRPC_ASSIGN_OR_RETURN(entry.prefix,
+                                EvalStep(entry.prefix, e.steps[i]));
         }
         if (plain) {
-          PathMemoKey ckey{reinterpret_cast<const Expr*>(&last),
-                           input.empty() ? nullptr : input[0].node()};
-          Sequence candidates;
-          auto chit = path_memo_.find(ckey);
-          if (chit != path_memo_.end()) {
-            candidates = chit->second;
-          } else {
-            XRPC_ASSIGN_OR_RETURN(candidates,
-                                  CollectStepCandidates(input, last));
-            path_memo_.emplace(ckey, candidates);
-          }
-          return ApplyPredicates(std::move(candidates), last.predicates);
+          XRPC_ASSIGN_OR_RETURN(
+              entry.candidates,
+              CollectStepCandidates(entry.prefix, e.steps[prefix]));
         }
+        it = path_memo_.insert_or_assign(key, std::move(entry)).first;
+      }
+      PathMemoEntry& entry = it->second;
+      if (plain) {
+        XRPC_ASSIGN_OR_RETURN(
+            input, FilterMemoizedCandidates(&entry, e.steps[prefix]));
+        first_step = prefix + 1;
+      } else {
+        input = entry.prefix;
+        first_step = prefix;
       }
     }
     for (size_t i = first_step; i < e.steps.size(); ++i) {
@@ -897,10 +910,23 @@ class Evaluator {
 
   // ---- Join detection (the optimization the paper observes in Saxon):
   // a predicate of the form [path-from-context = $var] applied repeatedly
-  // to the same large candidate set (as the bulk wrapper query does) is
-  // executed through a hash index on the path's string value, turning the
-  // per-call selection into a join. The index is built once per
-  // (predicate, candidate-set) pair and lives for this query evaluation.
+  // to the same memoized candidate set (as the calls of a bulk request
+  // do) is executed through a hash index on the path's string value,
+  // turning the per-call selection into a join. The index is built once
+  // per memo entry and lives as long as the entry.
+
+  /// True if a step has predicates and all of them are comparisons free
+  /// of position()/last(): filtering the step's candidates as one set then
+  /// equals filtering them per context node.
+  static bool HasPlainPredicates(const PathStep& step) {
+    if (step.predicates.empty()) return false;
+    for (const ExprPtr& pred : step.predicates) {
+      if (pred->kind != ExprKind::kComparison || HasPositionalRef(*pred)) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   /// True for a path evaluated from the context item using only downward
   /// axes and no nested predicates (safe to index).
@@ -941,82 +967,77 @@ class Evaluator {
     return {nullptr, nullptr};
   }
 
-  struct JoinIndex {
-    size_t size = 0;
-    const Node* first = nullptr;
-    const Node* last = nullptr;
-    std::multimap<std::string, size_t> by_value;
+  /// Key-path string value -> position in the indexed candidates.
+  using JoinIndex = std::unordered_multimap<std::string, size_t>;
+
+  /// A path memo entry: see EvalPath.
+  struct PathMemoEntry {
+    /// Pins the keyed tree, so no other tree can take the key node's
+    /// address while the entry lives.
+    NodePtr anchor;
+    uint64_t stamp = 0;   ///< the tree's mutation stamp when built
+    Sequence prefix;      ///< result of the predicate-free step prefix
+    Sequence candidates;  ///< next step's unfiltered output, if plain
+    /// Over `candidates`, for that step's first predicate; built on use.
+    std::optional<JoinIndex> index;
   };
 
-  /// Applies an indexable equality predicate via the hash index; returns
-  /// the kept candidates. Only used when all probe values are
-  /// string-comparable (string/untypedAtomic), where string equality
-  /// coincides with XQuery general-comparison semantics.
-  StatusOr<Sequence> ApplyIndexedPredicate(const Sequence& in,
-                                           const Expr& pred,
-                                           const Expr* key_path,
-                                           const Expr* probe) {
+  StatusOr<JoinIndex> BuildJoinIndex(const Sequence& in,
+                                     const Expr& key_path) {
+    JoinIndex index;
+    Focus saved = focus_;
+    for (size_t i = 0; i < in.size(); ++i) {
+      focus_.item = in[i];
+      focus_.position = static_cast<int64_t>(i + 1);
+      focus_.size = static_cast<int64_t>(in.size());
+      auto keys = Eval(key_path);
+      if (!keys.ok()) {
+        focus_ = saved;
+        return keys.status();
+      }
+      for (const Item& k : keys.value()) index.emplace(k.StringValue(), i);
+    }
+    focus_ = saved;
+    return index;
+  }
+
+  /// Filters a memo entry's candidates by the predicates of `step`. An
+  /// indexable first predicate is answered through the entry's join
+  /// index, but only when all probe values are string-comparable
+  /// (string/untypedAtomic/anyURI), where string equality coincides with
+  /// XQuery general-comparison semantics.
+  StatusOr<Sequence> FilterMemoizedCandidates(PathMemoEntry* entry,
+                                              const PathStep& step) {
+    const Sequence& in = entry->candidates;
+    std::span<const ExprPtr> preds = step.predicates;
+    auto [key_path, probe] = IndexableEquality(*preds[0]);
+    if (key_path == nullptr || in.size() < 16) {
+      return ApplyPredicates(in, preds);
+    }
     XRPC_ASSIGN_OR_RETURN(Sequence probe_seq, Eval(*probe));
     for (const Item& p : probe_seq) {
-      AtomicValue v = p.Atomize();
-      if (v.type() != AtomicType::kString &&
-          v.type() != AtomicType::kUntypedAtomic &&
-          v.type() != AtomicType::kAnyUri) {
-        return Status::Unsupported("probe not string-typed");
+      AtomicType t = p.Atomize().type();
+      if (t != AtomicType::kString && t != AtomicType::kUntypedAtomic &&
+          t != AtomicType::kAnyUri) {
+        return ApplyPredicates(in, preds);
       }
     }
-    auto cache_key = std::make_pair(&pred, static_cast<const void*>(
-                                               in.front().node()));
-    auto it = join_indexes_.find(cache_key);
-    if (it == join_indexes_.end() || it->second.size != in.size() ||
-        it->second.last != in.back().node()) {
-      JoinIndex index;
-      index.size = in.size();
-      index.first = in.front().node();
-      index.last = in.back().node();
-      Focus saved = focus_;
-      for (size_t i = 0; i < in.size(); ++i) {
-        focus_.item = in[i];
-        focus_.position = static_cast<int64_t>(i + 1);
-        focus_.size = static_cast<int64_t>(in.size());
-        auto keys = Eval(*key_path);
-        if (!keys.ok()) {
-          focus_ = saved;
-          return keys.status();
-        }
-        for (const Item& k : keys.value()) {
-          index.by_value.emplace(k.StringValue(), i);
-        }
-      }
-      focus_ = saved;
-      it = join_indexes_.emplace(cache_key, std::move(index)).first;
+    if (!entry->index.has_value()) {
+      XRPC_ASSIGN_OR_RETURN(entry->index, BuildJoinIndex(in, *key_path));
     }
     std::set<size_t> hits;
     for (const Item& p : probe_seq) {
-      auto [lo, hi] = it->second.by_value.equal_range(p.StringValue());
+      auto [lo, hi] = entry->index->equal_range(p.StringValue());
       for (auto h = lo; h != hi; ++h) hits.insert(h->second);
     }
     Sequence kept;
     for (size_t i : hits) kept.push_back(in[i]);
-    return kept;
+    return ApplyPredicates(std::move(kept), preds.subspan(1));
   }
 
   StatusOr<Sequence> ApplyPredicates(Sequence in,
-                                     const std::vector<ExprPtr>& preds) {
+                                     std::span<const ExprPtr> preds) {
     for (const ExprPtr& pred : preds) {
-      if (cfg_.enable_join_index && in.size() >= 16 && in[0].IsNode()) {
-        auto [key_path, probe] = IndexableEquality(*pred);
-        if (key_path != nullptr) {
-          auto indexed = ApplyIndexedPredicate(in, *pred, key_path, probe);
-          if (indexed.ok()) {
-            in = std::move(indexed).value();
-            continue;
-          }
-          if (indexed.status().code() != StatusCode::kUnsupported) {
-            return indexed.status();
-          }
-        }
-      }
       Sequence filtered;
       Focus saved = focus_;
       int64_t size = static_cast<int64_t>(in.size());
@@ -1476,13 +1497,10 @@ class Evaluator {
   std::vector<std::pair<std::string, Sequence>> vars_;
   std::vector<Scope> scopes_;
   Focus focus_;
-  /// Hash indexes built by the join-detection optimization; keyed by
-  /// (predicate expression, first candidate node) and scoped to this
-  /// query evaluation.
-  std::map<std::pair<const Expr*, const void*>, JoinIndex> join_indexes_;
-  /// Memoized predicate-free path prefixes (per query evaluation).
+  /// Path memo keyed by (path expression, source node); lives as long as
+  /// this evaluator, i.e. for one query or for all calls of one request.
   using PathMemoKey = std::pair<const Expr*, const Node*>;
-  std::map<PathMemoKey, Sequence> path_memo_;
+  std::map<PathMemoKey, PathMemoEntry> path_memo_;
   PendingUpdateList pul_;
   int depth_ = 0;
   int call_depth_ = 0;
@@ -1950,11 +1968,11 @@ StatusOr<QueryResult> Interpreter::EvaluateQuery(
   return ev.RunQuery(query);
 }
 
-StatusOr<QueryResult> Interpreter::CallModuleFunction(
+StatusOr<std::vector<QueryResult>> Interpreter::CallModuleFunction(
     const LibraryModule& module, const FunctionDef& function,
-    std::vector<xdm::Sequence> args) const {
+    std::vector<std::vector<xdm::Sequence>> calls) const {
   Evaluator ev(config_);
-  return ev.RunFunction(module, function, std::move(args));
+  return ev.RunFunction(module, function, std::move(calls));
 }
 
 }  // namespace xrpc::xquery

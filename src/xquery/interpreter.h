@@ -32,9 +32,6 @@ class Interpreter {
     ModuleResolver* modules = nullptr;
     /// Recursion limit guarding against runaway user functions.
     int max_recursion_depth = 512;
-    /// Ablation toggles (benchmarking the design choices; leave on).
-    bool enable_join_index = true;  ///< hash index for [path = $var]
-    bool enable_path_memo = true;   ///< per-query path-prefix memoization
     /// Cooperative cancellation token polled at every expression-dispatch
     /// boundary; a tripped token aborts the evaluation with its status
     /// (kDeadlineExceeded / kCancelled). Null = never cancelled.
@@ -47,11 +44,16 @@ class Interpreter {
   /// empty and `updates` carries the pending update list.
   StatusOr<QueryResult> EvaluateQuery(const MainModule& query) const;
 
-  /// Applies a module function to already-evaluated arguments (the server
-  /// side of an XRPC request, after n2s() unmarshaling).
-  StatusOr<QueryResult> CallModuleFunction(
+  /// Applies a module function to the already-evaluated arguments of each
+  /// call of one (Bulk) XRPC request — the server side, after n2s()
+  /// unmarshaling — returning one result per call. All calls share one
+  /// evaluation context, so the path memo and join index built by the
+  /// first call serve the rest: a per-call selection becomes one join.
+  /// That is sound because documents do not change while a request runs.
+  /// The cancellation token is also checked between calls.
+  StatusOr<std::vector<QueryResult>> CallModuleFunction(
       const LibraryModule& module, const FunctionDef& function,
-      std::vector<xdm::Sequence> args) const;
+      std::vector<std::vector<xdm::Sequence>> calls) const;
 
  private:
   Config config_;

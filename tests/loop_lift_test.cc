@@ -101,6 +101,28 @@ TEST_F(LoopLiftTest, UpdatingExpressionIsUnsupported) {
   EXPECT_NE(r.find("Unsupported"), std::string::npos) << r;
 }
 
+TEST_F(LoopLiftTest, PathMemoNeverAliasesTreesOrSources) {
+  // Each iteration constructs a tree, steps into it and drops it. The
+  // interpreter's path memo must not hand a later tree — possibly
+  // allocated at the address of a freed one — an earlier tree's result.
+  const char* fresh_trees =
+      "for $i in 1 to 6 return "
+      "count(<a>{if ($i mod 2 = 0) then <b/> else ()}</a>/b)";
+  EXPECT_EQ(Interpreted(fresh_trees), "0 1 0 1 0 1");
+  EXPECT_EQ(Relational(fresh_trees), Interpreted(fresh_trees));
+
+  // Two source nodes whose ancestor prefixes start at the same node (the
+  // root) but differ after it: memoized candidates are keyed by source.
+  docs_.AddDocument("anc.xml",
+                    "<r><x><k v=\"1\"/><k v=\"1\"/><y><z/></y></x>"
+                    "<w><k v=\"1\"/><q/></w></r>");
+  const char* shared_first_node =
+      "for $n in (doc(\"anc.xml\")//z, doc(\"anc.xml\")//q) "
+      "return count($n/ancestor::*/k[@v = \"1\"])";
+  EXPECT_EQ(Interpreted(shared_first_node), "2 1");
+  EXPECT_EQ(Relational(shared_first_node), Interpreted(shared_first_node));
+}
+
 // Equivalence property: relational and interpreted evaluation agree on the
 // rendered result for every query in the corpus.
 class EngineEquivalence : public LoopLiftTest,

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "net/simulated_network.h"
 #include "server/rpc_client.h"
 #include "server/xrpc_service.h"
+#include "tests/test_util.h"
+#include "xmark/xmark.h"
 #include "xml/serializer.h"
 
 namespace xrpc::server {
@@ -375,6 +378,232 @@ TEST_F(ServerTest, NetworkTimeAccumulatesOnClient) {
   ASSERT_TRUE(client.Execute(FilmsByActor("Julie Andrews")).ok());
   EXPECT_GE(client.network_micros(), 4 * net_.profile().latency_us);
   EXPECT_EQ(client.requests_sent(), 2);
+}
+
+// InterpreterEngine evaluates all calls of one Bulk RPC request in one
+// evaluation context, so the path memo and join index are shared across
+// calls. The shared context must change no answer and no update order.
+class InterpreterBulkTest : public ::testing::Test {
+ protected:
+  InterpreterBulkTest() {
+    xmark::XmarkConfig config;
+    config.num_persons = 64;
+    config.num_closed_auctions = 400;
+    config.num_matches = 40;
+    config.annotation_bytes = 16;
+    docs_.AddDocument("auctions.xml", xmark::GenerateAuctions(config));
+    docs_.AddDocument("filmDB.xml", kFilmDb);
+    EXPECT_TRUE(
+        modules_.AddModule(xmark::FunctionsBModuleSource("xrpc://a")).ok());
+    EXPECT_TRUE(modules_.AddModule(R"(
+      module namespace t = "bulk";
+      declare function t:shape($n as xs:integer) as xs:string {
+        let $e := <a>{for $i in 1 to $n return <b/>}</a>
+        let $d := document { if ($n = 0) then () else
+                             <r>{for $i in 1 to $n
+                                 return <c k="{$i mod 2}">{$i}</c>}</r> }
+        return concat(count($e/b), ":",
+                      string-join(for $c in $d/r/c[@k = "1"]
+                                  return string($c), ","))
+      };
+      declare function t:docStep($n as xs:integer) as xs:integer
+      { count(document { if ($n mod 2 = 0) then () else <r/> }/r) };
+      declare function t:countFilms($i as xs:integer) as xs:integer
+      { $i + count(doc("filmDB.xml")//film) };
+      declare updating function t:maybeAdd($n as xs:integer) {
+        if ($n mod 2 = 0)
+        then insert nodes <film><name>{$n}</name></film>
+             into doc("filmDB.xml")/films
+        else ()
+      };)")
+                    .ok());
+  }
+
+  static soap::XrpcRequest Request(const std::string& ns,
+                                   const std::string& method,
+                                   const std::vector<Sequence>& args) {
+    soap::XrpcRequest req;
+    req.module_ns = ns;
+    req.method = method;
+    req.arity = 1;
+    for (const Sequence& arg : args) req.calls.push_back({arg});
+    return req;
+  }
+
+  /// Executes `req` on the engine; `documents` defaults to the fixture's.
+  StatusOr<std::vector<Sequence>> Run(
+      const soap::XrpcRequest& req, xquery::PendingUpdateList* pul = nullptr,
+      xquery::DocumentProvider* documents = nullptr,
+      const CancellationToken* cancel = nullptr) {
+    CallContext context;
+    context.documents = documents != nullptr ? documents : &docs_;
+    context.modules = &modules_;
+    context.cancel = cancel;
+    return engine_.ExecuteRequest(req, context, pul);
+  }
+
+  /// Runs `args` as one N-call request and as N one-call requests; both
+  /// must render identically, call by call. Returns the bulk rendering.
+  std::vector<std::string> ExpectBulkMatchesSingleCalls(
+      const std::string& ns, const std::string& method,
+      const std::vector<Sequence>& args) {
+    auto bulk = Run(Request(ns, method, args));
+    EXPECT_TRUE(bulk.ok()) << bulk.status();
+    if (!bulk.ok()) return {};
+    EXPECT_EQ(bulk->size(), args.size());
+    std::vector<std::string> rendered;
+    for (size_t i = 0; i < bulk->size(); ++i) {
+      rendered.push_back(xdm::SequenceToString((*bulk)[i]));
+      auto single = Run(Request(ns, method, {args[i]}));
+      EXPECT_TRUE(single.ok()) << single.status();
+      if (!single.ok()) continue;
+      EXPECT_EQ(rendered.back(), xdm::SequenceToString((*single)[0]))
+          << "call " << i;
+    }
+    return rendered;
+  }
+
+  /// One line per PUL entry: call index, primitive kind, target and
+  /// serialized content.
+  static std::string RenderPul(const xquery::PendingUpdateList& pul) {
+    std::string out;
+    for (const auto& entry : pul.entries()) {
+      out += std::to_string(entry.call_index) + " " +
+             std::to_string(static_cast<int>(entry.primitive.kind)) + " " +
+             entry.primitive.target.node()->name().local;
+      for (const Item& item : entry.primitive.content) {
+        out += " " + xml::SerializeNode(*item.node());
+      }
+      out += "\n";
+    }
+    return out;
+  }
+
+  testing::MapDocumentProvider docs_;
+  testing::MapModuleResolver modules_;
+  InterpreterEngine engine_;
+};
+
+TEST_F(InterpreterBulkTest, SemiJoinBulkEqualsOneCallRequests) {
+  std::vector<Sequence> pids;
+  for (int i = 0; i < 62; ++i) {
+    pids.push_back(
+        Sequence{Item(AtomicValue::String("person" + std::to_string(i)))});
+  }
+  pids.push_back(Sequence{Item(AtomicValue::String("nobody"))});
+  std::vector<std::string> results =
+      ExpectBulkMatchesSingleCalls("functions_b", "Q_B3", pids);
+  size_t non_empty = 0;
+  for (const std::string& r : results) non_empty += r.empty() ? 0 : 1;
+  EXPECT_GT(non_empty, 5u);  // the comparison is not vacuous
+  EXPECT_TRUE(results.back().empty());
+}
+
+TEST_F(InterpreterBulkTest, ConstructedTreesArePathSteppedPerCall) {
+  // Every call builds fresh trees (one of them document-rooted, large
+  // enough for the join index, or with an empty path prefix when n = 0)
+  // and steps into them. No call may see a tree or an index entry of
+  // another, even when a new tree reuses a freed tree's address.
+  std::vector<Sequence> sizes;
+  for (int n : {0, 3, 20, 0, 17, 3, 32, 0}) {
+    sizes.push_back(xdm::SingletonInt(n));
+  }
+  std::vector<std::string> results =
+      ExpectBulkMatchesSingleCalls("bulk", "shape", sizes);
+  ASSERT_EQ(results.size(), sizes.size());
+  EXPECT_EQ(results[0], "0:");
+  EXPECT_EQ(results[1], "3:1,3");
+  EXPECT_EQ(results[4], "17:1,3,5,7,9,11,13,15,17");
+  EXPECT_EQ(results[5], "3:1,3");
+  EXPECT_EQ(results[7], "0:");
+}
+
+TEST_F(InterpreterBulkTest, FreedDocumentAddressesDoNotHitTheMemo) {
+  // Even calls leave an empty memoized prefix for a document that dies
+  // with the call; the memo entry must keep that document alive, or a
+  // later call's document can take its address and read "0".
+  std::vector<Sequence> args;
+  for (int i = 0; i < 8; ++i) args.push_back(xdm::SingletonInt(i));
+  std::vector<std::string> results =
+      ExpectBulkMatchesSingleCalls("bulk", "docStep", args);
+  std::string joined;
+  for (const std::string& r : results) joined += r;
+  EXPECT_EQ(joined, "01010101");
+}
+
+TEST_F(InterpreterBulkTest, UpdatingBulkKeepsPerCallPulOrder) {
+  std::vector<Sequence> ns;
+  for (int n : {2, 1, 4, 6, 3, 8}) ns.push_back(xdm::SingletonInt(n));
+  xquery::PendingUpdateList bulk_pul;
+  auto bulk = Run(Request("bulk", "maybeAdd", ns), &bulk_pul);
+  ASSERT_TRUE(bulk.ok()) << bulk.status();
+
+  xquery::PendingUpdateList single_pul;
+  for (const Sequence& n : ns) {
+    ASSERT_TRUE(Run(Request("bulk", "maybeAdd", {n}), &single_pul).ok());
+  }
+  EXPECT_EQ(bulk_pul.size(), 4u);
+  EXPECT_EQ(RenderPul(bulk_pul), RenderPul(single_pul));
+  // Entries follow the calls that produced them.
+  const auto& entries = bulk_pul.entries();
+  for (size_t i = 1; i < entries.size(); ++i) {
+    EXPECT_LT(entries[i - 1].call_index, entries[i].call_index);
+  }
+  EXPECT_NE(RenderPul(bulk_pul).find("<name>2</name>"), std::string::npos);
+}
+
+// Runs `hook` on a document when the `at`-th fetch (1-based) happens:
+// lets a test act in the middle of one call of a request.
+class FetchHookDocuments : public xquery::DocumentProvider {
+ public:
+  FetchHookDocuments(xquery::DocumentProvider* base, int at,
+                     std::function<void(xml::Node* doc)> hook)
+      : base_(base), at_(at), hook_(std::move(hook)) {}
+
+  StatusOr<xml::NodePtr> GetDocument(const std::string& uri) override {
+    XRPC_ASSIGN_OR_RETURN(xml::NodePtr doc, base_->GetDocument(uri));
+    if (++fetches_ == at_) hook_(doc.get());
+    return doc;
+  }
+
+  int fetches() const { return fetches_; }
+
+ private:
+  xquery::DocumentProvider* base_;
+  int at_;
+  std::function<void(xml::Node* doc)> hook_;
+  int fetches_ = 0;
+};
+
+TEST_F(InterpreterBulkTest, MemoSeesDocumentsMutatedMidRequest) {
+  // The third call's fetch appends a film in place, as a nested update
+  // applied at this peer mid-request would; later calls must count it.
+  FetchHookDocuments docs(&docs_, /*at=*/3, [](xml::Node* doc) {
+    doc->children()[0]->AppendChild(xml::Node::NewElement(xml::QName("film")));
+  });
+  std::vector<Sequence> args;
+  for (int i = 0; i < 5; ++i) args.push_back(xdm::SingletonInt(i * 10));
+  auto result = Run(Request("bulk", "countFilms", args), nullptr, &docs);
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::string rendered;
+  for (const Sequence& r : *result) rendered += xdm::SequenceToString(r) + " ";
+  EXPECT_EQ(rendered, "3 13 24 34 44 ");
+}
+
+TEST_F(InterpreterBulkTest, CancellationStopsBetweenCalls) {
+  // The second call's fetch is its last expression dispatch, so that call
+  // completes and the request stops before the next call starts.
+  CancellationToken token;
+  FetchHookDocuments docs(&docs_, /*at=*/2, [&token](xml::Node*) {
+    token.Cancel(Status::Cancelled("stop"));
+  });
+  std::vector<Sequence> args;
+  for (int i = 0; i < 5; ++i) args.push_back(xdm::SingletonInt(i));
+  auto result =
+      Run(Request("bulk", "countFilms", args), nullptr, &docs, &token);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(docs.fetches(), 2);  // calls 3..5 never started
 }
 
 }  // namespace

@@ -52,18 +52,6 @@ TEST(ShredTest, DescendantScan) {
   EXPECT_EQ(s->DescendantElements(first_x, y_id).size(), 1u);
 }
 
-TEST(ShredTest, ChildScanSkipsGrandchildren) {
-  auto doc = Doc("<r><a><b/></a><b/><a/></r>");
-  auto s = ShreddedDoc::Shred(doc);
-  int32_t r = 1;  // pre of <r>
-  int32_t b_id = s->NameId(xml::QName("b"));
-  // Only the direct b child, not the nested one.
-  auto kids = s->ChildElements(r, b_id);
-  ASSERT_EQ(kids.size(), 1u);
-  EXPECT_EQ(s->Row(kids[0]).level, 2);
-  EXPECT_EQ(s->ChildElements(r, -1).size(), 3u);
-}
-
 TEST(ShredTest, AttributesSideTable) {
   auto doc = Doc(R"(<r><p id="1" name="x"/><p id="2"/></r>)");
   auto s = ShreddedDoc::Shred(doc);

@@ -108,9 +108,9 @@ class LoopbackRpcHandler : public xquery::RpcHandler {
     config.modules = modules_;
     config.rpc = this;
     xquery::Interpreter interp(config);
-    XRPC_ASSIGN_OR_RETURN(xquery::QueryResult result,
-                          interp.CallModuleFunction(*mod, *def, call.args));
-    return result.sequence;
+    XRPC_ASSIGN_OR_RETURN(std::vector<xquery::QueryResult> results,
+                          interp.CallModuleFunction(*mod, *def, {call.args}));
+    return std::move(results[0].sequence);
   }
 
   const std::vector<xquery::RpcCall>& calls() const { return calls_; }
