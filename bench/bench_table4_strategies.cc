@@ -30,8 +30,10 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/bench_util.h"
 #include "xmark/shard_loader.h"
 #include "xmark/xmark.h"
@@ -230,36 +232,35 @@ return if (empty($ca)) then ()
       "their concurrent requests (\"shard exec\" sums all shard peers).\n",
       speedup);
 
-  FILE* json = std::fopen("BENCH_shard_scaleup.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"shard_scaleup\",\n"
-                 "  \"query\": \"Q7 distributed semi-join over "
-                 "shard:auctions.xml (partition-key pruned)\",\n"
-                 "  \"config\": {\"persons\": %d, \"closed_auctions\": %d, "
-                 "\"matches\": %d, \"shard_engine\": \"interpreter\", "
-                 "\"p0_engine\": \"relational\"},\n"
-                 "  \"runs\": [\n",
-                 cfg.num_persons, cfg.num_closed_auctions, cfg.num_matches);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      std::fprintf(json,
-                   "    {\"shards\": %d, \"total_us\": %lld, "
-                   "\"shard_exec_us\": %lld, \"network_us\": %lld, "
-                   "\"requests\": %lld, \"results\": %zu}%s\n",
-                   runs[i].shards, static_cast<long long>(runs[i].total_us),
-                   static_cast<long long>(runs[i].remote_us),
-                   static_cast<long long>(runs[i].network_us),
-                   static_cast<long long>(runs[i].requests), runs[i].results,
-                   i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(json,
-                 "  ],\n"
-                 "  \"speedup_16_shards_over_1\": %.2f\n"
-                 "}\n",
-                 speedup);
-    std::fclose(json);
-    std::printf("wrote BENCH_shard_scaleup.json\n");
+  xrpc::bench::BenchJson json("shard_scaleup");
+  json.config()
+      .Set("query",
+           "Q7 distributed semi-join over shard:auctions.xml "
+           "(partition-key pruned)")
+      .Set("persons", cfg.num_persons)
+      .Set("closed_auctions", cfg.num_closed_auctions)
+      .Set("matches", cfg.num_matches)
+      .Set("shard_engine", "interpreter")
+      .Set("p0_engine", "relational")
+      .Set("nproc", static_cast<int>(std::thread::hardware_concurrency()))
+      .Set("build_type", XRPC_BUILD_TYPE);
+  for (const ShardRun& run : runs) {
+    json.AddRow()
+        .Set("shards", run.shards)
+        .Set("total_us", run.total_us)
+        .Set("shard_exec_us", run.remote_us)
+        .Set("network_us", run.network_us)
+        .Set("requests", run.requests)
+        .Set("results", run.results)
+        .Set("speedup_over_1_shard",
+             run.total_us > 0 ? static_cast<double>(runs[0].total_us) /
+                                    static_cast<double>(run.total_us)
+                              : 0.0);
   }
+  if (!json.WriteFile("BENCH_shard_scaleup.json")) {
+    std::fprintf(stderr, "bench_table4: cannot write json output\n");
+    return 1;
+  }
+  std::printf("wrote BENCH_shard_scaleup.json\n");
   return 0;
 }

@@ -92,7 +92,7 @@ class Table {
   }
 
   /// Appends every row of `other` (schemas must match positionally) —
-  /// per-column bulk append, the morsel-merge concatenation primitive.
+  /// per-column bulk append.
   void AppendRowsFrom(const Table& other);
   /// Move flavor: steals `other`'s cells (clears it). When this table is
   /// still empty the columns are adopted wholesale (no per-cell work).

@@ -98,11 +98,10 @@ class CancellationToken {
 /// Amortized cancellation polling for tight per-row loops: Tick() consults
 /// the token only every `stride` calls, keeping the poll (an atomic load
 /// plus, for armed deadlines, a clock read through std::function) off the
-/// per-row fast path. Morsel boundaries poll the token directly; kernels
-/// iterating WITHIN a morsel or a serial operator tick a gate instead.
+/// per-row fast path. Every per-row operator loop ticks a gate.
 ///
 /// Null-token tolerant, so call sites need no guard. Not thread-safe —
-/// each worker owns its gate.
+/// each loop owns its gate.
 class PollGate {
  public:
   explicit PollGate(const CancellationToken* token, uint32_t stride = 256)

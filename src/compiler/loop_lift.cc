@@ -12,10 +12,7 @@
 #include <set>
 #include <utility>
 
-#include "algebra/morsel.h"
 #include "base/string_util.h"
-#include "compiler/morsel_exec.h"
-#include "net/thread_pool.h"
 #include "xml/serializer.h"
 
 namespace xrpc::compiler {
@@ -326,16 +323,7 @@ Sequence TableToSequence(const Table& table, int64_t iter) {
 
 class LoopLiftedEvaluator::Impl {
  public:
-  explicit Impl(const LoopLiftConfig& config) : cfg_(config) {
-    if (cfg_.exec_pool != nullptr) {
-      pool_ = cfg_.exec_pool;
-    } else if (cfg_.exec_threads > 1) {
-      owned_pool_ = std::make_unique<net::ThreadPool>(
-          static_cast<size_t>(cfg_.exec_threads));
-      pool_ = owned_pool_.get();
-    }
-    exec_ = std::make_unique<MorselExecutor>(pool_, cfg_.cancel, cfg_.metrics);
-  }
+  explicit Impl(const LoopLiftConfig& config) : cfg_(config) {}
 
   StatusOr<Sequence> EvaluateQuery(const xquery::MainModule& query) {
     XRPC_ASSIGN_OR_RETURN(Scope scope, BuildScope(&query.prolog, ""));
@@ -1043,41 +1031,24 @@ class LoopLiftedEvaluator::Impl {
     return out;
   }
 
-  /// Evaluates an expression to one effective boolean per iteration. The
-  /// per-iteration EBVs are independent (filter/map work), so chunks of
-  /// the loop relation run as morsels.
+  /// Evaluates an expression to one effective boolean per iteration.
   StatusOr<std::map<int64_t, bool>> EvalBool(const Expr& e, const Loop& loop) {
     XRPC_ASSIGN_OR_RETURN(Table t, Eval(e, loop));
     auto groups = GroupByIter(t);
-    std::vector<uint8_t> verdict(loop.size(), 0);
-    auto ebv_rows = [&](size_t begin, size_t end) -> Status {
-      PollGate gate(cfg_.cancel);
-      Sequence seq;
-      for (size_t idx = begin; idx < end; ++idx) {
-        if (gate.Tick()) return gate.status();
-        auto g = groups.find(loop[idx]);
-        if (g == groups.end()) continue;
+    PollGate gate(cfg_.cancel);
+    std::map<int64_t, bool> out;
+    Sequence seq;
+    for (int64_t iter : loop) {
+      if (gate.Tick()) return gate.status();
+      auto g = groups.find(iter);
+      bool b = false;
+      if (g != groups.end()) {
         seq.clear();
         for (size_t row : g->second) seq.push_back(t.ItemAt(row));
-        XRPC_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(seq));
-        verdict[idx] = b ? 1 : 0;
+        XRPC_ASSIGN_OR_RETURN(b, xdm::EffectiveBooleanValue(seq));
       }
-      return Status::OK();
-    };
-    std::vector<algebra::Morsel> morsels;
-    if (exec_->parallel_capable() && loop.size() > 1) {
-      morsels = algebra::SplitRows(loop.size(), cfg_.morsel_rows);
+      out[iter] = b;
     }
-    if (morsels.size() > 1) {
-      Status run = exec_->Run("filter", morsels.size(), [&](size_t m) {
-        return ebv_rows(morsels[m].begin, morsels[m].end);
-      });
-      XRPC_RETURN_IF_ERROR(run);
-    } else {
-      XRPC_RETURN_IF_ERROR(ebv_rows(0, loop.size()));
-    }
-    std::map<int64_t, bool> out;
-    for (size_t i = 0; i < loop.size(); ++i) out[loop[i]] = verdict[i] != 0;
     return out;
   }
 
@@ -1119,87 +1090,65 @@ class LoopLiftedEvaluator::Impl {
                      e.comp_op == CompOp::kNodeBefore ||
                      e.comp_op == CompOp::kNodeAfter;
 
-    // The per-iteration verdicts are independent (atomization and atomic
-    // comparison are pure), so chunks of the loop relation are morsel
-    // work; per-chunk outputs concatenate in loop order, matching serial.
-    auto compare_rows = [&](size_t begin, size_t end, Table* out) -> Status {
-      PollGate gate(cfg_.cancel);
-      for (size_t idx = begin; idx < end; ++idx) {
-        if (gate.Tick()) return gate.status();
-        int64_t iter = loop[idx];
-        auto li = lg.find(iter);
-        auto ri = rg.find(iter);
-        if (li == lg.end() || ri == rg.end()) {
-          if (value_comp || node_comp) continue;  // empty result
-          out->AppendIPI(iter, 1, Item(AtomicValue::Boolean(false)));
-          continue;
-        }
-        if (node_comp) {
-          if (li->second.size() != 1 || ri->second.size() != 1) {
-            return Status::TypeError("node comparison requires single nodes");
-          }
-          const Item& a = l.ItemAt(li->second[0]);
-          const Item& b = r.ItemAt(ri->second[0]);
-          if (!a.IsNode() || !b.IsNode()) {
-            return Status::TypeError("node comparison requires nodes");
-          }
-          int c = xml::CompareDocumentOrder(a.node(), b.node());
-          bool v = e.comp_op == CompOp::kNodeIs
-                       ? a.node() == b.node()
-                       : (e.comp_op == CompOp::kNodeBefore ? c < 0 : c > 0);
-          out->AppendIPI(iter, 1, Item(AtomicValue::Boolean(v)));
-          continue;
-        }
-        if (value_comp) {
-          if (li->second.size() != 1 || ri->second.size() != 1) {
-            return Status::TypeError("value comparison requires singletons");
-          }
-          AtomicValue a = l.ItemAt(li->second[0]).Atomize();
-          AtomicValue b = r.ItemAt(ri->second[0]).Atomize();
-          if (a.type() == AtomicType::kUntypedAtomic) {
-            a = AtomicValue::String(a.ToString());
-          }
-          if (b.type() == AtomicType::kUntypedAtomic) {
-            b = AtomicValue::String(b.ToString());
-          }
-          XRPC_ASSIGN_OR_RETURN(int c, xdm::CompareAtomic(a, b));
-          out->AppendIPI(iter, 1, Item(AtomicValue::Boolean(satisfied(c))));
-          continue;
-        }
-        // General comparison: existential semantics.
-        bool found = false;
-        for (size_t x : li->second) {
-          if (found) break;
-          AtomicValue a = l.ItemAt(x).Atomize();
-          for (size_t y : ri->second) {
-            AtomicValue b = r.ItemAt(y).Atomize();
-            XRPC_ASSIGN_OR_RETURN(int c, xdm::CompareAtomic(a, b));
-            if (satisfied(c)) {
-              found = true;
-              break;
-            }
-          }
-        }
-        out->AppendIPI(iter, 1, Item(AtomicValue::Boolean(found)));
-      }
-      return Status::OK();
-    };
-
-    std::vector<algebra::Morsel> morsels;
-    if (exec_->parallel_capable() && loop.size() > 1) {
-      morsels = algebra::SplitRows(loop.size(), cfg_.morsel_rows);
-    }
     Table out = Table::IterPosItem();
-    if (morsels.size() > 1) {
-      std::vector<Table> outs(morsels.size(), Table::IterPosItem());
-      Status run = exec_->Run("compare", morsels.size(), [&](size_t m) {
-        return compare_rows(morsels[m].begin, morsels[m].end, &outs[m]);
-      });
-      XRPC_RETURN_IF_ERROR(run);
-      for (Table& o : outs) out.AppendRowsFrom(std::move(o));
-      return out;
+    PollGate gate(cfg_.cancel);
+    for (int64_t iter : loop) {
+      if (gate.Tick()) return gate.status();
+      auto li = lg.find(iter);
+      auto ri = rg.find(iter);
+      if (li == lg.end() || ri == rg.end()) {
+        if (value_comp || node_comp) continue;  // empty result
+        out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(false)));
+        continue;
+      }
+      if (node_comp) {
+        if (li->second.size() != 1 || ri->second.size() != 1) {
+          return Status::TypeError("node comparison requires single nodes");
+        }
+        const Item& a = l.ItemAt(li->second[0]);
+        const Item& b = r.ItemAt(ri->second[0]);
+        if (!a.IsNode() || !b.IsNode()) {
+          return Status::TypeError("node comparison requires nodes");
+        }
+        int c = xml::CompareDocumentOrder(a.node(), b.node());
+        bool v = e.comp_op == CompOp::kNodeIs
+                     ? a.node() == b.node()
+                     : (e.comp_op == CompOp::kNodeBefore ? c < 0 : c > 0);
+        out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(v)));
+        continue;
+      }
+      if (value_comp) {
+        if (li->second.size() != 1 || ri->second.size() != 1) {
+          return Status::TypeError("value comparison requires singletons");
+        }
+        AtomicValue a = l.ItemAt(li->second[0]).Atomize();
+        AtomicValue b = r.ItemAt(ri->second[0]).Atomize();
+        if (a.type() == AtomicType::kUntypedAtomic) {
+          a = AtomicValue::String(a.ToString());
+        }
+        if (b.type() == AtomicType::kUntypedAtomic) {
+          b = AtomicValue::String(b.ToString());
+        }
+        XRPC_ASSIGN_OR_RETURN(int c, xdm::CompareAtomic(a, b));
+        out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(satisfied(c))));
+        continue;
+      }
+      // General comparison: existential semantics.
+      bool found = false;
+      for (size_t x : li->second) {
+        if (found) break;
+        AtomicValue a = l.ItemAt(x).Atomize();
+        for (size_t y : ri->second) {
+          AtomicValue b = r.ItemAt(y).Atomize();
+          XRPC_ASSIGN_OR_RETURN(int c, xdm::CompareAtomic(a, b));
+          if (satisfied(c)) {
+            found = true;
+            break;
+          }
+        }
+      }
+      out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(found)));
     }
-    XRPC_RETURN_IF_ERROR(compare_rows(0, loop.size(), &out));
     return out;
   }
 
@@ -1285,9 +1234,7 @@ class LoopLiftedEvaluator::Impl {
   }
 
   /// Sorts node rows per iter into document order, deduplicates, and
-  /// renumbers pos. Iter groups are independent, so the groups are morsel
-  /// work: each worker sorts its own iter-aligned range and the in-order
-  /// concatenation of the per-morsel outputs equals the serial result.
+  /// renumbers pos.
   StatusOr<Table> DocOrderPerIter(const Table& t_in) {
     Table sorted;
     const Table* t = &t_in;
@@ -1295,53 +1242,32 @@ class LoopLiftedEvaluator::Impl {
       sorted = SortIPI(t_in);
       t = &sorted;
     }
-    std::vector<algebra::Morsel> morsels;
-    if (exec_->parallel_capable() && t->NumRows() > 1) {
-      morsels = algebra::SplitIterAligned(*t, cfg_.morsel_rows);
-    }
     Table out = Table::IterPosItem();
-    if (morsels.size() > 1) {
-      std::vector<Table> outs(morsels.size(), Table::IterPosItem());
-      Status run = exec_->Run("docorder", morsels.size(), [&](size_t m) {
-        return DocOrderRows(*t, morsels[m].begin, morsels[m].end, &outs[m]);
-      });
-      XRPC_RETURN_IF_ERROR(run);
-      for (Table& o : outs) out.AppendRowsFrom(std::move(o));
-      return out;
-    }
-    XRPC_RETURN_IF_ERROR(DocOrderRows(*t, 0, t->NumRows(), &out));
-    return out;
-  }
-
-  /// Document-order sort of the consecutive iter groups in [begin, end).
-  /// Pure: reads `t`, writes `out`, touches no evaluator state — safe on
-  /// any worker.
-  Status DocOrderRows(const Table& t, size_t begin, size_t end,
-                      Table* out) const {
     PollGate gate(cfg_.cancel);
     Sequence seq;
-    size_t i = begin;
+    const size_t end = t->NumRows();
+    size_t i = 0;
     while (i < end) {
       if (gate.Tick()) return gate.status();
-      int64_t iter = t.Iter(i);
+      int64_t iter = t->Iter(i);
       seq.clear();
-      for (; i < end && t.Iter(i) == iter; ++i) {
-        seq.push_back(t.ItemAt(i));
+      for (; i < end && t->Iter(i) == iter; ++i) {
+        seq.push_back(t->ItemAt(i));
       }
       if (seq.size() == 1) {
         if (!seq[0].IsNode()) {
           return Status::TypeError(
               "path step result contains an atomic value (XPTY0018)");
         }
-        out->AppendIPI(iter, 1, seq[0]);
+        out.AppendIPI(iter, 1, seq[0]);
         continue;
       }
       XRPC_RETURN_IF_ERROR(xdm::SortByDocumentOrder(&seq));
       for (size_t k = 0; k < seq.size(); ++k) {
-        out->AppendIPI(iter, static_cast<int64_t>(k + 1), seq[k]);
+        out.AppendIPI(iter, static_cast<int64_t>(k + 1), seq[k]);
       }
     }
-    return Status::OK();
+    return out;
   }
 
   // ----------------------------------------------------------------- paths
@@ -1387,67 +1313,14 @@ class LoopLiftedEvaluator::Impl {
   }
 
   StatusOr<Table> EvalStep(const Table& input, const PathStep& step) {
-    // Morsel-parallel expansion: iter-aligned morsels never split an iter
-    // group, so the per-morsel adjacent-duplicate checks compose exactly
-    // and concatenating per-morsel outputs in morsel order reproduces the
-    // serial row order byte for byte. Predicate-carrying steps fan out
-    // only when every predicate passes the parallel-safety gate; each
-    // worker then evaluates predicates on its own evaluator clone.
-    std::vector<algebra::Morsel> morsels;
-    if (exec_->parallel_capable() && input.NumRows() > 1 &&
-        (step.predicates.empty() || ParallelSafePredicates(step))) {
-      morsels = algebra::SplitIterAligned(input, cfg_.morsel_rows);
-    }
     Table expanded = Table::IterPosItem();
     bool single_row_iters = true;  // no iter contributed two context nodes
-    if (morsels.size() > 1) {
-      std::vector<Table> outs(morsels.size(), Table::IterPosItem());
-      std::vector<uint8_t> single(morsels.size(), 1);
-      std::vector<std::unique_ptr<Impl>> clones;
-      if (!step.predicates.empty()) {
-        clones.resize(morsels.size());
-        for (size_t m = 0; m < morsels.size(); ++m) {
-          clones[m] = CloneForWorker(
-              iter_base_ + static_cast<int64_t>(m + 1) * kWorkerIterStride);
-        }
-      }
-      Status run = exec_->Run("step", morsels.size(), [&](size_t m) {
-        Impl* self = clones.empty() ? this : clones[m].get();
-        bool s = true;
-        Status st = self->StepRows(input, morsels[m].begin, morsels[m].end,
-                                   step, &outs[m], &s);
-        single[m] = s ? 1 : 0;
-        return st;
-      });
-      iter_base_ +=
-          static_cast<int64_t>(morsels.size() + 1) * kWorkerIterStride;
-      XRPC_RETURN_IF_ERROR(run);
-      for (size_t m = 0; m < morsels.size(); ++m) {
-        if (single[m] == 0) single_row_iters = false;
-        expanded.AppendRowsFrom(std::move(outs[m]));
-      }
-    } else {
-      XRPC_RETURN_IF_ERROR(StepRows(input, 0, input.NumRows(), step,
-                                    &expanded, &single_row_iters));
-    }
-    if (single_row_iters && SortedByIter(expanded) &&
-        IsForwardAxis(step.axis)) {
-      return expanded;  // already per-iter document order, duplicate-free
-    }
-    return DocOrderPerIter(expanded);
-  }
-
-  /// Expands one range of EvalStep's context rows; row layout is identical
-  /// to the serial loop. Ranges are iter-aligned, so the i > begin
-  /// duplicate check never misses a cross-range pair.
-  Status StepRows(const Table& input, size_t begin, size_t end,
-                  const PathStep& step, Table* out, bool* single_row_iters) {
     PollGate gate(cfg_.cancel);
     Sequence nodes;
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = 0; i < input.NumRows(); ++i) {
       if (gate.Tick()) return gate.status();
-      if (i > begin && input.Iter(i) == input.Iter(i - 1)) {
-        *single_row_iters = false;
+      if (i > 0 && input.Iter(i) == input.Iter(i - 1)) {
+        single_row_iters = false;
       }
       const Item& item = input.ItemAt(i);
       if (!item.IsNode()) {
@@ -1463,10 +1336,15 @@ class LoopLiftedEvaluator::Impl {
                                  input.Iter(i)));
       }
       for (size_t k = 0; k < nodes.size(); ++k) {
-        out->AppendIPI(input.Iter(i), static_cast<int64_t>(k + 1), nodes[k]);
+        expanded.AppendIPI(input.Iter(i), static_cast<int64_t>(k + 1),
+                           nodes[k]);
       }
     }
-    return Status::OK();
+    if (single_row_iters && SortedByIter(expanded) &&
+        IsForwardAxis(step.axis)) {
+      return expanded;  // already per-iter document order, duplicate-free
+    }
+    return DocOrderPerIter(expanded);
   }
 
   /// Axis navigation: the descendant axes go through the shredded
@@ -1723,108 +1601,7 @@ class LoopLiftedEvaluator::Impl {
     return out;
   }
 
-  // ------------------------------------------------- morsel parallelism
-
-  /// Width of the fresh-iter window handed to each worker clone. Iters a
-  /// clone mints (predicate candidate loops and the like) never escape
-  /// into operator output; they only need to stay collision-free across
-  /// workers while one parallel operator runs.
-  static constexpr int64_t kWorkerIterStride = 1'000'000'000;
-
-  /// A pool-less copy of this evaluator for one morsel worker: same
-  /// environment and scopes (cheap — tables share their items), its own
-  /// disjoint fresh-iter window, no pool (nested operators inside a worker
-  /// degrade to serial, which keeps the shared pool free of re-entrant
-  /// blocking), no tracing and no metrics (the parent records the whole
-  /// operator).
-  std::unique_ptr<Impl> CloneForWorker(int64_t iter_base) const {
-    LoopLiftConfig cfg = cfg_;
-    cfg.exec_threads = 1;
-    cfg.exec_pool = nullptr;
-    cfg.trace_bulk_rpc = false;
-    cfg.metrics = nullptr;
-    auto clone = std::make_unique<Impl>(cfg);
-    clone->env_ = env_;
-    clone->scopes_ = scopes_;
-    clone->hoistable_ = hoistable_;
-    clone->join_invariant_ = join_invariant_;
-    clone->inline_depth_ = inline_depth_;
-    clone->iter_base_ = iter_base;
-    return clone;
-  }
-
-  /// True when evaluating `e` on a worker thread preserves both safety and
-  /// byte-identical output: no `execute at` (shared RPC channel, traces),
-  /// no node constructors (fresh node identities must be minted in serial
-  /// order or relative document order between them becomes racy), no
-  /// fn:doc (the document provider is not a parallel surface), and no
-  /// opaque user/extension functions. Cached per expression node; only the
-  /// main thread consults or fills the cache.
-  bool ParallelSafeExpr(const Expr& e) {
-    auto cached = parallel_safe_.find(&e);
-    if (cached != parallel_safe_.end()) return cached->second;
-    bool safe = ParallelSafeUncached(e);
-    parallel_safe_.emplace(&e, safe);
-    return safe;
-  }
-
-  bool ParallelSafeUncached(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kExecuteAt:
-        return false;
-      case ExprKind::kElementCtor:
-      case ExprKind::kAttributeCtor:
-      case ExprKind::kTextCtor:
-      case ExprKind::kCommentCtor:
-      case ExprKind::kPiCtor:
-      case ExprKind::kDocumentCtor:
-        return false;
-      case ExprKind::kFunctionCall:
-        if (e.name.ns_uri != xquery::kFnNs && e.name.ns_uri != xml::kXsNs) {
-          return false;  // user/extension function bodies are opaque here
-        }
-        if (e.name.ns_uri == xquery::kFnNs && e.name.local == "doc") {
-          return false;
-        }
-        break;
-      default:
-        break;
-    }
-    for (const ExprPtr& c : e.children) {
-      if (c && !ParallelSafeExpr(*c)) return false;
-    }
-    if (e.where && !ParallelSafeExpr(*e.where)) return false;
-    for (const xquery::OrderSpec& o : e.order_by) {
-      if (o.key && !ParallelSafeExpr(*o.key)) return false;
-    }
-    if (e.ret && !ParallelSafeExpr(*e.ret)) return false;
-    for (const ExprPtr& p : e.predicates) {
-      if (p && !ParallelSafeExpr(*p)) return false;
-    }
-    for (const ExprPtr& a : e.attributes) {
-      if (a && !ParallelSafeExpr(*a)) return false;
-    }
-    if (e.name_expr && !ParallelSafeExpr(*e.name_expr)) return false;
-    for (const PathStep& step : e.steps) {
-      for (const ExprPtr& p : step.predicates) {
-        if (p && !ParallelSafeExpr(*p)) return false;
-      }
-    }
-    return true;
-  }
-
-  bool ParallelSafePredicates(const PathStep& step) {
-    for (const ExprPtr& p : step.predicates) {
-      if (p && !ParallelSafeExpr(*p)) return false;
-    }
-    return true;
-  }
-
   LoopLiftConfig cfg_;
-  std::unique_ptr<net::ThreadPool> owned_pool_;  ///< when cfg_ asked for one
-  net::ThreadPool* pool_ = nullptr;  ///< null in worker clones (serial)
-  std::unique_ptr<MorselExecutor> exec_;
-  std::unordered_map<const Expr*, bool> parallel_safe_;
   std::vector<std::pair<std::string, Table>> env_;
   std::vector<Scope> scopes_;
   std::vector<BulkRpcTrace> traces_;
@@ -2436,12 +2213,6 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
       bool echo = false;            ///< replica echo: results dropped
       std::vector<PeerCall> calls;  // index = iterp - 1
     };
-    // Request assembly fills one slot per destination group, so the groups
-    // are morsel work (the per-iteration body of the lifted `execute at`):
-    // every read below (params, param_groups, scope metadata) is shared
-    // immutable state, and each worker writes only its own slot. Tracing
-    // reads trace_rank through a mutating map lookup, so traced runs stay
-    // serial — identical slots, identical bytes.
     std::vector<GroupWork> work(group_keys.size());
     std::vector<server::BulkRpcChannel::Destination> destinations(
         group_keys.size());
@@ -2449,7 +2220,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
       trace.peers.clear();
       trace.peers.resize(group_keys.size());
     }
-    auto assemble = [&](size_t gi) -> Status {
+    for (size_t gi = 0; gi < group_keys.size(); ++gi) {
       Group& group = groups.find(group_keys[gi])->second;
       GroupWork& w = work[gi];
       w.peer = group.primary;
@@ -2494,16 +2265,6 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
       destinations[gi] = server::BulkRpcChannel::Destination{
           group.primary, std::move(request), std::move(group.fallbacks)};
       if (cfg_.trace_bulk_rpc) trace.peers[gi] = std::move(tp);
-      return Status::OK();
-    };
-    if (!cfg_.trace_bulk_rpc && exec_->parallel_capable() &&
-        group_keys.size() > 1) {
-      XRPC_RETURN_IF_ERROR(
-          exec_->Run("execute-at", group_keys.size(), assemble));
-    } else {
-      for (size_t gi = 0; gi < group_keys.size(); ++gi) {
-        XRPC_RETURN_IF_ERROR(assemble(gi));
-      }
     }
 
     // Dispatch all Bulk RPC requests (possibly in parallel).
@@ -2535,15 +2296,9 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
     // renumbered densely, whole table sorted by iter. For plain (unsharded)
     // destinations every call has rank 0 and this degenerates to the
     // original merge-union + sort of Figure 2, byte for byte.
-    // Response unpacking is per-response morsel work: worker w buckets its
-    // own response's sequences into unpacked[w][rank]; the serial merge
-    // below concatenates buckets in response order per rank — exactly the
-    // row order the serial loop produced. The earliest response's fault
-    // wins, matching serial first-failure.
-    std::vector<std::vector<Table>> unpacked(
-        work.size(), std::vector<Table>(static_cast<size_t>(max_rank) + 1,
-                                        Table::IterPosItem()));
-    auto unpack = [&](size_t w) -> Status {
+    std::vector<Table> shard_sources(static_cast<size_t>(max_rank) + 1,
+                                     Table::IterPosItem());
+    for (size_t w = 0; w < work.size(); ++w) {
       const soap::XrpcResponse& response = responses[w];
       if (response.results.size() != work[w].calls.size()) {
         return Status::SoapFault("peer " + work[w].peer + " answered " +
@@ -2554,12 +2309,12 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
       }
       // A replica echo of an all-copies write answered (and is enlisted in
       // the 2PC); only the primary's results feed the merge.
-      if (work[w].echo) return Status::OK();
+      if (work[w].echo) continue;
       for (size_t k = 0; k < response.results.size(); ++k) {
         const PeerCall& pc = work[w].calls[k];
         const Sequence& seq = response.results[k];
         for (size_t i = 0; i < seq.size(); ++i) {
-          unpacked[w][static_cast<size_t>(pc.rank)].AppendIPI(
+          shard_sources[static_cast<size_t>(pc.rank)].AppendIPI(
               pc.iter, static_cast<int64_t>(i + 1), seq[i]);
         }
         if (cfg_.trace_bulk_rpc) {
@@ -2570,22 +2325,6 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
                                          static_cast<int64_t>(i + 1), seq[i]);
           }
         }
-      }
-      return Status::OK();
-    };
-    if (!cfg_.trace_bulk_rpc && exec_->parallel_capable() &&
-        work.size() > 1) {
-      XRPC_RETURN_IF_ERROR(exec_->Run("execute-at", work.size(), unpack));
-    } else {
-      for (size_t w = 0; w < work.size(); ++w) {
-        XRPC_RETURN_IF_ERROR(unpack(w));
-      }
-    }
-    std::vector<Table> shard_sources(static_cast<size_t>(max_rank) + 1,
-                                     Table::IterPosItem());
-    for (size_t w = 0; w < unpacked.size(); ++w) {
-      for (size_t rank = 0; rank < unpacked[w].size(); ++rank) {
-        shard_sources[rank].AppendRowsFrom(std::move(unpacked[w][rank]));
       }
     }
     Table result = algebra::ScatterGatherMerge(shard_sources);

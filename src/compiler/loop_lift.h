@@ -13,11 +13,6 @@
 #include "xquery/context.h"
 #include "xquery/module.h"
 
-namespace xrpc::net {
-class RpcMetrics;
-class ThreadPool;
-}  // namespace xrpc::net
-
 namespace xrpc::compiler {
 
 /// Captured intermediate tables of one loop-lifted XRPC call — the
@@ -53,21 +48,6 @@ struct LoopLiftConfig {
   /// destinations into per-shard Bulk RPCs (DESIGN.md §13). Null disables
   /// decomposition; shard destinations then fail with an eval error.
   const core::Catalog* catalog = nullptr;
-  /// Morsel-parallel execution (DESIGN.md §15). Per-iteration-independent
-  /// operators split their input into iter-aligned morsels and run them on
-  /// a worker pool; the merge re-establishes (iter, pos) order so output
-  /// is byte-identical to serial execution at any worker count.
-  /// exec_threads <= 1 keeps everything serial. When exec_pool is null and
-  /// exec_threads > 1, the evaluator creates and owns a pool of that size;
-  /// a non-null exec_pool is borrowed instead (its size wins).
-  int exec_threads = 1;
-  net::ThreadPool* exec_pool = nullptr;
-  /// Target morsel granularity in input rows; morsels only break where
-  /// iter changes, so a single oversized iter group stays one morsel.
-  size_t morsel_rows = 1024;
-  /// Sink for `exec:` observability lines (morsels run, wait time,
-  /// per-operator wall clock). Null disables recording.
-  net::RpcMetrics* metrics = nullptr;
 };
 
 /// The Pathfinder-style loop-lifted evaluator: XQuery expressions evaluate

@@ -1,7 +1,5 @@
 #include "compiler/relational_engine.h"
 
-#include "algebra/morsel.h"
-#include "compiler/morsel_exec.h"
 #include "xquery/parser.h"
 
 namespace xrpc::compiler {
@@ -68,47 +66,21 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
     const soap::XrpcRequest& request, const server::CallContext& context,
     const xquery::LibraryModule& module, const xquery::FunctionDef& def) {
   // Shred the request parameters into loop-lifted tables: call i becomes
-  // iteration i+1. Calls are independent, so chunks of calls are morsel
-  // work ("shred" in the exec metrics); the per-chunk tables concatenate
-  // in call order, identical to the serial append.
+  // iteration i+1.
   int64_t num_calls = static_cast<int64_t>(request.calls.size());
   std::vector<algebra::Table> args(request.arity,
                                    algebra::Table::IterPosItem());
-  auto shred_calls = [&](size_t begin, size_t end,
-                         std::vector<algebra::Table>* out) -> Status {
-    PollGate gate(context.cancel);
-    for (size_t call = begin; call < end; ++call) {
-      if (gate.Tick()) return gate.status();
-      const std::vector<xdm::Sequence>& params = request.calls[call];
-      for (size_t p = 0; p < request.arity; ++p) {
-        const xdm::Sequence& param = params[p];
-        for (size_t k = 0; k < param.size(); ++k) {
-          (*out)[p].AppendIPI(static_cast<int64_t>(call + 1),
-                              static_cast<int64_t>(k + 1), param[k]);
-        }
+  PollGate gate(context.cancel);
+  for (size_t call = 0; call < request.calls.size(); ++call) {
+    if (gate.Tick()) return gate.status();
+    const std::vector<xdm::Sequence>& params = request.calls[call];
+    for (size_t p = 0; p < request.arity; ++p) {
+      const xdm::Sequence& param = params[p];
+      for (size_t k = 0; k < param.size(); ++k) {
+        args[p].AppendIPI(static_cast<int64_t>(call + 1),
+                          static_cast<int64_t>(k + 1), param[k]);
       }
     }
-    return Status::OK();
-  };
-  MorselExecutor shred_exec(exec_pool_.get(), context.cancel,
-                            context.metrics);
-  constexpr size_t kShredMorselCalls = 64;
-  auto morsels = algebra::SplitRows(request.calls.size(), kShredMorselCalls);
-  if (shred_exec.parallel_capable() && morsels.size() > 1) {
-    std::vector<std::vector<algebra::Table>> parts(
-        morsels.size(), std::vector<algebra::Table>(
-                            request.arity, algebra::Table::IterPosItem()));
-    XRPC_RETURN_IF_ERROR(
-        shred_exec.Run("shred", morsels.size(), [&](size_t m) {
-          return shred_calls(morsels[m].begin, morsels[m].end, &parts[m]);
-        }));
-    for (auto& part : parts) {
-      for (size_t p = 0; p < request.arity; ++p) {
-        args[p].AppendRowsFrom(std::move(part[p]));
-      }
-    }
-  } else {
-    XRPC_RETURN_IF_ERROR(shred_calls(0, request.calls.size(), &args));
   }
 
   LoopLiftConfig config;
@@ -117,9 +89,6 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
   config.rpc = context.bulk_rpc;
   config.shreds = &shreds_;
   config.cancel = context.cancel;
-  config.exec_threads = options_.exec_threads;
-  config.exec_pool = exec_pool_.get();
-  config.metrics = context.metrics;
   LoopLiftedEvaluator evaluator(config);
   XRPC_ASSIGN_OR_RETURN(
       algebra::Table result,

@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "compiler/loop_lift.h"
-#include "net/thread_pool.h"
 #include "server/engine.h"
 #include "server/module_registry.h"
 #include "shred/shredded_doc.h"
@@ -35,19 +33,10 @@ class RelationalEngine : public server::ExecutionEngine {
     /// Required when use_function_cache is false (source of truth for
     /// recompilation).
     server::ModuleRegistry* registry = nullptr;
-    /// Worker count of the morsel-parallel executor (DESIGN.md §15).
-    /// <= 1 keeps evaluation serial. The engine owns one pool shared by
-    /// every request it serves; per-request evaluators borrow it.
-    int exec_threads = 1;
   };
 
   RelationalEngine() = default;
-  explicit RelationalEngine(const Options& options) : options_(options) {
-    if (options_.exec_threads > 1) {
-      exec_pool_ = std::make_unique<net::ThreadPool>(
-          static_cast<size_t>(options_.exec_threads));
-    }
-  }
+  explicit RelationalEngine(const Options& options) : options_(options) {}
 
   std::string name() const override {
     return options_.use_function_cache ? "relational" : "relational-nocache";
@@ -56,20 +45,6 @@ class RelationalEngine : public server::ExecutionEngine {
   StatusOr<std::vector<xdm::Sequence>> ExecuteRequest(
       const soap::XrpcRequest& request, const server::CallContext& context,
       xquery::PendingUpdateList* pul) override;
-
-  /// Enables morsel-parallel execution after construction (convenience
-  /// for network/test setup). Not thread-safe against in-flight requests:
-  /// call before the engine starts serving.
-  void EnableParallelExec(int threads) {
-    if (threads <= 1) {
-      options_.exec_threads = 1;
-      exec_pool_.reset();
-      return;
-    }
-    options_.exec_threads = threads;
-    exec_pool_ = std::make_unique<net::ThreadPool>(
-        static_cast<size_t>(threads));
-  }
 
   int64_t bulk_requests() const { return bulk_requests_.load(); }
   int64_t interpreter_fallbacks() const {
@@ -84,8 +59,6 @@ class RelationalEngine : public server::ExecutionEngine {
 
   Options options_;
   shred::ShredCache shreds_;
-  /// Morsel-executor workers, shared across requests (null when serial).
-  std::unique_ptr<net::ThreadPool> exec_pool_;
   // One engine serves concurrent HTTP workers, so these counters are
   // atomics — a plain ++ here is a data race under load (TSan-verified).
   std::atomic<int64_t> bulk_requests_{0};

@@ -216,21 +216,6 @@ void PeerNetwork::EnableParallelDispatch(int threads) {
   dispatch_pool_ = std::make_unique<net::ThreadPool>(threads);
 }
 
-void PeerNetwork::EnableParallelExec(int threads) {
-  if (threads < 1) threads = 1;
-  exec_threads_ = threads;
-  exec_pool_.reset();
-  if (threads > 1) {
-    exec_pool_ = std::make_unique<net::ThreadPool>(
-        static_cast<size_t>(threads));
-  }
-  for (auto& [name, peer] : peers_) {
-    if (peer->relational_ != nullptr) {
-      peer->relational_->EnableParallelExec(threads);
-    }
-  }
-}
-
 void PeerNetwork::EnableCircuitBreaker(net::CircuitBreaker::Policy policy) {
   breaker_ = std::make_unique<net::CircuitBreaker>(
       policy, [this] { return network_.clock().NowMicros(); });
@@ -242,9 +227,6 @@ Peer* PeerNetwork::AddPeer(const std::string& name, EngineKind kind) {
   auto peer = std::make_unique<Peer>(name, kind, &network_, &catalog_);
   Peer* raw = peer.get();
   peer->service_->set_metrics(&metrics_);
-  if (exec_threads_ > 1 && peer->relational_ != nullptr) {
-    peer->relational_->EnableParallelExec(exec_threads_);
-  }
   peers_[name] = std::move(peer);
   return raw;
 }
@@ -352,14 +334,6 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
     cfg.enable_join_rewrite = !options.disable_join_rewrite;
     cfg.cancel = cancel;
     cfg.catalog = &catalog_;
-    // Morsel-parallel execution: the per-query override wins; otherwise
-    // the network-wide pool is borrowed. An override differing from the
-    // network setting gets its own evaluator-owned pool.
-    int exec_threads =
-        options.exec_threads > 0 ? options.exec_threads : exec_threads_;
-    cfg.exec_threads = exec_threads;
-    if (exec_threads == exec_threads_) cfg.exec_pool = exec_pool_.get();
-    cfg.metrics = &metrics_;
     compiler::LoopLiftedEvaluator evaluator(cfg);
     auto result = evaluator.EvaluateQuery(query);
     if (result.ok()) {

@@ -132,12 +132,6 @@ struct ExecuteOptions {
   /// additionally) carry `declare option xrpc:deadline "<micros>"` — when
   /// both are set, this field wins.
   int64_t deadline_us = 0;
-
-  /// Per-query override of the morsel-executor worker count at p0
-  /// (DESIGN.md §15). 0 = the network-wide setting (EnableParallelExec);
-  /// 1 = force serial; N > 1 = parallel on N workers. Output is
-  /// byte-identical at every value.
-  int exec_threads = 0;
 };
 
 /// Everything measured about one query execution.
@@ -224,15 +218,6 @@ class PeerNetwork {
   void EnableParallelDispatch(int threads = 4);
   bool parallel_dispatch_enabled() const { return dispatch_pool_ != nullptr; }
 
-  /// Switches the loop-lifted evaluators (p0 query evaluation AND every
-  /// relational peer's request engine) to morsel-parallel execution on
-  /// `threads` workers (DESIGN.md §15). Output stays byte-identical to
-  /// serial execution — the deterministic merge re-sorts by (iter, pos) —
-  /// so unlike EnableParallelDispatch this is safe under fault schedules.
-  /// Applies to existing and future peers; call before Execute().
-  void EnableParallelExec(int threads = 4);
-  int exec_threads() const { return exec_threads_; }
-
   /// Runs `query_text` with peer `peer_name` in the p0 role: parses it,
   /// honors its declare option xrpc:isolation / xrpc:timeout, executes it
   /// on the peer's engine with loop-lifted Bulk RPC dispatch (relational
@@ -249,8 +234,6 @@ class PeerNetwork {
   net::RetryingTransport transport_;  ///< retry/timeout decorator over network_
   std::unique_ptr<net::CircuitBreaker> breaker_;    ///< null = disabled
   std::unique_ptr<net::ThreadPool> dispatch_pool_;  ///< null = serial dispatch
-  std::unique_ptr<net::ThreadPool> exec_pool_;      ///< null = serial exec
-  int exec_threads_ = 1;  ///< network-wide morsel-executor worker count
   std::map<std::string, std::unique_ptr<Peer>> peers_;
   int64_t next_query_serial_ = 1;
 };

@@ -112,12 +112,6 @@ void DifferentialHarness::BuildFixtures() {
   };
   relational_net_ = build(core::EngineKind::kRelational);
   interpreter_net_ = build(core::EngineKind::kInterpreter);
-  if (config_.exec_threads > 1) {
-    // Only the relational network goes parallel: the interpreter is the
-    // serial reference, so every agreement doubles as a byte-identity
-    // check of the morsel executor (DESIGN.md §15).
-    relational_net_->EnableParallelExec(config_.exec_threads);
-  }
 }
 
 std::string DifferentialHarness::RunOn(core::PeerNetwork* net,

@@ -64,12 +64,6 @@ struct DifferentialConfig {
   /// scatter-gather merge is differentially checked against the
   /// interpreter's shard-order concatenation.
   int num_shards = 0;
-  /// Morsel-executor worker count of the RELATIONAL network's peers
-  /// (DESIGN.md §15); the interpreter reference always runs serially.
-  /// > 1 turns every differential run into a determinism check of the
-  /// parallel executor: output must stay byte-identical to the serial
-  /// interpreter-agreeing baseline at any worker count.
-  int exec_threads = 1;
   /// Self-test mode: treat every non-empty agreeing result as a
   /// divergence, to exercise minimization + repro writing end to end.
   bool force_divergence = false;

@@ -355,30 +355,6 @@ std::map<std::string, RpcMetrics::TenantStats> RpcMetrics::tenant_stats()
   return per_tenant_;
 }
 
-void RpcMetrics::RecordExecOp(const std::string& op, int64_t morsels,
-                              int64_t wall_us, int64_t wait_us,
-                              bool parallel) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ExecOpStats& s = exec_ops_[op];
-  ++s.ops;
-  if (parallel) ++s.parallel_ops;
-  s.morsels += morsels;
-  s.wall_micros += wall_us;
-  s.wait_micros += wait_us;
-}
-
-void RpcMetrics::RecordExecMorselTimes(const std::vector<int64_t>& micros) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!exec_sampling_) return;
-  exec_batches_.push_back(micros);
-}
-
-void RpcMetrics::set_exec_sampling(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  exec_sampling_ = on;
-  if (!on) exec_batches_.clear();
-}
-
 #define XRPC_METRICS_SUM(field)                          \
   std::lock_guard<std::mutex> lock(mu_);                 \
   int64_t total = 0;                                     \
@@ -640,33 +616,6 @@ int64_t RpcMetrics::repair_failures() const {
   return repair_.failures;
 }
 
-std::map<std::string, RpcMetrics::ExecOpStats> RpcMetrics::exec_ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return exec_ops_;
-}
-
-#define XRPC_METRICS_EXEC_SUM(field)                        \
-  std::lock_guard<std::mutex> lock(mu_);                    \
-  int64_t total = 0;                                        \
-  for (const auto& [op, s] : exec_ops_) total += s.field;   \
-  return total
-
-int64_t RpcMetrics::exec_ops_total() const { XRPC_METRICS_EXEC_SUM(ops); }
-int64_t RpcMetrics::exec_parallel_ops() const {
-  XRPC_METRICS_EXEC_SUM(parallel_ops);
-}
-int64_t RpcMetrics::exec_morsels() const { XRPC_METRICS_EXEC_SUM(morsels); }
-int64_t RpcMetrics::exec_wait_micros() const {
-  XRPC_METRICS_EXEC_SUM(wait_micros);
-}
-
-#undef XRPC_METRICS_EXEC_SUM
-
-std::vector<std::vector<int64_t>> RpcMetrics::exec_morsel_batches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return exec_batches_;
-}
-
 LatencyHistogram RpcMetrics::latency() const {
   std::lock_guard<std::mutex> lock(mu_);
   LatencyHistogram merged;
@@ -781,26 +730,6 @@ std::string RpcMetrics::Report() const {
            " slo_met=" + FormatCount(s.slo_met) + "\n";
     out += "  slo " + tenant + ": " + s.latency.Summary() + "\n";
   }
-  if (!exec_ops_.empty()) {
-    int64_t ops = 0, par = 0, morsels = 0, wait_us = 0;
-    for (const auto& [op, s] : exec_ops_) {
-      ops += s.ops;
-      par += s.parallel_ops;
-      morsels += s.morsels;
-      wait_us += s.wait_micros;
-    }
-    out += "  exec: ops=" + FormatCount(ops) +
-           " parallel_ops=" + FormatCount(par) +
-           " morsels=" + FormatCount(morsels) +
-           " wait_us=" + FormatCount(wait_us) + "\n";
-    for (const auto& [op, s] : exec_ops_) {
-      out += "  exec-op " + op + ": ops=" + FormatCount(s.ops) +
-             " parallel_ops=" + FormatCount(s.parallel_ops) +
-             " morsels=" + FormatCount(s.morsels) +
-             " wall_us=" + FormatCount(s.wall_micros) +
-             " wait_us=" + FormatCount(s.wait_micros) + "\n";
-    }
-  }
   return out;
 }
 
@@ -823,8 +752,6 @@ void RpcMetrics::Reset() {
   stale_replica_ = StaleReplicaStats{};
   repair_ = RepairStats{};
   route_ = RouteStats{};
-  exec_ops_.clear();
-  exec_batches_.clear();
 }
 
 }  // namespace xrpc::net

@@ -153,28 +153,6 @@ class RpcMetrics {
   /// probe slot was released back to the open state.
   void RecordBreakerProbeAbandoned();
 
-  // -- Morsel executor counters (DESIGN.md §15) ----------------------------
-
-  /// One operator invocation ran under the morsel executor: `op` is the
-  /// operator tag ("step", "docorder", ...), `morsels` how many chunks it
-  /// was split into, `wall_us` the operator's wall clock, `wait_us` how
-  /// long the issuing thread was blocked waiting on pool workers, and
-  /// `parallel` whether a worker pool actually ran it (false = serial
-  /// fallback: pool absent, table too small, or operator not provably
-  /// iteration-independent). Called from pool-adjacent code — like every
-  /// other Record method this is a mutex-guarded read-modify-write, never
-  /// a bare `++` on shared state.
-  void RecordExecOp(const std::string& op, int64_t morsels, int64_t wall_us,
-                    int64_t wait_us, bool parallel);
-
-  /// Per-morsel busy times of one operator invocation, retained verbatim
-  /// (only while exec sampling is on: bench_parallel_exec models k-worker
-  /// makespans from these on hosts with fewer physical cores).
-  void RecordExecMorselTimes(const std::vector<int64_t>& micros);
-  /// Enables/disables retention of per-morsel time batches (default off —
-  /// unbounded retention is a bench-only affordance).
-  void set_exec_sampling(bool on);
-
   // -- Shard failover / catalog-fencing counters ---------------------------
 
   /// Client side: a read-only shard subcall failed retriably at `from_peer`
@@ -303,23 +281,6 @@ class RpcMetrics {
   int64_t repair_full_transfers() const;
   int64_t repair_failures() const;
 
-  /// Aggregated morsel-executor stats of one operator tag.
-  struct ExecOpStats {
-    int64_t ops = 0;           ///< operator invocations
-    int64_t parallel_ops = 0;  ///< invocations that ran on the pool
-    int64_t morsels = 0;       ///< morsels executed
-    int64_t wall_micros = 0;   ///< operator wall clock
-    int64_t wait_micros = 0;   ///< issuing-thread time blocked on workers
-  };
-  std::map<std::string, ExecOpStats> exec_ops() const;
-  int64_t exec_ops_total() const;
-  int64_t exec_parallel_ops() const;
-  int64_t exec_morsels() const;
-  int64_t exec_wait_micros() const;
-  /// Retained per-morsel time batches (exec sampling on), one vector per
-  /// recorded operator invocation.
-  std::vector<std::vector<int64_t>> exec_morsel_batches() const;
-
   /// Copy of the latency histogram aggregated over all peers.
   LatencyHistogram latency() const;
   /// Copy of one peer's client-side stats ({} if never seen).
@@ -431,10 +392,6 @@ class RpcMetrics {
   std::map<std::string, ServerStats> per_server_;  // server side, by self URI
 
   std::map<std::string, TenantStats> per_tenant_;  // workload driver, by name
-
-  std::map<std::string, ExecOpStats> exec_ops_;  // morsel executor, by op
-  bool exec_sampling_ = false;
-  std::vector<std::vector<int64_t>> exec_batches_;
 };
 
 }  // namespace xrpc::net

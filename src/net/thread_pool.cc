@@ -88,56 +88,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void TaskGroup::Run(std::function<void()> fn) {
-  const size_t index = next_index_++;
-  if (pool_ == nullptr) {
-    exceptions_.resize(next_index_);
-    try {
-      fn();
-    } catch (...) {
-      exceptions_[index] = std::current_exception();
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    exceptions_.resize(next_index_);
-    ++outstanding_;
-  }
-  pool_->Submit([this, index, fn = std::move(fn)] {
-    std::exception_ptr thrown;
-    try {
-      fn();
-    } catch (...) {
-      thrown = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (thrown) exceptions_[index] = std::move(thrown);
-      --outstanding_;
-      // Notify UNDER the lock: once Wait() observes outstanding_ == 0 the
-      // caller may destroy this group, so the condvar must not be touched
-      // after the unlock (TSan-verified destroy race otherwise).
-      done_cv_.notify_all();
-    }
-  });
-}
-
-std::exception_ptr TaskGroup::Wait() {
-  if (pool_ != nullptr) {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return outstanding_ == 0; });
-  }
-  std::exception_ptr first;
-  for (std::exception_ptr& e : exceptions_) {
-    if (e != nullptr) {
-      first = std::move(e);
-      break;
-    }
-  }
-  exceptions_.clear();
-  next_index_ = 0;
-  return first;
-}
-
 }  // namespace xrpc::net

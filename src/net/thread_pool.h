@@ -12,8 +12,8 @@
 
 namespace xrpc::net {
 
-/// Bounded worker pool for parallel multi-destination dispatch and the
-/// morsel executor: a fixed number of threads drain a FIFO task queue.
+/// Bounded worker pool for parallel multi-destination dispatch: a fixed
+/// number of threads drain a FIFO task queue.
 /// Concurrency is bounded by the thread count (destinations beyond it
 /// queue), so a 100-way fan-out cannot spawn 100 sockets'/threads' worth
 /// of pressure at once.
@@ -21,14 +21,11 @@ namespace xrpc::net {
 /// Tasks must not Submit() back into the same pool and then block on the
 /// result — with all workers blocked that way the queue never drains.
 /// (Nested `execute at` calls made by server handlers use their own
-/// RpcClient without a dispatch pool, and morsel-worker evaluators are
-/// constructed pool-less, so neither layer re-enters.)
+/// RpcClient without a dispatch pool, so they never re-enter.)
 ///
 /// A task that throws does NOT take the worker (or the process) down: the
 /// exception is caught at the worker loop, counted, and retained for the
-/// submitter to collect via TakeUncaughtException(). Submitters that need
-/// per-task exception routing should use TaskGroup, which captures each
-/// task's exception before it ever reaches the pool.
+/// submitter to collect via TakeUncaughtException().
 class ThreadPool {
  public:
   explicit ThreadPool(int threads);
@@ -49,8 +46,7 @@ class ThreadPool {
   /// Tasks currently running.
   int64_t in_flight() const;
 
-  /// Exceptions that escaped raw-Submit() tasks (caught at the worker
-  /// loop). TaskGroup tasks never land here — the group captures theirs.
+  /// Exceptions that escaped Submit() tasks (caught at the worker loop).
   int64_t uncaught_exceptions() const;
   /// Removes and returns the oldest retained task exception; null when
   /// none is pending.
@@ -68,41 +64,6 @@ class ThreadPool {
   int64_t peak_in_flight_ = 0;
   int64_t uncaught_exceptions_ = 0;
   std::deque<std::exception_ptr> pending_exceptions_;
-};
-
-/// Structured fork-join over a ThreadPool: Run() submits tasks, Wait()
-/// blocks until every one finished and reports the first failure in
-/// SUBMISSION order (deterministic regardless of scheduling). With a null
-/// pool the group degenerates to inline serial execution, so callers can
-/// write one code path for both modes.
-///
-/// A task that throws is captured by the group (it never reaches the
-/// pool's uncaught tally); Wait() returns its exception_ptr.
-class TaskGroup {
- public:
-  /// `pool` may be null: Run() then executes inline on the caller.
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  /// Waits for stragglers; any uncollected exception is dropped.
-  ~TaskGroup() { (void)Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Schedules `fn`. Must not be called concurrently with itself or Wait().
-  void Run(std::function<void()> fn);
-
-  /// Blocks until all Run() tasks completed. Returns the exception of the
-  /// earliest-submitted task that threw, or null if none did. Resets the
-  /// group for reuse.
-  std::exception_ptr Wait();
-
- private:
-  ThreadPool* pool_;
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  int64_t outstanding_ = 0;
-  size_t next_index_ = 0;
-  std::vector<std::exception_ptr> exceptions_;  // by submission index
 };
 
 }  // namespace xrpc::net

@@ -11,10 +11,6 @@
 #include "xquery/context.h"
 #include "xquery/update.h"
 
-namespace xrpc::net {
-class RpcMetrics;
-}  // namespace xrpc::net
-
 namespace xrpc::server {
 
 /// Channel for loop-lifted Bulk RPC dispatch: one invocation carries the
@@ -58,9 +54,6 @@ struct CallContext {
   /// boundaries and abandon the request once it trips (deadline expiry or
   /// explicit cancel). Null = never cancelled.
   const CancellationToken* cancel = nullptr;
-  /// Metrics sink for engine-side observability (`exec:` lines of the
-  /// morsel-parallel executor). Null disables recording.
-  net::RpcMetrics* metrics = nullptr;
 };
 
 /// An XQuery execution engine able to serve (bulk) XRPC requests.

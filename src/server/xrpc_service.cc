@@ -242,7 +242,6 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
   context.rpc = nested.get();
   context.bulk_rpc = nested.get();
   context.cancel = &cancel_token;
-  context.metrics = metrics_;
 
   xquery::PendingUpdateList pul;
   auto results = engine_->ExecuteRequest(request, context, &pul);

@@ -80,8 +80,9 @@ class ShreddedDoc {
 /// queries against the same version of a document shred once. Entries are
 /// invalidated when the tree's mutation stamp changes (XQUF updates mutate
 /// trees in place).
-/// Thread-safe: morsel workers shred and look up concurrently (a shredded
-/// doc itself is immutable after Shred()).
+/// Thread-safe: concurrent requests served by one engine (HTTP workers)
+/// shred and look up concurrently (a shredded doc itself is immutable
+/// after Shred()).
 class ShredCache {
  public:
   std::shared_ptr<ShreddedDoc> GetOrShred(const xml::NodePtr& doc);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "algebra/morsel.h"
 #include "algebra/table.h"
 
 namespace xrpc::algebra {
@@ -235,51 +234,6 @@ Table TableWithIters(const std::vector<int64_t>& iters) {
                 Item(AtomicValue::String(std::to_string(i))));
   }
   return t;
-}
-
-// Asserts morsels cover [0, num_rows) exactly once, in order.
-void ExpectCovers(const std::vector<Morsel>& morsels, size_t num_rows) {
-  size_t at = 0;
-  for (const Morsel& m : morsels) {
-    EXPECT_EQ(m.begin, at);
-    EXPECT_LT(m.begin, m.end);
-    at = m.end;
-  }
-  EXPECT_EQ(at, num_rows);
-}
-
-TEST(MorselTest, SplitRowsCoversExactlyOnce) {
-  EXPECT_TRUE(SplitRows(0, 4).empty());
-  auto one = SplitRows(10, 0);  // non-positive target: single morsel
-  ASSERT_EQ(one.size(), 1u);
-  ExpectCovers(one, 10);
-  auto even = SplitRows(8, 4);
-  EXPECT_EQ(even.size(), 2u);
-  ExpectCovers(even, 8);
-  auto ragged = SplitRows(10, 4);  // 4 + 4 + 2
-  ASSERT_EQ(ragged.size(), 3u);
-  EXPECT_EQ(ragged[2].size(), 2u);
-  ExpectCovers(ragged, 10);
-}
-
-TEST(MorselTest, SplitIterAlignedNeverSplitsAnIterGroup) {
-  Table t = TableWithIters({1, 1, 1, 2, 2, 3, 4, 4, 4, 4});
-  auto morsels = SplitIterAligned(t, 4);
-  ExpectCovers(morsels, t.NumRows());
-  for (const Morsel& m : morsels) {
-    // No boundary inside an iter group: the first row of every morsel
-    // must start a new iter.
-    if (m.begin > 0) EXPECT_NE(t.Iter(m.begin), t.Iter(m.begin - 1));
-  }
-}
-
-TEST(MorselTest, OversizedIterGroupStaysOneMorsel) {
-  Table t = TableWithIters({7, 7, 7, 7, 7, 7, 8});
-  auto morsels = SplitIterAligned(t, 2);
-  ExpectCovers(morsels, t.NumRows());
-  ASSERT_EQ(morsels.size(), 2u);
-  EXPECT_EQ(morsels[0].size(), 6u);  // the iter-7 group, unsplit
-  EXPECT_EQ(morsels[1].size(), 1u);
 }
 
 TEST(TableTest, AppendRowsFromConcatenatesCopyAndMove) {

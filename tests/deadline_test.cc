@@ -488,18 +488,16 @@ TEST_F(DeadlineChainTest, HungPeerTripsMidChainWithinBudgetAndReleasesSession) {
             1);
 }
 
-TEST_F(DeadlineChainTest, ParallelExecCancelsPromptlyAndReleasesSession) {
-  // Same hung-C topology, but p0 runs the loop-lifted relational engine
-  // with the morsel-parallel executor ON: the cancellation token is
-  // threaded through every morsel boundary (DESIGN.md §15), so a tripped
-  // deadline must still fail the query within its budget and release B's
-  // repeatable-read session immediately — no worker may keep evaluating.
+TEST_F(DeadlineChainTest, RelationalExecCancelsPromptlyAndReleasesSession) {
+  // Same hung-C topology, but p0 runs the loop-lifted relational engine:
+  // its operators poll the cancellation token (DESIGN.md §15), so a
+  // tripped deadline must still fail the query within its budget and
+  // release B's repeatable-read session immediately.
   Peer* r = net_.AddPeer("r.example.org", EngineKind::kRelational);
   ASSERT_TRUE(
       r->RegisterModule(kFilmModule, "http://x.example.org/film.xq").ok());
   ASSERT_TRUE(
       r->RegisterModule(kForwardModule, "http://b.example.org/fwd.xq").ok());
-  net_.EnableParallelExec(8);
 
   net::FaultProfile faults;
   faults.latency_spike_every_nth = 1;
@@ -507,7 +505,7 @@ TEST_F(DeadlineChainTest, ParallelExecCancelsPromptlyAndReleasesSession) {
   net_.network().set_fault_profile(faults);
 
   // Control: without a deadline the chain completes on the relational
-  // engine (no interpreter fallback — the parallel paths really ran).
+  // engine (no interpreter fallback — the loop-lifted operators ran).
   auto control = net_.Execute("r.example.org", kChainQuery);
   ASSERT_TRUE(control.ok()) << control.status();
   EXPECT_TRUE(control->used_relational);
@@ -528,6 +526,58 @@ TEST_F(DeadlineChainTest, ParallelExecCancelsPromptlyAndReleasesSession) {
   EXPECT_LE(elapsed, kBudgetUs + 100'000);
   // B released the cancelled run's snapshot session instead of letting it
   // linger to expiry.
+  EXPECT_EQ(b_->service().isolation().active_sessions(), sessions_before);
+  EXPECT_GE(net_.metrics().cancellations(), 1);
+  EXPECT_GE(net_.metrics().sessions_released(), 1);
+}
+
+TEST_F(DeadlineChainTest, ParallelExecCancelsPromptlyAndReleasesSession) {
+  // The relational p0 runs with the parallel dispatch pool on: the query
+  // first fans a Bulk RPC out to both forwarders (A and B) on the pool,
+  // then relocates into the hung chain through B. Work already done on pool
+  // workers must not stop the deadline from failing the query within its
+  // budget, nor keep B's repeatable-read session (shared by the fan-out and
+  // the chain hop, one query id) alive.
+  constexpr char kFanThenChainQuery[] = R"(
+    declare option xrpc:isolation "repeatable";
+    import module namespace w = "forward" at "http://b.example.org/fwd.xq";
+    let $warm := for $d in ("xrpc://a.example.org", "xrpc://b.example.org")
+                 return execute at {$d} {w:fan(0)}
+    for $i in (1)
+    return ($warm, execute at {"xrpc://b.example.org"} {w:fan(40)}))";
+  Peer* r = net_.AddPeer("r.example.org", EngineKind::kRelational);
+  ASSERT_TRUE(
+      r->RegisterModule(kFilmModule, "http://x.example.org/film.xq").ok());
+  ASSERT_TRUE(
+      r->RegisterModule(kForwardModule, "http://b.example.org/fwd.xq").ok());
+  net_.EnableParallelDispatch(8);
+
+  net::FaultProfile faults;
+  faults.latency_spike_every_nth = 1;
+  faults.latency_spike_us = 20'000;
+  net_.network().set_fault_profile(faults);
+
+  // Control: without a deadline the query completes on the relational
+  // engine, and the pool really carried the two-destination fan-out.
+  auto control = net_.Execute("r.example.org", kFanThenChainQuery);
+  ASSERT_TRUE(control.ok()) << control.status();
+  EXPECT_TRUE(control->used_relational);
+  EXPECT_FALSE(control->fell_back);
+  EXPECT_EQ(xdm::SequenceToString(control->result), "0 0 40");
+  EXPECT_EQ(net_.metrics().dispatch_max_in_flight(), 2);
+  const size_t sessions_before = b_->service().isolation().active_sessions();
+
+  constexpr int64_t kBudgetUs = 100'000;
+  ExecuteOptions opts;
+  opts.deadline_us = kBudgetUs;
+  const int64_t start = net_.network().clock().NowMicros();
+  auto report = net_.Execute("r.example.org", kFanThenChainQuery, opts);
+  const int64_t elapsed = net_.network().clock().NowMicros() - start;
+
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded)
+      << report.status();
+  EXPECT_LE(elapsed, kBudgetUs + 100'000);
   EXPECT_EQ(b_->service().isolation().active_sessions(), sessions_before);
   EXPECT_GE(net_.metrics().cancellations(), 1);
   EXPECT_GE(net_.metrics().sessions_released(), 1);

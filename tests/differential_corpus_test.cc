@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,8 +53,16 @@ TEST(DifferentialCorpusTest, EveryCorpusQueryAgreesAcrossEngines) {
   const auto files = CorpusFiles();
   ASSERT_GE(files.size(), 10u) << "corpus went missing from "
                                << XRPC_CORPUS_DIR;
+  // The only corpus entries allowed to fall back to the interpreter: XQUF
+  // updates, which the relational engine routes to its update path by
+  // design. Any other fallback means an operator turned Unsupported, and
+  // the comparison would pit the interpreter against itself.
+  const std::set<std::string> kExpectedFallbacks = {
+      "update_delete_person.xq",
+      "update_insert_person.xq",
+      "update_replace_name.xq",
+  };
   DifferentialHarness harness;
-  int relational_runs = 0;
   for (const auto& path : files) {
     const std::string text = ReadFile(path);
     ASSERT_FALSE(text.empty()) << path;
@@ -65,11 +74,9 @@ TEST(DifferentialCorpusTest, EveryCorpusQueryAgreesAcrossEngines) {
                          << "\n  interpreter: " << c.interpreter_result;
     EXPECT_TRUE(c.relational_ok) << path.filename() << ": "
                                  << c.relational_result;
-    if (!c.fell_back) ++relational_runs;
+    EXPECT_EQ(c.fell_back, kExpectedFallbacks.count(path.filename()) > 0)
+        << path.filename() << ": unexpected relational fallback state";
   }
-  // The corpus is only a differential test if a decent share of it really
-  // runs on the relational engine instead of falling back.
-  EXPECT_GE(relational_runs, static_cast<int>(files.size()) / 2);
 }
 
 TEST(DifferentialCorpusTest, ForcedDivergenceIsMinimizedAndReproducible) {

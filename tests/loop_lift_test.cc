@@ -39,17 +39,13 @@ class LoopLiftTest : public ::testing::Test {
                     .ok());
   }
 
-  std::string Relational(const std::string& query, int exec_threads = 1) {
+  std::string Relational(const std::string& query) {
     auto parsed = xquery::ParseMainModule(query);
     if (!parsed.ok()) return "PARSE ERROR: " + parsed.status().ToString();
     LoopLiftConfig config;
     config.documents = &docs_;
     config.modules = &modules_;
     config.shreds = &shreds_;
-    config.exec_threads = exec_threads;
-    // Tiny morsels so the corpus fixtures (a handful of rows) actually
-    // split across workers instead of degenerating to one morsel.
-    if (exec_threads > 1) config.morsel_rows = 2;
     LoopLiftedEvaluator evaluator(config);
     auto result = evaluator.EvaluateQuery(parsed.value());
     if (!result.ok()) return "ERROR: " + result.status().ToString();
@@ -133,17 +129,6 @@ TEST_P(EngineEquivalence, RelationalMatchesInterpreter) {
   std::string ref = Interpreted(GetParam());
   ASSERT_EQ(rel.find("ERROR"), std::string::npos) << rel;
   EXPECT_EQ(rel, ref) << "query: " << GetParam();
-}
-
-TEST_P(EngineEquivalence, MorselParallelExecutionIsByteIdentical) {
-  // The determinism contract of DESIGN.md §15: the morsel-parallel
-  // executor must reproduce serial output byte for byte at ANY worker
-  // count (the merge concatenates per-morsel outputs in morsel order).
-  const std::string serial = Relational(GetParam());
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(Relational(GetParam(), threads), serial)
-        << "query: " << GetParam() << " exec_threads=" << threads;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -563,44 +563,5 @@ TEST(ThreadPool, SurvivesThrowingTasksAndRetainsTheException) {
   EXPECT_TRUE(pool.TakeUncaughtException() == nullptr);
 }
 
-TEST(ThreadPool, TaskGroupReportsFirstExceptionBySubmissionOrder) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 20; ++round) {
-    TaskGroup group(&pool);
-    group.Run([] { throw std::runtime_error("first"); });
-    group.Run([] { std::this_thread::yield(); });
-    group.Run([] { throw std::runtime_error("third"); });
-    std::exception_ptr ep = group.Wait();
-    ASSERT_TRUE(ep != nullptr);
-    try {
-      std::rethrow_exception(ep);
-    } catch (const std::runtime_error& e) {
-      // Deterministic regardless of which task finished (or threw) first.
-      EXPECT_STREQ(e.what(), "first");
-    }
-  }
-  // Group-captured exceptions never land in the pool's raw-Submit tally.
-  EXPECT_EQ(pool.uncaught_exceptions(), 0);
-}
-
-TEST(ThreadPool, TaskGroupWithNullPoolRunsInline) {
-  TaskGroup group(nullptr);
-  std::thread::id caller = std::this_thread::get_id();
-  int ran = 0;
-  group.Run([&] {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ++ran;
-  });
-  group.Run([] { throw std::runtime_error("inline boom"); });
-  group.Run([&] { ++ran; });
-  EXPECT_EQ(ran, 2);  // inline mode runs every task, even after a throw
-  std::exception_ptr ep = group.Wait();
-  ASSERT_TRUE(ep != nullptr);
-  // Wait() resets the group for reuse.
-  group.Run([&] { ++ran; });
-  EXPECT_TRUE(group.Wait() == nullptr);
-  EXPECT_EQ(ran, 3);
-}
-
 }  // namespace
 }  // namespace xrpc::net

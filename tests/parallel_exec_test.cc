@@ -1,15 +1,16 @@
-// Differential determinism lane of the morsel-parallel executor
-// (DESIGN.md §15): the same query on the same fixtures must produce
-// BYTE-IDENTICAL output at every worker count — exec_threads ∈ {1, 2, 8}
-// — because the deterministic merge concatenates per-morsel outputs in
-// morsel order. Three angles:
+// Determinism lane of the parallelism that runs around the (serial)
+// loop-lifted engine: the same query on the same fixtures must produce
+// BYTE-IDENTICAL output at every worker count — 1, 2 and 8. Two kinds of
+// workers remain:
 //
-//  1. the fuzz corpus replayed through the differential harness with the
-//     relational network running parallel (the serial interpreter is the
-//     reference, so every agreement is a byte-identity check);
-//  2. seeded random queries, relational-vs-relational across worker counts;
-//  3. the sharded scatter-gather fixtures, where parallelism covers the
-//     execute-at assembly/unpack paths on top of step/filter/compare.
+//  1. concurrent query workers: threads that each evaluate queries on their
+//     own peer networks inside one process, the way HttpServer workers
+//     evaluate concurrent requests. Any process-wide state the engines
+//     share (DESIGN.md §15's shared-state audit) would show up here as a
+//     divergence from the single-worker run — or as a TSan report;
+//  2. the pooled multi-destination Bulk RPC dispatch
+//     (PeerNetwork::EnableParallelDispatch), whose out-of-order completions
+//     must map back to the serial, shard-rank-ordered merge.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/peer_network.h"
@@ -60,76 +62,86 @@ std::string ReadFile(const std::filesystem::path& path) {
   return buf.str();
 }
 
+/// Runs `queries` on `workers` concurrent threads, each owning its own
+/// differential harness; worker w takes queries w, w + workers, ... so
+/// every query runs exactly once. Returns the comparisons in query order.
+std::vector<Comparison> RunOnWorkers(const std::vector<std::string>& queries,
+                                     int workers) {
+  std::vector<Comparison> out(queries.size());
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&queries, &out, workers, w] {
+      DifferentialHarness harness;
+      for (size_t i = w; i < queries.size(); i += workers) {
+        out[i] = harness.Run(queries[i], IsUpdating(queries[i]));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return out;
+}
+
 TEST(ParallelExecTest, CorpusAgreesAtEveryWorkerCount) {
   const auto files = CorpusFiles();
   ASSERT_GE(files.size(), 10u);
+  std::vector<std::string> queries;
+  for (const auto& path : files) queries.push_back(ReadFile(path));
+
   // Per-file results, keyed by worker count; column-wise identity below.
   std::map<int, std::vector<std::string>> results;
-  for (int threads : {1, 2, 8}) {
-    DifferentialConfig config;
-    config.exec_threads = threads;
-    DifferentialHarness harness(config);
-    for (const auto& path : files) {
-      const std::string text = ReadFile(path);
-      Comparison c = harness.Run(text, IsUpdating(text));
-      // Agreement with the (always serial) interpreter at every worker
-      // count: the parallel engine stayed correct, not just consistent.
-      EXPECT_TRUE(c.agree) << path.filename() << " exec_threads=" << threads
+  for (int workers : {1, 2, 8}) {
+    const std::vector<Comparison> runs = RunOnWorkers(queries, workers);
+    for (size_t i = 0; i < files.size(); ++i) {
+      const Comparison& c = runs[i];
+      // Agreement with the interpreter at every worker count: concurrent
+      // evaluation stayed correct, not just consistent.
+      EXPECT_TRUE(c.agree) << files[i].filename() << " workers=" << workers
                            << "\n  relational : " << c.relational_result
                            << "\n  interpreter: " << c.interpreter_result;
-      results[threads].push_back(c.relational_result + "\n" +
+      results[workers].push_back(c.relational_result + "\n" +
                                  c.relational_state);
     }
   }
   // Byte-identity across worker counts, file by file.
   for (size_t i = 0; i < files.size(); ++i) {
     EXPECT_EQ(results[2][i], results[1][i])
-        << files[i].filename() << ": exec_threads=2 diverged from serial";
+        << files[i].filename() << ": workers=2 diverged from one worker";
     EXPECT_EQ(results[8][i], results[1][i])
-        << files[i].filename() << ": exec_threads=8 diverged from serial";
+        << files[i].filename() << ": workers=8 diverged from one worker";
   }
 }
 
 TEST(ParallelExecTest, SeededRandomQueriesAreByteIdenticalAcrossWorkers) {
-  // Generator-driven sweep: the same seeded query stream executed on three
-  // identically provisioned relational networks at different worker
-  // counts. Updating queries are skipped (the harness would need fixture
-  // rebuilds per network; the corpus test covers XQUF).
+  // Generator-driven sweep: one seeded query stream executed by 1, 2 and 8
+  // concurrent workers. Updating queries are left out (the corpus test
+  // covers XQUF).
   GeneratorConfig gcfg;
   gcfg.seed = 20260809;
   gcfg.update_ratio = 0.0;
   QueryGenerator gen(gcfg);
-
-  std::map<int, std::unique_ptr<DifferentialHarness>> harnesses;
-  for (int threads : {1, 2, 8}) {
-    DifferentialConfig config;
-    config.exec_threads = threads;
-    harnesses[threads] = std::make_unique<DifferentialHarness>(config);
-  }
-  int executed = 0;
+  std::vector<std::string> queries;
   for (int i = 0; i < 40; ++i) {
-    GeneratedQuery q = gen.Next();
-    const std::string text = q.Text();
-    if (!DifferentialHarness::SkiplistReason(text).empty()) continue;
-    std::map<int, Comparison> by_threads;
-    for (auto& [threads, harness] : harnesses) {
-      by_threads[threads] = harness->Run(text, false);
-    }
-    ++executed;
-    const Comparison& serial = by_threads[1];
-    for (int threads : {2, 8}) {
-      const Comparison& c = by_threads[threads];
-      EXPECT_EQ(c.relational_ok, serial.relational_ok)
-          << "query " << i << " exec_threads=" << threads << ": " << text;
-      EXPECT_EQ(c.relational_result, serial.relational_result)
-          << "query " << i << " exec_threads=" << threads << ": " << text;
+    const std::string text = gen.Next().Text();
+    if (DifferentialHarness::SkiplistReason(text).empty()) {
+      queries.push_back(text);
     }
   }
-  EXPECT_GE(executed, 20);
+  ASSERT_GE(queries.size(), 20u);
+
+  const std::vector<Comparison> serial = RunOnWorkers(queries, 1);
+  for (int workers : {2, 8}) {
+    const std::vector<Comparison> runs = RunOnWorkers(queries, workers);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(runs[i].relational_ok, serial[i].relational_ok)
+          << "query " << i << " workers=" << workers << ": " << queries[i];
+      EXPECT_EQ(runs[i].relational_result, serial[i].relational_result)
+          << "query " << i << " workers=" << workers << ": " << queries[i];
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Sharded scatter-gather fixtures under parallel execution.
+// Sharded scatter-gather fixtures under pooled Bulk RPC dispatch.
 
 constexpr char kImportB[] =
     "import module namespace b=\"functions_b\" at \"b.xq\";\n";
@@ -152,7 +164,9 @@ xmark::XmarkConfig ShardFixtureConfig() {
   return cfg;
 }
 
-std::unique_ptr<core::PeerNetwork> MakeShardedNetwork(int num_shards) {
+/// `dispatch_threads` 0 keeps the serial dispatch default.
+std::unique_ptr<core::PeerNetwork> MakeShardedNetwork(int num_shards,
+                                                      int dispatch_threads) {
   auto net = std::make_unique<core::PeerNetwork>();
   xmark::ShardLoadOptions opts;
   opts.num_shards = num_shards;
@@ -166,14 +180,12 @@ std::unique_ptr<core::PeerNetwork> MakeShardedNetwork(int num_shards) {
   EXPECT_TRUE(
       p0->RegisterModule(xmark::FunctionsBModuleSource(p0->uri()), "b.xq")
           .ok());
+  if (dispatch_threads > 0) net->EnableParallelDispatch(dispatch_threads);
   return net;
 }
 
-std::string RunSharded(core::PeerNetwork* net, const std::string& query,
-                       int exec_threads) {
-  core::ExecuteOptions options;
-  options.exec_threads = exec_threads;
-  auto report = net->Execute("p0", query, options);
+std::string RunSharded(core::PeerNetwork* net, const std::string& query) {
+  auto report = net->Execute("p0", query);
   if (!report.ok()) return "ERROR: " + report.status().ToString();
   return xdm::SequenceToString(report->result);
 }
@@ -183,34 +195,38 @@ TEST(ParallelExecTest, ShardedScatterGatherIsByteIdenticalAcrossWorkers) {
        {std::string(kImportB) + kShardSemiJoin,
         std::string(kImportB) + kShardBroadcast}) {
     for (int num_shards : {1, 4}) {
-      auto net = MakeShardedNetwork(num_shards);
-      const std::string serial = RunSharded(net.get(), query, 1);
+      const std::string serial =
+          RunSharded(MakeShardedNetwork(num_shards, 0).get(), query);
       ASSERT_EQ(serial.rfind("ERROR", 0), std::string::npos) << serial;
       for (int threads : {2, 8}) {
-        EXPECT_EQ(RunSharded(net.get(), query, threads), serial)
-            << "shards=" << num_shards << " exec_threads=" << threads;
+        auto net = MakeShardedNetwork(num_shards, threads);
+        EXPECT_EQ(RunSharded(net.get(), query), serial)
+            << "shards=" << num_shards << " dispatch threads=" << threads;
       }
     }
   }
 }
 
 TEST(ParallelExecTest, NetworkWideEnableAppliesAndReportsExecMetrics) {
-  auto net = MakeShardedNetwork(4);
-  const std::string query = std::string(kImportB) + kShardSemiJoin;
-  const std::string serial = RunSharded(net.get(), query, 1);
+  auto net = MakeShardedNetwork(4, 0);
+  const std::string query = std::string(kImportB) + kShardBroadcast;
+  const std::string serial = RunSharded(net.get(), query);
+  EXPECT_FALSE(net->parallel_dispatch_enabled());
+  EXPECT_EQ(net->metrics().dispatch_max_in_flight(), 1);
 
-  // EnableParallelExec switches the default (options.exec_threads = 0).
-  net->EnableParallelExec(8);
-  EXPECT_EQ(net->exec_threads(), 8);
+  net->EnableParallelDispatch(8);
+  EXPECT_TRUE(net->parallel_dispatch_enabled());
   auto report = net->Execute("p0", query);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(xdm::SequenceToString(report->result), serial);
 
-  // The morsel executor reported its work into the shared metrics.
-  EXPECT_GT(net->metrics().exec_ops_total(), 0);
-  EXPECT_GT(net->metrics().exec_morsels(), 0);
+  // The broadcast reached all four shards through the pool, and the fan-out
+  // was reported into the shared metrics.
+  EXPECT_EQ(net->metrics().dispatch_max_in_flight(), 4);
+  EXPECT_GE(net->metrics().fanout_groups(), 2);
+  EXPECT_GE(net->metrics().fanout_destinations(), 8);
   const std::string dump = net->metrics().Report();
-  EXPECT_NE(dump.find("exec:"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("fanout: groups="), std::string::npos) << dump;
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ int Usage() {
   std::fprintf(stderr,
                "usage: fuzz_differential [--seed N] [--count N]\n"
                "                         [--update-ratio F] [--no-rpc]\n"
-               "                         [--exec-threads N]\n"
                "                         [--force-divergence]\n"
                "                         [--out-dir DIR] [--verbose]\n"
                "       fuzz_differential --replay FILE\n");
@@ -107,10 +106,6 @@ int main(int argc, char** argv) {
       gcfg.update_ratio = std::atof(v);
     } else if (arg == "--no-rpc") {
       gcfg.allow_rpc = false;
-    } else if (arg == "--exec-threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      dcfg.exec_threads = std::atoi(v);
     } else if (arg == "--force-divergence") {
       dcfg.force_divergence = true;
     } else if (arg == "--out-dir") {
