@@ -29,7 +29,7 @@ namespace {
 
 using xrpc::StatusOr;
 using xrpc::server::RpcClient;
-using Destination = xrpc::server::BulkRpcChannel::Destination;
+using Destination = xrpc::server::RpcClient::Destination;
 
 // Minimal SOAP peer: answers every call in the request with one integer.
 class OnePeer : public xrpc::net::SoapEndpoint {

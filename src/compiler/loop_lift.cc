@@ -2048,14 +2048,48 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
     if (def != nullptr) updating = def->updating;
   }
 
-  // Parameter groups are needed both for request assembly and for
-  // partition-key routing, so compute them up front.
+  // One logical call per iteration: its destination and its parameter
+  // sequences. The router (server::RpcClient::ExecuteRouted) decomposes
+  // "shard:<collection>" destinations against the catalog, groups the
+  // calls into one Bulk RPC request per peer or shard (δ on dst.item in
+  // first-appearance order), dispatches them, and re-routes reads once on
+  // a StaleCatalog fence (DESIGN.md §13-14).
   auto param_groups =
       std::vector<std::unordered_map<int64_t, std::vector<size_t>>>();
   for (const Table& p : params) param_groups.push_back(GroupByIter(p));
+  std::vector<server::RpcClient::RoutedCall> calls;
+  calls.reserve(loop.size());
+  for (int64_t iter : loop) {
+    auto d = dst_map.find(iter);
+    if (d == dst_map.end()) {
+      return Status::EvalError("execute at: empty destination in iteration " +
+                               std::to_string(iter));
+    }
+    server::RpcClient::RoutedCall call;
+    call.dest_uri = d->second.ToString();
+    for (size_t p = 0; p < arity; ++p) {
+      Sequence param;
+      auto g = param_groups[p].find(iter);
+      if (g != param_groups[p].end()) {
+        for (size_t row : g->second) param.push_back(params[p].ItemAt(row));
+      }
+      call.args.push_back(std::move(param));
+    }
+    calls.push_back(std::move(call));
+  }
+  soap::XrpcRequest header;
+  header.module_ns = e.name.ns_uri;
+  header.method = e.name.local;
+  header.location = location;
+  header.arity = arity;
+  header.updating = updating;
+  XRPC_ASSIGN_OR_RETURN(std::vector<server::RpcClient::RoutedGroup> groups,
+                        cfg_.rpc->ExecuteRouted(header, calls));
 
   // Traces present iterations as their rank within this loop scope
-  // (1..n), matching Figure 1's presentation.
+  // (1..n), matching Figure 1's presentation; per group, the map table
+  // iter<->iterp (ρ renumbering, iterp = slot + 1) and the per-param
+  // request tables req_p^i.
   BulkRpcTrace trace;
   std::map<int64_t, int64_t> trace_rank;
   auto normalize = [&trace_rank](const Table& t) {
@@ -2072,272 +2106,74 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
       trace_rank[loop[i]] = static_cast<int64_t>(i + 1);
     }
     trace.dst = normalize(dst);
-  }
-
-  // Decompose, dispatch, merge — re-run at most once more after a
-  // StaleCatalog fence: a peer that rejected a subcall did so because the
-  // catalog changed between our decomposition and its admission check, so
-  // re-reading the shard map (Snapshot below) and re-routing yields a
-  // correct answer instead of a wrong or partial one (DESIGN.md §14).
-  for (int attempt = 0;; ++attempt) {
-    // Physical calls per iteration, after catalog decomposition (DESIGN.md
-    // §13). A plain destination stays one (group, rank 0) call — δ on
-    // dst.item in first-appearance order, as before. A logical
-    // "shard:<collection>" destination expands against the catalog: when
-    // the collection's routing parameter is bound to a singleton in this
-    // iteration, the call is PRUNED to the single shard owning that key
-    // (the semijoin case — the predicate binds the partition key);
-    // otherwise it broadcasts one call to EVERY shard and the
-    // scatter-gather merge recombines the per-shard sequences in shard
-    // order via `rank`. Calls are grouped per SHARD (not per peer): each
-    // shard-routed Bulk RPC carries an xrpc:shard scope pinning the exact
-    // fragment it reads plus the catalog version it was routed by, and a
-    // replica peer may hold several fragments of one collection — so two
-    // shards co-located on one peer need two scoped requests.
-    struct PeerCall {
-      int64_t iter;
-      int rank;  ///< shard rank of this call's results within its iteration
-    };
-    struct Group {
-      std::string primary;                  ///< destination peer URI
-      std::vector<std::string> fallbacks;   ///< replica peers (failover)
-      std::optional<soap::XrpcRequest::ShardScope> scope;
-      /// Replica copy of an updating call (all-copies write, DESIGN.md
-      /// §17): executes and enlists in the 2PC like any group, but its
-      /// result sequences are dropped by the scatter-gather merge.
-      bool echo = false;
-      std::vector<PeerCall> calls;
-    };
-    std::vector<std::string> group_keys;
-    std::map<std::string, Group> groups;
-    // One Snapshot per collection per attempt: the routing below iterates
-    // a COPY of the shard map, immune to concurrent re-registration.
-    std::map<std::string, std::pair<core::ShardedCollection, int64_t>>
-        snapshots;
-    int max_rank = 0;
-    auto add_call = [&](const std::string& key, const std::string& primary,
-                        std::vector<std::string> fallbacks,
-                        std::optional<soap::XrpcRequest::ShardScope> scope,
-                        int64_t iter, int rank, bool echo) {
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        group_keys.push_back(key);
-        it = groups
-                 .emplace(key, Group{primary, std::move(fallbacks),
-                                     std::move(scope), echo, {}})
-                 .first;
-      }
-      it->second.calls.push_back({iter, rank});
-      if (rank > max_rank) max_rank = rank;
-    };
-    for (int64_t iter : loop) {
-      auto d = dst_map.find(iter);
-      if (d == dst_map.end()) {
-        return Status::EvalError(
-            "execute at: empty destination in iteration " +
-            std::to_string(iter));
-      }
-      std::string dest = d->second.ToString();
-      if (!core::Catalog::IsShardUri(dest)) {
-        add_call(dest, dest, {}, std::nullopt, iter, 0, /*echo=*/false);
-        continue;
-      }
-      if (cfg_.catalog == nullptr) {
-        return Status::EvalError(
-            "no peer catalog configured for destination " + dest);
-      }
-      std::string name(core::Catalog::CollectionOf(dest));
-      auto snap = snapshots.find(name);
-      if (snap == snapshots.end()) {
-        core::ShardedCollection copy;
-        int64_t version = 0;
-        if (!cfg_.catalog->Snapshot(name, &copy, &version) ||
-            copy.shards.empty()) {
-          return Status::EvalError("unknown sharded collection: " + dest);
-        }
-        snap = snapshots.emplace(name, std::make_pair(std::move(copy), version))
-                   .first;
-      }
-      const core::ShardedCollection& collection = snap->second.first;
-      const int64_t version = snap->second.second;
-      int routed = -1;
-      if (collection.route_param >= 0 &&
-          collection.route_param < static_cast<int>(arity)) {
-        const auto& pgroups = param_groups[collection.route_param];
-        auto g = pgroups.find(iter);
-        if (g != pgroups.end() && g->second.size() == 1) {
-          const Item& key =
-              params[collection.route_param].ItemAt(g->second[0]);
-          auto r =
-              cfg_.catalog->RouteKey(collection, key.Atomize().ToString());
-          // An unroutable key (e.g. outside every range) is not an error
-          // here — the call simply cannot be pruned and broadcasts.
-          if (r.ok()) routed = r.value();
-        }
-      }
-      auto shard_call = [&](const core::ShardInfo& s, int rank) {
-        soap::XrpcRequest::ShardScope scope{
-            collection.name, s.index, version,
-            cfg_.catalog->FragmentDataVersion(collection.name, s.index)};
-        const std::string key = dest + "#" + std::to_string(s.index);
-        if (updating) {
-          // All-copies write (DESIGN.md §17): every copy of a touched shard
-          // receives the same scoped calls and enlists in the 2PC, so a
-          // commit lands on primary and replicas alike. The replica groups
-          // are echoes — their results are dropped by the merge — and no
-          // copy gets fallbacks: at-most-once forbids re-issuing an update
-          // elsewhere, so a dead copy aborts the transaction instead.
-          add_call(key, s.peer_uri, {}, scope, iter, rank, /*echo=*/false);
-          for (const std::string& replica : s.replicas) {
-            add_call(key + "@" + replica, replica, {}, scope, iter, rank,
-                     /*echo=*/true);
-          }
-        } else {
-          add_call(key, s.peer_uri, s.replicas, scope, iter, rank,
-                   /*echo=*/false);
-        }
-      };
-      if (routed >= 0) {
-        shard_call(collection.shards[routed], 0);
-      } else {
-        for (const core::ShardInfo& s : collection.shards) {
-          shard_call(s, s.index);
-        }
-      }
-    }
-
-    // Per group: the map table iter<->iterp (ρ renumbering), the per-param
-    // request tables req_p^i, and the Bulk RPC request.
-    struct GroupWork {
-      std::string peer;
-      bool echo = false;            ///< replica echo: results dropped
-      std::vector<PeerCall> calls;  // index = iterp - 1
-    };
-    std::vector<GroupWork> work(group_keys.size());
-    std::vector<server::BulkRpcChannel::Destination> destinations(
-        group_keys.size());
-    if (cfg_.trace_bulk_rpc) {
-      trace.peers.clear();
-      trace.peers.resize(group_keys.size());
-    }
-    for (size_t gi = 0; gi < group_keys.size(); ++gi) {
-      Group& group = groups.find(group_keys[gi])->second;
-      GroupWork& w = work[gi];
-      w.peer = group.primary;
-      w.echo = group.echo;
-      soap::XrpcRequest request;
-      request.module_ns = e.name.ns_uri;
-      request.method = e.name.local;
-      request.location = location;
-      request.arity = arity;
-      request.updating = updating;
-      request.shard = group.scope;
+    for (const server::RpcClient::RoutedGroup& group : groups) {
       BulkRpcTrace::PerPeer tp;
-      tp.peer = group.primary;
+      tp.peer = group.peer;
       tp.map = algebra::LiteralTable({"iter", "iterp"}, {});
       tp.req.resize(arity, Table::IterPosItem());
-      for (const PeerCall& pc : group.calls) {
-        int64_t iter = pc.iter;
-        int64_t iterp = static_cast<int64_t>(w.calls.size()) + 1;
-        w.calls.push_back(pc);
-        std::vector<Sequence> call;
+      for (size_t k = 0; k < group.slots.size(); ++k) {
+        const int64_t iterp = static_cast<int64_t>(k + 1);
+        const server::RpcClient::RoutedCall& call = calls[group.slots[k].call];
         for (size_t p = 0; p < arity; ++p) {
-          Sequence param;
-          auto g = param_groups[p].find(iter);
-          if (g != param_groups[p].end()) {
-            for (size_t row : g->second) {
-              param.push_back(params[p].ItemAt(row));
-            }
-          }
-          if (cfg_.trace_bulk_rpc) {
-            for (size_t k = 0; k < param.size(); ++k) {
-              tp.req[p].AppendIPI(iterp, static_cast<int64_t>(k + 1),
-                                  param[k]);
-            }
-          }
-          call.push_back(std::move(param));
-        }
-        request.calls.push_back(std::move(call));
-        if (cfg_.trace_bulk_rpc) {
-          tp.map.AppendRow({Cell::Int(trace_rank[iter]), Cell::Int(iterp)});
-        }
-      }
-      destinations[gi] = server::BulkRpcChannel::Destination{
-          group.primary, std::move(request), std::move(group.fallbacks)};
-      if (cfg_.trace_bulk_rpc) trace.peers[gi] = std::move(tp);
-    }
-
-    // Dispatch all Bulk RPC requests (possibly in parallel).
-    auto responses_or = cfg_.rpc->ExecuteBulkAll(std::move(destinations));
-    if (!responses_or.ok()) {
-      // Updating calls never re-dispatch: destinations that accepted the
-      // first attempt already staged the call into their isolation session
-      // (the deferred PUL accumulates per queryID), so a re-route would
-      // stage — and later commit — every such call twice. The fence aborts
-      // the updating query instead; nothing was applied (presumed abort
-      // expires the staged sessions) and the client may retry under a
-      // fresh queryID.
-      if (responses_or.status().code() == StatusCode::kStaleCatalog &&
-          attempt == 0 && !updating) {
-        cfg_.rpc->NoteStaleReroute();
-        continue;  // refetch the shard map and re-route, exactly once
-      }
-      return responses_or.status();
-    }
-    std::vector<soap::XrpcResponse> responses =
-        std::move(responses_or).value();
-    if (responses.size() != work.size()) {
-      return Status::Internal("bulk channel returned wrong response count");
-    }
-
-    // Map iterp back to iter, bucket each call's sequence by its shard
-    // rank, and recombine with the order-preserving scatter-gather merge:
-    // within each iteration, rank order then per-call sequence order, pos
-    // renumbered densely, whole table sorted by iter. For plain (unsharded)
-    // destinations every call has rank 0 and this degenerates to the
-    // original merge-union + sort of Figure 2, byte for byte.
-    std::vector<Table> shard_sources(static_cast<size_t>(max_rank) + 1,
-                                     Table::IterPosItem());
-    for (size_t w = 0; w < work.size(); ++w) {
-      const soap::XrpcResponse& response = responses[w];
-      if (response.results.size() != work[w].calls.size()) {
-        return Status::SoapFault("peer " + work[w].peer + " answered " +
-                                 std::to_string(response.results.size()) +
-                                 " results for " +
-                                 std::to_string(work[w].calls.size()) +
-                                 " calls");
-      }
-      // A replica echo of an all-copies write answered (and is enlisted in
-      // the 2PC); only the primary's results feed the merge.
-      if (work[w].echo) continue;
-      for (size_t k = 0; k < response.results.size(); ++k) {
-        const PeerCall& pc = work[w].calls[k];
-        const Sequence& seq = response.results[k];
-        for (size_t i = 0; i < seq.size(); ++i) {
-          shard_sources[static_cast<size_t>(pc.rank)].AppendIPI(
-              pc.iter, static_cast<int64_t>(i + 1), seq[i]);
-        }
-        if (cfg_.trace_bulk_rpc) {
-          for (size_t i = 0; i < seq.size(); ++i) {
-            trace.peers[w].msg.AppendIPI(static_cast<int64_t>(k + 1),
-                                         static_cast<int64_t>(i + 1), seq[i]);
-            trace.peers[w].res.AppendIPI(trace_rank[pc.iter],
-                                         static_cast<int64_t>(i + 1), seq[i]);
+          for (size_t j = 0; j < call.args[p].size(); ++j) {
+            tp.req[p].AppendIPI(iterp, static_cast<int64_t>(j + 1),
+                                call.args[p][j]);
           }
         }
+        tp.map.AppendRow({Cell::Int(trace_rank[loop[group.slots[k].call]]),
+                          Cell::Int(iterp)});
       }
+      trace.peers.push_back(std::move(tp));
     }
-    Table result = algebra::ScatterGatherMerge(shard_sources);
-    if (cfg_.trace_bulk_rpc) {
-      for (auto& tp : trace.peers) {
-        tp.msg = SortIPI(tp.msg);
-        tp.res = SortIPI(tp.res);
-      }
-      trace.result = normalize(result);
-      traces_.push_back(std::move(trace));
-    }
-    return result;
   }
+
+  // Map iterp back to iter, bucket each call's sequence by its shard
+  // rank, and recombine with the order-preserving scatter-gather merge:
+  // within each iteration, rank order then per-call sequence order, pos
+  // renumbered densely, whole table sorted by iter. For plain (unsharded)
+  // destinations every call has rank 0 and this degenerates to the
+  // original merge-union + sort of Figure 2, byte for byte.
+  int max_rank = 0;
+  for (const server::RpcClient::RoutedGroup& group : groups) {
+    for (const server::RpcClient::Slot& slot : group.slots) {
+      max_rank = std::max(max_rank, slot.rank);
+    }
+  }
+  std::vector<Table> shard_sources(static_cast<size_t>(max_rank) + 1,
+                                   Table::IterPosItem());
+  for (size_t w = 0; w < groups.size(); ++w) {
+    // A replica echo of an all-copies write answered (and is enlisted in
+    // the 2PC); only the primary's results feed the merge.
+    if (groups[w].echo) continue;
+    const std::vector<Sequence>& results = groups[w].response.results;
+    for (size_t k = 0; k < results.size(); ++k) {
+      const server::RpcClient::Slot& slot = groups[w].slots[k];
+      const int64_t iter = loop[slot.call];
+      const Sequence& seq = results[k];
+      for (size_t i = 0; i < seq.size(); ++i) {
+        shard_sources[static_cast<size_t>(slot.rank)].AppendIPI(
+            iter, static_cast<int64_t>(i + 1), seq[i]);
+      }
+      if (cfg_.trace_bulk_rpc) {
+        for (size_t i = 0; i < seq.size(); ++i) {
+          trace.peers[w].msg.AppendIPI(static_cast<int64_t>(k + 1),
+                                       static_cast<int64_t>(i + 1), seq[i]);
+          trace.peers[w].res.AppendIPI(trace_rank[iter],
+                                       static_cast<int64_t>(i + 1), seq[i]);
+        }
+      }
+    }
+  }
+  Table result = algebra::ScatterGatherMerge(shard_sources);
+  if (cfg_.trace_bulk_rpc) {
+    for (auto& tp : trace.peers) {
+      tp.msg = SortIPI(tp.msg);
+      tp.res = SortIPI(tp.res);
+    }
+    trace.result = normalize(result);
+    traces_.push_back(std::move(trace));
+  }
+  return result;
 }
 
 // ------------------------- constructors ------------------------------------

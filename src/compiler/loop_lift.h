@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "algebra/table.h"
+#include "base/cancellation.h"
 #include "base/statusor.h"
-#include "core/catalog.h"
-#include "server/engine.h"
+#include "server/rpc_client.h"
 #include "shred/shredded_doc.h"
 #include "xquery/context.h"
 #include "xquery/module.h"
@@ -34,7 +34,7 @@ struct BulkRpcTrace {
 struct LoopLiftConfig {
   xquery::DocumentProvider* documents = nullptr;
   xquery::ModuleResolver* modules = nullptr;
-  server::BulkRpcChannel* rpc = nullptr;
+  server::RpcClient* rpc = nullptr;  ///< routes and sends `execute at`
   shred::ShredCache* shreds = nullptr;  ///< required
   int max_inline_depth = 128;
   bool trace_bulk_rpc = false;  ///< capture Figure 1 tables
@@ -44,10 +44,6 @@ struct LoopLiftConfig {
   /// Cooperative cancellation token polled at every algebra-expression
   /// dispatch; a tripped token aborts evaluation with its status.
   const CancellationToken* cancel = nullptr;
-  /// Peer catalog consulted to decompose logical "shard:<collection>"
-  /// destinations into per-shard Bulk RPCs (DESIGN.md §13). Null disables
-  /// decomposition; shard destinations then fail with an eval error.
-  const core::Catalog* catalog = nullptr;
 };
 
 /// The Pathfinder-style loop-lifted evaluator: XQuery expressions evaluate

@@ -86,7 +86,7 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
   LoopLiftConfig config;
   config.documents = context.documents;
   config.modules = context.modules;
-  config.rpc = context.bulk_rpc;
+  config.rpc = context.rpc;
   config.shreds = &shreds_;
   config.cancel = context.cancel;
   LoopLiftedEvaluator evaluator(config);

@@ -87,12 +87,6 @@ Status Catalog::RegisterCollection(ShardedCollection collection) {
   return Status::OK();
 }
 
-const ShardedCollection* Catalog::Find(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = collections_.find(name);
-  return it == collections_.end() ? nullptr : &it->second;
-}
-
 bool Catalog::Snapshot(std::string_view name, ShardedCollection* out,
                        int64_t* version_out) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -62,11 +62,9 @@ uint64_t ShardHash(std::string_view key);
 /// (`execute at` decomposition), fn:doc resolution, and the XRPC service's
 /// local fragment lookup all consult it.
 ///
-/// Thread-safety: all entry points lock. Find() returns a stable map-node
-/// pointer but a concurrent re-registration overwrites the value it points
-/// at — decomposition sites that must tolerate mid-flight catalog churn
-/// (the epoch-fencing re-route of DESIGN.md §14) use Snapshot() instead,
-/// which copies the shard map and its version atomically.
+/// Thread-safety: all entry points lock. Readers copy a collection out
+/// with Snapshot(), so a concurrent re-registration (the epoch-fencing
+/// re-route of DESIGN.md §14) never changes a shard map under them.
 class Catalog {
  public:
   /// Registers (or replaces) a collection's shard map and bumps the
@@ -74,14 +72,10 @@ class Catalog {
   /// are dense 0..n-1, and range bounds cover disjoint ascending ranges.
   Status RegisterCollection(ShardedCollection collection);
 
-  /// Looks up a collection by logical name; nullptr if unknown. The
-  /// pointer stays valid for the catalog's lifetime (map nodes are stable).
-  const ShardedCollection* Find(std::string_view name) const;
-
-  /// Race-free lookup for decomposition sites: copies the collection and
-  /// the catalog version it was read at under one lock, so a concurrent
-  /// re-registration cannot mutate the map a router is iterating. Returns
-  /// false when the collection is unknown.
+  /// Race-free lookup: copies the collection and the catalog version it
+  /// was read at under one lock, so a concurrent re-registration cannot
+  /// mutate the map a reader is iterating. Returns false when the
+  /// collection is unknown.
   bool Snapshot(std::string_view name, ShardedCollection* out,
                 int64_t* version_out) const;
 

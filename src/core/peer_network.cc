@@ -333,7 +333,6 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
     cfg.enable_hoisting = !options.disable_hoisting;
     cfg.enable_join_rewrite = !options.disable_join_rewrite;
     cfg.cancel = cancel;
-    cfg.catalog = &catalog_;
     compiler::LoopLiftedEvaluator evaluator(cfg);
     auto result = evaluator.EvaluateQuery(query);
     if (result.ok()) {

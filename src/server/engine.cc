@@ -1,5 +1,6 @@
 #include "server/engine.h"
 
+#include "server/rpc_client.h"
 #include "xquery/interpreter.h"
 #include "xquery/parser.h"
 

@@ -13,43 +13,15 @@
 
 namespace xrpc::server {
 
-/// Channel for loop-lifted Bulk RPC dispatch: one invocation carries the
-/// requests of ONE `execute at` — one Bulk RPC request per distinct
-/// destination peer. Implementations may dispatch the requests in
-/// parallel (MonetDB/XQuery does); the reference implementation
-/// (RpcClient) accounts network time as the maximum over destinations.
-class BulkRpcChannel {
- public:
-  virtual ~BulkRpcChannel() = default;
-
-  struct Destination {
-    std::string dest_uri;
-    soap::XrpcRequest request;
-    /// Replica peers to try in order when `dest_uri` fails retriably
-    /// (dial failure, per-attempt timeout, open breaker). Populated from
-    /// the catalog's replica lists for shard-routed read-only subcalls;
-    /// updating requests never fail over (at-most-once, Section 4.4).
-    std::vector<std::string> fallback_uris;
-  };
-
-  /// Executes all requests; result[i] corresponds to destinations[i].
-  virtual StatusOr<std::vector<soap::XrpcResponse>> ExecuteBulkAll(
-      std::vector<Destination> destinations) = 0;
-
-  /// Observability hook: the caller saw a StaleCatalog reject, refetched
-  /// the shard map, and is re-dispatching. The compiler layer cannot link
-  /// the metrics registry directly (layering), so the channel records it.
-  virtual void NoteStaleReroute() {}
-};
+class RpcClient;
 
 /// Everything an engine needs to execute one XRPC request: the database
 /// view chosen by the isolation level, the module resolver, and the
-/// outgoing RPC handler / bulk channel for nested `execute at` calls.
+/// outgoing RPC client for nested `execute at` calls.
 struct CallContext {
   xquery::DocumentProvider* documents = nullptr;
   xquery::ModuleResolver* modules = nullptr;
-  xquery::RpcHandler* rpc = nullptr;
-  BulkRpcChannel* bulk_rpc = nullptr;
+  RpcClient* rpc = nullptr;
   /// Cooperative cancellation: engines poll this at evaluation-step
   /// boundaries and abandon the request once it trips (deadline expiry or
   /// explicit cancel). Null = never cancelled.

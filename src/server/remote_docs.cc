@@ -55,13 +55,15 @@ StatusOr<xml::NodePtr> ShardDocumentProvider::GetDocument(
     if (catalog_ == nullptr) {
       return Status::NotFound("no peer catalog to resolve " + uri);
     }
-    const core::ShardedCollection* collection =
-        catalog_->Find(core::Catalog::CollectionOf(uri));
-    if (collection == nullptr) {
+    // A copy: Assemble fetches remote fragments, and a re-registration
+    // landing meanwhile must not free the shard list under the loop.
+    core::ShardedCollection collection;
+    if (!catalog_->Snapshot(core::Catalog::CollectionOf(uri), &collection,
+                            nullptr)) {
       return Status::NotFound("unknown sharded collection: " + uri);
     }
     XRPC_ASSIGN_OR_RETURN(xml::NodePtr doc,
-                          Assemble(*collection, /*local_only=*/false));
+                          Assemble(collection, /*local_only=*/false));
     cache_[uri] = doc;
     return doc;
   }
@@ -87,15 +89,15 @@ StatusOr<xml::NodePtr> ShardDocumentProvider::GetDocument(
   // The base has no such document, but the name may be a catalog
   // collection with fragments stored at this peer — a shard serving its
   // partition under the collection's logical name.
-  const core::ShardedCollection* collection = catalog_->Find(uri);
-  if (collection == nullptr) return direct;
+  core::ShardedCollection collection;
+  if (!catalog_->Snapshot(uri, &collection, nullptr)) return direct;
   bool any_local = false;
-  for (const core::ShardInfo& s : collection->shards) {
+  for (const core::ShardInfo& s : collection.shards) {
     if (s.peer_uri == self_uri_) any_local = true;
   }
   if (!any_local) return direct;
   XRPC_ASSIGN_OR_RETURN(xml::NodePtr doc,
-                        Assemble(*collection, /*local_only=*/true));
+                        Assemble(collection, /*local_only=*/true));
   cache_[uri] = doc;
   return doc;
 }

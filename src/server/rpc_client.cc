@@ -2,136 +2,159 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <map>
 #include <set>
+#include <utility>
 
 namespace xrpc::server {
 
-StatusOr<xdm::Sequence> RpcClient::Execute(const xquery::RpcCall& call) {
-  soap::XrpcRequest request;
-  request.module_ns = call.module_ns;
-  request.method = call.function.local;
-  request.location = call.module_location;
-  request.arity = call.args.size();
-  request.updating = call.updating;
-  request.calls.push_back(call.args);
+namespace {
 
-  // Resolve a logical "shard:<collection>" destination against the peer
-  // catalog: prune to the owning shard when the routing parameter is a
-  // singleton, otherwise broadcast one shard-scoped call per shard and
-  // concatenate the per-shard results in shard order (the interpreter-side
-  // counterpart of the compiler's scatter-gather decomposition). On a
-  // StaleCatalog reject (the catalog changed between decomposition and
-  // admission at a peer) the shard map is refetched and the whole
-  // resolution re-run exactly once.
-  if (core::Catalog::IsShardUri(call.dest_uri)) {
-    if (options_.catalog == nullptr) {
+// One routing pass of ExecuteRouted: places `calls` into `groups` and
+// builds the matching per-group requests into `destinations`. Shard calls
+// group per SHARD, not per peer: each group carries an xrpc:shard scope
+// pinning the fragment it reads, and a replica peer may hold several
+// fragments of one collection, so two shards on one peer need two scoped
+// requests.
+Status Route(const core::Catalog* catalog, const soap::XrpcRequest& header,
+             const std::vector<RpcClient::RoutedCall>& calls,
+             std::vector<RpcClient::RoutedGroup>* groups,
+             std::vector<RpcClient::Destination>* destinations) {
+  std::map<std::string, size_t> group_index;
+  // One Snapshot per collection per attempt: routing iterates a COPY of
+  // the shard map, immune to concurrent re-registration.
+  std::map<std::string, std::pair<core::ShardedCollection, int64_t>>
+      snapshots;
+  auto place = [&](const std::string& key, const std::string& peer,
+                   const std::vector<std::string>& fallbacks,
+                   const std::optional<soap::XrpcRequest::ShardScope>& scope,
+                   bool echo, size_t call, int rank) {
+    auto [it, fresh] = group_index.try_emplace(key, groups->size());
+    if (fresh) {
+      groups->push_back(RpcClient::RoutedGroup{peer, echo, {}, {}});
+      RpcClient::Destination d{peer, header, fallbacks};
+      d.request.shard = scope;
+      destinations->push_back(std::move(d));
+    }
+    (*groups)[it->second].slots.push_back({call, rank});
+    (*destinations)[it->second].request.calls.push_back(calls[call].args);
+  };
+  for (size_t i = 0; i < calls.size(); ++i) {
+    const std::string& dest = calls[i].dest_uri;
+    if (!core::Catalog::IsShardUri(dest)) {
+      place(dest, dest, {}, std::nullopt, /*echo=*/false, i, 0);
+      continue;
+    }
+    if (catalog == nullptr) {
       return Status::EvalError("no peer catalog configured for destination " +
-                               call.dest_uri);
+                               dest);
     }
-    StatusOr<xdm::Sequence> result = Status::Internal("shard routing skipped");
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      core::ShardedCollection collection;
+    std::string name(core::Catalog::CollectionOf(dest));
+    auto snap = snapshots.find(name);
+    if (snap == snapshots.end()) {
+      core::ShardedCollection copy;
       int64_t version = 0;
-      if (!options_.catalog->Snapshot(
-              core::Catalog::CollectionOf(call.dest_uri), &collection,
-              &version) ||
-          collection.shards.empty()) {
-        return Status::EvalError("unknown sharded collection: " +
-                                 call.dest_uri);
+      if (!catalog->Snapshot(name, &copy, &version) || copy.shards.empty()) {
+        return Status::EvalError("unknown sharded collection: " + dest);
       }
-      int routed = -1;
-      if (collection.route_param >= 0 &&
-          collection.route_param < static_cast<int>(call.args.size()) &&
-          call.args[collection.route_param].size() == 1) {
-        auto r = options_.catalog->RouteKey(
-            collection,
-            call.args[collection.route_param][0].Atomize().ToString());
-        if (r.ok()) routed = r.value();
-      }
-      std::vector<Destination> destinations;
-      // Replica-echo flags, parallel to `destinations`: an updating call
-      // fans out to EVERY copy of each touched shard (DESIGN.md §17) so all
-      // of them prepare/commit the same PUL through 2PC, but only the
-      // primary's result sequence contributes to the merge.
-      std::vector<bool> echo;
-      auto add_shard = [&](const core::ShardInfo& s) {
-        soap::XrpcRequest::ShardScope scope{
-            collection.name, s.index, version,
-            options_.catalog->FragmentDataVersion(collection.name, s.index)};
-        Destination d;
-        d.dest_uri = s.peer_uri;
-        d.request = request;
-        d.request.shard = scope;
-        if (request.updating) {
-          // All-copies write: no fallbacks (at-most-once forbids re-issuing
-          // an update elsewhere); a dead or lagging copy fails the call and
-          // the transaction aborts — repair, not failover, heals writes.
-          destinations.push_back(std::move(d));
-          echo.push_back(false);
-          for (const std::string& replica : s.replicas) {
-            Destination r;
-            r.dest_uri = replica;
-            r.request = request;
-            r.request.shard = scope;
-            destinations.push_back(std::move(r));
-            echo.push_back(true);
-          }
-        } else {
-          d.fallback_uris = s.replicas;
-          destinations.push_back(std::move(d));
-          echo.push_back(false);
-        }
-      };
-      if (routed >= 0) {
-        add_shard(collection.shards[routed]);
-      } else {
-        for (const core::ShardInfo& s : collection.shards) add_shard(s);
-      }
-      auto responses = ExecuteBulkAll(std::move(destinations));
-      if (!responses.ok()) {
-        result = responses.status();
-      } else {
-        xdm::Sequence merged;
-        Status merge_status = Status::OK();
-        for (size_t ri = 0; ri < responses->size(); ++ri) {
-          soap::XrpcResponse& response = (*responses)[ri];
-          if (response.results.size() != 1) {
-            merge_status = Status::SoapFault(
-                "expected 1 result sequence, got " +
-                std::to_string(response.results.size()));
-            break;
-          }
-          if (ri < echo.size() && echo[ri]) continue;  // replica echo
-          for (xdm::Item& item : response.results[0]) {
-            merged.push_back(std::move(item));
-          }
-        }
-        if (merge_status.ok()) {
-          result = std::move(merged);
-        } else {
-          result = std::move(merge_status);
-        }
-      }
-      if (result.ok() ||
-          result.status().code() != StatusCode::kStaleCatalog ||
-          attempt > 0) {
-        return result;
-      }
-      // Fenced: refetch the shard map (the Snapshot at the top of the next
-      // iteration) and re-route once. Safe even for updating calls — a
-      // StaleCatalog reject happens before the peer executes anything.
-      if (net::RpcMetrics* m = EventMetrics()) m->RecordStaleCatalogReroute();
+      snap = snapshots.emplace(name, std::make_pair(std::move(copy), version))
+                 .first;
     }
-    return result;
+    const core::ShardedCollection& collection = snap->second.first;
+    const int64_t version = snap->second.second;
+    int routed = -1;
+    const int key_param = collection.route_param;
+    if (key_param >= 0 && key_param < static_cast<int>(calls[i].args.size()) &&
+        calls[i].args[key_param].size() == 1) {
+      auto r = catalog->RouteKey(
+          collection, calls[i].args[key_param][0].Atomize().ToString());
+      // An unroutable key (e.g. outside every range) is not an error — the
+      // call simply cannot be pruned and broadcasts.
+      if (r.ok()) routed = r.value();
+    }
+    auto place_shard = [&](const core::ShardInfo& s, int rank) {
+      soap::XrpcRequest::ShardScope scope{
+          collection.name, s.index, version,
+          catalog->FragmentDataVersion(collection.name, s.index)};
+      const std::string key = dest + "#" + std::to_string(s.index);
+      if (header.updating) {
+        // All-copies write (DESIGN.md §17): every copy of a touched shard
+        // receives the same scoped calls and enlists in the 2PC. No copy
+        // gets fallbacks: at-most-once forbids re-issuing an update
+        // elsewhere, so a dead or lagging copy aborts the transaction —
+        // repair, not failover, heals writes.
+        place(key, s.peer_uri, {}, scope, /*echo=*/false, i, rank);
+        for (const std::string& replica : s.replicas) {
+          place(key + "@" + replica, replica, {}, scope, /*echo=*/true, i,
+                rank);
+        }
+      } else {
+        place(key, s.peer_uri, s.replicas, scope, /*echo=*/false, i, rank);
+      }
+    };
+    if (routed >= 0) {
+      place_shard(collection.shards[routed], 0);
+    } else {
+      for (const core::ShardInfo& s : collection.shards) {
+        place_shard(s, s.index);
+      }
+    }
   }
+  return Status::OK();
+}
 
-  XRPC_ASSIGN_OR_RETURN(soap::XrpcResponse response,
-                        ExecuteBulk(call.dest_uri, std::move(request)));
-  if (response.results.size() != 1) {
-    return Status::SoapFault("expected 1 result sequence, got " +
-                             std::to_string(response.results.size()));
+}  // namespace
+
+StatusOr<xdm::Sequence> RpcClient::Execute(const xquery::RpcCall& call) {
+  soap::XrpcRequest header;
+  header.module_ns = call.module_ns;
+  header.method = call.function.local;
+  header.location = call.module_location;
+  header.arity = call.args.size();
+  header.updating = call.updating;
+  XRPC_ASSIGN_OR_RETURN(std::vector<RoutedGroup> groups,
+                        ExecuteRouted(header, {{call.dest_uri, call.args}}));
+  // One call: every group answers exactly one sequence, and a broadcast
+  // creates its shard groups in shard (= rank) order.
+  xdm::Sequence merged;
+  for (RoutedGroup& group : groups) {
+    if (group.echo) continue;
+    for (xdm::Item& item : group.response.results[0]) {
+      merged.push_back(std::move(item));
+    }
   }
-  return std::move(response.results[0]);
+  return merged;
+}
+
+StatusOr<std::vector<RpcClient::RoutedGroup>> RpcClient::ExecuteRouted(
+    const soap::XrpcRequest& header, const std::vector<RoutedCall>& calls) {
+  for (int attempt = 0;; ++attempt) {
+    std::vector<RoutedGroup> groups;
+    std::vector<Destination> destinations;
+    XRPC_RETURN_IF_ERROR(
+        Route(options_.catalog, header, calls, &groups, &destinations));
+    auto responses = ExecuteBulkAll(std::move(destinations));
+    if (!responses.ok()) {
+      // The single re-route rule. A StaleCatalog reject happens before the
+      // rejecting peer executes anything, so a read re-routes once from a
+      // fresh Snapshot. An updating call never does: the peers that
+      // admitted the first attempt staged it into their isolation session,
+      // and a re-route would stage (and later commit) it twice. Its query
+      // aborts instead; presumed abort expires the staged sessions.
+      if (responses.status().code() == StatusCode::kStaleCatalog &&
+          attempt == 0 && !header.updating) {
+        if (net::RpcMetrics* m = EventMetrics()) {
+          m->RecordStaleCatalogReroute();
+        }
+        continue;
+      }
+      return responses.status();
+    }
+    for (size_t g = 0; g < groups.size(); ++g) {
+      groups[g].response = std::move((*responses)[g]);
+    }
+    return groups;
+  }
 }
 
 StatusOr<soap::XrpcResponse> RpcClient::ExecuteBulk(
@@ -149,8 +172,8 @@ StatusOr<soap::XrpcResponse> RpcClient::ExchangeWithFailover(
   net::RpcMetrics* m = EventMetrics();
   if (result.status().code() == StatusCode::kStaleCatalog) {
     // The peer fenced us off: every replica shares the catalog, so trying
-    // the next one would be rejected identically. Surface the fault so the
-    // decomposition layer refetches the shard map and re-routes.
+    // the next one would be rejected identically. Surface the fault so
+    // ExecuteRouted refetches the shard map and re-routes.
     if (m != nullptr) m->RecordStaleCatalogObserved();
     return result;
   }

@@ -14,7 +14,6 @@
 #include "net/rpc_metrics.h"
 #include "net/thread_pool.h"
 #include "net/transport.h"
-#include "server/engine.h"
 #include "soap/message.h"
 #include "xquery/context.h"
 
@@ -34,12 +33,51 @@ enum class IsolationLevel {
 /// (piggybacked in responses, for WS-Coordinator registration) and the
 /// modeled network time.
 ///
-/// Execute() implements xquery::RpcHandler — one call per request, the
-/// one-at-a-time mechanism. ExecuteBulk() sends a prepared Bulk RPC
-/// request; the relational engine and the dispatcher use it to amortize
-/// latency over many calls.
-class RpcClient : public xquery::RpcHandler, public BulkRpcChannel {
+/// It is also the one shard router (DESIGN.md §13-14): ExecuteRouted()
+/// resolves logical "shard:<collection>" destinations against the peer
+/// catalog for both engines. The relational engine hands it every
+/// iteration of a loop-lifted `execute at` at once (Bulk RPC); the
+/// interpreter's Execute() is the one-call case of the same path.
+class RpcClient : public xquery::RpcHandler {
  public:
+  /// One Bulk RPC request and where to send it.
+  struct Destination {
+    std::string dest_uri;
+    soap::XrpcRequest request;
+    /// Replica peers to try in order when `dest_uri` fails retriably
+    /// (dial failure, per-attempt timeout, open breaker). Populated from
+    /// the catalog's replica lists for shard-routed read-only subcalls;
+    /// updating requests never fail over (at-most-once, Section 4.4).
+    std::vector<std::string> fallback_uris;
+  };
+
+  /// One logical `execute at` application: a destination (a peer URI or
+  /// "shard:<collection>") and one argument sequence per parameter.
+  struct RoutedCall {
+    std::string dest_uri;
+    std::vector<xdm::Sequence> args;
+  };
+
+  /// One physical call inside a routed group: the index of its logical
+  /// call in ExecuteRouted's `calls`, and the merge rank of its results
+  /// within that call (the shard index of a broadcast, else 0).
+  struct Slot {
+    size_t call = 0;
+    int rank = 0;
+  };
+
+  /// One Bulk RPC request of a routed invocation with its response;
+  /// response.results[k] answers slots[k].
+  struct RoutedGroup {
+    std::string peer;  ///< primary destination peer URI
+    /// Replica copy of an updating call (all-copies write, DESIGN.md §17):
+    /// it executes and enlists in the 2PC like any group, but its results
+    /// must not feed the merge.
+    bool echo = false;
+    std::vector<Slot> slots;
+    soap::XrpcResponse response;
+  };
+
   struct Options {
     IsolationLevel isolation = IsolationLevel::kNone;
     std::optional<soap::QueryId> query_id;  ///< required for kRepeatable
@@ -72,31 +110,43 @@ class RpcClient : public xquery::RpcHandler, public BulkRpcChannel {
     /// Clock `deadline_us` is measured against (virtual or steady);
     /// required when deadline_us > 0.
     std::function<int64_t()> now_us;
-    /// Peer catalog consulted by Execute() to resolve logical
-    /// "shard:<collection>" destinations (the one-at-a-time counterpart of
-    /// the compiler's decomposition pass, DESIGN.md §13): a call whose
-    /// routing parameter is a singleton is sent to the single owning
-    /// shard, anything else fans out to every shard peer and concatenates
-    /// the per-shard results in shard order. Null disables resolution.
+    /// Peer catalog ExecuteRouted() resolves logical "shard:<collection>"
+    /// destinations against (DESIGN.md §13). Null disables resolution;
+    /// shard destinations then fail with an eval error.
     const core::Catalog* catalog = nullptr;
   };
 
   RpcClient(net::Transport* transport, Options options)
       : transport_(transport), options_(std::move(options)) {}
 
-  /// One-at-a-time RPC (xquery::RpcHandler).
+  /// One-at-a-time RPC (xquery::RpcHandler): ExecuteRouted with one call,
+  /// concatenating the non-echo results in rank order.
   StatusOr<xdm::Sequence> Execute(const xquery::RpcCall& call) override;
+
+  /// The shard router (DESIGN.md §13.2): places every call of one
+  /// `execute at` into groups, in first-appearance order, and sends one
+  /// Bulk RPC per group. A plain destination is one group per peer; a
+  /// "shard:<collection>" call is pruned to its key's shard or broadcast
+  /// to every shard, one group per shard (plus echo groups for the
+  /// replicas of an updating call). On a StaleCatalog fence a read
+  /// re-routes exactly once; an updating call aborts instead (§14.3).
+  ///
+  /// `header` supplies the request fields shared by every group (module,
+  /// method, location, arity, updating); its `calls` must be empty.
+  StatusOr<std::vector<RoutedGroup>> ExecuteRouted(
+      const soap::XrpcRequest& header, const std::vector<RoutedCall>& calls);
 
   /// Sends a Bulk RPC request to `dest_uri` and returns the full response.
   StatusOr<soap::XrpcResponse> ExecuteBulk(const std::string& dest_uri,
                                            soap::XrpcRequest request);
 
-  /// BulkRpcChannel: dispatches one Bulk RPC per destination. The requests
-  /// of one invocation are logically parallel (MonetDB dispatches them
-  /// concurrently), so network time is accounted as the maximum over
-  /// destinations rather than their sum; with Options::dispatch_pool the
-  /// dispatch is physically parallel as well and wall-clock time follows
-  /// the same max-over-destinations shape.
+  /// Dispatches one Bulk RPC per destination; result[i] corresponds to
+  /// destinations[i]. The requests of one invocation are logically
+  /// parallel (MonetDB dispatches them concurrently), so network time is
+  /// accounted as the maximum over destinations rather than their sum;
+  /// with Options::dispatch_pool the dispatch is physically parallel as
+  /// well and wall-clock time follows the same max-over-destinations
+  /// shape.
   ///
   /// Error isolation: every destination is attempted regardless of other
   /// destinations' failures; on any failure the status of the
@@ -104,13 +154,7 @@ class RpcClient : public xquery::RpcHandler, public BulkRpcChannel {
   /// matches destination order, so out-of-order completion cannot leak
   /// into the result).
   StatusOr<std::vector<soap::XrpcResponse>> ExecuteBulkAll(
-      std::vector<Destination> destinations) override;
-
-  /// BulkRpcChannel: counts a refetch-and-re-route after a StaleCatalog
-  /// fence into the shared metrics registry.
-  void NoteStaleReroute() override {
-    if (net::RpcMetrics* m = EventMetrics()) m->RecordStaleCatalogReroute();
-  }
+      std::vector<Destination> destinations);
 
   /// Peers that participated in calls made through this client
   /// (transitively, via response piggybacking). Includes direct callees.

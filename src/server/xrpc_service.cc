@@ -240,7 +240,6 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
   context.documents = &sharded;
   context.modules = registry_;
   context.rpc = nested.get();
-  context.bulk_rpc = nested.get();
   context.cancel = &cancel_token;
 
   xquery::PendingUpdateList pul;

@@ -24,10 +24,12 @@ TEST(CatalogTest, RegisterAndFind) {
   EXPECT_EQ(catalog.version(), 0);
   ASSERT_TRUE(catalog.RegisterCollection(HashCollection(4)).ok());
   EXPECT_EQ(catalog.version(), 1);
-  const ShardedCollection* c = catalog.Find("auctions.xml");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->shards.size(), 4u);
-  EXPECT_EQ(catalog.Find("nope.xml"), nullptr);
+  ShardedCollection c;
+  int64_t version = 0;
+  ASSERT_TRUE(catalog.Snapshot("auctions.xml", &c, &version));
+  EXPECT_EQ(c.shards.size(), 4u);
+  EXPECT_EQ(version, 1);
+  EXPECT_FALSE(catalog.Snapshot("nope.xml", &c, nullptr));
   EXPECT_EQ(catalog.CollectionNames().size(), 1u);
 }
 
@@ -53,12 +55,12 @@ TEST(CatalogTest, RegistrationValidation) {
 TEST(CatalogTest, HashRoutingIsStableAndInRange) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterCollection(HashCollection(16)).ok());
-  const ShardedCollection* c = catalog.Find("auctions.xml");
-  ASSERT_NE(c, nullptr);
+  ShardedCollection c;
+  ASSERT_TRUE(catalog.Snapshot("auctions.xml", &c, nullptr));
   for (int i = 0; i < 100; ++i) {
     std::string key = "person" + std::to_string(i);
-    auto a = catalog.RouteKey(*c, key);
-    auto b = catalog.RouteKey(*c, key);
+    auto a = catalog.RouteKey(c, key);
+    auto b = catalog.RouteKey(c, key);
     ASSERT_TRUE(a.ok());
     EXPECT_EQ(a.value(), b.value());
     EXPECT_GE(a.value(), 0);
@@ -78,16 +80,16 @@ TEST(CatalogTest, RangeRouting) {
   c.shards.push_back({0, "xrpc://a", "persons.xml.0", 0, 100});
   c.shards.push_back({1, "xrpc://b", "persons.xml.1", 100, 250});
   ASSERT_TRUE(catalog.RegisterCollection(c).ok());
-  const ShardedCollection* reg = catalog.Find("persons.xml");
-  ASSERT_NE(reg, nullptr);
-  EXPECT_EQ(catalog.RouteKey(*reg, "person0").value(), 0);
-  EXPECT_EQ(catalog.RouteKey(*reg, "person99").value(), 0);
-  EXPECT_EQ(catalog.RouteKey(*reg, "person100").value(), 1);
-  EXPECT_EQ(catalog.RouteKey(*reg, "person249").value(), 1);
+  ShardedCollection reg;
+  ASSERT_TRUE(catalog.Snapshot("persons.xml", &reg, nullptr));
+  EXPECT_EQ(catalog.RouteKey(reg, "person0").value(), 0);
+  EXPECT_EQ(catalog.RouteKey(reg, "person99").value(), 0);
+  EXPECT_EQ(catalog.RouteKey(reg, "person100").value(), 1);
+  EXPECT_EQ(catalog.RouteKey(reg, "person249").value(), 1);
   // Out of every range, or no trailing integer: routing error (callers
   // broadcast instead of pruning).
-  EXPECT_FALSE(catalog.RouteKey(*reg, "person250").ok());
-  EXPECT_FALSE(catalog.RouteKey(*reg, "alice").ok());
+  EXPECT_FALSE(catalog.RouteKey(reg, "person250").ok());
+  EXPECT_FALSE(catalog.RouteKey(reg, "alice").ok());
 }
 
 TEST(CatalogTest, RangeValidationRejectsOverlapsAndEmptyRanges) {
@@ -116,7 +118,9 @@ TEST(CatalogTest, ReRegistrationBumpsVersionAndReplaces) {
   ASSERT_TRUE(catalog.RegisterCollection(HashCollection(4)).ok());
   ASSERT_TRUE(catalog.RegisterCollection(HashCollection(16)).ok());
   EXPECT_EQ(catalog.version(), 2);
-  EXPECT_EQ(catalog.Find("auctions.xml")->shards.size(), 16u);
+  ShardedCollection c;
+  ASSERT_TRUE(catalog.Snapshot("auctions.xml", &c, nullptr));
+  EXPECT_EQ(c.shards.size(), 16u);
 }
 
 }  // namespace

@@ -321,6 +321,76 @@ TEST(FailoverTest, LaggingDataVersionFencesWithStaleReplica) {
             std::string::npos);
 }
 
+size_t CountStamps(const std::string& bytes) {
+  size_t n = 0;
+  for (size_t at = bytes.find("<stamp/>"); at != std::string::npos;
+       at = bytes.find("<stamp/>", at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(FailoverTest, CatalogBumpMidUpdatingScatterNeverDoubleApplies) {
+  // The catalog version bumps at the second POST of an all-copies updating
+  // broadcast: shard 0's primary already admitted (and staged) its call,
+  // every later request is fenced with StaleCatalog. An updating call must
+  // not re-route — that would stage shard 0's insert twice — so the write
+  // either aborts everywhere or commits exactly once on every copy.
+  for (EngineKind engine :
+       {EngineKind::kRelational, EngineKind::kInterpreter}) {
+    SCOPED_TRACE(EngineKindToString(engine));
+    Deployment d = MakeDeployment(/*replication_factor=*/2, engine);
+    RegisterUpdModule(d);
+    bool bumped = false;
+    d.net->network().set_post_hook([&](int64_t serial) {
+      if (bumped || serial < 2) return;
+      bumped = true;
+      ShardedCollection c;
+      ASSERT_TRUE(d.net->catalog().Snapshot("auctions.xml", &c, nullptr));
+      ASSERT_TRUE(d.net->catalog().RegisterCollection(std::move(c)).ok());
+    });
+    auto report = d.net->Execute("p0", kUpdBroadcast);
+    d.net->network().set_post_hook(nullptr);
+    EXPECT_TRUE(bumped);
+    const bool committed = report.ok() && report->committed;
+    for (int k = 0; k < kNumShards; ++k) {
+      const std::string primary = FragmentBytes(d.shards[k], FragName(k));
+      const std::string replica =
+          FragmentBytes(d.shards[(k + 1) % kNumShards], FragName(k));
+      EXPECT_EQ(CountStamps(primary), committed ? 1u : 0u) << "shard " << k;
+      EXPECT_EQ(CountStamps(replica), committed ? 1u : 0u) << "shard " << k;
+      EXPECT_TRUE(primary == replica) << "copies of shard " << k << " differ";
+    }
+    EXPECT_EQ(d.net->metrics().stale_catalog_reroutes(), 0);
+  }
+}
+
+TEST(FailoverTest, CatalogBumpDuringShardDocAssemblyReadsASnapshot) {
+  // doc("shard:C") at p0 fetches every fragment over the network. A
+  // re-registration of C landing during that fetch replaces the catalog's
+  // shard list; assembly must keep reading its own copy of the map. Reading
+  // the catalog's map in place reads freed memory, which only ASan reports.
+  for (EngineKind engine :
+       {EngineKind::kRelational, EngineKind::kInterpreter}) {
+    SCOPED_TRACE(EngineKindToString(engine));
+    Deployment d = MakeDeployment(/*replication_factor=*/2, engine);
+    bool bumped = false;
+    d.net->network().set_post_hook([&](int64_t) {
+      if (bumped) return;
+      bumped = true;
+      ShardedCollection c;
+      ASSERT_TRUE(d.net->catalog().Snapshot("auctions.xml", &c, nullptr));
+      ASSERT_TRUE(d.net->catalog().RegisterCollection(std::move(c)).ok());
+    });
+    auto report = d.net->Execute(
+        "p0", R"(count(doc("shard:auctions.xml")//closed_auction))");
+    d.net->network().set_post_hook(nullptr);
+    EXPECT_TRUE(bumped);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(xdm::SequenceToString(report->result), "40");
+  }
+}
+
 TEST(FailoverTest, ReplicaCrashDuringCommitResyncsByteIdentically) {
   // The acceptance scenario: a replica crashes during phase 2 (the commit
   // decision is durable, its apply was lost), restarts, resyncs — and then

@@ -22,7 +22,7 @@ namespace xrpc {
 namespace {
 
 using server::RpcClient;
-using Destination = server::BulkRpcChannel::Destination;
+using Destination = server::RpcClient::Destination;
 
 // SOAP-speaking peer answering every call with a sequence of `items`
 // integers — destinations are told apart by their result cardinality, so a

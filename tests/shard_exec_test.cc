@@ -206,50 +206,55 @@ TEST(ShardExecTest, MapChangeMidScatterReroutesOnceNeverPartialMerge) {
   // every still-stamped request, the client refetches the map and
   // re-dispatches exactly once, and the merged result is byte-identical
   // to the healthy run — stale partials are never combined with
-  // new-version answers.
+  // new-version answers. Both p0 engines route through the same router.
   const std::string query = std::string(kImportB) + kShardBroadcast;
-  std::string baseline;
-  {
-    Deployment d = MakeDeployment(4, EngineKind::kRelational);
-    baseline = RunQuery(d, query);
-    ASSERT_EQ(baseline.find("ERROR"), std::string::npos) << baseline;
-    ASSERT_FALSE(baseline.empty());
+  for (EngineKind engine :
+       {EngineKind::kRelational, EngineKind::kInterpreter}) {
+    SCOPED_TRACE(EngineKindToString(engine));
+    std::string baseline;
+    {
+      Deployment d = MakeDeployment(4, engine);
+      baseline = RunQuery(d, query);
+      ASSERT_EQ(baseline.find("ERROR"), std::string::npos) << baseline;
+      ASSERT_FALSE(baseline.empty());
+    }
+
+    Deployment d = MakeDeployment(4, engine);
+    // The spare holds shard 0's fragment under the same doc name and the
+    // functions_b module, so it can serve the shard-scoped subcall
+    // byte-identically to the old primary.
+    Peer* spare = d.net->AddPeer("spare0", EngineKind::kInterpreter);
+    const std::string fragment0 =
+        xmark::GenerateAuctionsFragments(SmallConfig(), 4)[0];
+    ASSERT_TRUE(spare->AddDocument("auctions.xml.0", fragment0).ok());
+    ASSERT_TRUE(
+        spare->RegisterModule(xmark::FunctionsBModuleSource(spare->uri()))
+            .ok());
+
+    bool moved = false;
+    d.net->network().set_post_hook([&](int64_t serial) {
+      if (moved || serial < 2) return;
+      moved = true;
+      ShardedCollection c;
+      int64_t version = 0;
+      ASSERT_TRUE(d.net->catalog().Snapshot("auctions.xml", &c, &version));
+      c.shards[0].peer_uri = spare->uri();
+      ASSERT_TRUE(d.net->catalog().RegisterCollection(std::move(c)).ok());
+    });
+    EXPECT_EQ(RunQuery(d, query), baseline);
+    EXPECT_TRUE(moved);
+    d.net->network().set_post_hook(nullptr);
+
+    const net::RpcMetrics& m = d.net->metrics();
+    EXPECT_GE(m.stale_catalog_rejects(), 1);
+    EXPECT_EQ(m.stale_catalog_reroutes(), 1);
+
+    // A fresh broadcast under the settled new map routes shard 0's subcall
+    // to the spare — the map change was real, not a version-only bump.
+    const int64_t spare_before = m.PeerStats(spare->uri()).requests;
+    EXPECT_EQ(RunQuery(d, query), baseline);
+    EXPECT_GT(m.PeerStats(spare->uri()).requests, spare_before);
   }
-
-  Deployment d = MakeDeployment(4, EngineKind::kRelational);
-  // The spare holds shard 0's fragment under the same doc name and the
-  // functions_b module, so it can serve the shard-scoped subcall
-  // byte-identically to the old primary.
-  Peer* spare = d.net->AddPeer("spare0", EngineKind::kInterpreter);
-  const std::string fragment0 =
-      xmark::GenerateAuctionsFragments(SmallConfig(), 4)[0];
-  ASSERT_TRUE(spare->AddDocument("auctions.xml.0", fragment0).ok());
-  ASSERT_TRUE(
-      spare->RegisterModule(xmark::FunctionsBModuleSource(spare->uri())).ok());
-
-  bool moved = false;
-  d.net->network().set_post_hook([&](int64_t serial) {
-    if (moved || serial < 2) return;
-    moved = true;
-    ShardedCollection c;
-    int64_t version = 0;
-    ASSERT_TRUE(d.net->catalog().Snapshot("auctions.xml", &c, &version));
-    c.shards[0].peer_uri = spare->uri();
-    ASSERT_TRUE(d.net->catalog().RegisterCollection(std::move(c)).ok());
-  });
-  EXPECT_EQ(RunQuery(d, query), baseline);
-  EXPECT_TRUE(moved);
-  d.net->network().set_post_hook(nullptr);
-
-  const net::RpcMetrics& m = d.net->metrics();
-  EXPECT_GE(m.stale_catalog_rejects(), 1);
-  EXPECT_EQ(m.stale_catalog_reroutes(), 1);
-
-  // A fresh broadcast under the settled new map routes shard 0's subcall
-  // to the spare — the map change was real, not a version-only bump.
-  const int64_t spare_before = m.PeerStats(spare->uri()).requests;
-  EXPECT_EQ(RunQuery(d, query), baseline);
-  EXPECT_GT(m.PeerStats(spare->uri()).requests, spare_before);
 }
 
 TEST(ShardExecTest, UnknownCollectionIsAnError) {

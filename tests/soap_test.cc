@@ -359,30 +359,42 @@ TEST(Message, DeadlineAndCancelledStatusesSurviveFaultRoundTrip) {
 }
 
 // Property sweep: atomic values of every type survive the wire.
-class AtomicWireRoundTrip
-    : public ::testing::TestWithParam<xdm::AtomicValue> {};
+struct WireCase {
+  AtomicValue value;
+};
+
+// ctest names each case after its printed parameter. gtest's fallback print
+// of an AtomicValue dumps its raw bytes, heap addresses included, so the
+// names changed from build to build; print the type and value instead.
+void PrintTo(const WireCase& c, std::ostream* os) {
+  *os << xdm::AtomicTypeName(c.value.type()) << "(" << c.value.ToString()
+      << ")";
+}
+
+class AtomicWireRoundTrip : public ::testing::TestWithParam<WireCase> {};
 
 TEST_P(AtomicWireRoundTrip, SurvivesSerializeParse) {
-  Sequence seq{Item(GetParam())};
+  const AtomicValue& value = GetParam().value;
+  Sequence seq{Item(value)};
   std::string wire = xml::SerializeNode(*SequenceToNode(seq));
   auto reparsed = xml::ParseXml(wire);
   ASSERT_TRUE(reparsed.ok());
   auto back = NodeToSequence(*reparsed.value()->children()[0]);
   ASSERT_TRUE(back.ok()) << back.status();
   ASSERT_EQ(back->size(), 1u);
-  EXPECT_EQ(back.value()[0].atomic().type(), GetParam().type());
-  EXPECT_EQ(back.value()[0].atomic().ToString(), GetParam().ToString());
+  EXPECT_EQ(back.value()[0].atomic().type(), value.type());
+  EXPECT_EQ(back.value()[0].atomic().ToString(), value.ToString());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Values, AtomicWireRoundTrip,
-    ::testing::Values(AtomicValue::Integer(0), AtomicValue::Integer(-123456),
-                      AtomicValue::Double(2.5e-3), AtomicValue::Boolean(false),
-                      AtomicValue::String("with <markup> & \"quotes\""),
-                      AtomicValue::String(""), AtomicValue::Untyped("u"),
-                      AtomicValue::Decimal(1.25),
-                      AtomicValue::Date("2007-09-23"),
-                      AtomicValue::AnyUri("xrpc://y.example.org")));
+    ::testing::ValuesIn(std::vector<WireCase>{
+        {AtomicValue::Integer(0)}, {AtomicValue::Integer(-123456)},
+        {AtomicValue::Double(2.5e-3)}, {AtomicValue::Boolean(false)},
+        {AtomicValue::String("with <markup> & \"quotes\"")},
+        {AtomicValue::String("")}, {AtomicValue::Untyped("u")},
+        {AtomicValue::Decimal(1.25)}, {AtomicValue::Date("2007-09-23")},
+        {AtomicValue::AnyUri("xrpc://y.example.org")}}));
 
 }  // namespace
 }  // namespace xrpc::soap
