@@ -19,73 +19,77 @@ using xml::QName;
 
 QName XrpcName(const char* local) { return QName(xml::kXrpcNs, local, "xrpc"); }
 
+// The <xrpc:...> wrapper of a node item.
+const QName& WrapperName(NodeKind kind) {
+  static const QName kDocument = XrpcName("document");
+  static const QName kElement = XrpcName("element");
+  static const QName kAttribute = XrpcName("attribute");
+  static const QName kText = XrpcName("text");
+  static const QName kComment = XrpcName("comment");
+  static const QName kPi = XrpcName("pi");
+  switch (kind) {
+    case NodeKind::kDocument:
+      return kDocument;
+    case NodeKind::kElement:
+      return kElement;
+    case NodeKind::kAttribute:
+      return kAttribute;
+    case NodeKind::kText:
+      return kText;
+    case NodeKind::kComment:
+      return kComment;
+    case NodeKind::kProcessingInstruction:
+      return kPi;
+  }
+  return kElement;
+}
+
 }  // namespace
 
-NodePtr SequenceToNode(const Sequence& sequence) {
-  NodePtr seq = Node::NewElement(XrpcName("sequence"));
+void WriteSequence(const Sequence& sequence, xml::XmlWriter* out) {
+  static const QName kSequence = XrpcName("sequence");
+  static const QName kAtomicValue = XrpcName("atomic-value");
+  static const QName kXsiType(xml::kXsiNs, "type", "xsi");
+  static const QName kTarget("target");
+  out->StartElement(kSequence);
   for (const Item& item : sequence) {
     if (item.IsAtomic()) {
       const AtomicValue& v = item.atomic();
-      NodePtr av = Node::NewElement(XrpcName("atomic-value"));
-      av->SetAttribute(Node::NewAttribute(
-          QName(xml::kXsiNs, "type", "xsi"), AtomicTypeName(v.type())));
+      out->StartElement(kAtomicValue);
+      out->Attribute(kXsiType, AtomicTypeName(v.type()));
       std::string lexical = v.ToString();
-      if (!lexical.empty()) av->AppendChild(Node::NewText(std::move(lexical)));
-      seq->AppendChild(std::move(av));
+      if (!lexical.empty()) out->Text(lexical);
+      out->EndElement();
       continue;
     }
-    const Node* n = item.node();
-    switch (n->kind()) {
-      case NodeKind::kElement: {
-        NodePtr wrap = Node::NewElement(XrpcName("element"));
-        wrap->AppendChild(n->Clone());
-        seq->AppendChild(std::move(wrap));
+    const Node& n = *item.node();
+    out->StartElement(WrapperName(n.kind()));
+    switch (n.kind()) {
+      case NodeKind::kElement:
+      case NodeKind::kDocument:
+      case NodeKind::kAttribute:
+        out->WriteNode(n);
         break;
-      }
-      case NodeKind::kDocument: {
-        NodePtr wrap = Node::NewElement(XrpcName("document"));
-        for (const NodePtr& c : n->children()) wrap->AppendChild(c->Clone());
-        seq->AppendChild(std::move(wrap));
+      case NodeKind::kProcessingInstruction:
+        out->Attribute(kTarget, n.name().local);
+        [[fallthrough]];
+      case NodeKind::kText:
+      case NodeKind::kComment:
+        if (!n.value().empty()) out->Text(n.value());
         break;
-      }
-      case NodeKind::kAttribute: {
-        NodePtr wrap = Node::NewElement(XrpcName("attribute"));
-        wrap->SetAttribute(n->Clone());
-        seq->AppendChild(std::move(wrap));
-        break;
-      }
-      case NodeKind::kText: {
-        NodePtr wrap = Node::NewElement(XrpcName("text"));
-        if (!n->value().empty()) wrap->AppendChild(Node::NewText(n->value()));
-        seq->AppendChild(std::move(wrap));
-        break;
-      }
-      case NodeKind::kComment: {
-        NodePtr wrap = Node::NewElement(XrpcName("comment"));
-        if (!n->value().empty()) wrap->AppendChild(Node::NewText(n->value()));
-        seq->AppendChild(std::move(wrap));
-        break;
-      }
-      case NodeKind::kProcessingInstruction: {
-        NodePtr wrap = Node::NewElement(XrpcName("pi"));
-        wrap->SetAttribute(
-            Node::NewAttribute(QName("target"), n->name().local));
-        if (!n->value().empty()) wrap->AppendChild(Node::NewText(n->value()));
-        seq->AppendChild(std::move(wrap));
-        break;
-      }
     }
+    out->EndElement();
   }
-  return seq;
+  out->EndElement();
 }
 
-StatusOr<Sequence> NodeToSequence(const Node& sequence_element) {
-  if (sequence_element.kind() != NodeKind::kElement ||
-      sequence_element.name() != XrpcName("sequence")) {
+StatusOr<Sequence> TakeSequence(Node* sequence_element) {
+  if (sequence_element->kind() != NodeKind::kElement ||
+      sequence_element->name() != XrpcName("sequence")) {
     return Status::InvalidArgument("n2s: not an xrpc:sequence element");
   }
   Sequence out;
-  for (const NodePtr& child : sequence_element.children()) {
+  for (const NodePtr& child : sequence_element->children()) {
     if (child->kind() != NodeKind::kElement) continue;  // ignorable text
     if (child->name().ns_uri != xml::kXrpcNs) {
       return Status::InvalidArgument("n2s: unexpected element " +
@@ -104,7 +108,7 @@ StatusOr<Sequence> NodeToSequence(const Node& sequence_element) {
           AtomicValue::Untyped(child->StringValue()).CastTo(type));
       out.push_back(Item(std::move(v)));
     } else if (kind == "element") {
-      const Node* elem = nullptr;
+      Node* elem = nullptr;
       for (const NodePtr& c : child->children()) {
         if (c->kind() == NodeKind::kElement) {
           elem = c.get();
@@ -114,19 +118,18 @@ StatusOr<Sequence> NodeToSequence(const Node& sequence_element) {
       if (elem == nullptr) {
         return Status::InvalidArgument("n2s: empty xrpc:element");
       }
-      // Fresh fragment: a deep copy detached from the SOAP message.
-      out.push_back(Item::Node(elem->Clone()));
+      out.push_back(Item::Node(elem->Detach()));
     } else if (kind == "document") {
       NodePtr doc = Node::NewDocument();
-      for (const NodePtr& c : child->children()) {
-        doc->AppendChild(c->Clone());
+      while (!child->children().empty()) {
+        doc->AppendChild(child->children().front()->Detach());
       }
       out.push_back(Item::Node(std::move(doc)));
     } else if (kind == "attribute") {
       if (child->attributes().empty()) {
         return Status::InvalidArgument("n2s: empty xrpc:attribute");
       }
-      out.push_back(Item::Node(child->attributes()[0]->Clone()));
+      out.push_back(Item::Node(child->attributes()[0]->Detach()));
     } else if (kind == "text") {
       out.push_back(Item::Node(Node::NewText(child->StringValue())));
     } else if (kind == "comment") {

@@ -21,24 +21,26 @@ QName EnvName(const char* local) {
 }
 QName XrpcName(const char* local) { return QName(xml::kXrpcNs, local, "xrpc"); }
 
-NodePtr NewEnvelope(NodePtr body_content, NodePtr header = nullptr) {
-  NodePtr envelope = Node::NewElement(EnvName("Envelope"));
-  envelope->SetAttribute(Node::NewAttribute(
+// Writes the XML declaration and opens env:Envelope; the caller writes the
+// optional env:Header and opens env:Body, then FinishEnvelope closes both.
+void StartEnvelope(xml::XmlWriter* w) {
+  w->XmlDeclaration();
+  w->StartElement(EnvName("Envelope"));
+  w->Attribute(
       QName(xml::kXsiNs, "schemaLocation", "xsi"),
-      "http://monetdb.cwi.nl/XQuery http://monetdb.cwi.nl/XQuery/XRPC.xsd"));
-  if (header != nullptr) envelope->AppendChild(std::move(header));
-  NodePtr body = Node::NewElement(EnvName("Body"));
-  body->AppendChild(std::move(body_content));
-  envelope->AppendChild(std::move(body));
-  NodePtr doc = Node::NewDocument();
-  doc->AppendChild(std::move(envelope));
-  return doc;
+      "http://monetdb.cwi.nl/XQuery http://monetdb.cwi.nl/XQuery/XRPC.xsd");
 }
 
-std::string SerializeEnvelope(const NodePtr& doc) {
-  xml::SerializeOptions opts;
-  opts.xml_declaration = true;
-  return xml::SerializeNode(*doc, opts);
+std::string FinishEnvelope(xml::XmlWriter* w) {
+  w->EndElement();  // env:Body
+  w->EndElement();  // env:Envelope
+  return w->Finish();
+}
+
+void TextElement(xml::XmlWriter* w, const QName& name, std::string_view text) {
+  w->StartElement(name);
+  w->Text(text);
+  w->EndElement();
 }
 
 // Locates env:Envelope/env:Header; nullptr when the envelope carries none
@@ -59,8 +61,9 @@ const Node* FindHeader(const Node& doc) {
   return nullptr;
 }
 
-// Locates env:Envelope/env:Body and returns its single element child.
-StatusOr<const Node*> FindBodyChild(const Node& doc) {
+// Locates env:Envelope/env:Body and returns its single element child,
+// mutable: the caller owns the parsed envelope and takes the values out.
+StatusOr<Node*> FindBodyChild(const Node& doc) {
   const Node* envelope = nullptr;
   for (const NodePtr& c : doc.children()) {
     if (c->kind() == NodeKind::kElement) envelope = c.get();
@@ -105,69 +108,62 @@ StatusOr<Fault> ParseFaultElement(const Node& fault) {
 }  // namespace
 
 std::string SerializeRequest(const XrpcRequest& request) {
-  NodePtr req = Node::NewElement(XrpcName("request"));
-  req->SetAttribute(Node::NewAttribute(QName("module"), request.module_ns));
-  req->SetAttribute(Node::NewAttribute(QName("method"), request.method));
-  req->SetAttribute(
-      Node::NewAttribute(QName("arity"), std::to_string(request.arity)));
+  xml::XmlWriter w;
+  StartEnvelope(&w);
+  if (request.deadline_us.has_value() || request.shard.has_value()) {
+    w.StartElement(EnvName("Header"));
+    if (request.deadline_us.has_value()) {
+      TextElement(&w, XrpcName("deadline"),
+                  std::to_string(*request.deadline_us));
+    }
+    if (request.shard.has_value()) {
+      const XrpcRequest::ShardScope& scope = *request.shard;
+      w.StartElement(XrpcName("shard"));
+      w.Attribute(QName("collection"), scope.collection);
+      w.Attribute(QName("index"), std::to_string(scope.shard_index));
+      w.Attribute(QName("catalog-version"),
+                  std::to_string(scope.catalog_version));
+      if (scope.data_version > 0) {
+        w.Attribute(QName("data-version"), std::to_string(scope.data_version));
+      }
+      w.EndElement();
+    }
+    w.EndElement();
+  }
+  w.StartElement(EnvName("Body"));
+  w.StartElement(XrpcName("request"));
+  w.Attribute(QName("module"), request.module_ns);
+  w.Attribute(QName("method"), request.method);
+  w.Attribute(QName("arity"), std::to_string(request.arity));
   if (!request.location.empty()) {
-    req->SetAttribute(Node::NewAttribute(QName("location"), request.location));
+    w.Attribute(QName("location"), request.location);
   }
-  if (request.updating) {
-    req->SetAttribute(Node::NewAttribute(QName("updCall"), "true"));
-  }
-  req->SetAttribute(Node::NewAttribute(QName("iter-count"),
-                                       std::to_string(request.calls.size())));
+  if (request.updating) w.Attribute(QName("updCall"), "true");
+  w.Attribute(QName("iter-count"), std::to_string(request.calls.size()));
   if (request.query_id.has_value()) {
     const QueryId& q = *request.query_id;
-    NodePtr qid = Node::NewElement(XrpcName("queryID"));
-    qid->SetAttribute(Node::NewAttribute(QName("host"), q.host));
-    qid->SetAttribute(Node::NewAttribute(QName("timestamp"),
-                                         std::to_string(q.timestamp)));
-    qid->SetAttribute(
-        Node::NewAttribute(QName("timeout"), std::to_string(q.timeout_sec)));
-    qid->AppendChild(Node::NewText(q.id));
-    req->AppendChild(std::move(qid));
+    w.StartElement(XrpcName("queryID"));
+    w.Attribute(QName("host"), q.host);
+    w.Attribute(QName("timestamp"), std::to_string(q.timestamp));
+    w.Attribute(QName("timeout"), std::to_string(q.timeout_sec));
+    w.Text(q.id);
+    w.EndElement();
   }
+  const QName call_name = XrpcName("call");
   for (const std::vector<xdm::Sequence>& call : request.calls) {
-    NodePtr call_elem = Node::NewElement(XrpcName("call"));
-    for (const xdm::Sequence& param : call) {
-      call_elem->AppendChild(SequenceToNode(param));
-    }
-    req->AppendChild(std::move(call_elem));
+    w.StartElement(call_name);
+    for (const xdm::Sequence& param : call) WriteSequence(param, &w);
+    w.EndElement();
   }
-  NodePtr header;
-  if (request.deadline_us.has_value() || request.shard.has_value()) {
-    header = Node::NewElement(EnvName("Header"));
-  }
-  if (request.deadline_us.has_value()) {
-    NodePtr deadline = Node::NewElement(XrpcName("deadline"));
-    deadline->AppendChild(Node::NewText(std::to_string(*request.deadline_us)));
-    header->AppendChild(std::move(deadline));
-  }
-  if (request.shard.has_value()) {
-    const XrpcRequest::ShardScope& scope = *request.shard;
-    NodePtr shard = Node::NewElement(XrpcName("shard"));
-    shard->SetAttribute(
-        Node::NewAttribute(QName("collection"), scope.collection));
-    shard->SetAttribute(
-        Node::NewAttribute(QName("index"), std::to_string(scope.shard_index)));
-    shard->SetAttribute(Node::NewAttribute(
-        QName("catalog-version"), std::to_string(scope.catalog_version)));
-    if (scope.data_version > 0) {
-      shard->SetAttribute(Node::NewAttribute(
-          QName("data-version"), std::to_string(scope.data_version)));
-    }
-    header->AppendChild(std::move(shard));
-  }
-  return SerializeEnvelope(NewEnvelope(std::move(req), std::move(header)));
+  w.EndElement();
+  return FinishEnvelope(&w);
 }
 
 StatusOr<XrpcRequest> ParseRequest(std::string_view text) {
   xml::ParseOptions opts;
   opts.strip_ignorable_whitespace = true;
   XRPC_ASSIGN_OR_RETURN(NodePtr doc, xml::ParseXml(text, opts));
-  XRPC_ASSIGN_OR_RETURN(const Node* req, FindBodyChild(*doc));
+  XRPC_ASSIGN_OR_RETURN(Node* req, FindBodyChild(*doc));
   if (req->name() != XrpcName("request")) {
     return Status::InvalidArgument("SOAP: expected xrpc:request, got " +
                                    req->name().Clark());
@@ -266,7 +262,7 @@ StatusOr<XrpcRequest> ParseRequest(std::string_view text) {
       std::vector<xdm::Sequence> params;
       for (const NodePtr& seq : child->children()) {
         if (seq->kind() != NodeKind::kElement) continue;
-        XRPC_ASSIGN_OR_RETURN(xdm::Sequence param, NodeToSequence(*seq));
+        XRPC_ASSIGN_OR_RETURN(xdm::Sequence param, TakeSequence(seq.get()));
         params.push_back(std::move(param));
       }
       if (params.size() != out.arity) {
@@ -284,39 +280,45 @@ StatusOr<XrpcRequest> ParseRequest(std::string_view text) {
 }
 
 std::string SerializeResponse(const XrpcResponse& response) {
-  NodePtr resp = Node::NewElement(XrpcName("response"));
-  resp->SetAttribute(Node::NewAttribute(QName("module"), response.module_ns));
-  resp->SetAttribute(Node::NewAttribute(QName("method"), response.method));
+  xml::XmlWriter w;
+  StartEnvelope(&w);
+  w.StartElement(EnvName("Body"));
+  w.StartElement(XrpcName("response"));
+  w.Attribute(QName("module"), response.module_ns);
+  w.Attribute(QName("method"), response.method);
   for (const xdm::Sequence& result : response.results) {
-    resp->AppendChild(SequenceToNode(result));
+    WriteSequence(result, &w);
   }
   if (!response.participating_peers.empty()) {
-    NodePtr peers = Node::NewElement(XrpcName("participatingPeers"));
+    w.StartElement(XrpcName("participatingPeers"));
     for (const std::string& uri : response.participating_peers) {
-      NodePtr p = Node::NewElement(XrpcName("peer"));
-      p->SetAttribute(Node::NewAttribute(QName("uri"), uri));
-      peers->AppendChild(std::move(p));
+      w.StartElement(XrpcName("peer"));
+      w.Attribute(QName("uri"), uri);
+      w.EndElement();
     }
-    resp->AppendChild(std::move(peers));
+    w.EndElement();
   }
-  return SerializeEnvelope(NewEnvelope(std::move(resp)));
+  w.EndElement();
+  return FinishEnvelope(&w);
 }
 
 std::string SerializeFault(const Fault& fault) {
-  NodePtr f = Node::NewElement(EnvName("Fault"));
-  NodePtr code = Node::NewElement(EnvName("Code"));
-  NodePtr value = Node::NewElement(EnvName("Value"));
-  value->AppendChild(Node::NewText(fault.code));
-  code->AppendChild(std::move(value));
-  f->AppendChild(std::move(code));
-  NodePtr reason = Node::NewElement(EnvName("Reason"));
-  NodePtr text = Node::NewElement(EnvName("Text"));
-  text->SetAttribute(Node::NewAttribute(
-      QName("http://www.w3.org/XML/1998/namespace", "lang", "xml"), "en"));
-  text->AppendChild(Node::NewText(fault.reason));
-  reason->AppendChild(std::move(text));
-  f->AppendChild(std::move(reason));
-  return SerializeEnvelope(NewEnvelope(std::move(f)));
+  xml::XmlWriter w;
+  StartEnvelope(&w);
+  w.StartElement(EnvName("Body"));
+  w.StartElement(EnvName("Fault"));
+  w.StartElement(EnvName("Code"));
+  TextElement(&w, EnvName("Value"), fault.code);
+  w.EndElement();
+  w.StartElement(EnvName("Reason"));
+  w.StartElement(EnvName("Text"));
+  w.Attribute(QName("http://www.w3.org/XML/1998/namespace", "lang", "xml"),
+              "en");
+  w.Text(fault.reason);
+  w.EndElement();
+  w.EndElement();
+  w.EndElement();
+  return FinishEnvelope(&w);
 }
 
 Fault FaultFromStatus(const Status& status) {
@@ -371,7 +373,7 @@ StatusOr<XrpcResponse> ParseResponse(std::string_view text) {
   xml::ParseOptions opts;
   opts.strip_ignorable_whitespace = true;
   XRPC_ASSIGN_OR_RETURN(NodePtr doc, xml::ParseXml(text, opts));
-  XRPC_ASSIGN_OR_RETURN(const Node* child, FindBodyChild(*doc));
+  XRPC_ASSIGN_OR_RETURN(Node* child, FindBodyChild(*doc));
   if (child->name() == EnvName("Fault")) {
     XRPC_ASSIGN_OR_RETURN(Fault fault, ParseFaultElement(*child));
     return StatusFromFault(fault);
@@ -390,7 +392,7 @@ StatusOr<XrpcResponse> ParseResponse(std::string_view text) {
   for (const NodePtr& c : child->children()) {
     if (c->kind() != NodeKind::kElement) continue;
     if (c->name() == XrpcName("sequence")) {
-      XRPC_ASSIGN_OR_RETURN(xdm::Sequence result, NodeToSequence(*c));
+      XRPC_ASSIGN_OR_RETURN(xdm::Sequence result, TakeSequence(c.get()));
       out.results.push_back(std::move(result));
     } else if (c->name() == XrpcName("participatingPeers")) {
       for (const NodePtr& p : c->children()) {

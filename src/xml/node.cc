@@ -33,37 +33,42 @@ const char* NodeKindToString(NodeKind kind) {
   return "unknown";
 }
 
-Node::Node(NodeKind kind) : kind_(kind), ordinal_(NextOrdinal()) {}
+Node::Node(ConstructionTag, NodeKind kind)
+    : kind_(kind), ordinal_(NextOrdinal()) {}
 
-NodePtr Node::NewDocument() { return NodePtr(new Node(NodeKind::kDocument)); }
+NodePtr Node::Make(NodeKind kind) {
+  return std::make_shared<Node>(ConstructionTag(), kind);
+}
+
+NodePtr Node::NewDocument() { return Make(NodeKind::kDocument); }
 
 NodePtr Node::NewElement(QName name) {
-  NodePtr n(new Node(NodeKind::kElement));
+  NodePtr n = Make(NodeKind::kElement);
   n->name_ = std::move(name);
   return n;
 }
 
 NodePtr Node::NewAttribute(QName name, std::string value) {
-  NodePtr n(new Node(NodeKind::kAttribute));
+  NodePtr n = Make(NodeKind::kAttribute);
   n->name_ = std::move(name);
   n->value_ = std::move(value);
   return n;
 }
 
 NodePtr Node::NewText(std::string value) {
-  NodePtr n(new Node(NodeKind::kText));
+  NodePtr n = Make(NodeKind::kText);
   n->value_ = std::move(value);
   return n;
 }
 
 NodePtr Node::NewComment(std::string value) {
-  NodePtr n(new Node(NodeKind::kComment));
+  NodePtr n = Make(NodeKind::kComment);
   n->value_ = std::move(value);
   return n;
 }
 
 NodePtr Node::NewProcessingInstruction(std::string target, std::string value) {
-  NodePtr n(new Node(NodeKind::kProcessingInstruction));
+  NodePtr n = Make(NodeKind::kProcessingInstruction);
   n->name_ = QName(std::move(target));
   n->value_ = std::move(value);
   return n;
@@ -179,7 +184,7 @@ const Node* Node::Root() const {
 }
 
 NodePtr Node::Clone() const {
-  NodePtr copy(new Node(kind_));
+  NodePtr copy = Make(kind_);
   copy->name_ = name_;
   copy->value_ = value_;
   for (const NodePtr& a : attributes_) {
@@ -189,6 +194,15 @@ NodePtr Node::Clone() const {
     copy->AppendChild(c->Clone());
   }
   return copy;
+}
+
+NodePtr Node::Detach() {
+  NodePtr self = shared_from_this();
+  if (parent_ != nullptr) parent_->RemoveChild(this);
+  parent_ = nullptr;
+  index_in_parent_ = 0;
+  ordinal_ = NextOrdinal();
+  return self;
 }
 
 namespace {

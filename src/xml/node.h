@@ -38,6 +38,8 @@ const char* NodeKindToString(NodeKind kind);
 /// order between distinct trees (the "implementation-defined consistent
 /// document order" XDM requires).
 class Node : public std::enable_shared_from_this<Node> {
+  struct ConstructionTag;
+
  public:
   /// Factory functions; nodes are always heap-allocated and shared.
   static NodePtr NewDocument();
@@ -47,6 +49,10 @@ class Node : public std::enable_shared_from_this<Node> {
   static NodePtr NewComment(std::string value);
   static NodePtr NewProcessingInstruction(std::string target,
                                           std::string value);
+
+  /// Public for std::make_shared only: the tag type is private, so nodes
+  /// are still built through the factories above.
+  Node(ConstructionTag, NodeKind kind);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -103,12 +109,22 @@ class Node : public std::enable_shared_from_this<Node> {
   /// Deep copy producing a detached tree with fresh node identities.
   NodePtr Clone() const;
 
+  /// Removes this node from its parent and makes it the root of its own
+  /// tree, with a fresh creation ordinal as Clone() would give it but
+  /// without copying: the subtree's nodes keep their identities. Returns
+  /// the owning pointer.
+  NodePtr Detach();
+
   /// Zero-based position among the parent's children (attributes among the
   /// parent's attributes). Undefined for detached nodes.
   size_t IndexInParent() const { return index_in_parent_; }
 
  private:
-  explicit Node(NodeKind kind);
+  struct ConstructionTag {
+    explicit ConstructionTag() = default;
+  };
+  /// Allocates the node and its reference count in one block.
+  static NodePtr Make(NodeKind kind);
 
   void AppendStringValue(std::string* out) const;
   void BumpMutationStamp() { ++Root()->mutation_stamp_; }

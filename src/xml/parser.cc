@@ -1,7 +1,7 @@
 #include "xml/parser.h"
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "base/string_util.h"
@@ -19,15 +19,41 @@ bool IsNameChar(char c) {
   return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
 }
 
-// One namespace scope frame: prefix -> URI bindings introduced by an element.
-using NsBindings = std::vector<std::pair<std::string, std::string>>;
+// Splits a lexical QName into prefix (empty if none) and local part.
+std::pair<std::string_view, std::string_view> SplitQName(std::string_view raw) {
+  size_t colon = raw.find(':');
+  if (colon == std::string_view::npos) return {{}, raw};
+  return {raw.substr(0, colon), raw.substr(colon + 1)};
+}
+
+// Appends `s` with its line ends normalized (XML 1.0 §2.11): CR LF and a
+// lone CR each become one LF.
+void AppendNormalizingLineEnds(std::string_view s, std::string* out) {
+  size_t run = 0;
+  for (size_t cr = s.find('\r'); cr != std::string_view::npos;
+       cr = s.find('\r', run)) {
+    out->append(s.data() + run, cr - run);
+    out->push_back('\n');
+    run = cr + 1;
+    if (run < s.size() && s[run] == '\n') ++run;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+std::string NormalizeLineEnds(std::string_view s) {
+  std::string out;
+  AppendNormalizingLineEnds(s, &out);
+  return out;
+}
+
+const std::string kNoNamespace;
 
 class Parser {
  public:
   Parser(std::string_view input, const ParseOptions& options)
       : in_(input), options_(options) {
     // Root namespace scope: the reserved xml prefix.
-    scopes_.push_back({{"xml", "http://www.w3.org/XML/1998/namespace"}});
+    bindings_.push_back({"xml", "http://www.w3.org/XML/1998/namespace"});
   }
 
   StatusOr<NodePtr> ParseDocument() {
@@ -145,6 +171,13 @@ class Parser {
     };
 
     while (!Eof()) {
+      if (Peek() != '<') {
+        if (top_level) {
+          return Error("text content outside the document element");
+        }
+        XRPC_RETURN_IF_ERROR(AppendCharData(&text));
+        continue;
+      }
       if (Lookahead("</")) {
         flush_text();
         return Status::OK();
@@ -153,15 +186,15 @@ class Parser {
         flush_text();
         size_t end = in_.find("-->", pos_ + 4);
         if (end == std::string_view::npos) return Error("unterminated comment");
-        parent->AppendChild(
-            Node::NewComment(std::string(in_.substr(pos_ + 4, end - pos_ - 4))));
+        parent->AppendChild(Node::NewComment(
+            NormalizeLineEnds(in_.substr(pos_ + 4, end - pos_ - 4))));
         pos_ = end + 3;
         continue;
       }
       if (Lookahead("<![CDATA[")) {
         size_t end = in_.find("]]>", pos_ + 9);
         if (end == std::string_view::npos) return Error("unterminated CDATA");
-        text.append(in_.substr(pos_ + 9, end - pos_ - 9));
+        AppendNormalizingLineEnds(in_.substr(pos_ + 9, end - pos_ - 9), &text);
         pos_ = end + 3;
         continue;
       }
@@ -170,16 +203,9 @@ class Parser {
         XRPC_RETURN_IF_ERROR(ParsePi(parent));
         continue;
       }
-      if (Peek() == '<') {
-        flush_text();
-        XRPC_RETURN_IF_ERROR(ParseElement(parent));
-        if (top_level) SkipMisc();
-        continue;
-      }
-      if (top_level) {
-        return Error("text content outside the document element");
-      }
-      XRPC_RETURN_IF_ERROR(AppendCharData(&text));
+      flush_text();
+      XRPC_RETURN_IF_ERROR(ParseElement(parent));
+      if (top_level) SkipMisc();
     }
     flush_text();
     return Status::OK();
@@ -187,28 +213,79 @@ class Parser {
 
   Status ParsePi(Node* parent) {
     pos_ += 2;
-    std::string target;
+    std::string_view target;
     XRPC_RETURN_IF_ERROR(ParseName(&target));
     SkipWs();
     size_t end = in_.find("?>", pos_);
     if (end == std::string_view::npos) return Error("unterminated PI");
     parent->AppendChild(Node::NewProcessingInstruction(
-        std::move(target), std::string(in_.substr(pos_, end - pos_))));
+        std::string(target), NormalizeLineEnds(in_.substr(pos_, end - pos_))));
     pos_ = end + 2;
     return Status::OK();
   }
 
+  // Appends character data up to the next '<', expanding references and
+  // normalizing line ends (XML 1.0 §2.11). Runs of plain characters are
+  // appended whole.
   Status AppendCharData(std::string* out) {
-    while (!Eof() && Peek() != '<') {
-      char c = in_[pos_];
-      if (c == '&') {
-        XRPC_RETURN_IF_ERROR(ParseReference(out));
-      } else {
-        out->push_back(c);
-        ++pos_;
+    while (!Eof()) {
+      size_t run = pos_;
+      while (run < in_.size() && in_[run] != '<' && in_[run] != '&' &&
+             in_[run] != '\r') {
+        ++run;
       }
+      out->append(in_.data() + pos_, run - pos_);
+      pos_ = run;
+      if (Eof() || Peek() == '<') break;
+      if (Peek() == '&') {
+        XRPC_RETURN_IF_ERROR(ParseReference(out));
+        continue;
+      }
+      // A literal CR: CR LF and a lone CR each become one LF.
+      out->push_back('\n');
+      ++pos_;
+      if (Peek() == '\n') ++pos_;
     }
     return Status::OK();
+  }
+
+  // Parses a quoted attribute value, expanding references and normalizing
+  // it (XML 1.0 §3.3.3): each literal TAB, LF, CR or CR LF pair becomes one
+  // space. A character reference (&#9; &#10; &#13;) keeps its character,
+  // which is how the serializer round-trips those characters.
+  Status ParseAttributeValue(std::string* out) {
+    const char quote = Peek();
+    if (quote != '"' && quote != '\'') {
+      return Error("expected quoted attribute value");
+    }
+    ++pos_;
+    while (true) {
+      size_t run = pos_;
+      while (run < in_.size()) {
+        char c = in_[run];
+        if (c == quote || c == '&' || c == '<' || c == '\t' || c == '\n' ||
+            c == '\r') {
+          break;
+        }
+        ++run;
+      }
+      out->append(in_.data() + pos_, run - pos_);
+      pos_ = run;
+      if (Eof()) return Error("unterminated attribute value");
+      const char c = in_[pos_];
+      if (c == quote) {
+        ++pos_;
+        return Status::OK();
+      }
+      if (c == '&') {
+        XRPC_RETURN_IF_ERROR(ParseReference(out));
+        continue;
+      }
+      if (c == '<') return Error("'<' in attribute value");
+      out->push_back(' ');
+      ++pos_;
+      if (c == '\r' && Peek() == '\n') ++pos_;
+    }
   }
 
   Status ParseReference(std::string* out) {
@@ -285,38 +362,32 @@ class Parser {
     }
   }
 
-  Status ParseName(std::string* out) {
+  Status ParseName(std::string_view* out) {
     if (Eof() || !IsNameStartChar(Peek())) return Error("expected a name");
     size_t start = pos_;
     while (!Eof() && IsNameChar(Peek())) ++pos_;
-    out->assign(in_.substr(start, pos_ - start));
+    *out = in_.substr(start, pos_ - start);
     return Status::OK();
   }
 
-  // Resolves prefix in the current scope stack. Empty prefix resolves to the
-  // default namespace (which may be "").
-  StatusOr<std::string> ResolvePrefix(const std::string& prefix) {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      for (auto b = it->rbegin(); b != it->rend(); ++b) {
-        if (b->first == prefix) return b->second;
-      }
+  // Resolves `prefix` in the in-scope bindings; the empty prefix resolves
+  // to the default namespace (which may be ""). nullptr if undeclared.
+  const std::string* ResolvePrefix(std::string_view prefix) const {
+    for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
+      if (it->prefix == prefix) return &it->uri;
     }
-    if (prefix.empty()) return std::string();
-    return Status::ParseError("undeclared namespace prefix: " + prefix);
+    return prefix.empty() ? &kNoNamespace : nullptr;
   }
 
   Status ParseElement(Node* parent) {
     ++pos_;  // '<'
-    std::string raw_name;
+    std::string_view raw_name;
     XRPC_RETURN_IF_ERROR(ParseName(&raw_name));
 
-    struct RawAttr {
-      std::string name;
-      std::string value;
-    };
-    std::vector<RawAttr> raw_attrs;
-    NsBindings bindings;
-
+    // Namespace declarations bind for this element's scope; the other
+    // attributes wait in attrs_ until all declarations of the tag are known.
+    const size_t scope_mark = bindings_.size();
+    attrs_.clear();
     bool self_closing = false;
     while (true) {
       SkipWs();
@@ -327,88 +398,86 @@ class Parser {
       if (Consume(">")) break;
       if (Eof()) return Error("unterminated start tag");
       if (Lookahead("/")) return Error("malformed empty-element tag");
-      RawAttr attr;
-      XRPC_RETURN_IF_ERROR(ParseName(&attr.name));
+      std::string_view name;
+      XRPC_RETURN_IF_ERROR(ParseName(&name));
       SkipWs();
       if (!Consume("=")) return Error("expected '=' in attribute");
       SkipWs();
-      char quote = Peek();
-      if (quote != '"' && quote != '\'') {
-        return Error("expected quoted attribute value");
-      }
-      ++pos_;
-      while (!Eof() && Peek() != quote) {
-        if (Peek() == '&') {
-          XRPC_RETURN_IF_ERROR(ParseReference(&attr.value));
-        } else if (Peek() == '<') {
-          return Error("'<' in attribute value");
-        } else {
-          attr.value.push_back(in_[pos_++]);
-        }
-      }
-      if (!Consume(std::string_view(&quote, 1))) {
-        return Error("unterminated attribute value");
-      }
-      if (attr.name == "xmlns") {
-        bindings.emplace_back("", attr.value);
-      } else if (StartsWith(attr.name, "xmlns:")) {
-        bindings.emplace_back(attr.name.substr(6), attr.value);
+      std::string value;
+      XRPC_RETURN_IF_ERROR(ParseAttributeValue(&value));
+      if (name == "xmlns") {
+        bindings_.push_back({{}, std::move(value)});
+      } else if (StartsWith(name, "xmlns:")) {
+        bindings_.push_back({name.substr(6), std::move(value)});
       } else {
-        raw_attrs.push_back(std::move(attr));
+        attrs_.push_back({name, std::move(value)});
       }
     }
 
-    scopes_.push_back(std::move(bindings));
+    auto [eprefix, elocal] = SplitQName(raw_name);
+    const std::string* euri = ResolvePrefix(eprefix);
+    if (euri == nullptr) {
+      return Error("undeclared namespace prefix: " + std::string(eprefix));
+    }
+    NodePtr elem = Node::NewElement(
+        QName(*euri, std::string(elocal), std::string(eprefix)));
 
-    auto split = [](const std::string& raw) {
-      size_t colon = raw.find(':');
-      if (colon == std::string::npos) {
-        return std::pair<std::string, std::string>("", raw);
-      }
-      return std::pair<std::string, std::string>(raw.substr(0, colon),
-                                                 raw.substr(colon + 1));
-    };
-
-    auto [eprefix, elocal] = split(raw_name);
-    XRPC_ASSIGN_OR_RETURN(std::string euri, ResolvePrefix(eprefix));
-    NodePtr elem = Node::NewElement(QName(euri, elocal, eprefix));
-
-    for (RawAttr& a : raw_attrs) {
-      auto [aprefix, alocal] = split(a.name);
-      std::string auri;
+    for (RawAttribute& a : attrs_) {
+      auto [aprefix, alocal] = SplitQName(a.name);
+      // Unprefixed attributes are in no namespace per XML Namespaces.
+      const std::string* auri = &kNoNamespace;
       if (!aprefix.empty()) {
-        // Unprefixed attributes are in no namespace per XML Namespaces.
-        XRPC_ASSIGN_OR_RETURN(auri, ResolvePrefix(aprefix));
+        auri = ResolvePrefix(aprefix);
+        if (auri == nullptr) {
+          return Error("undeclared namespace prefix: " + std::string(aprefix));
+        }
       }
-      if (elem->FindAttribute(QName(auri, alocal)) != nullptr) {
-        return Error("duplicate attribute " + a.name);
+      for (const NodePtr& other : elem->attributes()) {
+        if (other->name().local == alocal && other->name().ns_uri == *auri) {
+          return Error("duplicate attribute " + std::string(a.name));
+        }
       }
-      elem->SetAttribute(Node::NewAttribute(QName(auri, alocal, aprefix),
-                                            std::move(a.value)));
+      elem->SetAttribute(Node::NewAttribute(
+          QName(*auri, std::string(alocal), std::string(aprefix)),
+          std::move(a.value)));
     }
 
     if (!self_closing) {
       XRPC_RETURN_IF_ERROR(ParseContent(elem.get(), /*top_level=*/false));
-      if (!Consume("</")) return Error("expected end tag for " + raw_name);
-      std::string end_name;
+      if (!Consume("</")) {
+        return Error("expected end tag for " + std::string(raw_name));
+      }
+      std::string_view end_name;
       XRPC_RETURN_IF_ERROR(ParseName(&end_name));
       SkipWs();
       if (!Consume(">")) return Error("malformed end tag");
       if (end_name != raw_name) {
-        return Error("mismatched end tag </" + end_name + ">, expected </" +
-                     raw_name + ">");
+        return Error("mismatched end tag </" + std::string(end_name) +
+                     ">, expected </" + std::string(raw_name) + ">");
       }
     }
 
-    scopes_.pop_back();
+    bindings_.resize(scope_mark);
     parent->AppendChild(std::move(elem));
     return Status::OK();
   }
 
+  // A prefix -> URI binding; prefixes point into the input.
+  struct Binding {
+    std::string_view prefix;
+    std::string uri;
+  };
+  // A start tag's non-declaration attribute, before prefix resolution.
+  struct RawAttribute {
+    std::string_view name;
+    std::string value;
+  };
+
   std::string_view in_;
   size_t pos_ = 0;
   ParseOptions options_;
-  std::vector<NsBindings> scopes_;
+  std::vector<Binding> bindings_;     ///< in-scope bindings, innermost last
+  std::vector<RawAttribute> attrs_;   ///< the current start tag's, reused
 };
 
 }  // namespace

@@ -22,7 +22,11 @@ struct ParseOptions {
 ///
 /// Supported: prolog, comments, PIs, CDATA, character and predefined entity
 /// references, namespace declarations (default and prefixed), DOCTYPE is
-/// skipped without being processed. Returns the document node.
+/// skipped without being processed. Line ends are normalized (XML 1.0
+/// §2.11: CR LF and a lone CR become LF) and so is literal whitespace in
+/// attribute values (§3.3.3: TAB, LF, CR and CR LF become one space); a
+/// character reference always yields its character. Returns the document
+/// node.
 StatusOr<NodePtr> ParseXml(std::string_view input,
                            const ParseOptions& options = {});
 

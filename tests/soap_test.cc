@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "soap/marshal.h"
 #include "soap/message.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -15,6 +14,16 @@ namespace {
 using xdm::AtomicValue;
 using xdm::Item;
 using xdm::Sequence;
+
+// s2n then n2s through a whole response envelope, as on the wire.
+StatusOr<Sequence> WireRoundTrip(const Sequence& seq) {
+  XrpcResponse resp;
+  resp.results.push_back(seq);
+  XRPC_ASSIGN_OR_RETURN(XrpcResponse back,
+                        ParseResponse(SerializeResponse(resp)));
+  if (back.results.size() != 1) return Status::Internal("lost the result");
+  return std::move(back.results[0]);
+}
 
 Sequence MixedSequence() {
   Sequence seq;
@@ -29,7 +38,9 @@ Sequence MixedSequence() {
 
 TEST(Marshal, AtomicValuesCarryXsiType) {
   Sequence seq{Item(AtomicValue::Integer(2)), Item(AtomicValue::Double(3.1))};
-  std::string xml_text = xml::SerializeNode(*SequenceToNode(seq));
+  XrpcResponse resp;
+  resp.results.push_back(seq);
+  std::string xml_text = SerializeResponse(resp);
   EXPECT_NE(xml_text.find("xsi:type=\"xs:integer\""), std::string::npos);
   EXPECT_NE(xml_text.find("xsi:type=\"xs:double\""), std::string::npos);
   EXPECT_NE(xml_text.find(">2<"), std::string::npos);
@@ -38,12 +49,7 @@ TEST(Marshal, AtomicValuesCarryXsiType) {
 
 TEST(Marshal, RoundTripsMixedSequence) {
   Sequence seq = MixedSequence();
-  xml::NodePtr node = SequenceToNode(seq);
-  // Simulate the wire: serialize and reparse.
-  std::string text = xml::SerializeNode(*node);
-  auto reparsed = xml::ParseXml(text);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-  auto back = NodeToSequence(*reparsed.value()->children()[0]);
+  auto back = WireRoundTrip(seq);
   ASSERT_TRUE(back.ok()) << back.status();
   const Sequence& out = back.value();
   ASSERT_EQ(out.size(), seq.size());
@@ -67,7 +73,7 @@ TEST(Marshal, AllNodeKindsRoundTrip) {
   seq.push_back(
       Item::Node(xml::Node::NewProcessingInstruction("tgt", "data")));
 
-  auto back = NodeToSequence(*SequenceToNode(seq));
+  auto back = WireRoundTrip(seq);
   ASSERT_TRUE(back.ok()) << back.status();
   const Sequence& out = back.value();
   ASSERT_EQ(out.size(), 5u);
@@ -89,7 +95,7 @@ TEST(Marshal, CallByValueIsolatesFragments) {
   auto doc = xml::ParseXml("<parent><child>v</child></parent>");
   xml::Node* child = doc.value()->children()[0]->children()[0].get();
   Sequence seq{Item::NodeInTree(child, doc.value())};
-  auto back = NodeToSequence(*SequenceToNode(seq));
+  auto back = WireRoundTrip(seq);
   ASSERT_TRUE(back.ok());
   const xml::Node* unmarshaled = back.value()[0].node();
   EXPECT_EQ(unmarshaled->name().local, "child");
@@ -105,7 +111,7 @@ TEST(Marshal, AncestorRelationshipBetweenParamsIsDestroyed) {
   xml::Node* b = a->children()[0].get();
   Sequence seq{Item::NodeInTree(a, doc.value()),
                Item::NodeInTree(b, doc.value())};
-  auto back = NodeToSequence(*SequenceToNode(seq));
+  auto back = WireRoundTrip(seq);
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(
       xml::IsAncestorOf(back.value()[0].node(), back.value()[1].node()));
@@ -247,6 +253,234 @@ TEST(Message, GarbageIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden envelopes: the exact bytes of each message kind. Every peer that
+// interoperates with this one parses these bytes, and wire_kb_per_query is
+// measured on them, so an encoder change must reproduce them byte for byte.
+
+TEST(Message, GoldenRequestEnvelope) {
+  XrpcRequest req;
+  req.module_ns = "films";
+  req.method = "filmsByActor";
+  req.location = "http://x.example.org/film.xq";
+  req.arity = 1;
+  req.deadline_us = 1500000;
+  req.shard = XrpcRequest::ShardScope{"auctions.xml", 2, 7, 11};
+  QueryId qid;
+  qid.id = "q-1";
+  qid.host = "xrpc://p0.example.org";
+  qid.timestamp = 987654321;
+  qid.timeout_sec = 42;
+  req.query_id = qid;
+  req.calls.push_back({Sequence{Item(AtomicValue::String("Sean Connery"))}});
+  auto film = xml::ParseXml("<film year=\"1996\">The Rock</film>").value();
+  req.calls.push_back(
+      {Sequence{Item::NodeInTree(film->children()[0].get(), film),
+                Item(AtomicValue::Integer(3))}});
+  EXPECT_EQ(
+      SerializeRequest(req),
+      "<?xml version=\"1.0\" encoding=\"utf-8\"?>"
+      "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\" "
+      "xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
+      "xsi:schemaLocation=\"http://monetdb.cwi.nl/XQuery "
+      "http://monetdb.cwi.nl/XQuery/XRPC.xsd\">"
+      "<env:Header>"
+      "<xrpc:deadline xmlns:xrpc=\"http://monetdb.cwi.nl/XQuery\">1500000"
+      "</xrpc:deadline>"
+      "<xrpc:shard xmlns:xrpc=\"http://monetdb.cwi.nl/XQuery\" "
+      "collection=\"auctions.xml\" index=\"2\" catalog-version=\"7\" "
+      "data-version=\"11\"/>"
+      "</env:Header>"
+      "<env:Body>"
+      "<xrpc:request xmlns:xrpc=\"http://monetdb.cwi.nl/XQuery\" "
+      "module=\"films\" method=\"filmsByActor\" arity=\"1\" "
+      "location=\"http://x.example.org/film.xq\" iter-count=\"2\">"
+      "<xrpc:queryID host=\"xrpc://p0.example.org\" timestamp=\"987654321\" "
+      "timeout=\"42\">q-1</xrpc:queryID>"
+      "<xrpc:call><xrpc:sequence>"
+      "<xrpc:atomic-value xsi:type=\"xs:string\">Sean Connery"
+      "</xrpc:atomic-value>"
+      "</xrpc:sequence></xrpc:call>"
+      "<xrpc:call><xrpc:sequence>"
+      "<xrpc:element><film year=\"1996\">The Rock</film></xrpc:element>"
+      "<xrpc:atomic-value xsi:type=\"xs:integer\">3</xrpc:atomic-value>"
+      "</xrpc:sequence></xrpc:call>"
+      "</xrpc:request>"
+      "</env:Body>"
+      "</env:Envelope>");
+}
+
+TEST(Message, GoldenResponseEnvelope) {
+  XrpcResponse resp;
+  resp.module_ns = "films";
+  resp.method = "filmsByActor";
+  Sequence seq;
+  seq.push_back(Item(AtomicValue::Integer(-7)));
+  seq.push_back(Item(AtomicValue::Double(2.5)));
+  seq.push_back(Item(AtomicValue::Boolean(true)));
+  seq.push_back(Item(AtomicValue::String("")));
+  seq.push_back(Item(AtomicValue::String("a<b & \"c\"")));
+  seq.push_back(Item(AtomicValue::Date("2007-09-23")));
+  // Stored prefixes that clash with the envelope's bindings force generated
+  // ns<N> prefixes; the counter runs across the whole envelope.
+  seq.push_back(
+      Item::Node(xml::Node::NewElement(xml::QName("urn:a", "x", "env"))));
+  xml::NodePtr y = xml::Node::NewElement(xml::QName("urn:b", "y", "xsi"));
+  y->SetAttribute(xml::Node::NewAttribute(xml::QName("urn:c", "k"), "v"));
+  seq.push_back(Item::Node(y));
+  // A default-namespace element with a no-namespace child, serialized in
+  // place from inside its document.
+  auto d = xml::ParseXml(
+               "<d xmlns=\"urn:d\" a=\"1\"><e xmlns=\"\">t</e><f/></d>")
+               .value();
+  seq.push_back(Item::NodeInTree(d->children()[0].get(), d));
+  seq.push_back(Item::Node(xml::Node::NewAttribute(
+      xml::QName("urn:at", "lang", "at"), "en\tGB")));
+  seq.push_back(Item::Node(
+      xml::ParseXml("<?xml version=\"1.0\"?><doc><p>t</p><!--c--></doc>")
+          .value()));
+  seq.push_back(Item::Node(xml::Node::NewText("a]]>b\rc")));
+  seq.push_back(Item::Node(xml::Node::NewComment(" note ")));
+  seq.push_back(
+      Item::Node(xml::Node::NewProcessingInstruction("tgt", "data x")));
+  resp.results.push_back(seq);
+  resp.results.push_back(Sequence{});
+  resp.participating_peers = {"xrpc://y.example.org", "xrpc://z.example.org"};
+  EXPECT_EQ(
+      SerializeResponse(resp),
+      "<?xml version=\"1.0\" encoding=\"utf-8\"?>"
+      "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\" "
+      "xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
+      "xsi:schemaLocation=\"http://monetdb.cwi.nl/XQuery "
+      "http://monetdb.cwi.nl/XQuery/XRPC.xsd\">"
+      "<env:Body>"
+      "<xrpc:response xmlns:xrpc=\"http://monetdb.cwi.nl/XQuery\" "
+      "module=\"films\" method=\"filmsByActor\">"
+      "<xrpc:sequence>"
+      "<xrpc:atomic-value xsi:type=\"xs:integer\">-7</xrpc:atomic-value>"
+      "<xrpc:atomic-value xsi:type=\"xs:double\">2.5</xrpc:atomic-value>"
+      "<xrpc:atomic-value xsi:type=\"xs:boolean\">true</xrpc:atomic-value>"
+      "<xrpc:atomic-value xsi:type=\"xs:string\"/>"
+      "<xrpc:atomic-value xsi:type=\"xs:string\">a&lt;b &amp; \"c\""
+      "</xrpc:atomic-value>"
+      "<xrpc:atomic-value xsi:type=\"xs:date\">2007-09-23</xrpc:atomic-value>"
+      "<xrpc:element><ns1:x xmlns:ns1=\"urn:a\"/></xrpc:element>"
+      "<xrpc:element><ns2:y xmlns:ns2=\"urn:b\" xmlns:ns3=\"urn:c\" "
+      "ns3:k=\"v\"/></xrpc:element>"
+      "<xrpc:element><d xmlns=\"urn:d\" a=\"1\"><e xmlns=\"\">t</e><f/></d>"
+      "</xrpc:element>"
+      "<xrpc:attribute xmlns:at=\"urn:at\" at:lang=\"en&#9;GB\"/>"
+      "<xrpc:document><doc><p>t</p><!--c--></doc></xrpc:document>"
+      "<xrpc:text>a]]&gt;b&#13;c</xrpc:text>"
+      "<xrpc:comment> note </xrpc:comment>"
+      "<xrpc:pi target=\"tgt\">data x</xrpc:pi>"
+      "</xrpc:sequence>"
+      "<xrpc:sequence/>"
+      "<xrpc:participatingPeers>"
+      "<xrpc:peer uri=\"xrpc://y.example.org\"/>"
+      "<xrpc:peer uri=\"xrpc://z.example.org\"/>"
+      "</xrpc:participatingPeers>"
+      "</xrpc:response>"
+      "</env:Body>"
+      "</env:Envelope>");
+}
+
+TEST(Message, GoldenFaultEnvelope) {
+  EXPECT_EQ(
+      SerializeFault({"env:Receiver", "Internal: x < y & z"}),
+      "<?xml version=\"1.0\" encoding=\"utf-8\"?>"
+      "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\" "
+      "xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
+      "xsi:schemaLocation=\"http://monetdb.cwi.nl/XQuery "
+      "http://monetdb.cwi.nl/XQuery/XRPC.xsd\">"
+      "<env:Body>"
+      "<env:Fault>"
+      "<env:Code><env:Value>env:Receiver</env:Value></env:Code>"
+      "<env:Reason><env:Text xml:lang=\"en\">Internal: x &lt; y &amp; z"
+      "</env:Text></env:Reason>"
+      "</env:Fault>"
+      "</env:Body>"
+      "</env:Envelope>");
+}
+
+// ---------------------------------------------------------------------------
+// Decoded values: ownership and cross-tree document order
+
+// A response whose first result holds one item of each node kind that
+// carries a subtree or needs an identity: (document, element, attribute,
+// text).
+std::string NodeKindsResponse() {
+  XrpcResponse resp;
+  resp.module_ns = "m";
+  resp.method = "f";
+  Sequence seq;
+  seq.push_back(Item::Node(xml::ParseXml("<d><x/></d>").value()));
+  seq.push_back(Item::Node(xml::ParseXml("<e a=\"1\"><c/></e>")
+                               .value()
+                               ->children()[0]));
+  seq.push_back(
+      Item::Node(xml::Node::NewAttribute(xml::QName("urn:n", "k", "n"), "v")));
+  seq.push_back(Item::Node(xml::Node::NewText("t")));
+  resp.results.push_back(seq);
+  return SerializeResponse(resp);
+}
+
+TEST(Message, DecodedItemsAreDetachedRootsInSequenceOrder) {
+  std::string wire = NodeKindsResponse();
+  xml::NodePtr before = xml::Node::NewElement(xml::QName("before"));
+  auto back = ParseResponse(wire);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->results.size(), 1u);
+  const Sequence& out = back->results[0];
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0].node()->kind(), xml::NodeKind::kDocument);
+  EXPECT_EQ(out[1].node()->kind(), xml::NodeKind::kElement);
+  EXPECT_EQ(out[2].node()->kind(), xml::NodeKind::kAttribute);
+  EXPECT_EQ(out[3].node()->kind(), xml::NodeKind::kText);
+  for (const Item& item : out) {
+    EXPECT_EQ(item.node()->parent(), nullptr);
+    EXPECT_EQ(item.anchor().get(), item.node());
+    // Every decoded item sorts after a node created before the decode.
+    EXPECT_GT(xml::CompareDocumentOrder(item.node(), before.get()), 0);
+  }
+  for (size_t i = 0; i + 1 < out.size(); ++i) {
+    EXPECT_LT(xml::CompareDocumentOrder(out[i].node(), out[i + 1].node()), 0)
+        << "items " << i << " and " << i + 1;
+  }
+  // Inside one decoded tree, document order is the tree's own.
+  const xml::Node* e = out[1].node();
+  EXPECT_LT(xml::CompareDocumentOrder(e, e->attributes()[0].get()), 0);
+  EXPECT_LT(xml::CompareDocumentOrder(e->attributes()[0].get(),
+                                      e->children()[0].get()),
+            0);
+}
+
+TEST(Message, DecodedTreesAreIndependentAndOutliveTheEnvelope) {
+  Sequence out;
+  {
+    auto back = ParseResponse(NodeKindsResponse());
+    ASSERT_TRUE(back.ok()) << back.status();
+    out = std::move(back->results[0]);
+  }  // the parsed envelope and the response are gone
+  ASSERT_EQ(out.size(), 4u);
+  std::vector<uint64_t> stamps;
+  for (const Item& item : out) {
+    stamps.push_back(item.node()->mutation_stamp());
+  }
+  // Mutate the element's tree only.
+  xml::Node* e = out[1].node();
+  e->AppendChild(xml::Node::NewElement(xml::QName("added")));
+  EXPECT_GT(e->mutation_stamp(), stamps[1]);
+  for (size_t i : {0u, 2u, 3u}) {
+    EXPECT_EQ(out[i].node()->mutation_stamp(), stamps[i]) << "item " << i;
+  }
+  EXPECT_EQ(xml::SerializeNode(*out[0].node()), "<d><x/></d>");
+  EXPECT_EQ(xml::SerializeNode(*e), "<e a=\"1\"><c/><added/></e>");
+  EXPECT_EQ(out[2].node()->name(), xml::QName("urn:n", "k"));
+  EXPECT_EQ(out[2].node()->value(), "v");
+  EXPECT_EQ(out[3].node()->value(), "t");
+}
+
+// ---------------------------------------------------------------------------
 // xrpc:deadline header (end-to-end budget propagation)
 
 namespace {
@@ -375,11 +609,7 @@ class AtomicWireRoundTrip : public ::testing::TestWithParam<WireCase> {};
 
 TEST_P(AtomicWireRoundTrip, SurvivesSerializeParse) {
   const AtomicValue& value = GetParam().value;
-  Sequence seq{Item(value)};
-  std::string wire = xml::SerializeNode(*SequenceToNode(seq));
-  auto reparsed = xml::ParseXml(wire);
-  ASSERT_TRUE(reparsed.ok());
-  auto back = NodeToSequence(*reparsed.value()->children()[0]);
+  auto back = WireRoundTrip(Sequence{Item(value)});
   ASSERT_TRUE(back.ok()) << back.status();
   ASSERT_EQ(back->size(), 1u);
   EXPECT_EQ(back.value()[0].atomic().type(), value.type());

@@ -122,6 +122,52 @@ TEST(XmlParser, FragmentAllowsSiblings) {
   EXPECT_EQ(frag.value()->children().size(), 3u);
 }
 
+TEST(XmlParser, NormalizesLineEnds) {
+  // XML 1.0 §2.11: CR LF and a lone CR each reach the application as LF,
+  // in character data, CDATA sections, comments and PIs alike, so an
+  // envelope from a CRLF-writing SOAP stack yields the same strings.
+  auto doc = ParseXml(
+      "<a>l1\r\nl2\rl3\n<![CDATA[c1\r\nc2]]><!--m1\r\nm2--><?p x\ry?></a>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const Node& a = *doc.value()->children()[0];
+  ASSERT_EQ(a.children().size(), 3u);
+  EXPECT_EQ(a.children()[0]->value(), "l1\nl2\nl3\nc1\nc2");
+  EXPECT_EQ(a.children()[1]->value(), "m1\nm2");
+  EXPECT_EQ(a.children()[2]->value(), "x\ny");
+}
+
+TEST(XmlParser, NormalizesAttributeValueWhitespace) {
+  // XML 1.0 §3.3.3: each literal TAB, LF, CR, or CR LF pair in an
+  // attribute value becomes one space.
+  auto doc = ParseXml("<a b=\"x\ny\" c='t\tu' d=\"p\r\nq\" e=\"r\rs\"/>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const Node& a = *doc.value()->children()[0];
+  EXPECT_EQ(a.FindAttribute(QName("b"))->value(), "x y");
+  EXPECT_EQ(a.FindAttribute(QName("c"))->value(), "t u");
+  EXPECT_EQ(a.FindAttribute(QName("d"))->value(), "p q");
+  EXPECT_EQ(a.FindAttribute(QName("e"))->value(), "r s");
+}
+
+TEST(XmlParser, CharacterReferencesKeepWhitespaceCharacters) {
+  // Normalization applies to literal characters only: a character
+  // reference yields its character, which is how the serializer carries
+  // CR, LF and TAB through attribute values and CR through text.
+  auto doc = ParseXml("<a b=\"&#13;&#10;&#9;|&#xD;&#xA;\">x&#13;&#10;y</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const Node& a = *doc.value()->children()[0];
+  EXPECT_EQ(a.FindAttribute(QName("b"))->value(), "\r\n\t|\r\n");
+  EXPECT_EQ(a.StringValue(), "x\r\ny");
+
+  NodePtr e = Node::NewElement(QName("e"));
+  e->SetAttribute(Node::NewAttribute(QName("v"), "1\r\n2\t3"));
+  e->AppendChild(Node::NewText("4\r\n5"));
+  auto back = ParseXml(SerializeNode(*e));
+  ASSERT_TRUE(back.ok()) << back.status();
+  const Node& b = *back.value()->children()[0];
+  EXPECT_EQ(b.FindAttribute(QName("v"))->value(), "1\r\n2\t3");
+  EXPECT_EQ(b.StringValue(), "4\r\n5");
+}
+
 TEST(XmlSerializer, RoundTripsDocument) {
   const char* text =
       R"(<films><film name="The Rock &amp; Co"><actor>Sean</actor></film></films>)";
@@ -224,7 +270,7 @@ TEST(XmlNode, InsertBeforeMaintainsOrder) {
 
 TEST(XmlSerializer, CdataEndMarkerInTextSurvivesRoundTrip) {
   // "]]>" must never appear literally in character data (XML 1.0 §2.4).
-  // EscapeText covers it by escaping every '>', so the marker serializes
+  // The serializer covers it by escaping every '>', so the marker serializes
   // as "]]&gt;" — pin that, and that a reparse restores the exact value.
   auto doc = ParseXml("<t>if (a]]&gt;b) { }</t>");
   ASSERT_TRUE(doc.ok()) << doc.status();

@@ -11,7 +11,11 @@
 # `workload` lane (the open-loop multi-tenant driver and the
 # elastic-membership chaos invariants; DESIGN.md §16), and the `repair`
 # lane (replicated writes: all-copies 2PC, fragment data versioning, the
-# StaleReplica fence and anti-entropy resync; DESIGN.md §17).
+# StaleReplica fence and anti-entropy resync; DESIGN.md §17), plus the SOAP
+# codec and XML suites (Marshal, Message, XmlParser, XmlNode, XmlSerializer,
+# EdgeCases): decoding moves parsed value subtrees out of the envelope's
+# shared_ptr tree instead of copying them, which is what the address lane
+# watches.
 #
 # Usage: tools/check_sanitize.sh [thread|address]
 set -euo pipefail
@@ -25,7 +29,7 @@ cmake -B "$BUILD" -S "$ROOT" -DXRPC_SANITIZE="$SANITIZER" \
 cmake --build "$BUILD" -j
 cd "$BUILD"
 ctest --output-on-failure -j"$(nproc)" \
-      -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest|ParallelExecTest'
+      -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest|ParallelExecTest|Marshal|Message|XmlParser|XmlNode|XmlSerializer|EdgeCases'
 # The failover lane by label: replica failover + epoch fencing
 # (failover_test) and the half-open probe races (circuit_breaker_test).
 ctest --output-on-failure -j"$(nproc)" -L failover
