@@ -24,6 +24,7 @@ using xrpc::core::Peer;
 using xrpc::core::PeerNetwork;
 using xrpc::net::CircuitBreaker;
 using xrpc::net::FaultProfile;
+using xrpc::net::Metric;
 using xrpc::net::ParseXrpcUri;
 using xrpc::net::RetryPolicy;
 
@@ -120,8 +121,9 @@ Outcome Run(bool with_deadline, bool with_breaker) {
       ++out.failed;
     }
   }
-  out.dead_dials = net.metrics().PeerStats("xrpc://dead.example.org").requests;
-  out.short_circuits = net.metrics().breaker_short_circuits();
+  out.dead_dials = net.metrics().Get(Metric::kRequests,
+                                   "xrpc://dead.example.org");
+  out.short_circuits = net.metrics().Get(Metric::kBreakerShortCircuits);
   out.report = net.metrics().Report();
   return out;
 }

@@ -34,6 +34,7 @@ using xrpc::core::ExecuteOptions;
 using xrpc::core::Peer;
 using xrpc::core::PeerNetwork;
 using xrpc::net::CircuitBreaker;
+using xrpc::net::Metric;
 
 constexpr int kQueries = 40;
 constexpr int kNumShards = 4;
@@ -106,10 +107,10 @@ Outcome Run(bool kill_primary, bool with_breaker) {
       ++out.failed;
     }
   }
-  out.dead_dials = net.metrics().PeerStats(dead_uri).requests;
-  out.failover_attempts = net.metrics().failover_attempts();
-  out.failover_successes = net.metrics().failover_successes();
-  out.short_circuits = net.metrics().breaker_short_circuits();
+  out.dead_dials = net.metrics().Get(Metric::kRequests, dead_uri);
+  out.failover_attempts = net.metrics().Get(Metric::kFailoverAttempts);
+  out.failover_successes = net.metrics().Get(Metric::kFailoverSuccesses);
+  out.short_circuits = net.metrics().Get(Metric::kBreakerShortCircuits);
   out.report = net.metrics().Report();
   return out;
 }

@@ -17,6 +17,7 @@ using xrpc::core::EngineKind;
 using xrpc::core::Peer;
 using xrpc::core::PeerNetwork;
 using xrpc::net::FaultProfile;
+using xrpc::net::Metric;
 using xrpc::net::RetryPolicy;
 
 struct Scenario {
@@ -60,10 +61,10 @@ Outcome Run(const Scenario& scenario, int queries) {
       ++out.failed;
     }
   }
-  out.requests = net.metrics().requests();
-  out.retries = net.metrics().retries();
-  out.faults = net.metrics().injected_faults();
-  out.backoff_us = net.metrics().backoff_micros();
+  out.requests = net.metrics().Get(Metric::kRequests);
+  out.retries = net.metrics().Get(Metric::kRetries);
+  out.faults = net.metrics().Get(Metric::kInjectedFaults);
+  out.backoff_us = net.metrics().Get(Metric::kBackoffMicros);
   out.last_report = net.metrics().Report();
   return out;
 }

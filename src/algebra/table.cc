@@ -58,22 +58,6 @@ void Table::AppendRowsFrom(const Table& other) {
   num_rows_ += other.num_rows_;
 }
 
-void Table::AppendRowsFrom(Table&& other) {
-  if (num_rows_ == 0 && cols_.size() == other.cols_.size()) {
-    cols_ = std::move(other.cols_);
-    num_rows_ = other.num_rows_;
-  } else {
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      cols_[c].insert(cols_[c].end(),
-                      std::make_move_iterator(other.cols_[c].begin()),
-                      std::make_move_iterator(other.cols_[c].end()));
-    }
-    num_rows_ += other.num_rows_;
-  }
-  other.cols_.assign(other.names_.size(), {});
-  other.num_rows_ = 0;
-}
-
 Table Table::CopyColumns(const std::vector<int>& sources,
                          std::vector<std::string> new_names) const {
   Table out(std::move(new_names));

@@ -94,9 +94,6 @@ class Table {
   /// Appends every row of `other` (schemas must match positionally) —
   /// per-column bulk append.
   void AppendRowsFrom(const Table& other);
-  /// Move flavor: steals `other`'s cells (clears it). When this table is
-  /// still empty the columns are adopted wholesale (no per-cell work).
-  void AppendRowsFrom(Table&& other);
 
   /// New table holding rows `idx` in the given order (per-column gather).
   Table GatherRows(const std::vector<size_t>& idx) const;

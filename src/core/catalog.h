@@ -121,7 +121,7 @@ class Catalog {
   /// Observer invoked whenever RouteKey fails to place a key (callers then
   /// broadcast to every shard). The catalog is a leaf library, so metrics
   /// are injected rather than linked: PeerNetwork wires this listener to
-  /// RpcMetrics::RecordRouteMiss. Independently of the listener the first
+  /// RpcMetrics' Metric::kRouteMisses. Independently of the listener the first
   /// miss per collection is logged to stderr — a quietly regressed routing
   /// predicate otherwise hides as an N-fold fan-out.
   using RouteMissListener = std::function<void(const std::string& collection)>;

@@ -207,7 +207,7 @@ PeerNetwork::PeerNetwork(net::NetworkProfile profile)
   // occurrence in the shared registry (the catalog itself cannot link the
   // metrics library — it sits below it in the layering).
   catalog_.set_route_miss_listener([this](const std::string& collection) {
-    metrics_.RecordRouteMiss(collection);
+    metrics_.Add(net::Metric::kRouteMisses, 1, collection);
   });
 }
 
@@ -301,7 +301,7 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
   // that would double count). Fan-out shape/latency is a separate metrics
   // dimension and is recorded by the client.
   copts.dispatch_pool = dispatch_pool_.get();
-  copts.dispatch_metrics = &metrics_;
+  copts.metrics = &metrics_;
   if (deadline_budget_us > 0) {
     copts.deadline_us = cancel_token.deadline_us();
     copts.now_us = [this] { return network_.clock().NowMicros(); };

@@ -323,14 +323,16 @@ ChaosResult ChaosExplorer::RunSchedule(const ChaosSchedule& schedule) {
       r.update_committed ? baseline_updated_ : baseline_;
 
   const int64_t start_us = fx.net.network().clock().NowMicros();
-  const int64_t reroutes_before = fx.net.metrics().stale_catalog_reroutes();
+  const int64_t reroutes_before =
+      fx.net.metrics().Get(net::Metric::kStaleCatalogReroutes);
   core::ExecuteOptions exec_options;
   exec_options.deadline_us = kDeadlineBudgetUs;
   auto report = fx.net.Execute("p0", kChaosQuery, exec_options);
   r.elapsed_us = fx.net.network().clock().NowMicros() - start_us;
-  r.failover_successes = fx.net.metrics().failover_successes();
+  r.failover_successes = fx.net.metrics().Get(net::Metric::kFailoverSuccesses);
   r.stale_reroutes =
-      fx.net.metrics().stale_catalog_reroutes() - reroutes_before;
+      fx.net.metrics().Get(net::Metric::kStaleCatalogReroutes) -
+      reroutes_before;
   stats_.failover_successes += r.failover_successes;
   stats_.stale_reroutes += r.stale_reroutes;
 
@@ -885,7 +887,7 @@ ElasticResult ElasticChaosExplorer::RunSchedule(
     const bool covered = must_survive();
     const int mutations_before = fx.catalog_mutations;
     const int64_t reroutes_before =
-        fx.net.metrics().stale_catalog_reroutes();
+        fx.net.metrics().Get(net::Metric::kStaleCatalogReroutes);
     const int64_t q_start = fx.net.network().clock().NowMicros();
     core::ExecuteOptions exec_options;
     exec_options.deadline_us = kDeadlineBudgetUs;
@@ -894,7 +896,8 @@ ElasticResult ElasticChaosExplorer::RunSchedule(
         fx.net.network().clock().NowMicros() - q_start;
     const int mutations_during = fx.catalog_mutations - mutations_before;
     const int64_t reroutes =
-        fx.net.metrics().stale_catalog_reroutes() - reroutes_before;
+        fx.net.metrics().Get(net::Metric::kStaleCatalogReroutes) -
+        reroutes_before;
 
     if (is_update) {
       r.update_ran = true;
@@ -1117,8 +1120,8 @@ ElasticResult ElasticChaosExplorer::RunSchedule(
   }
 
   r.elapsed_us = fx.net.network().clock().NowMicros() - run_start_us;
-  r.failover_successes = fx.net.metrics().failover_successes();
-  r.stale_reroutes = fx.net.metrics().stale_catalog_reroutes();
+  r.failover_successes = fx.net.metrics().Get(net::Metric::kFailoverSuccesses);
+  r.stale_reroutes = fx.net.metrics().Get(net::Metric::kStaleCatalogReroutes);
   stats_.queries_ok += r.queries_ok;
   stats_.events_fired += r.events_fired;
   stats_.failover_successes += r.failover_successes;

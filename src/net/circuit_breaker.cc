@@ -10,20 +10,20 @@ bool CircuitBreaker::Allow(const std::string& peer) {
       return true;
     case State::kOpen: {
       if (now_us_() - s.opened_at_us < policy_.cooldown_us) {
-        if (metrics_ != nullptr) metrics_->RecordBreakerShortCircuit(peer);
+        if (metrics_ != nullptr) metrics_->Add(Metric::kBreakerShortCircuits);
         return false;
       }
       // Cooldown over: this caller becomes the half-open probe.
       s.state = State::kHalfOpen;
       s.probe_in_flight = true;
-      if (metrics_ != nullptr) metrics_->RecordBreakerHalfOpen();
+      if (metrics_ != nullptr) metrics_->Add(Metric::kBreakerHalfOpens);
       return true;
     }
     case State::kHalfOpen: {
       if (s.probe_in_flight) {
         // One probe at a time; everyone else keeps getting refused until
         // the probe's outcome decides the circuit.
-        if (metrics_ != nullptr) metrics_->RecordBreakerShortCircuit(peer);
+        if (metrics_ != nullptr) metrics_->Add(Metric::kBreakerShortCircuits);
         return false;
       }
       s.probe_in_flight = true;
@@ -37,7 +37,7 @@ void CircuitBreaker::RecordSuccess(const std::string& peer) {
   std::lock_guard<std::mutex> lock(mu_);
   PeerState& s = peers_[peer];
   if (s.state != State::kClosed && metrics_ != nullptr) {
-    metrics_->RecordBreakerClose();
+    metrics_->Add(Metric::kBreakerCloses);
   }
   s = PeerState{};  // closed, zero consecutive failures
 }
@@ -50,7 +50,7 @@ void CircuitBreaker::RecordFailure(const std::string& peer) {
       if (++s.consecutive_failures >= policy_.failure_threshold) {
         s.state = State::kOpen;
         s.opened_at_us = now_us_();
-        if (metrics_ != nullptr) metrics_->RecordBreakerOpen();
+        if (metrics_ != nullptr) metrics_->Add(Metric::kBreakerOpens);
       }
       break;
     case State::kHalfOpen:
@@ -58,7 +58,7 @@ void CircuitBreaker::RecordFailure(const std::string& peer) {
       s.state = State::kOpen;
       s.opened_at_us = now_us_();
       s.probe_in_flight = false;
-      if (metrics_ != nullptr) metrics_->RecordBreakerOpen();
+      if (metrics_ != nullptr) metrics_->Add(Metric::kBreakerOpens);
       break;
     case State::kOpen:
       // A request admitted before the circuit opened can still fail while
@@ -78,7 +78,7 @@ void CircuitBreaker::OnProbeAbandoned(const std::string& peer) {
   // probe right away.
   s.state = State::kOpen;
   s.probe_in_flight = false;
-  if (metrics_ != nullptr) metrics_->RecordBreakerProbeAbandoned();
+  if (metrics_ != nullptr) metrics_->Add(Metric::kBreakerProbesAbandoned);
 }
 
 CircuitBreaker::State CircuitBreaker::GetState(const std::string& peer) const {

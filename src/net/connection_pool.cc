@@ -28,16 +28,16 @@ int HttpConnectionPool::Acquire(const std::string& peer_key) {
       if (Expired(conn.released_at, options_.idle_timeout_millis, now)) {
         ::close(conn.fd);
         ++expired_;
-        if (metrics_) metrics_->RecordConnectionExpired();
+        if (metrics_) metrics_->Add(Metric::kConnExpired);
         continue;
       }
       ++hits_;
-      if (metrics_) metrics_->RecordConnectionReuse(/*hit=*/true);
+      if (metrics_) metrics_->Add(Metric::kConnReuseHits);
       return conn.fd;
     }
   }
   ++misses_;
-  if (metrics_) metrics_->RecordConnectionReuse(/*hit=*/false);
+  if (metrics_) metrics_->Add(Metric::kConnDials);
   return -1;
 }
 
@@ -50,8 +50,8 @@ void HttpConnectionPool::Release(const std::string& peer_key, int fd) {
   }
   conns.push_back({fd, std::chrono::steady_clock::now()});
   if (metrics_) {
-    metrics_->RecordPooledConnections(
-        static_cast<int64_t>(IdleCountLocked()));
+    metrics_->Add(Metric::kPoolMaxIdle,
+                  static_cast<int64_t>(IdleCountLocked()));
   }
 }
 

@@ -343,7 +343,7 @@ void HttpServer::Stop() {
 
 void HttpServer::RejectOverload(int fd) {
   overload_rejections_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_) metrics_->RecordServerOverload();
+  if (metrics_) metrics_->Add(Metric::kServerOverloads);
   const std::string body = "server overloaded: accept queue full";
   (void)SendAll(fd,
                 BuildResponse("HTTP/1.1 503 Service Unavailable", body,
@@ -374,7 +374,9 @@ void HttpServer::AcceptLoop() {
       RejectOverload(fd);
       continue;
     }
-    if (metrics_) metrics_->RecordAcceptQueueDepth(static_cast<int64_t>(depth));
+    if (metrics_) {
+      metrics_->Add(Metric::kAcceptQueueMaxDepth, static_cast<int64_t>(depth));
+    }
     queue_cv_.notify_one();
   }
 }
@@ -510,7 +512,7 @@ StatusOr<std::string> HttpTransport::Exchange(const XrpcUri& uri,
       if (reused) {
         // The request did not fully reach the peer, so it cannot have been
         // executed — re-dialing is safe even for an updating call.
-        if (metrics_) metrics_->RecordStaleConnectionRetry();
+        if (metrics_) metrics_->Add(Metric::kConnStaleRetries);
         continue;
       }
       return sent;
@@ -526,7 +528,7 @@ StatusOr<std::string> HttpTransport::Exchange(const XrpcUri& uri,
         // it sat idle. Replaying a read-only request is harmless; an
         // updating one might have been consumed right before the close, so
         // it falls through to the caller (at-most-once).
-        if (metrics_) metrics_->RecordStaleConnectionRetry();
+        if (metrics_) metrics_->Add(Metric::kConnStaleRetries);
         continue;
       }
       return message.status();

@@ -81,7 +81,7 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
     if (budget.has_value()) {
       const int64_t remaining = *budget - spent_us();
       if (remaining <= 0) {
-        if (metrics_) metrics_->RecordDeadlineExceeded(dest_uri);
+        if (metrics_) metrics_->Add(Metric::kDeadlineClientExceeded);
         return Status::DeadlineExceeded(
             "budget of " + std::to_string(*budget) + "us toward " + dest_uri +
             " exhausted after " + std::to_string(spent_us()) + "us");
@@ -111,13 +111,13 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
       // be used — that would resurrect an abandoned request).
       timed_out = true;
       spent_modeled += result->network_micros;
-      if (metrics_) metrics_->RecordTimeout(dest_uri);
+      if (metrics_) metrics_->Add(Metric::kTimeouts, 1, dest_uri);
       std::string msg = "request timed out after " +
                         std::to_string(result->network_micros) +
                         "us (deadline " +
                         std::to_string(effective_timeout_us) + "us)";
       if (budget_bound) {
-        if (metrics_) metrics_->RecordDeadlineExceeded(dest_uri);
+        if (metrics_) metrics_->Add(Metric::kDeadlineClientExceeded);
         result = Status::DeadlineExceeded(std::move(msg));
       } else {
         result = Status::NetworkError(std::move(msg));
@@ -128,17 +128,15 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
       if (breaker_ != nullptr) breaker_->RecordSuccess(dest_uri);
       result->network_micros += backoff_total;
       if (metrics_) {
-        metrics_->RecordClientRequest(dest_uri, body.size(),
-                                      result->body.size(),
-                                      result->network_micros, /*ok=*/true);
+        metrics_->RecordExchange(dest_uri, body.size(), result->body.size(),
+                                 result->network_micros, /*ok=*/true);
       }
       return result;
     }
 
     last_error = result.status();
     if (metrics_) {
-      metrics_->RecordClientRequest(dest_uri, body.size(), 0, 0,
-                                    /*ok=*/false);
+      metrics_->RecordExchange(dest_uri, body.size(), 0, 0, /*ok=*/false);
     }
     if (breaker_ != nullptr) {
       // Transport failures and timeout-abandoned replies age the breaker;
@@ -163,7 +161,7 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
     if (budget.has_value() && spent_us() + backoff >= *budget) {
       // The backoff wait alone would cross the deadline: give up now
       // rather than sleep past it and fail on the next loop iteration.
-      if (metrics_) metrics_->RecordDeadlineExceeded(dest_uri);
+      if (metrics_) metrics_->Add(Metric::kDeadlineClientExceeded);
       return Status::DeadlineExceeded(
           "budget of " + std::to_string(*budget) + "us toward " + dest_uri +
           " exhausted after " + std::to_string(spent_us()) +
@@ -172,8 +170,8 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
     backoff_total += backoff;
     spent_modeled += backoff;
     if (metrics_) {
-      metrics_->RecordRetry(dest_uri);
-      metrics_->RecordBackoff(backoff);
+      metrics_->Add(Metric::kRetries, 1, dest_uri);
+      metrics_->Add(Metric::kBackoffMicros, backoff);
     }
     if (sleep_) sleep_(backoff);
   }

@@ -87,7 +87,7 @@ StatusOr<PostResult> SimulatedNetwork::Post(const std::string& dest_uri,
     ++fault_serial_;
     auto inject = [this](Status status) {
       ++faults_injected_;
-      if (metrics_) metrics_->RecordInjectedFault();
+      if (metrics_) metrics_->Add(Metric::kInjectedFaults);
       return status;
     };
     if (!injected_failures_.empty()) {
@@ -132,7 +132,7 @@ StatusOr<PostResult> SimulatedNetwork::Post(const std::string& dest_uri,
     bytes_sent_ += static_cast<int64_t>(body.size());
     AdvanceForPostLocked(request_cost);
     ++faults_injected_;
-    if (metrics_) metrics_->RecordInjectedFault();
+    if (metrics_) metrics_->Add(Metric::kInjectedFaults);
     return Status::NetworkError("truncated response: reply lost");
   }
 

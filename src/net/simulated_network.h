@@ -97,7 +97,7 @@ class SimulatedNetwork : public Transport {
   /// responses) that have fired so far.
   int64_t faults_injected() const;
 
-  /// Optional metrics registry receiving RecordInjectedFault() events.
+  /// Optional metrics registry counting injected faults.
   void set_metrics(RpcMetrics* metrics) { metrics_ = metrics; }
 
   /// Deterministic membership-chaos hook: invoked at the start of every

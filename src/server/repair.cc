@@ -168,7 +168,7 @@ Status XrpcService::ApplyRepairDeltas(const WsatMessage& reply) {
     RememberOutcome(d.query_id, TxnOutcome::kCommitted);
     isolation_.EndSession(d.query_id);
     applied = d.version;
-    if (metrics_ != nullptr) metrics_->RecordRepairPulsReplayed(1);
+    if (metrics_ != nullptr) metrics_->Add(net::Metric::kRepairPulsReplayed);
   }
   // Convergence proof: after replaying to the donor's version the trees
   // must be byte-identical. A mismatch means the replay diverged (e.g. a
@@ -192,7 +192,7 @@ Status XrpcService::ApplyRepairFullBody(const WsatMessage& reply) {
   XRPC_ASSIGN_OR_RETURN(xml::NodePtr tree, xml::ParseXml(reply.full_body));
   database_->PutDocument(reply.doc, std::move(tree));
   database_->SetAppliedDataVersion(reply.doc, reply.version);
-  if (metrics_ != nullptr) metrics_->RecordRepairFullTransfer();
+  if (metrics_ != nullptr) metrics_->Add(net::Metric::kRepairFullTransfers);
   return Status::OK();
 }
 
@@ -263,15 +263,16 @@ Status XrpcService::RepairReplica(net::Transport* transport) {
         holds = holds || replica == options_.self_uri;
       }
       if (!holds) continue;
-      if (metrics_ != nullptr) metrics_->RecordReplicaLagCheck();
+      if (metrics_ != nullptr) metrics_->Add(net::Metric::kReplicaLagChecks);
       const uint64_t authoritative =
           options_.catalog->FragmentDataVersion(name, shard.index);
       const uint64_t applied =
           database_->AppliedDataVersion(shard.doc_name);
       if (applied >= authoritative) continue;
       if (metrics_ != nullptr) {
-        metrics_->RecordReplicaLagging(
-            static_cast<int64_t>(authoritative - applied));
+        metrics_->Add(net::Metric::kReplicaLaggingFound);
+        metrics_->Add(net::Metric::kReplicaMaxGap,
+                      static_cast<int64_t>(authoritative - applied));
       }
       std::vector<std::string> donors;
       if (shard.peer_uri != options_.self_uri) {
@@ -293,9 +294,9 @@ Status XrpcService::RepairReplica(net::Transport* transport) {
         last = s;
       }
       if (resynced) {
-        if (metrics_ != nullptr) metrics_->RecordRepairResync();
+        if (metrics_ != nullptr) metrics_->Add(net::Metric::kRepairResyncs);
       } else {
-        if (metrics_ != nullptr) metrics_->RecordRepairFailed();
+        if (metrics_ != nullptr) metrics_->Add(net::Metric::kRepairFailures);
         note(last);
       }
     }

@@ -143,8 +143,8 @@ StatusOr<std::vector<RpcClient::RoutedGroup>> RpcClient::ExecuteRouted(
       // aborts instead; presumed abort expires the staged sessions.
       if (responses.status().code() == StatusCode::kStaleCatalog &&
           attempt == 0 && !header.updating) {
-        if (net::RpcMetrics* m = EventMetrics()) {
-          m->RecordStaleCatalogReroute();
+        if (net::RpcMetrics* m = options_.metrics) {
+          m->Add(net::Metric::kStaleCatalogReroutes);
         }
         continue;
       }
@@ -169,19 +169,19 @@ StatusOr<soap::XrpcResponse> RpcClient::ExchangeWithFailover(
     const Destination& dest, ExchangeStats* stats) const {
   auto result = ExchangeOnce(dest.dest_uri, dest.request, stats);
   if (result.ok()) return result;
-  net::RpcMetrics* m = EventMetrics();
+  net::RpcMetrics* m = options_.metrics;
   if (result.status().code() == StatusCode::kStaleCatalog) {
     // The peer fenced us off: every replica shares the catalog, so trying
     // the next one would be rejected identically. Surface the fault so
     // ExecuteRouted refetches the shard map and re-routes.
-    if (m != nullptr) m->RecordStaleCatalogObserved();
+    if (m != nullptr) m->Add(net::Metric::kStaleCatalogObserved);
     return result;
   }
   if (result.status().code() == StatusCode::kStaleReplica && m != nullptr) {
     // A lagging copy fenced this call (DESIGN.md §17): its applied data
     // version trails what the catalog promised. Unlike StaleCatalog, the
     // other copies are not implicated — a read can skip to the next one.
-    m->RecordStaleReplicaObserved();
+    m->Add(net::Metric::kStaleReplicaObserved);
   }
   if (dest.fallback_uris.empty()) return result;
   if (dest.request.updating) {
@@ -200,28 +200,28 @@ StatusOr<soap::XrpcResponse> RpcClient::ExchangeWithFailover(
     // means the shard itself (not the peer) is the problem.
     const StatusCode code = result.status().code();
     if (code == StatusCode::kStaleReplica) {
-      if (m != nullptr) m->RecordStaleReplicaSkip();
+      if (m != nullptr) m->Add(net::Metric::kStaleReplicaSkips);
     } else if (code == StatusCode::kNetworkError) {
-      if (m != nullptr) m->RecordFailoverAttempt(*failed_at);
+      if (m != nullptr) m->Add(net::Metric::kFailoverAttempts, 1, *failed_at);
     } else {
       return result;
     }
     result = ExchangeOnce(replica, dest.request, stats);
     if (result.ok()) {
-      if (m != nullptr) m->RecordFailoverSuccess();
+      if (m != nullptr) m->Add(net::Metric::kFailoverSuccesses);
       return result;
     }
     if (result.status().code() == StatusCode::kStaleCatalog) {
-      if (m != nullptr) m->RecordStaleCatalogObserved();
+      if (m != nullptr) m->Add(net::Metric::kStaleCatalogObserved);
       return result;
     }
     if (result.status().code() == StatusCode::kStaleReplica &&
         m != nullptr) {
-      m->RecordStaleReplicaObserved();
+      m->Add(net::Metric::kStaleReplicaObserved);
     }
     failed_at = &replica;
   }
-  if (m != nullptr) m->RecordFailoverExhausted();
+  if (m != nullptr) m->Add(net::Metric::kFailoverExhausted);
   return result;
 }
 
@@ -289,16 +289,17 @@ StatusOr<std::vector<soap::XrpcResponse>> RpcClient::ExecuteBulkAll(
   }
   MergeStats(merged, critical_path);
 
-  if (options_.dispatch_metrics != nullptr) {
-    net::RpcMetrics* m = options_.dispatch_metrics;
+  if (net::RpcMetrics* m = options_.metrics) {
     int64_t max_in_flight =
         pool != nullptr
             ? static_cast<int64_t>(std::min(n, static_cast<size_t>(
                                                    std::max(1, pool->size()))))
             : 1;
-    m->RecordDispatchFanout(static_cast<int64_t>(n), max_in_flight);
+    m->Add(net::Metric::kFanoutGroups);
+    m->Add(net::Metric::kFanoutDestinations, static_cast<int64_t>(n));
+    m->Add(net::Metric::kDispatchMaxInFlight, max_in_flight);
     for (size_t i = 0; i < n; ++i) {
-      m->RecordFanoutDestinationLatency(stats[i].network_micros);
+      m->Observe(net::Metric::kFanoutLatency, stats[i].network_micros);
     }
   }
 
@@ -343,22 +344,11 @@ StatusOr<soap::XrpcResponse> RpcClient::ExchangeOnce(
   size_t call_count = request.calls.size();
   std::string body = soap::SerializeRequest(request);
   auto posted_or = transport_->Post(dest_uri, body);
-  if (!posted_or.ok()) {
-    if (options_.metrics != nullptr) {
-      options_.metrics->RecordClientRequest(dest_uri, body.size(), 0, 0,
-                                            /*ok=*/false);
-    }
-    return posted_or.status();
-  }
+  if (!posted_or.ok()) return posted_or.status();
   net::PostResult posted = std::move(posted_or).value();
   stats->network_micros += posted.network_micros;
   stats->remote_micros += posted.server_micros;
   ++stats->requests_sent;
-  if (options_.metrics != nullptr) {
-    options_.metrics->RecordClientRequest(dest_uri, body.size(),
-                                          posted.body.size(),
-                                          posted.network_micros, /*ok=*/true);
-  }
   XRPC_ASSIGN_OR_RETURN(soap::XrpcResponse response,
                         soap::ParseResponse(posted.body));
   if (response.results.size() != call_count) {

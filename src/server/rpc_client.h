@@ -84,11 +84,6 @@ class RpcClient : public xquery::RpcHandler {
     /// Suppress the queryID for provably simple queries (single non-nested
     /// XRPC call), which get repeatable reads for free (Section 3.2).
     bool simple_query = false;
-    /// Optional observability registry: every exchange is recorded with its
-    /// destination, envelope sizes and modeled latency. Leave null when the
-    /// transport is a metrics-equipped RetryingTransport (which records at
-    /// the per-attempt wire level) to avoid double counting.
-    net::RpcMetrics* metrics = nullptr;
     /// When set, ExecuteBulkAll launches its per-destination Bulk RPCs on
     /// this pool and waits for all of them — genuinely parallel fan-out
     /// (concurrency bounded by the pool size). When null, destinations are
@@ -97,10 +92,11 @@ class RpcClient : public xquery::RpcHandler {
     /// is the default because it keeps the simulated network's injected
     /// fault schedule deterministic.
     net::ThreadPool* dispatch_pool = nullptr;
-    /// Registry receiving fan-out shape and per-destination latency (a
-    /// different dimension than per-request wire metrics, so it may alias
-    /// the RetryingTransport's registry without double counting).
-    net::RpcMetrics* dispatch_metrics = nullptr;
+    /// Registry receiving fan-out shape, per-destination latency and the
+    /// failover / stale-catalog / stale-replica events. Per-exchange wire
+    /// counters are the transport's job (RetryingTransport), so this may
+    /// alias its registry without double counting.
+    net::RpcMetrics* metrics = nullptr;
     /// Absolute deadline (micros on the `now_us` clock) of the query this
     /// client serves; 0 = none. Every outgoing envelope is stamped with an
     /// xrpc:deadline header carrying the REMAINING budget at send time
@@ -203,14 +199,6 @@ class RpcClient : public xquery::RpcHandler {
   /// catalog, so re-dialing cannot help; the caller re-routes instead.
   StatusOr<soap::XrpcResponse> ExchangeWithFailover(const Destination& dest,
                                                     ExchangeStats* stats) const;
-
-  /// Registry for failover / stale-catalog counters: the fan-out registry
-  /// when wired (it aliases the network-wide one), else the per-exchange
-  /// registry, else null.
-  net::RpcMetrics* EventMetrics() const {
-    return options_.dispatch_metrics != nullptr ? options_.dispatch_metrics
-                                                : options_.metrics;
-  }
 
   /// Folds exchange accounting into the client tallies (mu_).
   /// `network_micros` is passed separately: serial callers add the

@@ -395,7 +395,7 @@ StatusOr<CommitOutcome> RunTwoPhaseCommit(
       if (attempt > 1) {
         ++outcome.commit_retries;
         if (options.metrics != nullptr) {
-          options.metrics->RecordTxnCommitRetry();
+          options.metrics->Add(net::Metric::kTxnCommitRetries);
         }
         if (options.sleep) {
           options.sleep(BackoffMicros(options.commit_retry, attempt - 1));
@@ -426,7 +426,7 @@ StatusOr<CommitOutcome> RunTwoPhaseCommit(
         options.journal->ParkInDoubt(query_id, p);
       }
       if (options.metrics != nullptr) {
-        options.metrics->RecordTxnInDoubt(+1);
+        options.metrics->Add(net::Metric::kTxnInDoubt, +1);
       }
       (void)last_error;
     }

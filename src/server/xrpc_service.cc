@@ -77,7 +77,7 @@ void XrpcService::RememberOutcome(const std::string& query_id,
   std::lock_guard<std::mutex> lock(txn_mu_);
   outcomes_[query_id] = outcome;
   if (participant_in_doubt_.erase(query_id) > 0 && metrics_ != nullptr) {
-    metrics_->RecordTxnInDoubt(-1);
+    metrics_->Add(net::Metric::kTxnInDoubt, -1);
   }
 }
 
@@ -87,7 +87,8 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
   // shared metrics registry; successful ones report their bulk-call count.
   auto fault_reply = [this](const Status& status) {
     if (metrics_ != nullptr) {
-      metrics_->RecordServerRequest(options_.self_uri, 0, /*ok=*/false);
+      metrics_->Add(net::Metric::kServerRequests, 1, options_.self_uri);
+      metrics_->Add(net::Metric::kServerFaults, 1, options_.self_uri);
     }
     return soap::SerializeFault(soap::FaultFromStatus(status));
   };
@@ -108,7 +109,7 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
   if (request.deadline_us.has_value()) {
     if (*request.deadline_us <= 0) {
       if (metrics_ != nullptr) {
-        metrics_->RecordServerDeadlineReject(options_.self_uri);
+        metrics_->Add(net::Metric::kDeadlineServerRejects);
       }
       return fault_reply(Status::DeadlineExceeded(
           "request arrived with an exhausted deadline budget at " +
@@ -129,7 +130,7 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
     const soap::XrpcRequest::ShardScope& scope = *request.shard;
     auto stale_reply = [&](const std::string& why) {
       if (metrics_ != nullptr) {
-        metrics_->RecordStaleCatalogReject(options_.self_uri);
+        metrics_->Add(net::Metric::kStaleCatalogRejects);
       }
       return fault_reply(Status::StaleCatalog(why));
     };
@@ -179,7 +180,7 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
     if (scope.data_version > 0 &&
         database_->AppliedDataVersion(shard.doc_name) < scope.data_version) {
       if (metrics_ != nullptr) {
-        metrics_->RecordStaleReplicaReject(options_.self_uri);
+        metrics_->Add(net::Metric::kStaleReplicaRejects);
       }
       return fault_reply(Status::StaleReplica(
           "fragment " + shard.doc_name + " at " + options_.self_uri +
@@ -253,11 +254,11 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
       // longer only wastes memory. Prepared sessions are exempt: their PUL
       // is on the stable log and the 2PC promise to commit must survive
       // (the coordinator's decision, not a deadline, ends them).
-      if (metrics_ != nullptr) metrics_->RecordCancellation();
+      if (metrics_ != nullptr) metrics_->Add(net::Metric::kCancellations);
       if (session != nullptr && !session->prepared) {
         isolation_.EndSession(request.query_id->id);
         session = nullptr;
-        if (metrics_ != nullptr) metrics_->RecordSessionReleased();
+        if (metrics_ != nullptr) metrics_->Add(net::Metric::kSessionsReleased);
       }
     }
     return fault_reply(results.status());
@@ -303,9 +304,10 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
     }
   }
   if (metrics_ != nullptr) {
-    metrics_->RecordServerRequest(options_.self_uri,
-                                  static_cast<int64_t>(request.calls.size()),
-                                  /*ok=*/true);
+    metrics_->Add(net::Metric::kServerRequests, 1, options_.self_uri);
+    metrics_->Add(net::Metric::kServerCalls,
+                  static_cast<int64_t>(request.calls.size()),
+                  options_.self_uri);
   }
   return soap::SerializeResponse(response);
 }
@@ -460,7 +462,7 @@ StatusOr<std::string> XrpcService::HandleWsat(const std::string& body) {
     return SerializeWsatResponse(reply);
   };
   auto idempotent_reply = [&](bool ok, const std::string& reason) {
-    if (metrics_ != nullptr) metrics_->RecordTxnIdempotentReply();
+    if (metrics_ != nullptr) metrics_->Add(net::Metric::kTxnIdempotentReplies);
     reply.ok = ok;
     reply.reason = reason;
     return SerializeWsatResponse(reply);
@@ -692,7 +694,7 @@ Status XrpcService::RetryInDoubt(net::Transport* transport) {
       auto done = SendWsatMessage(transport, p, WsatOp::kCommit, qid);
       if (done.ok() && done.value().ok) {
         RecordCommitAck(qid, p);
-        if (metrics_ != nullptr) metrics_->RecordTxnInDoubt(-1);
+        if (metrics_ != nullptr) metrics_->Add(net::Metric::kTxnInDoubt, -1);
       }
     }
   }
@@ -780,8 +782,8 @@ Status XrpcService::Restart(net::Transport* transport) {
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
     if (metrics_ != nullptr && !participant_in_doubt_.empty()) {
-      metrics_->RecordTxnInDoubt(
-          -static_cast<int64_t>(participant_in_doubt_.size()));
+      metrics_->Add(net::Metric::kTxnInDoubt,
+                    -static_cast<int64_t>(participant_in_doubt_.size()));
     }
     outcomes_.clear();
     coord_.clear();
@@ -789,14 +791,15 @@ Status XrpcService::Restart(net::Transport* transport) {
   }
   crashed_ = false;
   crash_point_ = CrashPoint::kNone;
-  if (metrics_ != nullptr) metrics_->RecordTxnRecovery();
+  if (metrics_ != nullptr) metrics_->Add(net::Metric::kTxnRecoveries);
 
   // 2. Replay the WAL and fold it into per-transaction state.
   TxnLog::ReplayStats stats;
   XRPC_ASSIGN_OR_RETURN(std::vector<TxnLog::Record> records,
                         log_.Replay(&stats));
   if (metrics_ != nullptr) {
-    metrics_->RecordTxnReplayedRecords(static_cast<int64_t>(records.size()));
+    metrics_->Add(net::Metric::kTxnReplayedRecords,
+                  static_cast<int64_t>(records.size()));
   }
 
   struct ParticipantState {
@@ -864,7 +867,9 @@ Status XrpcService::Restart(net::Transport* transport) {
           note(session_or.status());
           continue;
         }
-        if (metrics_ != nullptr) metrics_->RecordTxnRecoveredSession();
+        if (metrics_ != nullptr) {
+          metrics_->Add(net::Metric::kTxnRecoveredSessions);
+        }
         Status applied = ApplyPreparedSession(session_or.value());
         if (!applied.ok()) {
           note(applied);
@@ -893,8 +898,8 @@ Status XrpcService::Restart(net::Transport* transport) {
         participant_in_doubt_[qid] = payload_or.value().coordinator;
       }
       if (metrics_ != nullptr) {
-        metrics_->RecordTxnInDoubt(+1);
-        metrics_->RecordTxnRecoveredSession();
+        metrics_->Add(net::Metric::kTxnInDoubt, +1);
+        metrics_->Add(net::Metric::kTxnRecoveredSessions);
       }
     }
   }

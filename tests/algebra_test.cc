@@ -244,14 +244,6 @@ TEST(TableTest, AppendRowsFromConcatenatesCopyAndMove) {
   EXPECT_EQ(b.NumRows(), 1u);
   EXPECT_EQ(a.Iter(2), 2);
   EXPECT_EQ(a.ItemAt(2).atomic().ToString(), "0");
-
-  Table c = Table::IterPosItem();
-  c.AppendRowsFrom(std::move(a));  // empty dest adopts columns wholesale
-  EXPECT_EQ(c.NumRows(), 3u);
-  EXPECT_EQ(a.NumRows(), 0u);
-  c.AppendRowsFrom(std::move(b));  // non-empty dest steals cells
-  EXPECT_EQ(c.NumRows(), 4u);
-  EXPECT_EQ(c.Iter(3), 2);
 }
 
 TEST(TableTest, GatherRowsAndCopyColumns) {

@@ -145,15 +145,15 @@ TEST_F(CircuitBreakerTest, TransitionsAndShortCircuitsLandInMetrics) {
   breaker_.set_metrics(&metrics);
   const std::string peer = "xrpc://y";
   for (int i = 0; i < 3; ++i) breaker_.RecordFailure(peer);
-  EXPECT_EQ(metrics.breaker_opens(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kBreakerOpens), 1);
   EXPECT_FALSE(breaker_.Allow(peer));
   EXPECT_FALSE(breaker_.Allow(peer));
-  EXPECT_EQ(metrics.breaker_short_circuits(), 2);
+  EXPECT_EQ(metrics.Get(net::Metric::kBreakerShortCircuits), 2);
   now_ = 1001;
   EXPECT_TRUE(breaker_.Allow(peer));
-  EXPECT_EQ(metrics.breaker_half_opens(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kBreakerHalfOpens), 1);
   breaker_.RecordSuccess(peer);
-  EXPECT_EQ(metrics.breaker_closes(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kBreakerCloses), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,8 +230,8 @@ TEST(RetryingTransportDeadline, ReplySlowerThanBudgetIsDeadlineExceeded) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(inner.posts, 1);  // a budget-bound timeout is final, not retried
-  EXPECT_EQ(metrics.timeouts(), 1);
-  EXPECT_EQ(metrics.deadline_client_exceeded(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kTimeouts), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kDeadlineClientExceeded), 1);
 }
 
 TEST(RetryingTransportDeadline, PolicyTimeoutStillRetriesWithinBudget) {
@@ -244,8 +244,8 @@ TEST(RetryingTransportDeadline, PolicyTimeoutStillRetriesWithinBudget) {
   auto result = transport.Post("xrpc://y", BodyWithBudget(1'000'000));
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(inner.posts, 2);
-  EXPECT_EQ(metrics.timeouts(), 1);
-  EXPECT_EQ(metrics.deadline_client_exceeded(), 0);
+  EXPECT_EQ(metrics.Get(net::Metric::kTimeouts), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kDeadlineClientExceeded), 0);
 }
 
 TEST(RetryingTransportDeadline, RetriesNeverOutliveTheBudget) {
@@ -261,7 +261,7 @@ TEST(RetryingTransportDeadline, RetriesNeverOutliveTheBudget) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(inner.posts, 2);
-  EXPECT_EQ(metrics.deadline_client_exceeded(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kDeadlineClientExceeded), 1);
 }
 
 TEST(RetryingTransportDeadline, ExhaustedBudgetFailsWithoutDialing) {
@@ -305,7 +305,7 @@ TEST(RetryingTransportBreaker, OpenCircuitShortCircuitsWithoutDialing) {
   EXPECT_NE(blocked.status().message().find("circuit open"),
             std::string::npos);
   EXPECT_EQ(inner.posts, 1);  // no dial
-  EXPECT_EQ(metrics.breaker_short_circuits(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kBreakerShortCircuits), 1);
 }
 
 TEST(RetryingTransportBreaker, TimeoutsAgeTheBreaker) {
@@ -323,7 +323,7 @@ TEST(RetryingTransportBreaker, TimeoutsAgeTheBreaker) {
   EXPECT_EQ(breaker.GetState("xrpc://y"), net::CircuitBreaker::State::kClosed);
   EXPECT_FALSE(transport.Post("xrpc://y", "<a/>").ok());
   EXPECT_EQ(breaker.GetState("xrpc://y"), net::CircuitBreaker::State::kOpen);
-  EXPECT_EQ(metrics.timeouts(), 2);
+  EXPECT_EQ(metrics.Get(net::Metric::kTimeouts), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -332,17 +332,17 @@ TEST(RetryingTransportBreaker, TimeoutsAgeTheBreaker) {
 
 TEST(RpcMetricsReport, CarriesBreakerAndDeadlineLines) {
   net::RpcMetrics m;
-  m.RecordBreakerOpen();
-  m.RecordBreakerHalfOpen();
-  m.RecordBreakerClose();
-  m.RecordBreakerShortCircuit("xrpc://c");
-  m.RecordBreakerShortCircuit("xrpc://c");
-  m.RecordDeadlineExceeded("xrpc://c");
-  m.RecordServerDeadlineReject("xrpc://b");
-  m.RecordCancellation();
-  m.RecordCancellation();
-  m.RecordCancellation();
-  m.RecordSessionReleased();
+  m.Add(net::Metric::kBreakerOpens);
+  m.Add(net::Metric::kBreakerHalfOpens);
+  m.Add(net::Metric::kBreakerCloses);
+  m.Add(net::Metric::kBreakerShortCircuits);
+  m.Add(net::Metric::kBreakerShortCircuits);
+  m.Add(net::Metric::kDeadlineClientExceeded);
+  m.Add(net::Metric::kDeadlineServerRejects);
+  m.Add(net::Metric::kCancellations);
+  m.Add(net::Metric::kCancellations);
+  m.Add(net::Metric::kCancellations);
+  m.Add(net::Metric::kSessionsReleased);
   const std::string report = m.Report();
   EXPECT_NE(
       report.find("breaker: opens=1 half_opens=1 closes=1 short_circuits=2"),
@@ -435,7 +435,7 @@ TEST_F(DeadlineChainTest, ChainSucceedsWithoutAndWithGenerousDeadline) {
   report = net_.Execute("a.example.org", kChainQuery, opts);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(xdm::SequenceToString(report->result), "40");
-  EXPECT_EQ(net_.metrics().cancellations(), 0);
+  EXPECT_EQ(net_.metrics().Get(net::Metric::kCancellations), 0);
   // Successful repeatable-read queries leave their snapshot sessions to
   // the normal expiry path (one per run) — the contrast with the
   // immediate release a cancellation triggers.
@@ -481,10 +481,10 @@ TEST_F(DeadlineChainTest, HungPeerTripsMidChainWithinBudgetAndReleasesSession) {
   // B observed the cancellation and released its repeatable-read session
   // immediately instead of waiting for expiry.
   EXPECT_EQ(b_->service().isolation().active_sessions(), sessions_before);
-  EXPECT_GE(net_.metrics().cancellations(), 1);
-  EXPECT_GE(net_.metrics().sessions_released(), 1);
-  EXPECT_GE(net_.metrics().deadline_client_exceeded() +
-                net_.metrics().cancellations(),
+  EXPECT_GE(net_.metrics().Get(net::Metric::kCancellations), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kSessionsReleased), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kDeadlineClientExceeded) +
+                net_.metrics().Get(net::Metric::kCancellations),
             1);
 }
 
@@ -527,8 +527,8 @@ TEST_F(DeadlineChainTest, RelationalExecCancelsPromptlyAndReleasesSession) {
   // B released the cancelled run's snapshot session instead of letting it
   // linger to expiry.
   EXPECT_EQ(b_->service().isolation().active_sessions(), sessions_before);
-  EXPECT_GE(net_.metrics().cancellations(), 1);
-  EXPECT_GE(net_.metrics().sessions_released(), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kCancellations), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kSessionsReleased), 1);
 }
 
 TEST_F(DeadlineChainTest, ParallelExecCancelsPromptlyAndReleasesSession) {
@@ -564,7 +564,7 @@ TEST_F(DeadlineChainTest, ParallelExecCancelsPromptlyAndReleasesSession) {
   EXPECT_TRUE(control->used_relational);
   EXPECT_FALSE(control->fell_back);
   EXPECT_EQ(xdm::SequenceToString(control->result), "0 0 40");
-  EXPECT_EQ(net_.metrics().dispatch_max_in_flight(), 2);
+  EXPECT_EQ(net_.metrics().Get(net::Metric::kDispatchMaxInFlight), 2);
   const size_t sessions_before = b_->service().isolation().active_sessions();
 
   constexpr int64_t kBudgetUs = 100'000;
@@ -579,8 +579,8 @@ TEST_F(DeadlineChainTest, ParallelExecCancelsPromptlyAndReleasesSession) {
       << report.status();
   EXPECT_LE(elapsed, kBudgetUs + 100'000);
   EXPECT_EQ(b_->service().isolation().active_sessions(), sessions_before);
-  EXPECT_GE(net_.metrics().cancellations(), 1);
-  EXPECT_GE(net_.metrics().sessions_released(), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kCancellations), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kSessionsReleased), 1);
 }
 
 TEST_F(DeadlineChainTest, DeadPeerFailsFastWithinBudget) {
@@ -637,7 +637,7 @@ TEST_F(DeadlineChainTest, ServerRejectsAlreadyExpiredRequests) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
       << response.status();
-  EXPECT_EQ(net_.metrics().deadline_server_rejects(), 1);
+  EXPECT_EQ(net_.metrics().Get(net::Metric::kDeadlineServerRejects), 1);
 }
 
 TEST_F(DeadlineChainTest, BreakerShortCircuitsDeadPeerAndRecovers) {
@@ -655,7 +655,7 @@ TEST_F(DeadlineChainTest, BreakerShortCircuitsDeadPeerAndRecovers) {
   ASSERT_NE(net_.circuit_breaker(), nullptr);
   EXPECT_EQ(net_.circuit_breaker()->GetState("xrpc://c.example.org"),
             net::CircuitBreaker::State::kOpen);
-  EXPECT_EQ(net_.metrics().breaker_opens(), 1);
+  EXPECT_EQ(net_.metrics().Get(net::Metric::kBreakerOpens), 1);
 
   // While open, fan-out toward C is refused locally: no dial, no message.
   const int64_t messages_before = net_.network().messages_sent();
@@ -665,7 +665,7 @@ TEST_F(DeadlineChainTest, BreakerShortCircuitsDeadPeerAndRecovers) {
             std::string::npos)
       << blocked.status();
   EXPECT_EQ(net_.network().messages_sent(), messages_before);
-  EXPECT_GE(net_.metrics().breaker_short_circuits(), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kBreakerShortCircuits), 1);
 
   // Cooldown passes and C comes back: the half-open probe succeeds and the
   // circuit closes again.
@@ -678,8 +678,8 @@ TEST_F(DeadlineChainTest, BreakerShortCircuitsDeadPeerAndRecovers) {
             "<name>Sound Of Music</name>");
   EXPECT_EQ(net_.circuit_breaker()->GetState("xrpc://c.example.org"),
             net::CircuitBreaker::State::kClosed);
-  EXPECT_GE(net_.metrics().breaker_half_opens(), 1);
-  EXPECT_GE(net_.metrics().breaker_closes(), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kBreakerHalfOpens), 1);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kBreakerCloses), 1);
 }
 
 }  // namespace

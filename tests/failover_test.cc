@@ -24,6 +24,8 @@
 namespace xrpc::core {
 namespace {
 
+using net::Metric;
+
 constexpr char kImportB[] =
     "import module namespace b=\"functions_b\" at \"b.xq\";\n";
 
@@ -108,9 +110,12 @@ TEST(FailoverTest, DeadPrimaryFailsOverToReplicaByteIdentically) {
     d.shards[0]->Disconnect();
     EXPECT_EQ(RunBroadcast(d), baseline) << EngineKindToString(engine);
     const net::RpcMetrics& m = d.net->metrics();
-    EXPECT_GE(m.failover_attempts(), 1) << EngineKindToString(engine);
-    EXPECT_GE(m.failover_successes(), 1) << EngineKindToString(engine);
-    EXPECT_EQ(m.failover_exhausted(), 0) << EngineKindToString(engine);
+    EXPECT_GE(m.Get(Metric::kFailoverAttempts), 1)
+        << EngineKindToString(engine);
+    EXPECT_GE(m.Get(Metric::kFailoverSuccesses), 1)
+        << EngineKindToString(engine);
+    EXPECT_EQ(m.Get(Metric::kFailoverExhausted), 0)
+        << EngineKindToString(engine);
     // The observability contract the soak harness greps for.
     EXPECT_NE(m.Report().find("failover:"), std::string::npos);
   }
@@ -136,7 +141,7 @@ TEST(FailoverTest, MidScatterKillFailsOverWithinDeadline) {
     const int64_t elapsed_us = d.net->network().clock().NowMicros() - start_us;
     EXPECT_LE(elapsed_us, kDeadlineUs) << EngineKindToString(engine);
     EXPECT_TRUE(killed);
-    EXPECT_GE(d.net->metrics().failover_successes(), 1)
+    EXPECT_GE(d.net->metrics().Get(Metric::kFailoverSuccesses), 1)
         << EngineKindToString(engine);
   }
 }
@@ -163,7 +168,7 @@ TEST(FailoverTest, AllReplicasDeadYieldsOneCleanFaultWithinBudget) {
   // Shard 0 exhausted its candidate list. (Shard 1 — whose primary, peer 1,
   // is also down — legitimately fails over to its live replica at peer 2;
   // the query still fails on shard 0's fault.)
-  EXPECT_GE(d.net->metrics().failover_exhausted(), 1);
+  EXPECT_GE(d.net->metrics().Get(Metric::kFailoverExhausted), 1);
 }
 
 TEST(FailoverTest, UpdatingCallNeverFailsOver) {
@@ -188,8 +193,8 @@ TEST(FailoverTest, UpdatingCallNeverFailsOver) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kNetworkError)
       << report.status();
-  EXPECT_EQ(d.net->metrics().failover_attempts(), 0);
-  EXPECT_EQ(d.net->metrics().failover_successes(), 0);
+  EXPECT_EQ(d.net->metrics().Get(Metric::kFailoverAttempts), 0);
+  EXPECT_EQ(d.net->metrics().Get(Metric::kFailoverSuccesses), 0);
 }
 
 TEST(FailoverTest, StaleEpochRejectReroutesExactlyOnce) {
@@ -216,9 +221,12 @@ TEST(FailoverTest, StaleEpochRejectReroutesExactlyOnce) {
     EXPECT_EQ(RunBroadcast(d), baseline) << EngineKindToString(engine);
     EXPECT_TRUE(bumped);
     const net::RpcMetrics& m = d.net->metrics();
-    EXPECT_GE(m.stale_catalog_rejects(), 1) << EngineKindToString(engine);
-    EXPECT_GE(m.stale_catalog_observed(), 1) << EngineKindToString(engine);
-    EXPECT_EQ(m.stale_catalog_reroutes(), 1) << EngineKindToString(engine);
+    EXPECT_GE(m.Get(Metric::kStaleCatalogRejects), 1)
+        << EngineKindToString(engine);
+    EXPECT_GE(m.Get(Metric::kStaleCatalogObserved), 1)
+        << EngineKindToString(engine);
+    EXPECT_EQ(m.Get(Metric::kStaleCatalogReroutes), 1)
+        << EngineKindToString(engine);
   }
 }
 
@@ -233,12 +241,13 @@ TEST(FailoverTest, OpenBreakerSkipsStraightToReplica) {
       {/*failure_threshold=*/1, /*cooldown_us=*/3'600'000'000});
   d.shards[0]->Disconnect();
   EXPECT_EQ(RunBroadcast(d), baseline);  // dial fails, opens the circuit
-  const int64_t short_circuits_before = d.net->metrics().breaker_short_circuits();
+  const int64_t short_circuits_before =
+      d.net->metrics().Get(Metric::kBreakerShortCircuits);
   EXPECT_EQ(RunBroadcast(d), baseline);  // no dial: local refusal + failover
   const net::RpcMetrics& m = d.net->metrics();
-  EXPECT_GE(m.breaker_opens(), 1);
-  EXPECT_GT(m.breaker_short_circuits(), short_circuits_before);
-  EXPECT_GE(m.failover_successes(), 2);
+  EXPECT_GE(m.Get(Metric::kBreakerOpens), 1);
+  EXPECT_GT(m.Get(Metric::kBreakerShortCircuits), short_circuits_before);
+  EXPECT_GE(m.Get(Metric::kFailoverSuccesses), 2);
 }
 
 // -- Replicated writes and anti-entropy resync (DESIGN.md §17) --------------
@@ -292,7 +301,7 @@ TEST(FailoverTest, UnknownCollectionFenceWinsOverDataVersionFence) {
   EXPECT_EQ(resp.status().code(), StatusCode::kStaleCatalog) << resp.status();
   EXPECT_NE(resp.status().ToString().find("unknown"), std::string::npos)
       << resp.status();
-  EXPECT_EQ(d.net->metrics().stale_replica_rejects(), 0);
+  EXPECT_EQ(d.net->metrics().Get(Metric::kStaleReplicaRejects), 0);
 }
 
 TEST(FailoverTest, LaggingDataVersionFencesWithStaleReplica) {
@@ -316,7 +325,7 @@ TEST(FailoverTest, LaggingDataVersionFencesWithStaleReplica) {
   auto resp = client.ExecuteBulk(c.shards[0].peer_uri, req);
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kStaleReplica) << resp.status();
-  EXPECT_GE(d.net->metrics().stale_replica_rejects(), 1);
+  EXPECT_GE(d.net->metrics().Get(Metric::kStaleReplicaRejects), 1);
   EXPECT_NE(d.net->metrics().Report().find("stale-replica:"),
             std::string::npos);
 }
@@ -361,7 +370,7 @@ TEST(FailoverTest, CatalogBumpMidUpdatingScatterNeverDoubleApplies) {
       EXPECT_EQ(CountStamps(replica), committed ? 1u : 0u) << "shard " << k;
       EXPECT_TRUE(primary == replica) << "copies of shard " << k << " differ";
     }
-    EXPECT_EQ(d.net->metrics().stale_catalog_reroutes(), 0);
+    EXPECT_EQ(d.net->metrics().Get(Metric::kStaleCatalogReroutes), 0);
   }
 }
 
@@ -457,9 +466,9 @@ TEST(FailoverTest, StaleReplicaSkipIsolatesLaggingCopy) {
   d.shards[0]->Disconnect();  // shard 0: primary dead, replica 1 lagging
   EXPECT_EQ(RunBroadcast(d), updated_baseline);
   const net::RpcMetrics& m = d.net->metrics();
-  EXPECT_GE(m.stale_replica_rejects(), 1);
-  EXPECT_GE(m.stale_replica_skips(), 1);
-  EXPECT_GE(m.failover_successes(), 1);
+  EXPECT_GE(m.Get(Metric::kStaleReplicaRejects), 1);
+  EXPECT_GE(m.Get(Metric::kStaleReplicaSkips), 1);
+  EXPECT_GE(m.Get(Metric::kFailoverSuccesses), 1);
   EXPECT_NE(m.Report().find("stale-replica:"), std::string::npos);
 
   // Repair heals the lag (in-doubt inquiry at the live coordinator), after
@@ -500,9 +509,9 @@ TEST(FailoverTest, JoinedReplicaCatchesUpByDonorWalReplay) {
   EXPECT_EQ(FragmentBytes(joiner, FragName(0)),
             FragmentBytes(d.shards[0], FragName(0)));
   const net::RpcMetrics& m = d.net->metrics();
-  EXPECT_GE(m.repair_resyncs(), 1);
-  EXPECT_GE(m.repair_puls_replayed(), 1);
-  EXPECT_EQ(m.repair_full_transfers(), 0);
+  EXPECT_GE(m.Get(Metric::kRepairResyncs), 1);
+  EXPECT_GE(m.Get(Metric::kRepairPulsReplayed), 1);
+  EXPECT_EQ(m.Get(Metric::kRepairFullTransfers), 0);
   EXPECT_NE(m.Report().find("repair:"), std::string::npos);
 }
 
@@ -514,10 +523,12 @@ TEST(FailoverTest, RevivedPrimaryServesAgain) {
                                 EngineKind::kRelational);
   d.shards[0]->Disconnect();
   EXPECT_EQ(RunBroadcast(d), baseline);
-  const int64_t attempts_after_failover = d.net->metrics().failover_attempts();
+  const int64_t attempts_after_failover =
+      d.net->metrics().Get(Metric::kFailoverAttempts);
   d.shards[0]->Reconnect();
   EXPECT_EQ(RunBroadcast(d), baseline);
-  EXPECT_EQ(d.net->metrics().failover_attempts(), attempts_after_failover);
+  EXPECT_EQ(d.net->metrics().Get(Metric::kFailoverAttempts),
+            attempts_after_failover);
 }
 
 }  // namespace

@@ -139,9 +139,9 @@ TEST_F(HttpIntegrationTest, RetryingTransportOverRealSockets) {
   auto result = client.Execute(call);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->size(), 2u);
-  EXPECT_EQ(metrics.requests(), 1);
-  EXPECT_EQ(metrics.retries(), 0);
-  EXPECT_GT(metrics.bytes_received(), 0);
+  EXPECT_EQ(metrics.Get(net::Metric::kRequests), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kRetries), 0);
+  EXPECT_GT(metrics.Get(net::Metric::kBytesReceived), 0);
 }
 
 TEST_F(HttpIntegrationTest, RetryRecoversFromTransientServerOutage) {
@@ -181,8 +181,8 @@ TEST_F(HttpIntegrationTest, RetryRecoversFromTransientServerOutage) {
   auto result = client.Execute(call);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(flaky.attempts_, 2);
-  EXPECT_EQ(metrics.retries(), 1);
-  EXPECT_EQ(metrics.failures(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kRetries), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kFailures), 1);
 }
 
 TEST_F(HttpIntegrationTest, SocketTimeoutSurfacesAsNetworkError) {
@@ -263,8 +263,8 @@ TEST_F(HttpIntegrationTest, IdlePooledConnectionExpiresAndRedials) {
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   ASSERT_TRUE(post().ok());
   EXPECT_EQ(transport.pool().expired(), 1);
-  EXPECT_EQ(metrics.conn_expired(), 1);
-  EXPECT_EQ(metrics.conn_dials(), 2);
+  EXPECT_EQ(metrics.Get(net::Metric::kConnExpired), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kConnDials), 2);
   EXPECT_EQ(http_server_->connections_accepted(), 2);
 }
 
@@ -292,7 +292,7 @@ TEST_F(HttpIntegrationTest, StaleConnectionIsRedialedForReadOnlyCalls) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   auto second = transport.Post(uri + "/" + server::kWsatPath, body);
   ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(metrics.conn_stale_retries(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kConnStaleRetries), 1);
   short_idle_server.Stop();
 }
 
@@ -326,7 +326,7 @@ TEST_F(HttpIntegrationTest, StaleConnectionIsNotReplayedForUpdatingCalls) {
   // never a silent replay.
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kNetworkError);
-  EXPECT_EQ(metrics.conn_stale_retries(), 0);
+  EXPECT_EQ(metrics.Get(net::Metric::kConnStaleRetries), 0);
   short_idle_server.Stop();
 }
 
@@ -370,8 +370,8 @@ TEST_F(HttpIntegrationTest, OverloadedServerAnswers503) {
   EXPECT_NE(reply.status().message().find("503"), std::string::npos)
       << reply.status();
   EXPECT_EQ(tiny_server.overload_rejections(), 1);
-  EXPECT_EQ(metrics.server_overloads(), 1);
-  EXPECT_GE(metrics.accept_queue_max_depth(), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kServerOverloads), 1);
+  EXPECT_GE(metrics.Get(net::Metric::kAcceptQueueMaxDepth), 1);
   ::close(pinned);
   ::close(queued);
   tiny_server.Stop();
@@ -393,7 +393,7 @@ TEST_F(HttpIntegrationTest, ParallelFanoutOverRealSockets) {
   RpcClient::Options opts;
   opts.dispatch_pool = &pool;
   net::RpcMetrics metrics;
-  opts.dispatch_metrics = &metrics;
+  opts.metrics = &metrics;
   RpcClient client(&transport_, opts);
   const char* actors[] = {"Sean Connery", "Gerard Depardieu",
                           "Julie Andrews"};
@@ -414,8 +414,8 @@ TEST_F(HttpIntegrationTest, ParallelFanoutOverRealSockets) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ((*responses)[i].results[0].size(), expected[i]) << actors[i];
   }
-  EXPECT_EQ(metrics.fanout_groups(), 1);
-  EXPECT_EQ(metrics.fanout_destinations(), 3);
+  EXPECT_EQ(metrics.Get(net::Metric::kFanoutGroups), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kFanoutDestinations), 3);
   for (auto& s : servers) s->Stop();
 }
 

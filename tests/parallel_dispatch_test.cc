@@ -364,13 +364,14 @@ TEST_F(ParallelDispatchTest, FanoutMetricsAreRecorded) {
   net::ThreadPool pool(2);
   RpcClient::Options opts;
   opts.dispatch_pool = &pool;
-  opts.dispatch_metrics = &metrics;
+  opts.metrics = &metrics;
   RpcClient client(network_.get(), opts);
   ASSERT_TRUE(client.ExecuteBulkAll(FourDestinations()).ok());
-  EXPECT_EQ(metrics.fanout_groups(), 1);
-  EXPECT_EQ(metrics.fanout_destinations(), 4);
-  EXPECT_EQ(metrics.dispatch_max_in_flight(), 2);  // min(4 dests, 2 workers)
-  EXPECT_EQ(metrics.fanout_latency().samples(), 4);
+  EXPECT_EQ(metrics.Get(net::Metric::kFanoutGroups), 1);
+  EXPECT_EQ(metrics.Get(net::Metric::kFanoutDestinations), 4);
+  // min(4 dests, 2 workers)
+  EXPECT_EQ(metrics.Get(net::Metric::kDispatchMaxInFlight), 2);
+  EXPECT_EQ(metrics.Get(net::Metric::kFanoutLatency), 4);
   std::string report = metrics.Report();
   EXPECT_NE(report.find("fanout:"), std::string::npos);
 }

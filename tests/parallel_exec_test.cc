@@ -212,7 +212,7 @@ TEST(ParallelExecTest, NetworkWideEnableAppliesAndReportsExecMetrics) {
   const std::string query = std::string(kImportB) + kShardBroadcast;
   const std::string serial = RunSharded(net.get(), query);
   EXPECT_FALSE(net->parallel_dispatch_enabled());
-  EXPECT_EQ(net->metrics().dispatch_max_in_flight(), 1);
+  EXPECT_EQ(net->metrics().Get(net::Metric::kDispatchMaxInFlight), 1);
 
   net->EnableParallelDispatch(8);
   EXPECT_TRUE(net->parallel_dispatch_enabled());
@@ -222,9 +222,9 @@ TEST(ParallelExecTest, NetworkWideEnableAppliesAndReportsExecMetrics) {
 
   // The broadcast reached all four shards through the pool, and the fan-out
   // was reported into the shared metrics.
-  EXPECT_EQ(net->metrics().dispatch_max_in_flight(), 4);
-  EXPECT_GE(net->metrics().fanout_groups(), 2);
-  EXPECT_GE(net->metrics().fanout_destinations(), 8);
+  EXPECT_EQ(net->metrics().Get(net::Metric::kDispatchMaxInFlight), 4);
+  EXPECT_GE(net->metrics().Get(net::Metric::kFanoutGroups), 2);
+  EXPECT_GE(net->metrics().Get(net::Metric::kFanoutDestinations), 8);
   const std::string dump = net->metrics().Report();
   EXPECT_NE(dump.find("fanout: groups="), std::string::npos) << dump;
 }

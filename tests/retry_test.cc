@@ -20,6 +20,7 @@ namespace {
 
 using net::FaultProfile;
 using net::LatencyHistogram;
+using net::Metric;
 using net::PostResult;
 using net::RetryingTransport;
 using net::RetryPolicy;
@@ -73,10 +74,11 @@ TEST(RetryingTransport, ReadOnlySucceedsAfterTransientFailures) {
   EXPECT_EQ(slept[0], 1000);
   EXPECT_EQ(slept[1], 2000);
   EXPECT_EQ(result->network_micros, 100 + 3000);
-  EXPECT_EQ(metrics.retries(), 2);
-  EXPECT_EQ(metrics.requests(), 3);  // 2 failed attempts + 1 success
-  EXPECT_EQ(metrics.failures(), 2);
-  EXPECT_EQ(metrics.backoff_micros(), 3000);
+  EXPECT_EQ(metrics.Get(Metric::kRetries), 2);
+  // 2 failed attempts + 1 success
+  EXPECT_EQ(metrics.Get(Metric::kRequests), 3);
+  EXPECT_EQ(metrics.Get(Metric::kFailures), 2);
+  EXPECT_EQ(metrics.Get(Metric::kBackoffMicros), 3000);
 }
 
 TEST(RetryingTransport, GivesUpAfterMaxAttempts) {
@@ -89,8 +91,8 @@ TEST(RetryingTransport, GivesUpAfterMaxAttempts) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNetworkError);
   EXPECT_EQ(inner.attempts.size(), 3u);
-  EXPECT_EQ(metrics.retries(), 2);
-  EXPECT_EQ(metrics.failures(), 3);
+  EXPECT_EQ(metrics.Get(Metric::kRetries), 2);
+  EXPECT_EQ(metrics.Get(Metric::kFailures), 3);
 }
 
 TEST(RetryingTransport, UpdatingEnvelopeIsNeverRetransmitted) {
@@ -109,7 +111,7 @@ TEST(RetryingTransport, UpdatingEnvelopeIsNeverRetransmitted) {
   auto result = transport.Post("xrpc://p", body);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(inner.attempts.size(), 1u) << "updating call was retransmitted";
-  EXPECT_EQ(metrics.retries(), 0);
+  EXPECT_EQ(metrics.Get(Metric::kRetries), 0);
 }
 
 TEST(RetryingTransport, NonTransientErrorsAreNotRetried) {
@@ -159,8 +161,8 @@ TEST(RetryingTransport, SlowReplyBecomesTimeoutAndIsRetried) {
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("timed out"), std::string::npos);
   EXPECT_EQ(inner.attempts.size(), 2u);  // timeout is transient: retried
-  EXPECT_EQ(metrics.timeouts(), 2);
-  EXPECT_EQ(metrics.retries(), 1);
+  EXPECT_EQ(metrics.Get(Metric::kTimeouts), 2);
+  EXPECT_EQ(metrics.Get(Metric::kRetries), 1);
 }
 
 class EchoEndpoint : public net::SoapEndpoint {
@@ -186,7 +188,7 @@ TEST(FaultInjection, QueuedFailuresThenRetrySucceeds) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->body, "echo:hello");
   EXPECT_EQ(peer.requests, 1);  // the two failures never reached the peer
-  EXPECT_EQ(metrics.retries(), 2);
+  EXPECT_EQ(metrics.Get(Metric::kRetries), 2);
   EXPECT_EQ(net.faults_injected(), 2);
 }
 
@@ -286,8 +288,8 @@ TEST(FaultInjection, LatencySpikePlusTimeoutFailsCrisplyForUpdatingCalls) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNetworkError);
   EXPECT_EQ(peer.requests, 1) << "updating call must not be retransmitted";
-  EXPECT_EQ(metrics.timeouts(), 1);
-  EXPECT_EQ(metrics.retries(), 0);
+  EXPECT_EQ(metrics.Get(Metric::kTimeouts), 1);
+  EXPECT_EQ(metrics.Get(Metric::kRetries), 0);
 }
 
 TEST(LatencyHistogramTest, BucketsAndSummary) {
@@ -306,26 +308,27 @@ TEST(LatencyHistogramTest, BucketsAndSummary) {
 
 TEST(RpcMetricsTest, PerPeerBreakdownAndReport) {
   RpcMetrics metrics;
-  metrics.RecordClientRequest("xrpc://a", 100, 400, 1500, true);
-  metrics.RecordClientRequest("xrpc://a", 100, 0, 0, false);
-  metrics.RecordRetry("xrpc://a");
-  metrics.RecordClientRequest("xrpc://b", 50, 60, 200, true);
-  metrics.RecordServerRequest("xrpc://b", 7, true);
-  metrics.RecordInjectedFault();
-  metrics.RecordBackoff(1234);
+  metrics.RecordExchange("xrpc://a", 100, 400, 1500, true);
+  metrics.RecordExchange("xrpc://a", 100, 0, 0, false);
+  metrics.Add(Metric::kRetries, 1, "xrpc://a");
+  metrics.RecordExchange("xrpc://b", 50, 60, 200, true);
+  metrics.Add(Metric::kServerRequests, 1, "xrpc://b");
+  metrics.Add(Metric::kServerCalls, 7, "xrpc://b");
+  metrics.Add(Metric::kInjectedFaults);
+  metrics.Add(Metric::kBackoffMicros, 1234);
 
-  EXPECT_EQ(metrics.requests(), 3);
-  EXPECT_EQ(metrics.failures(), 1);
-  EXPECT_EQ(metrics.retries(), 1);
-  EXPECT_EQ(metrics.bytes_sent(), 250);
-  EXPECT_EQ(metrics.bytes_received(), 460);
-  EXPECT_EQ(metrics.injected_faults(), 1);
-  EXPECT_EQ(metrics.server_requests(), 1);
-  EXPECT_EQ(metrics.server_calls(), 7);
-  EXPECT_EQ(metrics.backoff_micros(), 1234);
-  EXPECT_EQ(metrics.PeerStats("xrpc://a").requests, 2);
-  EXPECT_EQ(metrics.PeerStats("xrpc://a").retries, 1);
-  EXPECT_EQ(metrics.PeerStats("xrpc://nope").requests, 0);
+  EXPECT_EQ(metrics.Get(Metric::kRequests), 3);
+  EXPECT_EQ(metrics.Get(Metric::kFailures), 1);
+  EXPECT_EQ(metrics.Get(Metric::kRetries), 1);
+  EXPECT_EQ(metrics.Get(Metric::kBytesSent), 250);
+  EXPECT_EQ(metrics.Get(Metric::kBytesReceived), 460);
+  EXPECT_EQ(metrics.Get(Metric::kInjectedFaults), 1);
+  EXPECT_EQ(metrics.Get(Metric::kServerRequests), 1);
+  EXPECT_EQ(metrics.Get(Metric::kServerCalls), 7);
+  EXPECT_EQ(metrics.Get(Metric::kBackoffMicros), 1234);
+  EXPECT_EQ(metrics.Get(Metric::kRequests, "xrpc://a"), 2);
+  EXPECT_EQ(metrics.Get(Metric::kRetries, "xrpc://a"), 1);
+  EXPECT_EQ(metrics.Get(Metric::kRequests, "xrpc://nope"), 0);
 
   std::string report = metrics.Report();
   EXPECT_NE(report.find("requests=3"), std::string::npos);
@@ -335,8 +338,8 @@ TEST(RpcMetricsTest, PerPeerBreakdownAndReport) {
   EXPECT_NE(report.find("latency histogram"), std::string::npos);
 
   metrics.Reset();
-  EXPECT_EQ(metrics.requests(), 0);
-  EXPECT_EQ(metrics.injected_faults(), 0);
+  EXPECT_EQ(metrics.Get(Metric::kRequests), 0);
+  EXPECT_EQ(metrics.Get(Metric::kInjectedFaults), 0);
 }
 
 // End-to-end acceptance scenario: a read-only Bulk RPC through RpcClient
@@ -392,11 +395,11 @@ TEST_F(BulkRetryTest, ReadOnlyBulkRpcSurvivesTwoInjectedFailures) {
   ASSERT_TRUE(response.ok()) << response.status();
   ASSERT_EQ(response->results.size(), 1u);
   EXPECT_EQ(response->results[0].size(), 2u);
-  EXPECT_EQ(metrics_.retries(), 2);
-  EXPECT_EQ(metrics_.injected_faults(), 2);
-  EXPECT_GT(metrics_.backoff_micros(), 0);
-  EXPECT_GT(metrics_.latency().samples(), 0);
-  EXPECT_EQ(metrics_.server_requests(), 1);
+  EXPECT_EQ(metrics_.Get(Metric::kRetries), 2);
+  EXPECT_EQ(metrics_.Get(Metric::kInjectedFaults), 2);
+  EXPECT_GT(metrics_.Get(Metric::kBackoffMicros), 0);
+  EXPECT_GT(metrics_.Get(Metric::kLatency), 0);
+  EXPECT_EQ(metrics_.Get(Metric::kServerRequests), 1);
 }
 
 TEST_F(BulkRetryTest, UpdatingBulkRpcFailsCrisplyWithoutRetransmission) {
@@ -407,8 +410,8 @@ TEST_F(BulkRetryTest, UpdatingBulkRpcFailsCrisplyWithoutRetransmission) {
   auto response = client.ExecuteBulk("xrpc://y", FilmRequest(true));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kNetworkError);
-  EXPECT_EQ(metrics_.retries(), 0);
-  EXPECT_EQ(metrics_.server_requests(), 0)
+  EXPECT_EQ(metrics_.Get(Metric::kRetries), 0);
+  EXPECT_EQ(metrics_.Get(Metric::kServerRequests), 0)
       << "updating envelope reached the peer again after a failure";
   EXPECT_EQ(client.requests_sent(), 0);
 }

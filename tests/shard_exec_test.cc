@@ -246,14 +246,14 @@ TEST(ShardExecTest, MapChangeMidScatterReroutesOnceNeverPartialMerge) {
     d.net->network().set_post_hook(nullptr);
 
     const net::RpcMetrics& m = d.net->metrics();
-    EXPECT_GE(m.stale_catalog_rejects(), 1);
-    EXPECT_EQ(m.stale_catalog_reroutes(), 1);
+    EXPECT_GE(m.Get(net::Metric::kStaleCatalogRejects), 1);
+    EXPECT_EQ(m.Get(net::Metric::kStaleCatalogReroutes), 1);
 
     // A fresh broadcast under the settled new map routes shard 0's subcall
     // to the spare — the map change was real, not a version-only bump.
-    const int64_t spare_before = m.PeerStats(spare->uri()).requests;
+    const int64_t spare_before = m.Get(net::Metric::kRequests, spare->uri());
     EXPECT_EQ(RunQuery(d, query), baseline);
-    EXPECT_GT(m.PeerStats(spare->uri()).requests, spare_before);
+    EXPECT_GT(m.Get(net::Metric::kRequests, spare->uri()), spare_before);
   }
 }
 

@@ -291,7 +291,7 @@ TEST_F(TxnRecoveryTest, RedeliveredVerbsAnswerIdempotently) {
                              qid.id);
   ASSERT_TRUE(inq.ok());
   EXPECT_EQ(inq->outcome, "committed");
-  EXPECT_GT(net_.metrics().txn_idempotent_replies(), 0);
+  EXPECT_GT(net_.metrics().Get(net::Metric::kTxnIdempotentReplies), 0);
 }
 
 TEST_F(TxnRecoveryTest, CommitToUnknownQueryIdPresumesAbort) {
@@ -352,7 +352,7 @@ TEST_F(TxnRecoveryTest, CommitRetryDrainsTransientFailure) {
   EXPECT_GT(slept_us, 0);
   EXPECT_EQ(Count(y_), 4);
   EXPECT_EQ(Count(z_), 4);
-  EXPECT_GE(net_.metrics().txn_commit_retries(), 2);
+  EXPECT_GE(net_.metrics().Get(net::Metric::kTxnCommitRetries), 2);
   EXPECT_EQ(p0_->service().in_doubt_count(), 0u);
 }
 
