@@ -32,6 +32,16 @@ class DeterministicPrng {
   uint64_t state_;
 };
 
+/// SplitMix-style seed mixer: every (seed, stream) pair — a schedule index,
+/// a thread, a tenant — gets an independent DeterministicPrng seed.
+inline uint64_t MixSeed(uint64_t seed, uint64_t stream) {
+  uint64_t x = seed + 0x9e3779b97f4a7c15ull * (stream + 1);
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  return x;
+}
+
 }  // namespace xrpc
 
 #endif  // XRPC_BASE_PRNG_H_

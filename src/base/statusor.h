@@ -46,6 +46,10 @@ class [[nodiscard]] StatusOr {
     assert(ok());
     return std::move(*value_);
   }
+  /// The value, or `fallback` when this holds an error.
+  T value_or(T fallback) && {
+    return ok() ? std::move(*value_) : std::move(fallback);
+  }
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }

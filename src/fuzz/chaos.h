@@ -2,135 +2,148 @@
 #define XRPC_FUZZ_CHAOS_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "base/statusor.h"
+#include "fuzz/repro.h"
 
 namespace xrpc::fuzz {
 
-/// One membership-chaos schedule (DESIGN.md §14): everything that varies
-/// between runs of the fixed read-only broadcast workload over a
-/// replicated sharded XMark deployment. A ChaosSchedule is a pure function
-/// of (seed, index) — replaying the same pair reproduces the identical run
-/// under the virtual clock.
+struct Fleet;
+
+/// One membership event (DESIGN.md §14). Peer slots: 0..3 are the base
+/// shard peers, 4..5 are spares that exist only after a kJoin targets them.
+/// Events aimed at a slot that does not exist yet are no-ops, so every
+/// schedule is valid by construction.
+struct ChaosEvent {
+  enum Kind {
+    kKill,       ///< disconnect the peer (partition, dials refused)
+    kRevive,     ///< reconnect it (or, if it is up, the first partitioned peer)
+    kJoin,       ///< add spare `peer` to the fleet, rebalance `shard` onto it
+    kRebalance,  ///< move `shard`'s primary to existing peer `peer`
+    kBump,       ///< identical catalog re-registration (version only)
+  };
+  static constexpr int kNumKinds = 5;
+  Kind kind = kBump;
+  /// Post serial at which the event fires; 0 = before the first query.
+  int serial = 0;
+  int peer = 0;   ///< target peer slot
+  int shard = 0;  ///< shard index (kJoin / kRebalance)
+};
+
+/// One chaos schedule: everything that varies between runs of the fixed
+/// workload. A pure function of (seed, index) — replaying the same pair
+/// reproduces the identical run under the virtual clock.
 struct ChaosSchedule {
   uint64_t seed = 0;
   int index = 0;
-
   /// Total copies of every fragment, primary included (ring placement).
   int replication_factor = 1;
-  /// Bit k set: shard peer k is disconnected (dials refused) mid-run.
-  uint32_t kill_mask = 0;
-  /// Post serial at which the kills fire; 0 = before the query starts.
-  int kill_serial = 0;
-  /// Post serial at which every killed peer reconnects; 0 = never.
-  int revive_serial = 0;
-  /// Post serial at which the catalog version is bumped (an identical
-  /// re-registration) while scatter calls are in flight; 0 = off. Stamped
-  /// requests then hit the epoch fence and must re-route exactly once.
-  int bump_serial = 0;
   /// Per-peer circuit breaker on the outgoing transport: dead-peer dials
   /// trip it open, so later subcalls skip straight to a replica.
   bool use_breaker = false;
+  /// The middle broadcast of the workload becomes the updating `u:stamp()`
+  /// broadcast: an all-copies 2PC write racing the events (DESIGN.md §17).
+  bool writes = false;
+  std::vector<ChaosEvent> events;
 
   std::string Describe() const;
-
-  /// True when every shard keeps at least one replica-set member that is
-  /// never killed — the condition under which the query MUST survive
-  /// byte-identically (failover can always find a live copy).
-  bool Covered(int num_shards) const;
 };
 
-/// Outcome of one chaos run.
+/// Outcome of one chaos run (five queries under one event schedule).
 struct ChaosResult {
   ChaosSchedule schedule;
   bool ok = true;                       ///< all invariants held
   std::vector<std::string> violations;  ///< "invariant: detail" lines
 
-  bool covered = false;   ///< schedule.Covered() at run time
-  bool query_ok = false;  ///< the broadcast query returned a result
-  std::string outcome;    ///< normalized result, or the fault text
-  bool update_ran = false;        ///< an updating query ran under chaos
-  bool update_committed = false;  ///< ... and its 2PC committed
-  int64_t elapsed_us = 0; ///< virtual time the query consumed
+  /// Per query: "ok: <normalized result>", "committed", "aborted: <reason>"
+  /// or "fault: <status>".
+  std::vector<std::string> outcomes;
+  int queries_ok = 0;
+  int events_fired = 0;
+  bool write_committed = false;
   int64_t failover_successes = 0;
-  int64_t stale_reroutes = 0;
+  int64_t read_reroutes = 0;
+  int64_t elapsed_us = 0;  ///< virtual time of the whole run
 };
 
 struct ChaosStats {
   int64_t explored = 0;
-  int64_t survived = 0;      ///< runs that returned a (checked) result
-  int64_t clean_faults = 0;  ///< uncovered runs that failed cleanly
+  int64_t queries_ok = 0;
+  int64_t clean_faults = 0;
   int64_t violations = 0;
   int64_t failover_successes = 0;
-  int64_t stale_reroutes = 0;
-  int64_t updates_committed = 0;  ///< mid-schedule updates whose 2PC committed
-  int64_t updates_aborted = 0;    ///< ... aborted or failed cleanly
+  int64_t read_reroutes = 0;
+  int64_t writes_committed = 0;
+  int64_t writes_aborted = 0;  ///< aborted or failed cleanly
+  int64_t fired[ChaosEvent::kNumKinds] = {};  ///< effective events, by kind
 };
+
+/// Self-test modes; each names the detector it proves non-vacuous.
+enum class Sabotage {
+  kNone,
+  /// byte-identity: shard 0's primary fragment is emptied before the run.
+  kCorruptPrimary,
+  /// replica-convergence: at quiesce, before repair, shard 0's primary is
+  /// written directly (no 2PC, no version advance), so repair sees no lag.
+  kPrimaryOnlyWrite,
+  /// no-lost-shard: at quiesce, every server of auctions shard 0 stays
+  /// partitioned instead of healing.
+  kLostShard,
+};
+/// Parses "none", "corrupt_primary", "primary_only_write" or "lost_shard";
+/// false on an unknown name.
+bool ParseSabotage(std::string_view name, Sabotage* out);
 
 struct ChaosConfig {
   uint64_t seed = 1;
-  /// Self-test mode: corrupt shard 0's primary fragment before every run,
-  /// so a surviving run diverges from the baseline. The byte-identity
-  /// checker must flag it — proving the detector is not vacuous.
-  bool sabotage_divergence = false;
-  /// Mid-schedule writes (DESIGN.md §17): before the read broadcast, an
-  /// updating broadcast (`u:stamp()`, repeatable isolation) runs under the
-  /// armed chaos schedule — kills, revives, and catalog bumps land mid-2PC.
-  /// The byte-identity baseline then depends on the commit outcome, and the
-  /// replica-convergence invariant checks every copy after quiesce+repair.
-  bool with_updates = false;
-  /// Self-test mode for the convergence detector: after the queries, write
-  /// shard 0's primary fragment DIRECTLY (no 2PC, no version advance) —
-  /// repair must NOT mask it (there is no version lag to see), so the
-  /// replica-convergence check must fire. Proves the detector is not
-  /// satisfied by "repair ran".
-  bool sabotage_primary_only_write = false;
+  Sabotage sabotage = Sabotage::kNone;
 };
 
-/// Systematic membership-chaos exploration (DESIGN.md §14): the fixed
-/// workload — a broadcast `execute at {"shard:auctions.xml"}` over a
-/// 3-shard replicated XMark deployment — runs under an enumerated grid
-/// (and, past the grid, a seeded random sample) of {replication factor} x
-/// {kill set} x {kill/revive instant} x {catalog bump instant} x {circuit
-/// breaker}. Invariants asserted after every run:
-///   1. byte-identity  — a run that returns a result returns exactly the
-///      chaos-free baseline (replica answers are indistinguishable);
-///   2. replica-coverage — when surviving replicas cover every shard, the
-///      query MUST survive (failover finds the live copy);
-///   3. clean-fault — a failing run fails with a single retriable-class
-///      fault (network / deadline), never anything half-merged;
-///   4. no-hang — the query consumes at most the deadline budget (plus
-///      one message of slack) of virtual time;
-///   5. single-reroute — an epoch fence triggers at most one catalog
-///      refetch + re-dispatch per query;
-///   6. replica-convergence — after quiesce (partitions healed, in-doubt
-///      drained, lagging copies repaired), EVERY copy of every auctions
-///      fragment is byte-identical to the chaos-free serial state — the
-///      updated state when the mid-schedule 2PC committed, the original
-///      otherwise;
-///   7. update-survival — with no kills and no catalog bump scheduled,
-///      the mid-schedule updating broadcast has no excuse not to commit.
-///      A racing bump is a legitimate abort: updating broadcasts never
-///      re-dispatch after the StaleCatalog fence (the first attempt may
-///      already have staged calls, so a re-route would apply them twice).
+/// Membership-chaos exploration (DESIGN.md §14). Every run builds the same
+/// fleet — 4 shard peers of a replicated XMark deployment, 2 joinable
+/// spare slots and the p0 frontend — fires the schedule's events at post
+/// serials through the simulated network's hook, and runs one workload:
+/// broadcast, point read, broadcast, point read, broadcast (the middle one
+/// the updating broadcast when `writes` is set). Invariants, per query:
+///   1. byte-identity — a read (or a quiesce probe) that returns, returns
+///      exactly the 4-shard rf-1 reference network's answer (updated iff
+///      the write committed);
+///   2. replica-coverage — when every shard keeps a live, never-killed,
+///      current copy at query start and at most one catalog mutation
+///      raced it, the read MUST survive;
+///   3. clean-fault (reads) — a network or deadline error, StaleReplica
+///      once the write ran, StaleCatalog only when at least two catalog
+///      mutations raced the read;
+///   4. clean-fault (write) — a network, deadline or StaleCatalog error (a
+///      coordinator abort is no fault);
+///   5. no-hang — at most the deadline budget plus one message of slack;
+///   6. single-reroute — at most one catalog re-route when at most one
+///      mutation raced the query;
+///   7. update-survival — with no kill anywhere in the schedule and no
+///      mutation racing it, the write commits.
+/// And after quiesce (partitions healed, in-doubt 2PC drained, lagging
+/// copies repaired):
+///   8. no-lost-shard — every shard of both collections has a live server,
+///      and probes over both collections succeed;
+///   9. replica-convergence — every catalog-listed copy of every auctions
+///      fragment is byte-identical to the reference's serial state.
 class ChaosExplorer {
  public:
   explicit ChaosExplorer(const ChaosConfig& config = {});
   ~ChaosExplorer();
 
-  /// Number of systematically enumerated grid points; index >= GridSize()
-  /// is sampled randomly.
+  /// Number of enumerated grid points; index >= GridSize() is sampled.
   int GridSize() const;
 
   /// Deterministically derives schedule `index` of this explorer's seed.
   ChaosSchedule MakeSchedule(int index) const;
 
-  /// Builds a fresh replicated deployment, injects the schedule through
-  /// the simulated network's post-hook, runs the workload, and checks the
-  /// invariants.
+  /// Builds a fresh fleet, runs the workload under the schedule, and
+  /// checks the invariants.
   ChaosResult RunSchedule(const ChaosSchedule& schedule);
 
   const ChaosStats& stats() const { return stats_; }
@@ -138,164 +151,18 @@ class ChaosExplorer {
  private:
   ChaosConfig config_;
   ChaosStats stats_;
-  std::string baseline_;  ///< chaos-free normalized broadcast result
-  /// Same broadcast after the chaos-free update committed (dual baseline:
-  /// which one a surviving read must match depends on the 2PC outcome).
-  std::string baseline_updated_;
-  /// Chaos-free serialized bytes of every auctions fragment, before and
-  /// after the update — what replica-convergence compares every copy to.
-  std::vector<std::string> frag_baseline_;
-  std::vector<std::string> frag_updated_;
+  /// The chaos-free 4-shard rf-1 reference network, kept alive to answer
+  /// point-read baselines on demand (cached by query).
+  std::unique_ptr<Fleet> reference_;
+  std::map<std::string, std::string> reference_answers_;
+  std::string broadcast_, broadcast_updated_, persons_;
+  /// Serialized auctions fragments before and after the serial update.
+  std::vector<std::string> frags_, frags_updated_;
 };
 
-/// Self-contained repro file for a chaos invariant violation; replay with
+/// Self-contained repro file for a chaos run; replay with
 /// fuzz_schedules --chaos --replay (the file carries seed + index).
-std::string FormatChaosRepro(const ChaosResult& r);
-StatusOr<ChaosSchedule> ParseChaosRepro(const std::string& content);
-
-// ---------------------------------------------------------------------------
-// Elastic membership chaos (DESIGN.md §16): beyond the fixed kill-mask grid,
-// peers JOIN the fleet mid-run, shards REBALANCE to other peers through
-// catalog version bumps, and partitions heal — all while a read workload is
-// in flight. Events fire at post serials through the simulated network's
-// hook, so a run is a pure function of (seed, index).
-// ---------------------------------------------------------------------------
-
-/// One elastic-membership event. Peer slots: 0..3 are the base shard
-/// peers, 4..5 are spares that exist only after a kJoin targets them.
-/// Events aimed at a slot that does not exist yet are no-ops — the
-/// sampler stays simple and every schedule is valid by construction.
-struct ElasticEvent {
-  enum Kind {
-    kKill,       ///< disconnect the peer (partition, dials refused)
-    kRevive,     ///< reconnect it (partition heals)
-    kJoin,       ///< add spare `peer` to the fleet and rebalance `shard`
-                 ///< onto it (catalog bump)
-    kRebalance,  ///< move `shard`'s primary to existing peer `peer`
-    kBump,       ///< identical catalog re-registration (version only)
-  };
-  Kind kind = kBump;
-  int serial = 0;  ///< 1-based post serial at which the event fires
-  int peer = 0;    ///< target peer slot
-  int shard = 0;   ///< shard index (kJoin / kRebalance)
-};
-
-/// A sampled elastic schedule — pure function of (seed, index), like
-/// ChaosSchedule.
-struct ElasticSchedule {
-  uint64_t seed = 0;
-  int index = 0;
-  int replication_factor = 1;
-  std::vector<ElasticEvent> events;
-
-  std::string Describe() const;
-};
-
-/// Outcome of one elastic run (several queries under one event schedule).
-struct ElasticResult {
-  ElasticSchedule schedule;
-  bool ok = true;                       ///< all invariants held
-  std::vector<std::string> violations;  ///< "invariant: detail" lines
-
-  int queries_ok = 0;
-  int queries_failed = 0;
-  int events_fired = 0;
-  bool update_ran = false;        ///< an updating query ran mid-schedule
-  bool update_committed = false;  ///< ... and its 2PC committed
-  int64_t failover_successes = 0;
-  int64_t stale_reroutes = 0;
-  int64_t elapsed_us = 0;  ///< virtual time of the whole run
-};
-
-struct ElasticStats {
-  int64_t explored = 0;
-  int64_t queries_ok = 0;
-  int64_t clean_faults = 0;
-  int64_t violations = 0;
-  int64_t events_fired = 0;
-  int64_t failover_successes = 0;
-  int64_t stale_reroutes = 0;
-  int64_t updates_committed = 0;  ///< mid-schedule updates whose 2PC committed
-  int64_t updates_aborted = 0;    ///< ... aborted or failed cleanly
-};
-
-struct ElasticConfig {
-  uint64_t seed = 1;
-  /// Self-test mode: at quiesce, instead of healing, permanently
-  /// disconnect every peer serving shard 0 of the auctions collection.
-  /// The no-lost-shard detector must fire — proving it non-vacuous.
-  bool sabotage_lost_shard = false;
-  /// Mid-schedule writes (DESIGN.md §17): the middle query of the workload
-  /// becomes an updating broadcast (`u:stamp()`, repeatable isolation) that
-  /// runs while joins, rebalances, kills, and bumps fire. Later reads match
-  /// the updated baseline iff the 2PC committed, and after quiesce+repair
-  /// the replica-convergence invariant checks every catalog-listed copy —
-  /// including fragments freshly materialized by a rebalance, which start
-  /// at data version 0 and must be caught up by anti-entropy repair.
-  bool with_updates = false;
-};
-
-/// Elastic-membership exploration over a 4-shard replicated XMark fleet
-/// plus two joinable spares. Every run replays a fixed read workload
-/// (broadcast scatter-gathers interleaved with routed point reads) while
-/// the sampled event schedule fires, then asserts six invariants:
-///   1. byte-identity  — every surviving query result equals the
-///      chaos-free baseline exactly;
-///   2. replica-coverage — when every shard keeps a live, never-killed
-///      serving peer and at most one catalog mutation raced the query,
-///      the query MUST survive;
-///   3. clean-fault — a failing query fails with one retriable-class
-///      fault (network / deadline / stale-catalog), never half-merged;
-///   4. no-hang — each query consumes at most the deadline budget plus
-///      one message of slack;
-///   5. single-reroute — at most one catalog refetch + re-dispatch per
-///      query when at most one mutation raced it;
-///   6. no-lost-shard — after quiesce (partitions healed, in-doubt 2PC
-///      drained, lagging copies repaired), every shard of every
-///      collection is served by some live peer, and scatter-gather
-///      probes over both collections are byte-identical to the
-///      chaos-free baseline (the updated one iff the mid-schedule 2PC
-///      committed);
-///   7. replica-convergence (with_updates) — after quiesce+repair, every
-///      catalog-listed copy of every auctions fragment — rebalanced-in
-///      copies included — is byte-identical to the chaos-free serial
-///      state;
-///   8. update-survival (with_updates) — when no kill event exists
-///      anywhere in the schedule and no catalog mutation raced it, the
-///      updating broadcast has no excuse not to commit.
-class ElasticChaosExplorer {
- public:
-  explicit ElasticChaosExplorer(const ElasticConfig& config = {});
-  ~ElasticChaosExplorer();
-
-  /// Deterministically derives sampled schedule `index` under this
-  /// explorer's seed (no systematic grid — the space is combinatorial).
-  ElasticSchedule MakeSchedule(int index) const;
-
-  ElasticResult RunSchedule(const ElasticSchedule& schedule);
-
-  const ElasticStats& stats() const { return stats_; }
-
- private:
-  ElasticConfig config_;
-  ElasticStats stats_;
-  std::string baseline_broadcast_;  ///< chaos-free Q_B1 result
-  std::string baseline_persons_;    ///< chaos-free persons-count probe
-  /// Same broadcast after the chaos-free serial update committed.
-  std::string baseline_broadcast_updated_;
-  /// Chaos-free serialized bytes of every auctions fragment before and
-  /// after the update — what replica-convergence compares copies to.
-  std::vector<std::string> frag_baseline_;
-  std::vector<std::string> frag_updated_;
-  /// Unsharded reference network, kept alive to answer point-read
-  /// baselines on demand (cached by person key).
-  std::unique_ptr<class ElasticBaseline> baseline_;
-};
-
-/// Repro file for an elastic invariant violation; replay with
-/// fuzz_schedules --chaos-elastic --replay (carries seed + index).
-std::string FormatElasticRepro(const ElasticResult& r);
-StatusOr<ElasticSchedule> ParseElasticRepro(const std::string& content);
+std::string FormatRepro(const ChaosResult& r);
 
 }  // namespace xrpc::fuzz
 

@@ -1,7 +1,6 @@
 #include "fuzz/schedule.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "base/prng.h"
@@ -112,16 +111,6 @@ const char* CrashPointName(server::CrashPoint p) {
     case server::CrashPoint::kAfterCommitLog: return "after-commit-log";
   }
   return "?";
-}
-
-/// SplitMix-style mix so every (seed, index) pair gets an independent
-/// stream for its sampled dimensions and fault coin flips.
-uint64_t MixSeed(uint64_t seed, int index) {
-  uint64_t x = seed + 0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(index) + 1);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  return x;
 }
 
 struct Fixture {
@@ -450,7 +439,7 @@ ScheduleResult ScheduleExplorer::RunSchedule(const Schedule& schedule) {
   return r;
 }
 
-std::string FormatScheduleRepro(const ScheduleResult& r) {
+std::string FormatRepro(const ScheduleResult& r) {
   std::string out;
   out += "# xrpc-fuzz schedule repro\n";
   out += "seed: " + std::to_string(r.schedule.seed) + "\n";
@@ -465,31 +454,6 @@ std::string FormatScheduleRepro(const ScheduleResult& r) {
   out += "--- violations ---\n";
   for (const std::string& v : r.violations) out += v + "\n";
   return out;
-}
-
-StatusOr<Schedule> ParseScheduleRepro(const std::string& content) {
-  Schedule s;
-  bool saw_seed = false, saw_index = false;
-  size_t pos = 0;
-  while (pos < content.size()) {
-    size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    const std::string line = content.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.rfind("seed: ", 0) == 0) {
-      s.seed = std::strtoull(line.c_str() + 6, nullptr, 10);
-      saw_seed = true;
-    } else if (line.rfind("index: ", 0) == 0) {
-      s.index = std::atoi(line.c_str() + 7);
-      saw_index = true;
-    }
-  }
-  if (!saw_seed || !saw_index) {
-    return Status::InvalidArgument("schedule repro needs seed: and index:");
-  }
-  // Fault/crash dimensions are re-derived: MakeSchedule(index) under the
-  // same seed reproduces them exactly.
-  return s;
 }
 
 }  // namespace xrpc::fuzz

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/peer_network.h"
+#include "fuzz/repro.h"
 #include "net/simulated_network.h"
 #include "server/xrpc_service.h"
 
@@ -123,8 +124,7 @@ class ScheduleExplorer {
 
 /// Self-contained repro file for an invariant violation; replay with
 /// fuzz_schedules --replay (the file carries seed + index).
-std::string FormatScheduleRepro(const ScheduleResult& r);
-StatusOr<Schedule> ParseScheduleRepro(const std::string& content);
+std::string FormatRepro(const ScheduleResult& r);
 
 }  // namespace xrpc::fuzz
 

@@ -48,16 +48,6 @@ constexpr char kShardedUpdateQuery[] =
     "import module namespace u=\"upd_load\" at \"u.xq\";\n"
     "execute at {\"shard:auctions.xml\"} {u:stamp()}";
 
-/// Same SplitMix-style mix as the fuzz explorers: every (seed, stream)
-/// pair gets an independent deterministic PRNG stream.
-uint64_t MixSeed(uint64_t seed, uint64_t stream) {
-  uint64_t x = seed + 0x9e3779b97f4a7c15ull * (stream + 1);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  return x;
-}
-
 /// Driver-applied membership chaos event (virtual-time triggered).
 struct ChaosEvent {
   enum Kind { kKill, kRevive, kBump } kind;

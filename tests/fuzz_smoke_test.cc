@@ -125,7 +125,7 @@ TEST(FuzzScheduleSmokeTest, ScheduleReproRoundTripsAndReplays) {
   const int index = 42;
   ScheduleResult first = explorer.RunSchedule(explorer.MakeSchedule(index));
 
-  auto parsed = ParseScheduleRepro(FormatScheduleRepro(first));
+  auto parsed = ParseRepro(FormatRepro(first));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed.value().seed, 5u);
   EXPECT_EQ(parsed.value().index, index);
@@ -146,50 +146,75 @@ TEST(ChaosSmokeTest, GridSliceHoldsAllInvariants) {
   ChaosConfig config;
   config.seed = 20260809;
   ChaosExplorer explorer(config);
-  // A grid slice plus a sampled tail; the full soak runs through
-  // fuzz_schedules --chaos (EXPERIMENTS.md).
-  const int grid = explorer.GridSize();
-  int survived_with_failover = 0;
-  for (int i = 0; i < 48 && i < grid; ++i) {
+  // Every third grid cell: stride 3 is coprime with every dimension's
+  // radix, so the slice mixes writes on/off, kills, revives, bumps and the
+  // breaker. The full grid runs through fuzz_schedules --chaos.
+  bool saw_write[2] = {false, false};
+  for (int i = 0; i < explorer.GridSize(); i += 3) {
     ChaosResult r = explorer.RunSchedule(explorer.MakeSchedule(i));
     EXPECT_TRUE(r.ok) << r.schedule.Describe() << "\n  "
                       << (r.violations.empty() ? "" : r.violations[0]);
-    if (r.query_ok && r.failover_successes > 0) ++survived_with_failover;
+    saw_write[r.schedule.writes] = true;
   }
-  for (int i = grid; i < grid + 16; ++i) {
-    ChaosResult r = explorer.RunSchedule(explorer.MakeSchedule(i));
-    EXPECT_TRUE(r.ok) << r.schedule.Describe() << "\n  "
-                      << (r.violations.empty() ? "" : r.violations[0]);
-  }
-  EXPECT_EQ(explorer.stats().violations, 0);
-  EXPECT_GT(explorer.stats().survived, 0);
-  // The slice must actually exercise failover, not only healthy runs.
-  EXPECT_GT(survived_with_failover, 0);
+  const ChaosStats& s = explorer.stats();
+  EXPECT_EQ(s.violations, 0);
+  EXPECT_TRUE(saw_write[0] && saw_write[1]);
+  EXPECT_GT(s.writes_committed, 0);
+  // The slice must exercise failover and the read-side epoch fence, not
+  // only healthy runs.
+  EXPECT_GT(s.failover_successes, 0);
+  EXPECT_GT(s.read_reroutes, 0);
 }
 
-TEST(ChaosSmokeTest, SabotageSelfTestTripsByteIdentity) {
-  // A corrupted shard-0 primary fragment makes every surviving run diverge
-  // from the baseline; the byte-identity invariant must flag it (the
-  // detector is not vacuous). Schedule 0 is the chaos-free run.
+TEST(ChaosSmokeTest, SampledSliceHoldsAllInvariants) {
   ChaosConfig config;
-  config.seed = 1;
-  config.sabotage_divergence = true;
+  config.seed = 20260809;
   ChaosExplorer explorer(config);
-  ChaosResult r = explorer.RunSchedule(explorer.MakeSchedule(0));
-  ASSERT_FALSE(r.ok);
-  ASSERT_FALSE(r.violations.empty());
-  EXPECT_EQ(r.violations[0].substr(0, r.violations[0].find(':')),
-            "byte-identity");
+  for (int i = explorer.GridSize(); i < explorer.GridSize() + 40; ++i) {
+    ChaosResult r = explorer.RunSchedule(explorer.MakeSchedule(i));
+    EXPECT_TRUE(r.ok) << r.schedule.Describe() << "\n  "
+                      << (r.violations.empty() ? "" : r.violations[0]);
+  }
+  const ChaosStats& s = explorer.stats();
+  EXPECT_EQ(s.violations, 0);
+  EXPECT_GT(s.queries_ok, 0);
+  // Membership must actually change mid-run, not only no-op.
+  EXPECT_GT(s.fired[ChaosEvent::kJoin], 0);
+  EXPECT_GT(s.fired[ChaosEvent::kRebalance], 0);
 }
 
-TEST(ChaosSmokeTest, ChaosReproRoundTripsAndReplays) {
+TEST(ChaosSmokeTest, SchedulesAreDeterministicAndVaried) {
+  ChaosConfig config;
+  config.seed = 4;
+  ChaosExplorer a(config);
+  ChaosExplorer b(config);
+  std::set<std::string> grid, sampled;
+  for (int i = 0; i < 40; ++i) {
+    for (int index : {i, a.GridSize() + i}) {
+      ChaosSchedule sa = a.MakeSchedule(index);
+      EXPECT_EQ(sa.Describe(), b.MakeSchedule(index).Describe()) << index;
+      (index < a.GridSize() ? grid : sampled).insert(sa.Describe());
+    }
+  }
+  // (No-kill grid cells differ only in an unused kill instant.)
+  EXPECT_GE(grid.size(), 30u);
+  EXPECT_GE(sampled.size(), 30u);
+  // The sampled stream depends on the seed.
+  config.seed = 5;
+  EXPECT_NE(ChaosExplorer(config).MakeSchedule(a.GridSize()).Describe(),
+            a.MakeSchedule(a.GridSize()).Describe());
+}
+
+// Formats and parses the repro of schedule `offset` (counted from the
+// first sampled index when `sampled`), replays it, and checks that the
+// replay reproduces the first run.
+void ExpectReproRoundTripsAndReplays(bool sampled, int offset) {
   ChaosConfig config;
   config.seed = 9;
   ChaosExplorer explorer(config);
-  const int index = 33;
+  const int index = (sampled ? explorer.GridSize() : 0) + offset;
   ChaosResult first = explorer.RunSchedule(explorer.MakeSchedule(index));
-
-  auto parsed = ParseChaosRepro(FormatChaosRepro(first));
+  auto parsed = ParseRepro(FormatRepro(first));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed.value().seed, 9u);
   EXPECT_EQ(parsed.value().index, index);
@@ -198,81 +223,74 @@ TEST(ChaosSmokeTest, ChaosReproRoundTripsAndReplays) {
   EXPECT_EQ(again.Describe(), first.schedule.Describe());
   ChaosResult second = explorer.RunSchedule(again);
   EXPECT_EQ(second.ok, first.ok);
-  EXPECT_EQ(second.query_ok, first.query_ok);
-  EXPECT_EQ(second.outcome, first.outcome);
+  EXPECT_EQ(second.outcomes, first.outcomes);
+  EXPECT_EQ(second.events_fired, first.events_fired);
   EXPECT_EQ(second.elapsed_us, first.elapsed_us);
+  EXPECT_GT(first.events_fired, 0) << first.schedule.Describe();
 }
 
-TEST(ElasticChaosSmokeTest, SampledSliceHoldsAllSixInvariants) {
-  ElasticConfig config;
-  config.seed = 20260809;
-  ElasticChaosExplorer explorer(config);
-  // A sampled slice of elastic-membership schedules; the 500-schedule
-  // soak runs through fuzz_schedules --chaos-elastic (EXPERIMENTS.md).
-  int with_membership_change = 0;
-  for (int i = 0; i < 24; ++i) {
-    ElasticResult r = explorer.RunSchedule(explorer.MakeSchedule(i));
-    EXPECT_TRUE(r.ok) << r.schedule.Describe() << "\n  "
-                      << (r.violations.empty() ? "" : r.violations[0]);
-    if (r.events_fired > 0) ++with_membership_change;
-  }
-  EXPECT_EQ(explorer.stats().violations, 0);
-  EXPECT_GT(explorer.stats().queries_ok, 0);
-  // The slice must actually change membership mid-run, not only no-op.
-  EXPECT_GT(with_membership_change, 0);
-}
-
-TEST(ElasticChaosSmokeTest, SchedulesAreDeterministicAndVaried) {
-  ElasticConfig config;
-  config.seed = 4;
-  ElasticChaosExplorer a(config);
-  ElasticChaosExplorer b(config);
-  std::set<std::string> distinct;
-  for (int i = 0; i < 40; ++i) {
-    ElasticSchedule sa = a.MakeSchedule(i);
-    EXPECT_EQ(sa.Describe(), b.MakeSchedule(i).Describe()) << i;
-    distinct.insert(sa.Describe());
-  }
-  EXPECT_GE(distinct.size(), 30u);
-}
-
-TEST(ElasticChaosSmokeTest, SabotageSelfTestTripsNoLostShard) {
-  // Sabotage permanently disconnects every peer serving auctions shard 0
-  // at quiesce: the no-lost-shard invariant must flag it (the detector is
-  // not vacuous).
-  ElasticConfig config;
-  config.seed = 1;
-  config.sabotage_lost_shard = true;
-  ElasticChaosExplorer explorer(config);
-  ElasticResult r = explorer.RunSchedule(explorer.MakeSchedule(0));
-  ASSERT_FALSE(r.ok);
-  ASSERT_FALSE(r.violations.empty());
-  bool hit = false;
-  for (const std::string& v : r.violations) {
-    if (v.substr(0, v.find(':')) == "no-lost-shard") hit = true;
-  }
-  EXPECT_TRUE(hit) << r.violations[0];
+TEST(ChaosSmokeTest, ChaosReproRoundTripsAndReplays) {
+  // A grid cell: rf 2, shard peer 0 killed at serial 2 and revived at 5,
+  // writes on.
+  ExpectReproRoundTripsAndReplays(/*sampled=*/false, 71);
 }
 
 TEST(ElasticChaosSmokeTest, ElasticReproRoundTripsAndReplays) {
-  ElasticConfig config;
-  config.seed = 9;
-  ElasticChaosExplorer explorer(config);
-  const int index = 17;
-  ElasticResult first = explorer.RunSchedule(explorer.MakeSchedule(index));
+  // A sampled membership-event schedule past the grid.
+  ExpectReproRoundTripsAndReplays(/*sampled=*/true, 17);
+}
 
-  auto parsed = ParseElasticRepro(FormatElasticRepro(first));
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed.value().seed, 9u);
-  EXPECT_EQ(parsed.value().index, index);
+// Each sabotage value names the detector it proves non-vacuous; that
+// detector must fire on every one of schedules 0-19, whatever else the
+// run does.
+void ExpectSabotageTrips(Sabotage sabotage, const std::string& detector) {
+  ChaosConfig config;
+  config.seed = 1;
+  config.sabotage = sabotage;
+  ChaosExplorer explorer(config);
+  for (int i = 0; i < 20; ++i) {
+    ChaosResult r = explorer.RunSchedule(explorer.MakeSchedule(i));
+    bool hit = false;
+    for (const std::string& v : r.violations) {
+      if (v.substr(0, v.find(':')) == detector) hit = true;
+    }
+    EXPECT_TRUE(hit) << detector << " silent on " << r.schedule.Describe();
+  }
+}
 
-  ElasticSchedule again = explorer.MakeSchedule(parsed.value().index);
-  EXPECT_EQ(again.Describe(), first.schedule.Describe());
-  ElasticResult second = explorer.RunSchedule(again);
-  EXPECT_EQ(second.ok, first.ok);
-  EXPECT_EQ(second.queries_ok, first.queries_ok);
-  EXPECT_EQ(second.events_fired, first.events_fired);
-  EXPECT_EQ(second.elapsed_us, first.elapsed_us);
+TEST(ChaosSmokeTest, SabotageSelfTestTripsByteIdentity) {
+  // A corrupted shard-0 primary fragment diverges from the baseline.
+  ExpectSabotageTrips(Sabotage::kCorruptPrimary, "byte-identity");
+}
+
+TEST(ChaosSmokeTest, SabotageSelfTestTripsReplicaConvergence) {
+  // A write to shard 0's primary alone leaves its replicas behind.
+  ExpectSabotageTrips(Sabotage::kPrimaryOnlyWrite, "replica-convergence");
+}
+
+TEST(ElasticChaosSmokeTest, SabotageSelfTestTripsNoLostShard) {
+  // Every peer serving auctions shard 0 is disconnected at quiesce.
+  ExpectSabotageTrips(Sabotage::kLostShard, "no-lost-shard");
+}
+
+TEST(ChaosSmokeTest, RebalanceOntoCurrentPrimaryKeepsCommittedWrite) {
+  // rf 1, the write commits, then shard 0 is "rebalanced" onto the peer
+  // that already serves it. Re-materializing the generated fragment there
+  // would reset the only copy to data version 0 — the committed write
+  // would be lost with no donor to repair from.
+  ChaosExplorer explorer;
+  ChaosSchedule s;
+  s.replication_factor = 1;
+  s.writes = true;
+  // Past the write's 2PC (4 execute + 4 prepare + 4 commit posts after
+  // queries 0 and 1), before the last broadcast.
+  s.events.push_back(
+      ChaosEvent{ChaosEvent::kRebalance, /*serial=*/19, /*peer=*/0,
+                 /*shard=*/0});
+  ChaosResult r = explorer.RunSchedule(s);
+  EXPECT_TRUE(r.write_committed);
+  EXPECT_EQ(r.events_fired, 1);
+  EXPECT_TRUE(r.ok) << (r.violations.empty() ? "" : r.violations[0]);
 }
 
 }  // namespace

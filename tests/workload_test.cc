@@ -1,5 +1,5 @@
 // Tests of the open-loop multi-tenant workload driver (DESIGN.md §16) and
-// the no-lost-shard detector of the elastic chaos explorer. The central
+// the no-lost-shard detector of the chaos explorer. The central
 // contracts: (seed, config) pins the arrival schedule AND the full SLO
 // report byte-for-byte (including the chaos interleaving and the
 // RpcMetrics tenant:/slo: lines); admission rejection actually rejects
@@ -142,11 +142,11 @@ TEST(WorkloadTest, SabotageSelfTestTripsNoLostShardDetector) {
   // Non-vacuousness proof: with sabotage on, the explorer disconnects
   // every peer serving auctions shard 0 at quiesce instead of healing.
   // The no-lost-shard invariant MUST fire on a plain schedule.
-  fuzz::ElasticConfig config;
+  fuzz::ChaosConfig config;
   config.seed = 5;
-  config.sabotage_lost_shard = true;
-  fuzz::ElasticChaosExplorer explorer(config);
-  fuzz::ElasticResult r = explorer.RunSchedule(explorer.MakeSchedule(0));
+  config.sabotage = fuzz::Sabotage::kLostShard;
+  fuzz::ChaosExplorer explorer(config);
+  fuzz::ChaosResult r = explorer.RunSchedule(explorer.MakeSchedule(0));
   EXPECT_FALSE(r.ok);
   bool hit = false;
   for (const std::string& v : r.violations) {
@@ -154,12 +154,12 @@ TEST(WorkloadTest, SabotageSelfTestTripsNoLostShardDetector) {
   }
   EXPECT_TRUE(hit) << "violations: " << r.violations.size();
 
-  // And the same schedule without sabotage holds all six invariants —
-  // the detector fires because of the sabotage, not spuriously.
-  fuzz::ElasticConfig clean;
+  // And the same schedule without sabotage holds every invariant — the
+  // detector fires because of the sabotage, not spuriously.
+  fuzz::ChaosConfig clean;
   clean.seed = 5;
-  fuzz::ElasticChaosExplorer clean_explorer(clean);
-  fuzz::ElasticResult ok = clean_explorer.RunSchedule(
+  fuzz::ChaosExplorer clean_explorer(clean);
+  fuzz::ChaosResult ok = clean_explorer.RunSchedule(
       clean_explorer.MakeSchedule(0));
   EXPECT_TRUE(ok.ok) << (ok.violations.empty() ? "" : ok.violations[0]);
 }

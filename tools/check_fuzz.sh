@@ -2,20 +2,19 @@
 # Budgeted fuzz smoke lane (target: under 60 seconds on the normal build):
 #
 #  1. the ctest `fuzz` label — generator determinism, the differential
-#     corpus, forced-divergence minimization/repro round-trips, and a
-#     slice of the fault-schedule grid including the sabotage self-test;
+#     corpus, forced-divergence minimization/repro round-trips, slices
+#     of the fault-schedule and chaos explorers, and their sabotage
+#     self-tests;
 #  2. a fixed-seed 200-query differential campaign on both engines
 #     (fails on any unexplained divergence; repro files land in $OUT);
 #  3. a fixed-seed 400-schedule fault exploration asserting the four 2PC
 #     invariants (at-most-once, all-or-nothing, no in-doubt leaks,
 #     serial equivalence);
-#  4. an elastic-membership chaos smoke at seeds 1-3 (peers joining and
-#     leaving mid-run, shard rebalances, partitions healing) asserting
-#     the six chaos invariants including no-lost-shard;
-#  5. the same elastic smoke with --updates: a mid-schedule updating
-#     broadcast rides the all-copies 2PC, and after quiesce+repair every
-#     catalog-listed copy of every fragment must be byte-identical to the
-#     chaos-free serial state (replica-convergence, DESIGN.md §17).
+#  4. a membership-chaos smoke at seeds 1-3: the full 384-cell grid plus a
+#     sampled tail, so every seed runs writes (an all-copies 2PC update
+#     mid-workload) and membership changes (kills, revives, joins,
+#     rebalances, catalog bumps), asserting the nine chaos invariants
+#     including no-lost-shard and replica-convergence (DESIGN.md §14).
 #
 # Long soak campaigns (thousands of queries/schedules, many seeds) run the
 # same binaries by hand — see EXPERIMENTS.md.
@@ -39,12 +38,8 @@ cmake --build "$BUILD" -j --target \
 "$BUILD/tools/fuzz_schedules" --seed 1 --count 400 --out-dir "$OUT" \
     --wal-dir "$OUT"
 for seed in 1 2 3; do
-  "$BUILD/tools/fuzz_schedules" --chaos-elastic --seed "$seed" --count 60 \
+  "$BUILD/tools/fuzz_schedules" --chaos --seed "$seed" --count 400 \
       --out-dir "$OUT"
-done
-for seed in 1 2; do
-  "$BUILD/tools/fuzz_schedules" --chaos-elastic --updates --seed "$seed" \
-      --count 30 --out-dir "$OUT"
 done
 
 echo "fuzz smoke: OK"

@@ -8,8 +8,8 @@
 # sharded-collection scatter-gather paths (whose per-shard Bulk RPCs ride
 # the parallel dispatch pool), plus the `failover` lane (replica failover,
 # catalog epoch fencing, circuit-breaker probe races; DESIGN.md §14), the
-# `workload` lane (the open-loop multi-tenant driver and the
-# elastic-membership chaos invariants; DESIGN.md §16), and the `repair`
+# `workload` lane (the open-loop multi-tenant driver and the chaos
+# explorer's no-lost-shard sabotage; DESIGN.md §14, §16), and the `repair`
 # lane (replicated writes: all-copies 2PC, fragment data versioning, the
 # StaleReplica fence and anti-entropy resync; DESIGN.md §17), plus the SOAP
 # codec and XML suites (Marshal, Message, XmlParser, XmlNode, XmlSerializer,
@@ -35,7 +35,7 @@ ctest --output-on-failure -j"$(nproc)" \
 ctest --output-on-failure -j"$(nproc)" -L failover
 # The workload lane by label: open-loop driver determinism (the SLO
 # report must stay byte-identical under TSan's scheduling perturbation)
-# and the elastic no-lost-shard sabotage self-test (DESIGN.md §16).
+# and the chaos explorer's no-lost-shard sabotage self-test (DESIGN.md §14).
 ctest --output-on-failure -j"$(nproc)" -L workload
 # The repair lane by label: the WAL-delta chain / fragment-digest units
 # (repair_test), the lagging-copy fences and resync end-to-ends

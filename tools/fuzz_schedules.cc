@@ -1,44 +1,34 @@
-// Deterministic fault-schedule exploration CLI (DESIGN.md §11): runs the
-// fixed two-destination 2PC update workload under an enumerated grid —
-// and, past the grid, a seeded random sample — of SimulatedNetwork fault
-// profiles x participant/coordinator crash points x retry policies, then
-// checks four invariants after recovery (at-most-once, all-or-nothing,
-// no in-doubt leaks, serial equivalence).
+// Deterministic schedule exploration CLI. Both explorers run through one
+// explore/replay driver; a schedule is a pure function of (seed, index).
+//
+// The default axis (DESIGN.md §11) runs the fixed two-destination 2PC
+// update workload under an enumerated grid — and, past the grid, a seeded
+// random sample — of SimulatedNetwork fault profiles x participant/
+// coordinator crash points x retry policies, then checks four invariants
+// after recovery (at-most-once, all-or-nothing, no in-doubt leaks, serial
+// equivalence). --sabotage self-tests them with a double-applied update.
 //
 //   fuzz_schedules --seed 7 --count 1000
 //   fuzz_schedules --seed 7 --count 400 --wal-dir /tmp/walfuzz
 //   fuzz_schedules --replay sched-7-42.repro
 //
-// --chaos switches to the membership-chaos axis (DESIGN.md §14): the
-// read-only broadcast workload over a replicated sharded deployment,
-// under kill/revive/catalog-bump schedules, asserting byte-identity when
-// surviving replicas cover every shard and one clean fault when not.
+// --chaos switches to the membership-chaos axis (DESIGN.md §14): five
+// queries — broadcasts, point reads and, when the schedule has writes, an
+// all-copies 2PC update — run over a replicated 4-shard fleet while kills,
+// revives, joins, rebalances and catalog bumps fire, and nine invariants
+// are checked. --sabotage VALUE self-tests one detector: corrupt_primary
+// (byte-identity), primary_only_write (replica-convergence) or lost_shard
+// (no-lost-shard).
 //
-//   fuzz_schedules --chaos --seed 7 --count 500
+//   fuzz_schedules --chaos --seed 7 --count 1000
+//   fuzz_schedules --chaos --sabotage lost_shard --count 20
 //   fuzz_schedules --chaos --replay chaos-7-42.repro
 //
-// --chaos-elastic switches to the elastic-membership axis (DESIGN.md §16):
-// peers joining/leaving mid-run, shard rebalance through catalog bumps,
-// and partitions healing, asserting six invariants including no-lost-shard
-// after quiesce. --sabotage here self-tests the no-lost-shard detector.
-//
-//   fuzz_schedules --chaos-elastic --seed 7 --count 500
-//   fuzz_schedules --chaos-elastic --replay elastic-7-42.repro
-//
-// --updates (with --chaos or --chaos-elastic) arms the mid-schedule
-// updating broadcast (DESIGN.md §17): an all-copies 2PC write races the
-// kills/joins/rebalances, reads must match the updated baseline iff it
-// committed, and after quiesce+repair every replica must be byte-identical
-// to the chaos-free serial state. --sabotage-write (with --chaos)
-// self-tests that convergence detector with a primary-only direct write.
-//
-//   fuzz_schedules --chaos --updates --seed 7 --count 500
-//   fuzz_schedules --chaos --updates --sabotage-write --count 20
-//   fuzz_schedules --chaos-elastic --updates --seed 7 --count 200
-//
-// Exit status: 0 = every schedule satisfied all invariants; 1 = at least
-// one violation (repro file written); 2 = usage / replay input error.
+// Exit status: 0 = every schedule satisfied all invariants (under
+// --sabotage: the detector fired); 1 = otherwise, with a repro file per
+// violating schedule; 2 = usage / replay input error.
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -51,324 +41,151 @@
 namespace {
 
 using xrpc::fuzz::ChaosConfig;
+using xrpc::fuzz::ChaosEvent;
 using xrpc::fuzz::ChaosExplorer;
-using xrpc::fuzz::ChaosResult;
-using xrpc::fuzz::ElasticChaosExplorer;
-using xrpc::fuzz::ElasticConfig;
-using xrpc::fuzz::ElasticResult;
-using xrpc::fuzz::Schedule;
+using xrpc::fuzz::ChaosStats;
 using xrpc::fuzz::ScheduleConfig;
 using xrpc::fuzz::ScheduleExplorer;
-using xrpc::fuzz::ScheduleResult;
+using xrpc::fuzz::ScheduleStats;
 
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: fuzz_schedules [--chaos|--chaos-elastic] [--seed N] [--count N]\n"
-      "                      [--wal-dir DIR] [--out-dir DIR] [--updates]\n"
-      "                      [--sabotage] [--sabotage-write] [--verbose]\n"
-      "       fuzz_schedules [--chaos|--chaos-elastic] --replay FILE\n"
-      "                      [--wal-dir DIR]\n");
+      "usage: fuzz_schedules [--chaos] [--seed N] [--count N] [--out-dir DIR]\n"
+      "                      [--wal-dir DIR] [--sabotage [VALUE]] [--verbose]\n"
+      "       fuzz_schedules [--chaos] --replay FILE [--wal-dir DIR]\n"
+      "  --sabotage VALUE (with --chaos): corrupt_primary | "
+      "primary_only_write | lost_shard\n");
   return 2;
 }
 
-void PrintElasticResult(const ElasticResult& r) {
-  std::printf("elastic %d: %s\n", r.schedule.index,
-              r.schedule.Describe().c_str());
-  std::printf(
-      "  queries_ok=%d queries_failed=%d events_fired=%d elapsed=%lldus "
-      "failover=%lld reroutes=%lld\n",
-      r.queries_ok, r.queries_failed, r.events_fired,
-      static_cast<long long>(r.elapsed_us),
-      static_cast<long long>(r.failover_successes),
-      static_cast<long long>(r.stale_reroutes));
-  for (const std::string& v : r.violations) {
-    std::printf("  VIOLATION %s\n", v.c_str());
-  }
-}
+struct Options {
+  int count = 1000;
+  bool verbose = false;
+  std::string out_dir = ".";
+  std::string replay_path;
+};
 
-int RunElastic(const ElasticConfig& config, int count, bool verbose,
-               const std::string& out_dir, const std::string& replay_path) {
-  if (!replay_path.empty()) {
-    std::ifstream in(replay_path);
-    if (!in) {
-      std::fprintf(stderr, "fuzz_schedules: cannot open %s\n",
-                   replay_path.c_str());
-      return 2;
-    }
+/// The explore/replay loop both explorers share: runs schedules 0..count-1
+/// (or replays the one a repro file names), prints every violating run
+/// (every run with --verbose or --replay), writes
+/// <prefix>-<seed>-<index>.repro per new violation, prints `summary` of the
+/// stats, and returns the exit status.
+template <typename Explorer, typename Config, typename Summary>
+int Drive(const char* mode, const char* prefix, Config config, bool sabotage,
+          const Options& opts, Summary summary) {
+  int first = 0;
+  int count = opts.count;
+  bool verbose = opts.verbose;
+  if (!opts.replay_path.empty()) {
+    std::ifstream in(opts.replay_path);
     std::stringstream buf;
     buf << in.rdbuf();
-    auto parsed = xrpc::fuzz::ParseElasticRepro(buf.str());
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "fuzz_schedules: %s\n",
-                   parsed.status().ToString().c_str());
+    auto key = xrpc::fuzz::ParseRepro(buf.str());
+    if (!in || !key.ok()) {
+      std::fprintf(stderr, "fuzz_schedules: cannot replay %s: %s\n",
+                   opts.replay_path.c_str(),
+                   in ? key.status().ToString().c_str() : "unreadable");
       return 2;
     }
-    ElasticConfig replay_config = config;
-    replay_config.seed = parsed.value().seed;
-    ElasticChaosExplorer explorer(replay_config);
-    ElasticResult r =
-        explorer.RunSchedule(explorer.MakeSchedule(parsed.value().index));
-    PrintElasticResult(r);
-    return r.ok ? 0 : 1;
+    config.seed = key->seed;
+    first = key->index;
+    count = 1;
+    verbose = true;
   }
 
-  ElasticChaosExplorer explorer(config);
-  int violations = 0;
-  std::printf("fuzz_schedules --chaos-elastic: seed=%llu count=%d\n",
-              static_cast<unsigned long long>(config.seed), count);
-  for (int i = 0; i < count; ++i) {
-    ElasticResult r = explorer.RunSchedule(explorer.MakeSchedule(i));
-    if (verbose) PrintElasticResult(r);
-    if (r.ok) continue;
-    ++violations;
-    if (!verbose) PrintElasticResult(r);
-    const std::string path = out_dir + "/elastic-" +
-                             std::to_string(r.schedule.seed) + "-" +
-                             std::to_string(r.schedule.index) + ".repro";
-    std::ofstream out(path);
-    out << xrpc::fuzz::FormatElasticRepro(r);
-    std::printf("  repro: %s\n", path.c_str());
-  }
-  const auto& s = explorer.stats();
-  std::printf(
-      "fuzz_schedules --chaos-elastic: explored=%lld queries_ok=%lld "
-      "clean_faults=%lld events_fired=%lld failover=%lld reroutes=%lld "
-      "updates_committed=%lld updates_aborted=%lld violations=%lld\n",
-      static_cast<long long>(s.explored),
-      static_cast<long long>(s.queries_ok),
-      static_cast<long long>(s.clean_faults),
-      static_cast<long long>(s.events_fired),
-      static_cast<long long>(s.failover_successes),
-      static_cast<long long>(s.stale_reroutes),
-      static_cast<long long>(s.updates_committed),
-      static_cast<long long>(s.updates_aborted),
-      static_cast<long long>(s.violations));
-  if (config.sabotage_lost_shard) {
-    // Self-test mode: success means the no-lost-shard detector caught the
-    // injected permanent partition.
-    return violations > 0 ? 0 : 1;
-  }
-  return violations == 0 ? 0 : 1;
-}
-
-void PrintChaosResult(const ChaosResult& r) {
-  std::printf("chaos %d: %s\n", r.schedule.index,
-              r.schedule.Describe().c_str());
-  std::printf("  %s elapsed=%lldus failover=%lld reroutes=%lld\n",
-              r.query_ok ? "survived" : "faulted",
-              static_cast<long long>(r.elapsed_us),
-              static_cast<long long>(r.failover_successes),
-              static_cast<long long>(r.stale_reroutes));
-  for (const std::string& v : r.violations) {
-    std::printf("  VIOLATION %s\n", v.c_str());
-  }
-}
-
-int RunChaos(const ChaosConfig& config, int count, bool verbose,
-             const std::string& out_dir, const std::string& replay_path) {
-  if (!replay_path.empty()) {
-    std::ifstream in(replay_path);
-    if (!in) {
-      std::fprintf(stderr, "fuzz_schedules: cannot open %s\n",
-                   replay_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto parsed = xrpc::fuzz::ParseChaosRepro(buf.str());
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "fuzz_schedules: %s\n",
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    ChaosConfig replay_config = config;
-    replay_config.seed = parsed.value().seed;
-    ChaosExplorer explorer(replay_config);
-    ChaosResult r =
-        explorer.RunSchedule(explorer.MakeSchedule(parsed.value().index));
-    PrintChaosResult(r);
-    return r.ok ? 0 : 1;
-  }
-
-  ChaosExplorer explorer(config);
-  int violations = 0;
-  std::printf("fuzz_schedules --chaos: seed=%llu grid=%d count=%d\n",
+  Explorer explorer(config);
+  std::printf("fuzz_schedules%s: seed=%llu grid=%d count=%d\n", mode,
               static_cast<unsigned long long>(config.seed),
               explorer.GridSize(), count);
-  for (int i = 0; i < count; ++i) {
-    ChaosResult r = explorer.RunSchedule(explorer.MakeSchedule(i));
-    if (verbose) PrintChaosResult(r);
+  int violations = 0;
+  for (int i = first; i < first + count; ++i) {
+    const auto r = explorer.RunSchedule(explorer.MakeSchedule(i));
+    if (verbose || !r.ok) std::fputs(FormatRepro(r).c_str(), stdout);
     if (r.ok) continue;
     ++violations;
-    if (!verbose) PrintChaosResult(r);
-    const std::string path = out_dir + "/chaos-" +
-                             std::to_string(r.schedule.seed) + "-" +
-                             std::to_string(r.schedule.index) + ".repro";
-    std::ofstream out(path);
-    out << xrpc::fuzz::FormatChaosRepro(r);
+    if (!opts.replay_path.empty()) continue;  // the repro already exists
+    const std::string path = opts.out_dir + "/" + prefix + "-" +
+                             std::to_string(config.seed) + "-" +
+                             std::to_string(i) + ".repro";
+    std::ofstream(path) << FormatRepro(r);
     std::printf("  repro: %s\n", path.c_str());
   }
-  const auto& s = explorer.stats();
-  std::printf(
-      "fuzz_schedules --chaos: explored=%lld survived=%lld clean_faults=%lld "
-      "failover=%lld reroutes=%lld updates_committed=%lld "
-      "updates_aborted=%lld violations=%lld\n",
-      static_cast<long long>(s.explored), static_cast<long long>(s.survived),
-      static_cast<long long>(s.clean_faults),
-      static_cast<long long>(s.failover_successes),
-      static_cast<long long>(s.stale_reroutes),
-      static_cast<long long>(s.updates_committed),
-      static_cast<long long>(s.updates_aborted),
-      static_cast<long long>(s.violations));
-  if (config.sabotage_divergence || config.sabotage_primary_only_write) {
-    return violations > 0 ? 0 : 1;
-  }
-  return violations == 0 ? 0 : 1;
+  std::printf("fuzz_schedules%s: ", mode);
+  summary(explorer.stats());
+  // Self-test mode succeeds when the detector caught the sabotage.
+  return (violations > 0) == sabotage ? 0 : 1;
 }
 
-void PrintResult(const ScheduleResult& r) {
-  std::printf("schedule %d: %s\n", r.schedule.index,
-              r.schedule.Describe().c_str());
-  std::printf("  outcome=%s delta_y=%d delta_z=%d\n",
-              r.committed_known ? (r.committed ? "committed" : "aborted")
-                                : "unknown",
-              r.delta_y, r.delta_z);
-  for (const std::string& v : r.violations) {
-    std::printf("  VIOLATION %s\n", v.c_str());
-  }
+void PrintScheduleStats(const ScheduleStats& s) {
+  std::printf("explored=%" PRId64 " committed=%" PRId64 " aborted=%" PRId64
+              " in_doubt_seen=%" PRId64 " violations=%" PRId64 "\n",
+              s.explored, s.committed, s.aborted, s.in_doubt_seen,
+              s.violations);
+}
+
+void PrintChaosStats(const ChaosStats& s) {
+  std::printf("explored=%" PRId64 " queries_ok=%" PRId64
+              " clean_faults=%" PRId64 " failover=%" PRId64
+              " read_reroutes=%" PRId64 " writes_committed=%" PRId64
+              " writes_aborted=%" PRId64 " fired=kill:%" PRId64
+              ",revive:%" PRId64 ",join:%" PRId64 ",rebalance:%" PRId64
+              ",bump:%" PRId64 " violations=%" PRId64 "\n",
+              s.explored, s.queries_ok, s.clean_faults, s.failover_successes,
+              s.read_reroutes, s.writes_committed, s.writes_aborted,
+              s.fired[ChaosEvent::kKill], s.fired[ChaosEvent::kRevive],
+              s.fired[ChaosEvent::kJoin], s.fired[ChaosEvent::kRebalance],
+              s.fired[ChaosEvent::kBump], s.violations);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   ScheduleConfig config;
-  int count = 1000;
-  bool verbose = false;
+  Options opts;
   bool chaos = false;
-  bool chaos_elastic = false;
-  bool with_updates = false;
-  bool sabotage_write = false;
-  std::string out_dir = ".";
-  std::string replay_path;
+  const char* sabotage = nullptr;  // "" = bare --sabotage
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (arg == "--chaos") {
       chaos = true;
-    } else if (arg == "--chaos-elastic") {
-      chaos_elastic = true;
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      config.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--count") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      count = std::atoi(v);
-    } else if (arg == "--wal-dir") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      config.wal_dir = v;
-    } else if (arg == "--out-dir") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      out_dir = v;
     } else if (arg == "--sabotage") {
-      config.sabotage_double_apply = true;
-    } else if (arg == "--sabotage-write") {
-      sabotage_write = true;
-    } else if (arg == "--updates") {
-      with_updates = true;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      replay_path = v;
+      sabotage = i + 1 < argc && argv[i + 1][0] != '-' ? argv[++i] : "";
     } else if (arg == "--verbose") {
-      verbose = true;
+      opts.verbose = true;
+    } else if (i + 1 == argc) {
+      return Usage();  // every other option takes a value
+    } else if (arg == "--seed") {
+      config.seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--count") {
+      opts.count = std::atoi(argv[++i]);
+    } else if (arg == "--wal-dir") {
+      config.wal_dir = argv[++i];
+    } else if (arg == "--out-dir") {
+      opts.out_dir = argv[++i];
+    } else if (arg == "--replay") {
+      opts.replay_path = argv[++i];
     } else {
       return Usage();
     }
   }
 
-  if (chaos_elastic) {
-    ElasticConfig elastic_config;
-    elastic_config.seed = config.seed;
-    elastic_config.sabotage_lost_shard = config.sabotage_double_apply;
-    elastic_config.with_updates = with_updates;
-    return RunElastic(elastic_config, count, verbose, out_dir, replay_path);
-  }
-
   if (chaos) {
     ChaosConfig chaos_config;
     chaos_config.seed = config.seed;
-    chaos_config.sabotage_divergence = config.sabotage_double_apply;
-    chaos_config.with_updates = with_updates;
-    chaos_config.sabotage_primary_only_write = sabotage_write;
-    return RunChaos(chaos_config, count, verbose, out_dir, replay_path);
-  }
-
-  if (!replay_path.empty()) {
-    std::ifstream in(replay_path);
-    if (!in) {
-      std::fprintf(stderr, "fuzz_schedules: cannot open %s\n",
-                   replay_path.c_str());
-      return 2;
+    if (sabotage != nullptr &&
+        !xrpc::fuzz::ParseSabotage(sabotage, &chaos_config.sabotage)) {
+      return Usage();
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto parsed = xrpc::fuzz::ParseScheduleRepro(buf.str());
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "fuzz_schedules: %s\n",
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    config.seed = parsed.value().seed;
-    ScheduleExplorer explorer(config);
-    // The repro carries (seed, index); the schedule itself is re-derived —
-    // MakeSchedule is a pure function of the pair, so the replay runs the
-    // byte-identical fault schedule. (--wal-dir must match the original
-    // run for schedules in the durable-WAL dimension.)
-    ScheduleResult r =
-        explorer.RunSchedule(explorer.MakeSchedule(parsed.value().index));
-    PrintResult(r);
-    return r.ok ? 0 : 1;
+    return Drive<ChaosExplorer>(
+        " --chaos", "chaos", chaos_config,
+        chaos_config.sabotage != xrpc::fuzz::Sabotage::kNone, opts,
+        PrintChaosStats);
   }
-
-  ScheduleExplorer explorer(config);
-  int violations = 0;
-  std::printf("fuzz_schedules: seed=%llu grid=%d count=%d\n",
-              static_cast<unsigned long long>(config.seed),
-              explorer.GridSize(), count);
-  for (int i = 0; i < count; ++i) {
-    ScheduleResult r = explorer.RunSchedule(explorer.MakeSchedule(i));
-    if (verbose) PrintResult(r);
-    if (r.ok) continue;
-    ++violations;
-    if (!verbose) PrintResult(r);
-    const std::string path = out_dir + "/sched-" +
-                             std::to_string(r.schedule.seed) + "-" +
-                             std::to_string(r.schedule.index) + ".repro";
-    std::ofstream out(path);
-    out << xrpc::fuzz::FormatScheduleRepro(r);
-    std::printf("  repro: %s\n", path.c_str());
-  }
-
-  const auto& s = explorer.stats();
-  std::printf(
-      "fuzz_schedules: explored=%lld committed=%lld aborted=%lld "
-      "in_doubt_seen=%lld violations=%lld\n",
-      static_cast<long long>(s.explored), static_cast<long long>(s.committed),
-      static_cast<long long>(s.aborted),
-      static_cast<long long>(s.in_doubt_seen),
-      static_cast<long long>(s.violations));
-  if (config.sabotage_double_apply) {
-    // Self-test mode: success means the detector caught the injected
-    // double-apply.
-    return violations > 0 ? 0 : 1;
-  }
-  return violations == 0 ? 0 : 1;
+  if (sabotage != nullptr && *sabotage != '\0') return Usage();
+  config.sabotage_double_apply = sabotage != nullptr;
+  return Drive<ScheduleExplorer>("", "sched", config,
+                                 config.sabotage_double_apply, opts,
+                                 PrintScheduleStats);
 }
