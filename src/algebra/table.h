@@ -84,6 +84,8 @@ class Table {
   int64_t Iter(size_t row) const { return cols_[0][row].num; }
   int64_t Pos(size_t row) const { return cols_[1][row].num; }
   const xdm::Item& ItemAt(size_t row) const { return cols_[2][row].item; }
+  /// Moves the item of row `row` out, leaving an empty item behind.
+  xdm::Item TakeItemAt(size_t row) { return std::move(cols_[2][row].item); }
   void AppendIPI(int64_t iter, int64_t pos, xdm::Item item) {
     cols_[0].push_back(Cell::Int(iter));
     cols_[1].push_back(Cell::Int(pos));

@@ -1,19 +1,15 @@
 #include "compiler/loop_lift.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
-#include "base/string_util.h"
-#include "xml/serializer.h"
+#include "xquery/functions.h"
 
 namespace xrpc::compiler {
 
@@ -145,10 +141,9 @@ void CollectHoistInfo(const Expr& e, std::set<std::string>* bound,
       CollectChildHoistInfo(e, bound, has_free, blocks, has_rpc);
       return;
     case ExprKind::kFunctionCall:
-      if (e.name.ns_uri == xquery::kFnNs &&
-          (e.name.local == "position" || e.name.local == "last")) {
-        if (bound->count(kPositionVar) == 0) *has_free = true;
-        return;
+      if (xquery::ReadsFocus(e.name, e.children.size()) &&
+          bound->count(kDotVar) == 0) {
+        *has_free = true;
       }
       if (e.name.ns_uri != xquery::kFnNs && e.name.ns_uri != xml::kXsNs) {
         *blocks = true;  // user function bodies are opaque here
@@ -258,10 +253,9 @@ void CollectFreeNames(const Expr& e, std::set<std::string> bound,
       CollectFreeNamesChildren(e, bound, free);
       return;
     case ExprKind::kFunctionCall:
-      if (e.name.ns_uri == xquery::kFnNs &&
-          (e.name.local == "position" || e.name.local == "last") &&
-          bound.count(kPositionVar) == 0) {
-        free->insert(kPositionVar);
+      if (xquery::ReadsFocus(e.name, e.children.size()) &&
+          bound.count(kDotVar) == 0) {
+        free->insert(kDotVar);
       }
       CollectFreeNamesChildren(e, bound, free);
       return;
@@ -295,6 +289,50 @@ Table SortIPI(const Table& t) {
   auto sorted = algebra::SortBy(t, {"iter", "pos"});
   return sorted.ok() ? std::move(sorted).value() : t;
 }
+
+bool SortedByIterPos(const Table& t) {
+  for (size_t i = 1; i < t.NumRows(); ++i) {
+    if (t.Iter(i) != t.Iter(i - 1) ? t.Iter(i) < t.Iter(i - 1)
+                                   : t.Pos(i) < t.Pos(i - 1)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Consumes an iter|pos|item table one iteration at a time, each
+/// iteration's items in pos order, moving them out of the table. Visiting
+/// iterations in ascending order (as loops are) walks the table once.
+class IterCursor {
+ public:
+  explicit IterCursor(Table t)
+      : table_(SortedByIterPos(t) ? std::move(t) : SortIPI(t)) {}
+
+  /// Replaces `out` with the items of iteration `iter`.
+  void Take(int64_t iter, Sequence* out) {
+    const size_t n = table_.NumRows();
+    if (row_ >= n || table_.Iter(row_) != iter) {
+      size_t lo = 0, hi = n;  // seek: first row with Iter >= iter
+      while (lo < hi) {
+        size_t mid = lo + (hi - lo) / 2;
+        if (table_.Iter(mid) < iter) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      row_ = lo;
+    }
+    out->clear();
+    for (; row_ < n && table_.Iter(row_) == iter; ++row_) {
+      out->push_back(table_.TakeItemAt(row_));
+    }
+  }
+
+ private:
+  Table table_;
+  size_t row_ = 0;
+};
 
 }  // namespace
 
@@ -353,8 +391,8 @@ class LoopLiftedEvaluator::Impl {
     for (int64_t i = 1; i <= num_calls; ++i) loop.push_back(i);
     size_t env_mark = env_.size();
     for (size_t p = 0; p < args.size(); ++p) {
-      XRPC_ASSIGN_OR_RETURN(
-          Table coerced, CoerceTable(args[p], def.params[p].type));
+      XRPC_ASSIGN_OR_RETURN(Table coerced,
+                            CoerceParam(args[p], def.params[p].type, loop));
       env_.emplace_back(def.params[p].name.Clark(), std::move(coerced));
     }
     auto result = Eval(*def.body, loop);
@@ -391,11 +429,119 @@ class LoopLiftedEvaluator::Impl {
     return scope;
   }
 
-  StatusOr<const Table*> LookupVar(const std::string& clark) const {
+  const Table* FindVar(const std::string& clark) const {
     for (auto it = env_.rbegin(); it != env_.rend(); ++it) {
       if (it->first == clark) return &it->second;
     }
+    return nullptr;
+  }
+
+  StatusOr<const Table*> LookupVar(const std::string& clark) const {
+    if (const Table* t = FindVar(clark)) return t;
     return Status::EvalError("unbound variable $" + clark);
+  }
+
+  StatusOr<std::vector<Table>> EvalArgs(const std::vector<ExprPtr>& exprs,
+                                        const Loop& loop) {
+    std::vector<Table> out;
+    out.reserve(exprs.size());
+    for (const ExprPtr& x : exprs) {
+      XRPC_ASSIGN_OR_RETURN(Table t, Eval(*x, loop));
+      out.push_back(std::move(t));
+    }
+    return out;
+  }
+
+  /// The one bridge from loop-lifted tables to the sequence-level function
+  /// and operator library (xquery/functions.h): for every iteration of
+  /// `loop`, moves that iteration's sequence out of each argument table,
+  /// calls `fn(sequences, context)` once and appends the result sequence.
+  /// With `focus`, the context carries the item, position and size bound
+  /// to the hidden focus variables in that iteration.
+  template <typename Fn>
+  StatusOr<Table> PerIteration(const Loop& loop, std::vector<Table> args,
+                               bool focus, const Fn& fn) {
+    std::vector<IterCursor> cursors;
+    cursors.reserve(args.size());
+    for (Table& t : args) cursors.emplace_back(std::move(t));
+    std::vector<IterCursor> focus_cursors;  // dot, position, last
+    if (focus) {
+      // Outside a predicate the focus is undefined: no hidden variables.
+      for (const char* var : {kDotVar, kPositionVar, kLastVar}) {
+        if (const Table* t = FindVar(var)) focus_cursors.emplace_back(*t);
+      }
+      if (focus_cursors.size() != 3) focus_cursors.clear();
+    }
+    std::vector<Sequence> call_args(cursors.size());
+    Sequence focus_seqs[3];
+    xquery::FunctionContext ctx;
+    ctx.documents = cfg_.documents;
+    Table out = Table::IterPosItem();
+    PollGate gate(cfg_.cancel);
+    for (int64_t iter : loop) {
+      if (gate.Tick()) return gate.status();
+      for (size_t a = 0; a < cursors.size(); ++a) {
+        cursors[a].Take(iter, &call_args[a]);
+      }
+      if (!focus_cursors.empty()) {
+        for (size_t k = 0; k < 3; ++k) {
+          focus_cursors[k].Take(iter, &focus_seqs[k]);
+        }
+        ctx.item = focus_seqs[0].empty() ? nullptr : &focus_seqs[0][0];
+        ctx.position = focus_seqs[1].empty()
+                           ? 0
+                           : focus_seqs[1][0].atomic().AsInteger();
+        ctx.size = focus_seqs[2].empty()
+                       ? 0
+                       : focus_seqs[2][0].atomic().AsInteger();
+      }
+      XRPC_ASSIGN_OR_RETURN(Sequence result, fn(call_args, ctx));
+      for (size_t k = 0; k < result.size(); ++k) {
+        out.AppendIPI(iter, static_cast<int64_t>(k + 1), std::move(result[k]));
+      }
+    }
+    return out;
+  }
+
+  /// Coerces a parameter table, iteration by iteration, to its declared
+  /// type (empty iterations included: they are empty sequences).
+  StatusOr<Table> CoerceParam(Table t, const xquery::SequenceType& type,
+                              const Loop& loop) {
+    if (type.kind == xquery::SequenceType::ItemKind::kItem &&
+        type.occurrence == xquery::Occurrence::kZeroOrMore) {
+      return t;
+    }
+    std::vector<Table> args;
+    args.push_back(std::move(t));
+    return PerIteration(
+        loop, std::move(args), false,
+        [&type](std::vector<Sequence>& a, const xquery::FunctionContext&) {
+          return xquery::CoerceToType(std::move(a[0]), type);
+        });
+  }
+
+  /// Operators and type expressions: operands evaluate loop-lifted, the
+  /// operator itself applies per iteration.
+  StatusOr<Table> EvalOperator(const Expr& e, const Loop& loop) {
+    XRPC_ASSIGN_OR_RETURN(std::vector<Table> args, EvalArgs(e.children, loop));
+    return PerIteration(
+        loop, std::move(args), false,
+        [&e](std::vector<Sequence>& a,
+             const xquery::FunctionContext&) -> StatusOr<Sequence> {
+          switch (e.kind) {
+            case ExprKind::kComparison:
+              return xquery::Compare(e.comp_op, a[0], a[1]);
+            case ExprKind::kArith:
+              return xquery::Arithmetic(e.arith_op, a[0], a[1]);
+            case ExprKind::kRange:
+              return xquery::Range(a[0], a[1]);
+            case ExprKind::kUnaryMinus:
+              return xquery::Negate(a[0]);
+            default:
+              return xquery::ApplyTypeExpr(e.kind, e.seq_type,
+                                           std::move(a[0]));
+          }
+        });
   }
 
   /// Restricts a value table to the iters of `loop`.
@@ -440,19 +586,6 @@ class LoopLiftedEvaluator::Impl {
     return out;
   }
 
-  StatusOr<Table> CoerceTable(const Table& t, const xquery::SequenceType& type) {
-    if (type.kind != xquery::SequenceType::ItemKind::kAtomic) return t;
-    Table out = Table::IterPosItem();
-    for (size_t i = 0; i < t.NumRows(); ++i) {
-      AtomicValue v = t.ItemAt(i).Atomize();
-      if (v.type() != type.atomic) {
-        XRPC_ASSIGN_OR_RETURN(v, v.CastTo(type.atomic));
-      }
-      out.AppendIPI(t.Iter(i), t.Pos(i), Item(std::move(v)));
-    }
-    return out;
-  }
-
   // ------------------------------------------------------------ dispatcher
 
   StatusOr<Table> Eval(const Expr& e, const Loop& loop) {
@@ -489,7 +622,14 @@ class LoopLiftedEvaluator::Impl {
       case ExprKind::kSequence:
         return EvalSequence(e, loop);
       case ExprKind::kRange:
-        return EvalRange(e, loop);
+      case ExprKind::kComparison:
+      case ExprKind::kArith:
+      case ExprKind::kUnaryMinus:
+      case ExprKind::kCastAs:
+      case ExprKind::kCastableAs:
+      case ExprKind::kInstanceOf:
+      case ExprKind::kTreatAs:
+        return EvalOperator(e, loop);
       case ExprKind::kVarRef: {
         XRPC_ASSIGN_OR_RETURN(const Table* t, LookupVar(e.name.Clark()));
         return RestrictToLoop(*t, loop);
@@ -507,23 +647,6 @@ class LoopLiftedEvaluator::Impl {
       case ExprKind::kOr:
       case ExprKind::kAnd:
         return EvalLogic(e, loop);
-      case ExprKind::kComparison:
-        return EvalComparison(e, loop);
-      case ExprKind::kArith:
-        return EvalArith(e, loop);
-      case ExprKind::kUnaryMinus: {
-        XRPC_ASSIGN_OR_RETURN(Table v, Eval(*e.children[0], loop));
-        Table out = Table::IterPosItem();
-        for (size_t i = 0; i < v.NumRows(); ++i) {
-          AtomicValue a = v.ItemAt(i).Atomize();
-          if (a.type() == AtomicType::kInteger) {
-            out.AppendIPI(v.Iter(i), 1, Item(AtomicValue::Integer(-a.AsInteger())));
-          } else {
-            out.AppendIPI(v.Iter(i), 1, Item(AtomicValue::Double(-a.AsDouble())));
-          }
-        }
-        return out;
-      }
       case ExprKind::kUnion:
         return EvalUnion(e, loop);
       case ExprKind::kPath:
@@ -543,11 +666,6 @@ class LoopLiftedEvaluator::Impl {
       case ExprKind::kPiCtor:
       case ExprKind::kDocumentCtor:
         return EvalConstructor(e, loop);
-      case ExprKind::kCastAs:
-      case ExprKind::kCastableAs:
-      case ExprKind::kInstanceOf:
-      case ExprKind::kTreatAs:
-        return EvalTypeExpr(e, loop);
       case ExprKind::kInsert:
       case ExprKind::kDelete:
       case ExprKind::kReplaceNode:
@@ -577,26 +695,6 @@ class LoopLiftedEvaluator::Impl {
         for (size_t i = 0; i < part.NumRows(); ++i) {
           if (part.Iter(i) == iter) out.AppendIPI(iter, ++pos, part.ItemAt(i));
         }
-      }
-    }
-    return out;
-  }
-
-  StatusOr<Table> EvalRange(const Expr& e, const Loop& loop) {
-    XRPC_ASSIGN_OR_RETURN(Table lo_t, Eval(*e.children[0], loop));
-    XRPC_ASSIGN_OR_RETURN(Table hi_t, Eval(*e.children[1], loop));
-    XRPC_ASSIGN_OR_RETURN(auto lo, AtomizedSingletons(lo_t, "range"));
-    XRPC_ASSIGN_OR_RETURN(auto hi, AtomizedSingletons(hi_t, "range"));
-    Table out = Table::IterPosItem();
-    for (int64_t iter : loop) {
-      auto l = lo.find(iter);
-      auto h = hi.find(iter);
-      if (l == lo.end() || h == hi.end()) continue;
-      int64_t a = l->second.AsInteger(), b = h->second.AsInteger();
-      if (b - a > 100'000'000) return Status::EvalError("range too large");
-      int64_t pos = 0;
-      for (int64_t v = a; v <= b; ++v) {
-        out.AppendIPI(iter, ++pos, Item(AtomicValue::Integer(v)));
       }
     }
     return out;
@@ -1019,13 +1117,18 @@ class LoopLiftedEvaluator::Impl {
   }
 
   StatusOr<Table> EvalLogic(const Expr& e, const Loop& loop) {
+    // Short-circuits like the interpreter: the right operand runs only in
+    // the iterations the left one leaves undecided.
+    const bool is_or = e.kind == ExprKind::kOr;
     XRPC_ASSIGN_OR_RETURN(auto l, EvalBool(*e.children[0], loop));
-    XRPC_ASSIGN_OR_RETURN(auto r, EvalBool(*e.children[1], loop));
+    Loop undecided;
+    for (int64_t iter : loop) {
+      if (l[iter] != is_or) undecided.push_back(iter);
+    }
+    XRPC_ASSIGN_OR_RETURN(auto r, EvalBool(*e.children[1], undecided));
     Table out = Table::IterPosItem();
     for (int64_t iter : loop) {
-      bool lb = l.count(iter) > 0 && l[iter];
-      bool rb = r.count(iter) > 0 && r[iter];
-      bool v = e.kind == ExprKind::kOr ? (lb || rb) : (lb && rb);
+      bool v = l[iter] == is_or ? is_or : r[iter];
       out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(v)));
     }
     return out;
@@ -1048,180 +1151,6 @@ class LoopLiftedEvaluator::Impl {
         XRPC_ASSIGN_OR_RETURN(b, xdm::EffectiveBooleanValue(seq));
       }
       out[iter] = b;
-    }
-    return out;
-  }
-
-  StatusOr<Table> EvalComparison(const Expr& e, const Loop& loop) {
-    XRPC_ASSIGN_OR_RETURN(Table l, Eval(*e.children[0], loop));
-    XRPC_ASSIGN_OR_RETURN(Table r, Eval(*e.children[1], loop));
-    auto lg = GroupByIter(l);
-    auto rg = GroupByIter(r);
-
-    auto satisfied = [&](int c) {
-      switch (e.comp_op) {
-        case CompOp::kGenEq:
-        case CompOp::kValEq:
-          return c == 0;
-        case CompOp::kGenNe:
-        case CompOp::kValNe:
-          return c != 0;
-        case CompOp::kGenLt:
-        case CompOp::kValLt:
-          return c < 0;
-        case CompOp::kGenLe:
-        case CompOp::kValLe:
-          return c <= 0;
-        case CompOp::kGenGt:
-        case CompOp::kValGt:
-          return c > 0;
-        case CompOp::kGenGe:
-        case CompOp::kValGe:
-          return c >= 0;
-        default:
-          return false;
-      }
-    };
-    bool value_comp =
-        e.comp_op == CompOp::kValEq || e.comp_op == CompOp::kValNe ||
-        e.comp_op == CompOp::kValLt || e.comp_op == CompOp::kValLe ||
-        e.comp_op == CompOp::kValGt || e.comp_op == CompOp::kValGe;
-    bool node_comp = e.comp_op == CompOp::kNodeIs ||
-                     e.comp_op == CompOp::kNodeBefore ||
-                     e.comp_op == CompOp::kNodeAfter;
-
-    Table out = Table::IterPosItem();
-    PollGate gate(cfg_.cancel);
-    for (int64_t iter : loop) {
-      if (gate.Tick()) return gate.status();
-      auto li = lg.find(iter);
-      auto ri = rg.find(iter);
-      if (li == lg.end() || ri == rg.end()) {
-        if (value_comp || node_comp) continue;  // empty result
-        out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(false)));
-        continue;
-      }
-      if (node_comp) {
-        if (li->second.size() != 1 || ri->second.size() != 1) {
-          return Status::TypeError("node comparison requires single nodes");
-        }
-        const Item& a = l.ItemAt(li->second[0]);
-        const Item& b = r.ItemAt(ri->second[0]);
-        if (!a.IsNode() || !b.IsNode()) {
-          return Status::TypeError("node comparison requires nodes");
-        }
-        int c = xml::CompareDocumentOrder(a.node(), b.node());
-        bool v = e.comp_op == CompOp::kNodeIs
-                     ? a.node() == b.node()
-                     : (e.comp_op == CompOp::kNodeBefore ? c < 0 : c > 0);
-        out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(v)));
-        continue;
-      }
-      if (value_comp) {
-        if (li->second.size() != 1 || ri->second.size() != 1) {
-          return Status::TypeError("value comparison requires singletons");
-        }
-        AtomicValue a = l.ItemAt(li->second[0]).Atomize();
-        AtomicValue b = r.ItemAt(ri->second[0]).Atomize();
-        if (a.type() == AtomicType::kUntypedAtomic) {
-          a = AtomicValue::String(a.ToString());
-        }
-        if (b.type() == AtomicType::kUntypedAtomic) {
-          b = AtomicValue::String(b.ToString());
-        }
-        XRPC_ASSIGN_OR_RETURN(int c, xdm::CompareAtomic(a, b));
-        out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(satisfied(c))));
-        continue;
-      }
-      // General comparison: existential semantics.
-      bool found = false;
-      for (size_t x : li->second) {
-        if (found) break;
-        AtomicValue a = l.ItemAt(x).Atomize();
-        for (size_t y : ri->second) {
-          AtomicValue b = r.ItemAt(y).Atomize();
-          XRPC_ASSIGN_OR_RETURN(int c, xdm::CompareAtomic(a, b));
-          if (satisfied(c)) {
-            found = true;
-            break;
-          }
-        }
-      }
-      out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(found)));
-    }
-    return out;
-  }
-
-  StatusOr<Table> EvalArith(const Expr& e, const Loop& loop) {
-    XRPC_ASSIGN_OR_RETURN(Table l, Eval(*e.children[0], loop));
-    XRPC_ASSIGN_OR_RETURN(Table r, Eval(*e.children[1], loop));
-    XRPC_ASSIGN_OR_RETURN(auto lv, AtomizedSingletons(l, "arithmetic"));
-    XRPC_ASSIGN_OR_RETURN(auto rv, AtomizedSingletons(r, "arithmetic"));
-    Table out = Table::IterPosItem();
-    for (int64_t iter : loop) {
-      auto li = lv.find(iter);
-      auto ri = rv.find(iter);
-      if (li == lv.end() || ri == rv.end()) continue;
-      AtomicValue a = li->second, b = ri->second;
-      if (a.type() == AtomicType::kUntypedAtomic) {
-        XRPC_ASSIGN_OR_RETURN(a, a.CastTo(AtomicType::kDouble));
-      }
-      if (b.type() == AtomicType::kUntypedAtomic) {
-        XRPC_ASSIGN_OR_RETURN(b, b.CastTo(AtomicType::kDouble));
-      }
-      bool both_int = a.type() == AtomicType::kInteger &&
-                      b.type() == AtomicType::kInteger;
-      switch (e.arith_op) {
-        case xquery::ArithOp::kAdd:
-          out.AppendIPI(iter, 1,
-                        both_int ? Item(AtomicValue::Integer(a.AsInteger() +
-                                                             b.AsInteger()))
-                                 : Item(AtomicValue::Double(a.AsDouble() +
-                                                            b.AsDouble())));
-          break;
-        case xquery::ArithOp::kSub:
-          out.AppendIPI(iter, 1,
-                        both_int ? Item(AtomicValue::Integer(a.AsInteger() -
-                                                             b.AsInteger()))
-                                 : Item(AtomicValue::Double(a.AsDouble() -
-                                                            b.AsDouble())));
-          break;
-        case xquery::ArithOp::kMul:
-          out.AppendIPI(iter, 1,
-                        both_int ? Item(AtomicValue::Integer(a.AsInteger() *
-                                                             b.AsInteger()))
-                                 : Item(AtomicValue::Double(a.AsDouble() *
-                                                            b.AsDouble())));
-          break;
-        case xquery::ArithOp::kDiv:
-          out.AppendIPI(iter, 1,
-                        Item(AtomicValue::Double(a.AsDouble() / b.AsDouble())));
-          break;
-        case xquery::ArithOp::kIDiv: {
-          if (b.AsDouble() == 0) {
-            return Status::EvalError("division by zero (FOAR0001)");
-          }
-          out.AppendIPI(iter, 1,
-                        Item(AtomicValue::Integer(static_cast<int64_t>(
-                            std::trunc(a.AsDouble() / b.AsDouble())))));
-          break;
-        }
-        case xquery::ArithOp::kMod: {
-          if (both_int) {
-            if (b.AsInteger() == 0) {
-              return Status::EvalError("division by zero (FOAR0001)");
-            }
-            out.AppendIPI(iter, 1,
-                          Item(AtomicValue::Integer(a.AsInteger() %
-                                                    b.AsInteger())));
-          } else {
-            out.AppendIPI(iter, 1,
-                          Item(AtomicValue::Double(
-                              std::fmod(a.AsDouble(), b.AsDouble()))));
-          }
-          break;
-        }
-      }
     }
     return out;
   }
@@ -1298,20 +1227,6 @@ class LoopLiftedEvaluator::Impl {
     return input;
   }
 
-  static bool IsForwardAxis(Axis axis) {
-    switch (axis) {
-      case Axis::kChild:
-      case Axis::kDescendant:
-      case Axis::kDescendantOrSelf:
-      case Axis::kSelf:
-      case Axis::kAttribute:
-      case Axis::kFollowingSibling:
-        return true;
-      default:
-        return false;
-    }
-  }
-
   StatusOr<Table> EvalStep(const Table& input, const PathStep& step) {
     Table expanded = Table::IterPosItem();
     bool single_row_iters = true;  // no iter contributed two context nodes
@@ -1341,7 +1256,7 @@ class LoopLiftedEvaluator::Impl {
       }
     }
     if (single_row_iters && SortedByIter(expanded) &&
-        IsForwardAxis(step.axis)) {
+        xquery::IsForwardAxis(step.axis)) {
       return expanded;  // already per-iter document order, duplicate-free
     }
     return DocOrderPerIter(expanded);
@@ -1386,86 +1301,7 @@ class LoopLiftedEvaluator::Impl {
       }
     }
 
-    // DOM fallback covering every axis and node test.
-    auto matches = [&](const Node& m) {
-      switch (test.kind) {
-        case NodeTest::Kind::kAnyKind:
-          return true;
-        case NodeTest::Kind::kText:
-          return m.kind() == NodeKind::kText;
-        case NodeTest::Kind::kComment:
-          return m.kind() == NodeKind::kComment;
-        case NodeTest::Kind::kPi:
-          return m.kind() == NodeKind::kProcessingInstruction;
-        case NodeTest::Kind::kElement:
-          return m.kind() == NodeKind::kElement;
-        case NodeTest::Kind::kAttribute:
-          return m.kind() == NodeKind::kAttribute;
-        case NodeTest::Kind::kDocument:
-          return m.kind() == NodeKind::kDocument;
-        case NodeTest::Kind::kName: {
-          NodeKind principal = step.axis == Axis::kAttribute
-                                   ? NodeKind::kAttribute
-                                   : NodeKind::kElement;
-          if (m.kind() != principal) return false;
-          return test.wildcard || m.name() == test.name;
-        }
-      }
-      return false;
-    };
-    auto emit = [&](Node* m) {
-      if (matches(*m)) out->push_back(Item::NodeInTree(m, anchor));
-    };
-    std::function<void(Node*)> descend = [&](Node* v) {
-      for (const NodePtr& c : v->children()) {
-        emit(c.get());
-        descend(c.get());
-      }
-    };
-    switch (step.axis) {
-      case Axis::kChild:
-        for (const NodePtr& c : n->children()) emit(c.get());
-        return;
-      case Axis::kAttribute:
-        for (const NodePtr& a : n->attributes()) emit(a.get());
-        return;
-      case Axis::kSelf:
-        emit(n);
-        return;
-      case Axis::kParent:
-        if (n->parent() != nullptr) emit(n->parent());
-        return;
-      case Axis::kDescendant:
-        descend(n);
-        return;
-      case Axis::kDescendantOrSelf:
-        emit(n);
-        descend(n);
-        return;
-      case Axis::kAncestor:
-        for (Node* p = n->parent(); p != nullptr; p = p->parent()) emit(p);
-        return;
-      case Axis::kAncestorOrSelf:
-        for (Node* p = n; p != nullptr; p = p->parent()) emit(p);
-        return;
-      case Axis::kFollowingSibling: {
-        Node* parent = n->parent();
-        if (parent == nullptr || n->kind() == NodeKind::kAttribute) return;
-        for (size_t i = n->IndexInParent() + 1;
-             i < parent->children().size(); ++i) {
-          emit(parent->children()[i].get());
-        }
-        return;
-      }
-      case Axis::kPrecedingSibling: {
-        Node* parent = n->parent();
-        if (parent == nullptr || n->kind() == NodeKind::kAttribute) return;
-        for (size_t i = 0; i < n->IndexInParent(); ++i) {
-          emit(parent->children()[i].get());
-        }
-        return;
-      }
-    }
+    xquery::CollectAxis(item, step.axis, test, out);
   }
 
   /// Applies predicates to a candidate node list by loop-lifting the
@@ -1515,12 +1351,7 @@ class LoopLiftedEvaluator::Impl {
         for (size_t row : g->second) {
           v.push_back(value.value().ItemAt(row));
         }
-        bool keep;
-        if (v.size() == 1 && v[0].IsAtomic() && v[0].atomic().IsNumeric()) {
-          keep = v[0].atomic().AsDouble() == static_cast<double>(i + 1);
-        } else {
-          XRPC_ASSIGN_OR_RETURN(keep, xdm::EffectiveBooleanValue(v));
-        }
+        XRPC_ASSIGN_OR_RETURN(bool keep, xquery::PredicateTruth(v, i + 1));
         if (keep) kept.push_back(candidates[static_cast<size_t>(i)]);
       }
       candidates = std::move(kept);
@@ -1546,8 +1377,9 @@ class LoopLiftedEvaluator::Impl {
   // ------------------------------------------------------------ functions
 
   StatusOr<Table> EvalFunctionCall(const Expr& e, const Loop& loop);
-  StatusOr<Table> EvalBuiltin(const Expr& e, const Loop& loop,
-                              std::vector<Table> args);
+  StatusOr<Table> InlineUserFunction(const xquery::FunctionDef& def,
+                                     const xquery::LibraryModule* module,
+                                     const Expr& call, const Loop& loop);
 
   // -------------------------------------------------------------- XRPC
 
@@ -1556,50 +1388,6 @@ class LoopLiftedEvaluator::Impl {
   // -------------------------------------------------------- constructors
 
   StatusOr<Table> EvalConstructor(const Expr& e, const Loop& loop);
-
-  StatusOr<Table> EvalTypeExpr(const Expr& e, const Loop& loop) {
-    XRPC_ASSIGN_OR_RETURN(Table v, Eval(*e.children[0], loop));
-    auto groups = GroupByIter(v);
-    Table out = Table::IterPosItem();
-    for (int64_t iter : loop) {
-      auto g = groups.find(iter);
-      Sequence seq;
-      if (g != groups.end()) {
-        for (size_t row : g->second) seq.push_back(v.ItemAt(row));
-      }
-      switch (e.kind) {
-        case ExprKind::kCastAs: {
-          if (seq.empty()) {
-            if (e.seq_type.occurrence == xquery::Occurrence::kZeroOrOne) {
-              continue;
-            }
-            return Status::TypeError("cast of empty sequence");
-          }
-          if (seq.size() > 1) return Status::TypeError("cast of sequence");
-          XRPC_ASSIGN_OR_RETURN(AtomicValue c,
-                                seq[0].Atomize().CastTo(e.seq_type.atomic));
-          out.AppendIPI(iter, 1, Item(std::move(c)));
-          break;
-        }
-        case ExprKind::kCastableAs: {
-          bool ok = seq.size() == 1 &&
-                    seq[0].Atomize().CastTo(e.seq_type.atomic).ok();
-          if (seq.empty()) {
-            ok = e.seq_type.occurrence == xquery::Occurrence::kZeroOrOne;
-          }
-          out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(ok)));
-          break;
-        }
-        case ExprKind::kInstanceOf:
-        case ExprKind::kTreatAs:
-          return Status::Unsupported(
-              "instance of / treat as on the relational path");
-        default:
-          return Status::Internal("not a type expression");
-      }
-    }
-    return out;
-  }
 
   LoopLiftConfig cfg_;
   std::vector<std::pair<std::string, Table>> env_;
@@ -1615,48 +1403,15 @@ class LoopLiftedEvaluator::Impl {
 
 StatusOr<Table> LoopLiftedEvaluator::Impl::EvalFunctionCall(const Expr& e,
                                                             const Loop& loop) {
-  // xs: constructor functions.
-  if (e.name.ns_uri == xml::kXsNs) {
-    if (e.children.size() != 1) {
-      return Status::TypeError("constructor function takes one argument");
-    }
-    XRPC_ASSIGN_OR_RETURN(Table v, Eval(*e.children[0], loop));
-    XRPC_ASSIGN_OR_RETURN(AtomicType t,
-                          xdm::AtomicTypeFromName("xs:" + e.name.local));
-    Table out = Table::IterPosItem();
-    for (size_t i = 0; i < v.NumRows(); ++i) {
-      XRPC_ASSIGN_OR_RETURN(AtomicValue c, v.ItemAt(i).Atomize().CastTo(t));
-      out.AppendIPI(v.Iter(i), v.Pos(i), Item(std::move(c)));
-    }
-    return out;
-  }
-
-  // position()/last() resolve against the hidden focus variables.
-  if (e.name.ns_uri == xquery::kFnNs && e.children.empty()) {
-    if (e.name.local == "position") {
-      XRPC_ASSIGN_OR_RETURN(const Table* t, LookupVar(kPositionVar));
-      return RestrictToLoop(*t, loop);
-    }
-    if (e.name.local == "last") {
-      XRPC_ASSIGN_OR_RETURN(const Table* t, LookupVar(kLastVar));
-      return RestrictToLoop(*t, loop);
-    }
-  }
-
   // User-defined functions: inline-expand loop-lifted.
-  const xquery::FunctionDef* def = nullptr;
+  const size_t arity = e.children.size();
   const xquery::LibraryModule* def_module = nullptr;
   const Scope& scope = scopes_.back();
-  for (const xquery::FunctionDef& f : scope.prolog->functions) {
-    if (f.name == e.name && f.arity() == e.children.size()) {
-      def = &f;
-      break;
-    }
-  }
+  const xquery::FunctionDef* def = scope.prolog->FindFunction(e.name, arity);
   if (def == nullptr) {
     auto it = scope.imports_by_ns.find(e.name.ns_uri);
     if (it != scope.imports_by_ns.end()) {
-      def = it->second->FindFunction(e.name, e.children.size());
+      def = it->second->prolog.FindFunction(e.name, arity);
       def_module = it->second;
     }
   }
@@ -1664,356 +1419,49 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalFunctionCall(const Expr& e,
     if (def->updating) {
       return Status::Unsupported("updating function on the relational path");
     }
-    if (++inline_depth_ > cfg_.max_inline_depth) {
-      --inline_depth_;
+    if (inline_depth_ >= cfg_.max_inline_depth) {
       return Status::Unsupported(
           "recursion beyond inline depth on the relational path");
     }
-    std::vector<Table> args;
-    Status st = Status::OK();
-    for (const ExprPtr& c : e.children) {
-      auto a = Eval(*c, loop);
-      if (!a.ok()) {
-        st = a.status();
-        break;
-      }
-      args.push_back(std::move(a).value());
-    }
-    StatusOr<Table> result = Status::Internal("uninitialized");
-    if (st.ok()) {
-      size_t env_mark = env_.size();
-      size_t scope_mark = scopes_.size();
-      // A fresh frame: only parameters are visible inside the body.
-      std::vector<std::pair<std::string, Table>> saved_env;
-      saved_env.swap(env_);
-      if (def_module != nullptr) {
-        auto s = BuildScope(&def_module->prolog, def_module->target_ns);
-        if (!s.ok()) {
-          st = s.status();
-        } else {
-          scopes_.push_back(std::move(s).value());
-        }
-      }
-      if (st.ok()) {
-        for (size_t i = 0; i < args.size(); ++i) {
-          auto coerced = CoerceTable(args[i], def->params[i].type);
-          if (!coerced.ok()) {
-            st = coerced.status();
-            break;
-          }
-          env_.emplace_back(def->params[i].name.Clark(),
-                            std::move(coerced).value());
-        }
-      }
-      if (st.ok()) {
-        result = Eval(*def->body, loop);
-      }
-      env_ = std::move(saved_env);
-      env_.resize(env_mark);
-      scopes_.resize(scope_mark);
-    }
+    ++inline_depth_;
+    auto result = InlineUserFunction(*def, def_module, e, loop);
     --inline_depth_;
-    XRPC_RETURN_IF_ERROR(st);
     return result;
   }
 
-  if (e.name.ns_uri == xquery::kFnNs || e.name.ns_uri == xml::kXrpcNs) {
-    std::vector<Table> args;
-    for (const ExprPtr& c : e.children) {
-      XRPC_ASSIGN_OR_RETURN(Table a, Eval(*c, loop));
-      args.push_back(std::move(a));
-    }
-    return EvalBuiltin(e, loop, std::move(args));
-  }
-  return Status::NotFound("unknown function " + e.name.Clark());
+  XRPC_ASSIGN_OR_RETURN(std::vector<Table> args, EvalArgs(e.children, loop));
+  XRPC_ASSIGN_OR_RETURN(const xquery::Builtin* builtin,
+                        xquery::FindBuiltin(e.name, arity));
+  return PerIteration(
+      loop, std::move(args), builtin->focus && arity == 0,
+      [&](std::vector<Sequence>& a, const xquery::FunctionContext& ctx) {
+        return (*builtin)(e.name, a, ctx);
+      });
 }
 
-StatusOr<Table> LoopLiftedEvaluator::Impl::EvalBuiltin(
-    const Expr& e, const Loop& loop, std::vector<Table> args) {
-  const std::string& f = e.name.local;
-  size_t n = args.size();
-  Table out = Table::IterPosItem();
-
-  auto groups_of = [](const Table& t) { return GroupByIter(t); };
-
-  if (e.name.ns_uri == xml::kXrpcNs) {
-    if ((f == "host" || f == "path") && n == 1) {
-      for (size_t i = 0; i < args[0].NumRows(); ++i) {
-        std::string url = args[0].ItemAt(i).StringValue();
-        std::string result;
-        if (StartsWith(url, "xrpc://")) {
-          std::string rest = url.substr(7);
-          size_t slash = rest.find('/');
-          if (f == "host") {
-            result = "xrpc://" +
-                     (slash == std::string::npos ? rest
-                                                 : rest.substr(0, slash));
-          } else {
-            result = slash == std::string::npos ? "" : rest.substr(slash + 1);
-          }
-        } else {
-          result = f == "host" ? "localhost" : url;
-        }
-        out.AppendIPI(args[0].Iter(i), 1, Item(AtomicValue::String(result)));
-      }
-      return out;
-    }
-    return Status::Unsupported("xrpc:" + f + " on the relational path");
+StatusOr<Table> LoopLiftedEvaluator::Impl::InlineUserFunction(
+    const xquery::FunctionDef& def, const xquery::LibraryModule* module,
+    const Expr& call, const Loop& loop) {
+  XRPC_ASSIGN_OR_RETURN(std::vector<Table> args,
+                        EvalArgs(call.children, loop));
+  // A fresh frame: only parameters are visible inside the body.
+  std::vector<std::pair<std::string, Table>> frame;
+  for (size_t i = 0; i < args.size(); ++i) {
+    XRPC_ASSIGN_OR_RETURN(
+        Table coerced, CoerceParam(std::move(args[i]), def.params[i].type, loop));
+    frame.emplace_back(def.params[i].name.Clark(), std::move(coerced));
   }
-
-  if (f == "doc" && n == 1) {
-    if (cfg_.documents == nullptr) {
-      return Status::EvalError("fn:doc: no document provider");
-    }
-    for (size_t i = 0; i < args[0].NumRows(); ++i) {
-      XRPC_ASSIGN_OR_RETURN(
-          NodePtr doc,
-          cfg_.documents->GetDocument(args[0].ItemAt(i).StringValue()));
-      out.AppendIPI(args[0].Iter(i), 1, Item::Node(std::move(doc)));
-    }
-    return out;
+  const size_t scope_mark = scopes_.size();
+  if (module != nullptr) {
+    XRPC_ASSIGN_OR_RETURN(Scope scope,
+                          BuildScope(&module->prolog, module->target_ns));
+    scopes_.push_back(std::move(scope));
   }
-  if (f == "count" && n == 1) {
-    auto groups = groups_of(args[0]);
-    for (int64_t iter : loop) {
-      auto g = groups.find(iter);
-      int64_t c = g == groups.end() ? 0 : static_cast<int64_t>(g->second.size());
-      out.AppendIPI(iter, 1, Item(AtomicValue::Integer(c)));
-    }
-    return out;
-  }
-  if ((f == "empty" || f == "exists") && n == 1) {
-    auto groups = groups_of(args[0]);
-    for (int64_t iter : loop) {
-      bool has = groups.count(iter) > 0 && !groups[iter].empty();
-      out.AppendIPI(iter, 1,
-                    Item(AtomicValue::Boolean(f == "empty" ? !has : has)));
-    }
-    return out;
-  }
-  if ((f == "not" || f == "boolean") && n == 1) {
-    auto groups = groups_of(args[0]);
-    for (int64_t iter : loop) {
-      Sequence seq;
-      auto g = groups.find(iter);
-      if (g != groups.end()) {
-        for (size_t row : g->second) seq.push_back(args[0].ItemAt(row));
-      }
-      XRPC_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(seq));
-      out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(f == "not" ? !b : b)));
-    }
-    return out;
-  }
-  if (f == "true" && n == 0) {
-    for (int64_t iter : loop) {
-      out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(true)));
-    }
-    return out;
-  }
-  if (f == "false" && n == 0) {
-    for (int64_t iter : loop) {
-      out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(false)));
-    }
-    return out;
-  }
-  if (f == "string" && n == 1) {
-    auto groups = groups_of(args[0]);
-    for (int64_t iter : loop) {
-      auto g = groups.find(iter);
-      std::string s;
-      if (g != groups.end() && !g->second.empty()) {
-        if (g->second.size() > 1) {
-          return Status::TypeError("fn:string: more than one item");
-        }
-        s = args[0].ItemAt(g->second[0]).StringValue();
-      }
-      out.AppendIPI(iter, 1, Item(AtomicValue::String(std::move(s))));
-    }
-    return out;
-  }
-  if (f == "data" && n == 1) {
-    for (size_t i = 0; i < args[0].NumRows(); ++i) {
-      out.AppendIPI(args[0].Iter(i), args[0].Pos(i),
-                    Item(args[0].ItemAt(i).Atomize()));
-    }
-    return out;
-  }
-  if (f == "concat" && n >= 2) {
-    std::vector<std::unordered_map<int64_t, std::vector<size_t>>> groups;
-    for (const Table& a : args) groups.push_back(GroupByIter(a));
-    for (int64_t iter : loop) {
-      std::string s;
-      for (size_t a = 0; a < n; ++a) {
-        auto g = groups[a].find(iter);
-        if (g == groups[a].end()) continue;
-        if (g->second.size() > 1) {
-          return Status::TypeError("fn:concat: non-singleton argument");
-        }
-        s += args[a].ItemAt(g->second[0]).StringValue();
-      }
-      out.AppendIPI(iter, 1, Item(AtomicValue::String(std::move(s))));
-    }
-    return out;
-  }
-  if (f == "string-join" && (n == 1 || n == 2)) {
-    auto groups = groups_of(args[0]);
-    auto seps = n == 2 ? GroupByIter(args[1])
-                       : std::unordered_map<int64_t, std::vector<size_t>>{};
-    for (int64_t iter : loop) {
-      std::string sep;
-      if (n == 2) {
-        auto s = seps.find(iter);
-        if (s != seps.end() && !s->second.empty()) {
-          sep = args[1].ItemAt(s->second[0]).StringValue();
-        }
-      }
-      std::string joined;
-      auto g = groups.find(iter);
-      if (g != groups.end()) {
-        for (size_t k = 0; k < g->second.size(); ++k) {
-          if (k > 0) joined += sep;
-          joined += args[0].ItemAt(g->second[k]).StringValue();
-        }
-      }
-      out.AppendIPI(iter, 1, Item(AtomicValue::String(std::move(joined))));
-    }
-    return out;
-  }
-  if ((f == "contains" || f == "starts-with" || f == "ends-with") && n == 2) {
-    auto lg = groups_of(args[0]);
-    auto rg = groups_of(args[1]);
-    for (int64_t iter : loop) {
-      std::string a, b;
-      auto li = lg.find(iter);
-      if (li != lg.end() && !li->second.empty()) {
-        a = args[0].ItemAt(li->second[0]).StringValue();
-      }
-      auto ri = rg.find(iter);
-      if (ri != rg.end() && !ri->second.empty()) {
-        b = args[1].ItemAt(ri->second[0]).StringValue();
-      }
-      bool v = f == "contains"
-                   ? a.find(b) != std::string::npos
-                   : (f == "starts-with" ? StartsWith(a, b) : EndsWith(a, b));
-      out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(v)));
-    }
-    return out;
-  }
-  if ((f == "sum" || f == "avg" || f == "min" || f == "max") && n >= 1) {
-    auto groups = groups_of(args[0]);
-    for (int64_t iter : loop) {
-      auto g = groups.find(iter);
-      if (g == groups.end() || g->second.empty()) {
-        if (f == "sum") out.AppendIPI(iter, 1, Item(AtomicValue::Integer(0)));
-        continue;
-      }
-      bool all_int = true;
-      double acc = 0;
-      int64_t iacc = 0;
-      double mn = std::numeric_limits<double>::infinity();
-      double mx = -std::numeric_limits<double>::infinity();
-      for (size_t row : g->second) {
-        AtomicValue v = args[0].ItemAt(row).Atomize();
-        if (v.type() != AtomicType::kInteger) all_int = false;
-        double d = v.AsDouble();
-        acc += d;
-        iacc += v.AsInteger();
-        mn = std::min(mn, d);
-        mx = std::max(mx, d);
-      }
-      if (f == "sum") {
-        out.AppendIPI(iter, 1,
-                      all_int ? Item(AtomicValue::Integer(iacc))
-                              : Item(AtomicValue::Double(acc)));
-      } else if (f == "avg") {
-        out.AppendIPI(iter, 1,
-                      Item(AtomicValue::Double(
-                          acc / static_cast<double>(g->second.size()))));
-      } else {
-        double v = f == "min" ? mn : mx;
-        out.AppendIPI(iter, 1,
-                      all_int ? Item(AtomicValue::Integer(
-                                    static_cast<int64_t>(v)))
-                              : Item(AtomicValue::Double(v)));
-      }
-    }
-    return out;
-  }
-  if (f == "distinct-values" && n >= 1) {
-    auto groups = groups_of(args[0]);
-    for (int64_t iter : loop) {
-      auto g = groups.find(iter);
-      if (g == groups.end()) continue;
-      std::vector<AtomicValue> seen;
-      int64_t pos = 0;
-      for (size_t row : g->second) {
-        AtomicValue v = args[0].ItemAt(row).Atomize();
-        bool dup = false;
-        for (const AtomicValue& s : seen) {
-          auto cmp = xdm::CompareAtomic(v, s);
-          if (cmp.ok() && cmp.value() == 0) {
-            dup = true;
-            break;
-          }
-        }
-        if (!dup) {
-          seen.push_back(v);
-          out.AppendIPI(iter, ++pos, Item(std::move(v)));
-        }
-      }
-    }
-    return out;
-  }
-  if ((f == "zero-or-one" || f == "exactly-one" || f == "one-or-more") &&
-      n == 1) {
-    auto groups = groups_of(args[0]);
-    for (int64_t iter : loop) {
-      size_t c = groups.count(iter) > 0 ? groups[iter].size() : 0;
-      if (f == "zero-or-one" && c > 1) {
-        return Status::TypeError("fn:zero-or-one: more than one (FORG0003)");
-      }
-      if (f == "exactly-one" && c != 1) {
-        return Status::TypeError("fn:exactly-one: not one item (FORG0005)");
-      }
-      if (f == "one-or-more" && c == 0) {
-        return Status::TypeError("fn:one-or-more: empty (FORG0004)");
-      }
-    }
-    return args[0];
-  }
-  if ((f == "name" || f == "local-name") && n == 1) {
-    for (size_t i = 0; i < args[0].NumRows(); ++i) {
-      const Item& item = args[0].ItemAt(i);
-      if (!item.IsNode()) return Status::TypeError("fn:" + f + ": not a node");
-      out.AppendIPI(args[0].Iter(i), 1,
-                    Item(AtomicValue::String(f == "name"
-                                                 ? item.node()->name().Lexical()
-                                                 : item.node()->name().local)));
-    }
-    return out;
-  }
-  if (f == "number" && n <= 1) {
-    if (n == 1) {
-      auto groups = groups_of(args[0]);
-      for (int64_t iter : loop) {
-        double d = std::numeric_limits<double>::quiet_NaN();
-        auto g = groups.find(iter);
-        if (g != groups.end() && !g->second.empty()) {
-          d = args[0].ItemAt(g->second[0]).Atomize().AsDouble();
-        }
-        out.AppendIPI(iter, 1, Item(AtomicValue::Double(d)));
-      }
-      return out;
-    }
-  }
-  if (f == "error") {
-    return Status::EvalError(n > 0 && args[n - 1].NumRows() > 0
-                                 ? args[n - 1].ItemAt(0).StringValue()
-                                 : "fn:error called");
-  }
-
-  return Status::Unsupported("built-in fn:" + f + "#" + std::to_string(n) +
-                             " on the relational path");
+  frame.swap(env_);
+  auto result = Eval(*def.body, loop);
+  env_ = std::move(frame);
+  scopes_.resize(scope_mark);
+  return result;
 }
 
 // ------------------------- execute at (Figure 2) ---------------------------

@@ -56,9 +56,15 @@ struct LoopLiftConfig {
 /// rule of Figure 2 literally — including the ρ-renumbered per-peer
 /// iterations and the order-restoring merge-union map-back.
 ///
-/// Updating expressions are outside this engine's scope (MonetDB routes
-/// them through a separate update path); they report kUnsupported and the
-/// caller falls back to the interpreter.
+/// Built-in functions, operators and type rules are not re-implemented
+/// here: the engine calls the shared library (xquery/functions.h) once per
+/// iteration, so every read-only builtin runs relationally and answers as
+/// on the interpreter. What reports kUnsupported, for the caller to fall
+/// back to the interpreter, is the update path (MonetDB routes it
+/// separately): XQUF expressions, updating functions and fn:put. So do
+/// comment, processing-instruction, document and standalone attribute
+/// constructors, and user-function recursion deeper than
+/// `max_inline_depth`.
 class LoopLiftedEvaluator {
  public:
   explicit LoopLiftedEvaluator(const LoopLiftConfig& config);

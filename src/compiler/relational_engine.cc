@@ -1,7 +1,5 @@
 #include "compiler/relational_engine.h"
 
-#include "xquery/parser.h"
-
 namespace xrpc::compiler {
 
 StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRequest(
@@ -17,38 +15,12 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRequest(
     return fallback.ExecuteRequest(request, context, pul);
   }
 
-  const xquery::LibraryModule* module = nullptr;
-  xquery::LibraryModule reparsed;
-  if (options_.use_function_cache) {
-    if (context.modules == nullptr) {
-      return Status::Internal("no module resolver configured");
-    }
-    XRPC_ASSIGN_OR_RETURN(
-        module, context.modules->Resolve(request.module_ns, request.location));
-  } else {
-    if (options_.registry == nullptr) {
-      return Status::Internal("cache-less mode requires a registry");
-    }
-    XRPC_ASSIGN_OR_RETURN(const std::string* source,
-                          options_.registry->SourceOf(request.module_ns));
-    XRPC_ASSIGN_OR_RETURN(reparsed, xquery::ParseLibraryModule(*source));
-    module = &reparsed;
-  }
-
-  const xquery::FunctionDef* def = nullptr;
-  for (const xquery::FunctionDef& f : module->prolog.functions) {
-    if (f.name.local == request.method && f.arity() == request.arity) {
-      def = &f;
-      break;
-    }
-  }
-  if (def == nullptr) {
-    return Status::NotFound("function " + request.method + "#" +
-                            std::to_string(request.arity) +
-                            " not found in module " + request.module_ns);
-  }
-
-  auto relational = ExecuteRelational(request, context, *module, *def);
+  XRPC_ASSIGN_OR_RETURN(
+      server::RequestFunction f,
+      server::ResolveRequestFunction(request, context,
+                                     !options_.use_function_cache,
+                                     options_.registry));
+  auto relational = ExecuteRelational(request, context, *f.module, *f.def);
   if (relational.ok() ||
       relational.status().code() != StatusCode::kUnsupported) {
     return relational;

@@ -23,9 +23,11 @@ namespace xrpc::compiler {
 /// source is re-parsed on every request, modeling the 130 ms translation
 /// overhead column of Table 2.
 ///
-/// Updating requests and queries outside the relational subset fall back
-/// to the interpreter (counted in `interpreter_fallbacks`), mirroring
-/// MonetDB's separate update path.
+/// Updating requests, and the few plans the loop-lifted evaluator reports
+/// kUnsupported for (see LoopLiftedEvaluator), run on the interpreter
+/// instead (counted in `interpreter_fallbacks`), mirroring MonetDB's
+/// separate update path. Both engines share one function-and-operator
+/// library, so a fallback changes the plan, not the answer.
 class RelationalEngine : public server::ExecutionEngine {
  public:
   struct Options {

@@ -21,45 +21,6 @@ int64_t WallClockMicros() {
       .count();
 }
 
-/// PutSink writing fn:put documents into the local database.
-class LocalPutSink : public xquery::PutSink {
- public:
-  explicit LocalPutSink(server::Database* db) : db_(db) {}
-  Status Put(const std::string& uri, xml::NodePtr doc) override {
-    db_->PutDocument(uri, std::move(doc));
-    return Status::OK();
-  }
-
- private:
-  server::Database* db_;
-};
-
-/// Applies a locally produced pending update list against the local
-/// database, bumping versions of written documents.
-Status ApplyLocalUpdates(server::Database* db,
-                         xquery::PendingUpdateList* pul) {
-  std::map<const xml::Node*, std::string> root_to_name;
-  for (const std::string& name : db->DocumentNames()) {
-    auto doc = db->GetDocument(name);
-    if (doc.ok()) root_to_name[doc.value().get()] = name;
-  }
-  std::vector<std::string> written;
-  for (const auto& entry : pul->entries()) {
-    const xquery::UpdatePrimitive& p = entry.primitive;
-    if (p.kind == xquery::UpdatePrimitive::Kind::kPut) continue;
-    if (p.target.node() == nullptr) continue;
-    auto it = root_to_name.find(p.target.node()->Root());
-    if (it != root_to_name.end()) written.push_back(it->second);
-  }
-  LocalPutSink sink(db);
-  XRPC_RETURN_IF_ERROR(xquery::ApplyUpdates(pul, &sink));
-  for (const std::string& name : written) {
-    auto doc = db->GetDocument(name);
-    if (doc.ok()) db->PutDocument(name, doc.value());
-  }
-  return Status::OK();
-}
-
 void CountExecuteAt(const xquery::Expr& e, int* count, bool* in_loop) {
   if (e.kind == xquery::ExprKind::kExecuteAt) ++*count;
   if (e.kind == xquery::ExprKind::kFlwor) {
@@ -396,10 +357,10 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
       }
     }
     if (outcome.committed && !local_pul.empty()) {
-      XRPC_RETURN_IF_ERROR(ApplyLocalUpdates(&p0->db_, &local_pul));
+      XRPC_RETURN_IF_ERROR(p0->db_.ApplyImmediate(&local_pul));
     }
   } else if (!local_pul.empty()) {
-    XRPC_RETURN_IF_ERROR(ApplyLocalUpdates(&p0->db_, &local_pul));
+    XRPC_RETURN_IF_ERROR(p0->db_.ApplyImmediate(&local_pul));
   }
   return report;
 }

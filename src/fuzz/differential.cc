@@ -53,14 +53,9 @@ std::string DifferentialHarness::SkiplistReason(
   // two engines answer differently and why that is accepted rather than
   // fixed; keep this list short and auditable.
   //
-  // (1) fn:trace is interpreter-only debugging aid; the relational engine
-  //     has no tracing channel, so behaviour differs by design.
-  if (query_text.find("trace(") != std::string::npos) {
-    return "fn:trace is an interpreter-only debugging aid";
-  }
-  // (2) fn:put bypasses the PUL on the interpreter's immediate path but is
-  //     rejected on the relational read-only path; the generator does not
-  //     emit it, but replayed/corpus queries might.
+  // fn:put bypasses the PUL on the interpreter's immediate path but is
+  // rejected on the relational read-only path; the generator does not
+  // emit it, but replayed/corpus queries might.
   if (query_text.find("put(") != std::string::npos) {
     return "fn:put document creation is outside the relational subset";
   }
@@ -190,7 +185,9 @@ bool DifferentialHarness::RunAndMinimize(GeneratedQuery* query,
     ++stats_.skipped;
     return false;
   }
-  if (c.fell_back) ++stats_.fell_back;
+  if (c.fell_back) {
+    ++(query->updating ? stats_.fell_back_update : stats_.fell_back_read);
+  }
   if (!c.relational_ok && !c.interpreter_ok) ++stats_.both_error;
   if (c.agree) {
     ++stats_.agreed;

@@ -35,7 +35,13 @@ struct DiffStats {
   int64_t diverged = 0;
   int64_t skipped = 0;       ///< skiplisted known spec gaps
   int64_t both_error = 0;    ///< both engines rejected the query
-  int64_t fell_back = 0;     ///< relational engine fell back (no signal)
+  /// Read-only queries the relational engine left to the interpreter:
+  /// each is a lost operator, so the comparison pitted the interpreter
+  /// against itself.
+  int64_t fell_back_read = 0;
+  /// Updating queries, which the relational engine hands to its update
+  /// path (the interpreter) by design.
+  int64_t fell_back_update = 0;
   int64_t updating = 0;
 };
 

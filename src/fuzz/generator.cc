@@ -444,8 +444,9 @@ std::unique_ptr<GenNode> QueryGenerator::GenArith(int depth, Scope* scope) {
   }
   auto n = std::make_unique<GenNode>();
   n->reduced = "1";
-  static const char* kOps[] = {" + ", " - ", " * ", " idiv ", " mod "};
-  switch (Below(5)) {
+  static const char* kOps[] = {" + ", " - ", " * ", " div ", " idiv ",
+                               " mod "};
+  switch (Below(6)) {
     case 0: {
       const Scope::Var* v = scope->PickNodeVar(&prng_);
       if (v != nullptr && v->schema != nullptr &&
@@ -466,9 +467,24 @@ std::unique_ptr<GenNode> QueryGenerator::GenArith(int depth, Scope* scope) {
       n->Add(GenPath(depth - 1, scope));
       n->Lit(")");
       return n;
+    case 2: {
+      // Numeric builtins of the shared function library.
+      static const char* kFns[] = {"round(", "abs(", "floor(", "ceiling("};
+      if (Chance(0.3)) {
+        n->Lit("string-length(");
+        n->Add(GenStringExpr(depth - 1, scope));
+      } else {
+        n->Lit(kFns[Below(std::size(kFns))]);
+        n->Add(GenArith(depth - 1, scope));
+      }
+      n->Lit(")");
+      return n;
+    }
     default: {
       n->Add(GenArith(depth - 1, scope));
-      // idiv/mod by a constant to keep divide-by-zero rare but present.
+      // idiv/mod by a constant to keep divide-by-zero rare; div by any
+      // operand, so integer division by zero (FOAR0001) and double
+      // infinities both occur.
       std::string op = kOps[Below(std::size(kOps))];
       n->Lit(op);
       if (op == " idiv " || op == " mod ") {
@@ -485,7 +501,7 @@ std::unique_ptr<GenNode> QueryGenerator::GenStringExpr(int depth,
                                                        Scope* scope) {
   auto n = std::make_unique<GenNode>();
   n->reduced = "\"x\"";
-  switch (Below(5)) {
+  switch (Below(6)) {
     case 0: {
       n->Lit("concat(");
       n->Add(GenStringExpr(depth - 1, scope));
@@ -516,6 +532,32 @@ std::unique_ptr<GenNode> QueryGenerator::GenStringExpr(int depth,
              std::string(kStringPool[Below(std::size(kStringPool))]) + "\")");
       return n;
     }
+    case 4: {
+      // String builtins of the shared function library.
+      auto arg = [&] {
+        return depth > 0 ? GenStringExpr(depth - 1, scope)
+                         : LitNode("\" a b \"", "\"x\"");
+      };
+      switch (Below(3)) {
+        case 0:
+          n->Lit(Chance(0.5) ? "upper-case(" : "lower-case(");
+          n->Add(arg());
+          n->Lit(")");
+          break;
+        case 1:
+          n->Lit("substring(");
+          n->Add(arg());
+          n->Lit(", " + std::to_string(Below(4)) + ", " +
+                 std::to_string(Below(5)) + ")");
+          break;
+        default:
+          n->Lit("normalize-space(");
+          n->Add(arg());
+          n->Lit(")");
+          break;
+      }
+      return n;
+    }
     default: {
       const Scope::Var* v = scope->PickNodeVar(&prng_);
       if (v != nullptr && v->schema != nullptr &&
@@ -537,13 +579,15 @@ std::unique_ptr<GenNode> QueryGenerator::GenAggregate(int depth,
                                                       Scope* scope) {
   auto n = std::make_unique<GenNode>();
   n->reduced = "0";
-  static const char* kAggs[] = {"count", "sum", "avg", "min", "max",
-                                "empty", "exists", "distinct-values"};
+  static const char* kAggs[] = {"count",  "sum",    "avg",
+                                "min",    "max",    "empty",
+                                "exists", "distinct-values", "reverse"};
   const char* agg = kAggs[Below(std::size(kAggs))];
   n->Lit(std::string(agg) + "(");
   bool numeric = std::string(agg) != "count" && std::string(agg) != "empty" &&
                  std::string(agg) != "exists" &&
-                 std::string(agg) != "distinct-values";
+                 std::string(agg) != "distinct-values" &&
+                 std::string(agg) != "reverse";
   if (numeric) {
     // Aggregate over a numeric sequence: a range or numeric leaf path.
     if (Chance(0.5)) {

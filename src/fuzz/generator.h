@@ -76,9 +76,9 @@ struct GeneratedQuery {
 /// Seeded random XQuery generator biased toward the XMark schema split of
 /// Section 5 (persons.xml at the local peer, auctions.xml at peer B) plus
 /// the film database of Section 2. Every query it emits parses under
-/// src/xquery and — apart from deliberate interpreter-only constructs —
-/// stays inside the loop-lifted relational subset, so the differential
-/// harness exercises genuinely different execution paths.
+/// src/xquery, and every read-only one runs on the loop-lifted engine
+/// without falling back (`fuzz_differential` fails otherwise), so the
+/// differential harness exercises genuinely different execution paths.
 ///
 /// Determinism: the whole stream is a pure function of `config.seed`; query
 /// k of a given seed is identical across runs and platforms

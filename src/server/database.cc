@@ -1,5 +1,8 @@
 #include "server/database.h"
 
+#include <map>
+#include <vector>
+
 #include "xml/parser.h"
 
 namespace xrpc::server {
@@ -9,6 +12,34 @@ void Database::PutDocument(const std::string& name, xml::NodePtr tree) {
   Entry& e = docs_[name];
   e.tree = std::move(tree);
   ++e.version;
+}
+
+Status Database::Put(const std::string& uri, xml::NodePtr doc) {
+  PutDocument(uri, std::move(doc));
+  return Status::OK();
+}
+
+Status Database::ApplyImmediate(xquery::PendingUpdateList* pul) {
+  // Map live tree roots back to document names so versions can be bumped.
+  std::map<const xml::Node*, std::string> root_to_name;
+  for (const std::string& name : DocumentNames()) {
+    auto doc = GetDocument(name);
+    if (doc.ok()) root_to_name[doc.value().get()] = name;
+  }
+  std::vector<std::string> written;
+  for (const auto& entry : pul->entries()) {
+    const xquery::UpdatePrimitive& p = entry.primitive;
+    if (p.kind == xquery::UpdatePrimitive::Kind::kPut) continue;
+    if (p.target.node() == nullptr) continue;
+    auto it = root_to_name.find(p.target.node()->Root());
+    if (it != root_to_name.end()) written.push_back(it->second);
+  }
+  XRPC_RETURN_IF_ERROR(xquery::ApplyUpdates(pul, this));
+  for (const std::string& name : written) {
+    auto doc = GetDocument(name);
+    if (doc.ok()) PutDocument(name, doc.value());  // version bump
+  }
+  return Status::OK();
 }
 
 Status Database::PutDocumentText(const std::string& name,

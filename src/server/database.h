@@ -20,7 +20,9 @@ namespace xrpc::server {
 /// queries get lazily cloned private copies from the IsolationManager and
 /// commit through ReplaceIfVersion(), which implements first-committer-wins
 /// conflict detection for distributed snapshot-style updates.
-class Database {
+///
+/// A database is also where fn:put stores documents (xquery::PutSink).
+class Database : public xquery::PutSink {
  public:
   Database() = default;
   Database(const Database&) = delete;
@@ -63,6 +65,13 @@ class Database {
 
   std::vector<std::string> DocumentNames() const;
   bool Contains(const std::string& name) const;
+
+  /// fn:put: stores (or replaces) `doc` under `uri`.
+  Status Put(const std::string& uri, xml::NodePtr doc) override;
+
+  /// Applies a pending update list to the live documents (rule RFu,
+  /// isolation "none") and bumps the version of every document it writes.
+  Status ApplyImmediate(xquery::PendingUpdateList* pul);
 
  private:
   struct Entry {

@@ -6,41 +6,46 @@
 
 namespace xrpc::server {
 
-StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
-    const soap::XrpcRequest& request, const CallContext& context,
-    xquery::PendingUpdateList* pul) {
-  // Locate the module: either re-parse its source (cache-less) or use the
-  // resolver's pre-parsed representation (function cache).
-  const xquery::LibraryModule* module = nullptr;
-  xquery::LibraryModule reparsed;
-  if (options_.reparse_per_request) {
-    if (options_.registry == nullptr) {
-      return Status::Internal("reparse_per_request requires a registry");
+StatusOr<RequestFunction> ResolveRequestFunction(
+    const soap::XrpcRequest& request, const CallContext& context, bool reparse,
+    ModuleRegistry* registry) {
+  RequestFunction out;
+  if (reparse) {
+    if (registry == nullptr) {
+      return Status::Internal("re-parsing modules requires a registry");
     }
     XRPC_ASSIGN_OR_RETURN(const std::string* source,
-                          options_.registry->SourceOf(request.module_ns));
-    XRPC_ASSIGN_OR_RETURN(reparsed, xquery::ParseLibraryModule(*source));
-    module = &reparsed;
+                          registry->SourceOf(request.module_ns));
+    XRPC_ASSIGN_OR_RETURN(xquery::LibraryModule parsed,
+                          xquery::ParseLibraryModule(*source));
+    out.reparsed =
+        std::make_unique<xquery::LibraryModule>(std::move(parsed));
+    out.module = out.reparsed.get();
   } else {
     if (context.modules == nullptr) {
       return Status::Internal("no module resolver configured");
     }
     XRPC_ASSIGN_OR_RETURN(
-        module, context.modules->Resolve(request.module_ns, request.location));
+        out.module,
+        context.modules->Resolve(request.module_ns, request.location));
   }
-
-  const xquery::FunctionDef* def = nullptr;
-  for (const xquery::FunctionDef& f : module->prolog.functions) {
-    if (f.name.local == request.method && f.arity() == request.arity) {
-      def = &f;
-      break;
-    }
-  }
-  if (def == nullptr) {
+  out.def = out.module->FindFunction(
+      xml::QName(request.module_ns, request.method), request.arity);
+  if (out.def == nullptr) {
     return Status::NotFound("function " + request.method + "#" +
                             std::to_string(request.arity) +
                             " not found in module " + request.module_ns);
   }
+  return out;
+}
+
+StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
+    const soap::XrpcRequest& request, const CallContext& context,
+    xquery::PendingUpdateList* pul) {
+  XRPC_ASSIGN_OR_RETURN(
+      RequestFunction f,
+      ResolveRequestFunction(request, context, options_.reparse_per_request,
+                             options_.registry));
   xquery::Interpreter::Config config;
   config.documents = context.documents;
   config.modules = context.modules;
@@ -49,7 +54,7 @@ StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
   xquery::Interpreter interp(config);
   XRPC_ASSIGN_OR_RETURN(
       std::vector<xquery::QueryResult> call_results,
-      interp.CallModuleFunction(*module, *def, request.calls));
+      interp.CallModuleFunction(*f.module, *f.def, request.calls));
 
   std::vector<xdm::Sequence> results;
   results.reserve(call_results.size());

@@ -1,6 +1,7 @@
 #ifndef XRPC_SERVER_ENGINE_H_
 #define XRPC_SERVER_ENGINE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,21 @@ class ExecutionEngine {
       const soap::XrpcRequest& request, const CallContext& context,
       xquery::PendingUpdateList* pul) = 0;
 };
+
+/// The module function a request calls, resolved for any engine.
+struct RequestFunction {
+  const xquery::LibraryModule* module = nullptr;
+  const xquery::FunctionDef* def = nullptr;
+  /// Owns `module` when it was re-parsed from source.
+  std::unique_ptr<xquery::LibraryModule> reparsed;
+};
+
+/// Resolves the function `request` names: through the context's module
+/// resolver (the function cache hit path), or, with `reparse`, by parsing
+/// the module source from `registry` again (a cache-less engine).
+StatusOr<RequestFunction> ResolveRequestFunction(
+    const soap::XrpcRequest& request, const CallContext& context,
+    bool reparse = false, ModuleRegistry* registry = nullptr);
 
 /// Reference engine: resolves the function and interprets it for every
 /// call of the request in one interpreter evaluation context.

@@ -14,23 +14,6 @@
 
 namespace xrpc::server {
 
-namespace {
-
-/// PutSink that stores fn:put documents into the peer's database.
-class DatabasePutSink : public xquery::PutSink {
- public:
-  explicit DatabasePutSink(Database* db) : db_(db) {}
-  Status Put(const std::string& uri, xml::NodePtr doc) override {
-    db_->PutDocument(uri, std::move(doc));
-    return Status::OK();
-  }
-
- private:
-  Database* db_;
-};
-
-}  // namespace
-
 XrpcService::XrpcService(Options options, Database* database,
                          ModuleRegistry* registry, ExecutionEngine* engine,
                          net::Transport* outgoing)
@@ -286,7 +269,7 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
       }
     } else {
       // Rule RFu: apply each request's updates immediately.
-      Status applied = ApplyImmediate(&pul, provider.get());
+      Status applied = database_->ApplyImmediate(&pul);
       if (!applied.ok()) {
         return fault_reply(applied);
       }
@@ -310,32 +293,6 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
                   options_.self_uri);
   }
   return soap::SerializeResponse(response);
-}
-
-Status XrpcService::ApplyImmediate(xquery::PendingUpdateList* pul,
-                                   xquery::DocumentProvider* docs_used) {
-  (void)docs_used;
-  // Map live tree roots back to document names so versions can be bumped.
-  std::map<const xml::Node*, std::string> root_to_name;
-  for (const std::string& name : database_->DocumentNames()) {
-    auto doc = database_->GetDocument(name);
-    if (doc.ok()) root_to_name[doc.value().get()] = name;
-  }
-  std::vector<std::string> written;
-  for (const auto& entry : pul->entries()) {
-    const xquery::UpdatePrimitive& p = entry.primitive;
-    if (p.kind == xquery::UpdatePrimitive::Kind::kPut) continue;
-    if (p.target.node() == nullptr) continue;
-    auto it = root_to_name.find(p.target.node()->Root());
-    if (it != root_to_name.end()) written.push_back(it->second);
-  }
-  DatabasePutSink sink(database_);
-  XRPC_RETURN_IF_ERROR(xquery::ApplyUpdates(pul, &sink));
-  for (const std::string& name : written) {
-    auto doc = database_->GetDocument(name);
-    if (doc.ok()) database_->PutDocument(name, doc.value());  // version bump
-  }
-  return Status::OK();
 }
 
 Status XrpcService::ResolveWrittenDocs(QuerySession* session) {
@@ -387,8 +344,7 @@ StatusOr<PreparedPayload> XrpcService::BuildPreparedPayload(
 }
 
 Status XrpcService::ApplyPreparedSession(QuerySession* session) {
-  DatabasePutSink sink(database_);
-  XRPC_RETURN_IF_ERROR(xquery::ApplyUpdates(&session->pul, &sink));
+  XRPC_RETURN_IF_ERROR(xquery::ApplyUpdates(&session->pul, database_));
   for (const std::string& name : session->written_docs) {
     auto it = session->docs.find(name);
     if (it == session->docs.end()) continue;  // fn:put handled by sink

@@ -166,10 +166,6 @@ class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
   /// roots back to document names) and records them in the session.
   Status ResolveWrittenDocs(QuerySession* session);
 
-  /// Applies a PUL against the live database (rule RFu, isolation none).
-  Status ApplyImmediate(xquery::PendingUpdateList* pul,
-                        xquery::DocumentProvider* docs_used);
-
   /// Builds the PREPARED payload (coordinator, doc base versions,
   /// serialized PUL) for a session that is about to vote yes.
   StatusOr<PreparedPayload> BuildPreparedPayload(QuerySession* session);

@@ -45,24 +45,8 @@ StatusOr<std::vector<xdm::Sequence>> WrapperEngine::ExecuteRequest(
   StopWatch total;
 
   // The wrapper needs the function signature to generate marshaling code.
-  if (context.modules == nullptr) {
-    return Status::Internal("wrapper: no module resolver");
-  }
-  XRPC_ASSIGN_OR_RETURN(
-      const xquery::LibraryModule* module,
-      context.modules->Resolve(request.module_ns, request.location));
-  const xquery::FunctionDef* def = nullptr;
-  for (const xquery::FunctionDef& f : module->prolog.functions) {
-    if (f.name.local == request.method && f.arity() == request.arity) {
-      def = &f;
-      break;
-    }
-  }
-  if (def == nullptr) {
-    return Status::NotFound("function " + request.method + "#" +
-                            std::to_string(request.arity) +
-                            " not found in module " + request.module_ns);
-  }
+  XRPC_ASSIGN_OR_RETURN(server::RequestFunction f,
+                        server::ResolveRequestFunction(request, context));
 
   // (i) treebuild: store the SOAP request as a temporary document the
   // generated query can read ("/tmp/requestXXX.xml" in the paper).
@@ -74,7 +58,7 @@ StatusOr<std::vector<xdm::Sequence>> WrapperEngine::ExecuteRequest(
 
   // (ii) compile: generate and parse the Figure-3 query.
   StopWatch compile;
-  XRPC_ASSIGN_OR_RETURN(last_query_, GenerateWrapperQuery(request, *def));
+  XRPC_ASSIGN_OR_RETURN(last_query_, GenerateWrapperQuery(request, *f.def));
   XRPC_ASSIGN_OR_RETURN(xquery::MainModule generated,
                         xquery::ParseMainModule(last_query_));
   last_timings_.compile_us = compile.ElapsedMicros();

@@ -1,9 +1,6 @@
 #include "xquery/interpreter.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -11,8 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "base/string_util.h"
-#include "xml/serializer.h"
+#include "xquery/functions.h"
 
 namespace xrpc::xquery {
 
@@ -136,117 +132,6 @@ class Evaluator {
     return Status::EvalError("unbound variable $" + name.Lexical());
   }
 
-  /// Atomizes a sequence expected to hold exactly one item; error otherwise.
-  StatusOr<AtomicValue> AtomizeOne(const Sequence& seq,
-                                   const char* what) const {
-    if (seq.size() != 1) {
-      return Status::TypeError(std::string(what) +
-                               ": expected exactly one item, got " +
-                               std::to_string(seq.size()));
-    }
-    return seq[0].Atomize();
-  }
-
-  /// Coerces a value to a declared sequence type (function parameter /
-  /// return): occurrence check plus atomic up-casting (the caller-side
-  /// casting the XRPC protocol requires).
-  StatusOr<Sequence> CoerceToType(Sequence seq, const SequenceType& type) {
-    switch (type.occurrence) {
-      case Occurrence::kOne:
-        if (seq.size() != 1) {
-          return Status::TypeError("expected exactly one item for type " +
-                                   type.ToString());
-        }
-        break;
-      case Occurrence::kZeroOrOne:
-        if (seq.size() > 1) {
-          return Status::TypeError("expected at most one item for type " +
-                                   type.ToString());
-        }
-        break;
-      case Occurrence::kOneOrMore:
-        if (seq.empty()) {
-          return Status::TypeError("expected at least one item for type " +
-                                   type.ToString());
-        }
-        break;
-      case Occurrence::kZeroOrMore:
-        break;
-    }
-    if (type.kind == SequenceType::ItemKind::kAtomic) {
-      for (Item& item : seq) {
-        AtomicValue v = item.Atomize();
-        if (v.type() != type.atomic) {
-          XRPC_ASSIGN_OR_RETURN(v, v.CastTo(type.atomic));
-        }
-        item = Item(std::move(v));
-      }
-    } else if (type.kind != SequenceType::ItemKind::kItem &&
-               type.kind != SequenceType::ItemKind::kEmpty) {
-      for (const Item& item : seq) {
-        if (!item.IsNode()) {
-          return Status::TypeError("expected a node for type " +
-                                   type.ToString());
-        }
-      }
-    }
-    return seq;
-  }
-
-  bool MatchesSequenceType(const Sequence& seq, const SequenceType& type) {
-    switch (type.occurrence) {
-      case Occurrence::kOne:
-        if (seq.size() != 1) return false;
-        break;
-      case Occurrence::kZeroOrOne:
-        if (seq.size() > 1) return false;
-        break;
-      case Occurrence::kOneOrMore:
-        if (seq.empty()) return false;
-        break;
-      case Occurrence::kZeroOrMore:
-        break;
-    }
-    for (const Item& item : seq) {
-      switch (type.kind) {
-        case SequenceType::ItemKind::kItem:
-          break;
-        case SequenceType::ItemKind::kEmpty:
-          return false;
-        case SequenceType::ItemKind::kAtomic:
-          if (!item.IsAtomic() || item.atomic().type() != type.atomic) {
-            return false;
-          }
-          break;
-        case SequenceType::ItemKind::kNode:
-          if (!item.IsNode()) return false;
-          break;
-        case SequenceType::ItemKind::kElement:
-          if (!item.IsNode() || item.node()->kind() != NodeKind::kElement) {
-            return false;
-          }
-          break;
-        case SequenceType::ItemKind::kAttribute:
-          if (!item.IsNode() || item.node()->kind() != NodeKind::kAttribute) {
-            return false;
-          }
-          break;
-        case SequenceType::ItemKind::kDocument:
-          if (!item.IsNode() || item.node()->kind() != NodeKind::kDocument) {
-            return false;
-          }
-          break;
-        case SequenceType::ItemKind::kText:
-          if (!item.IsNode() || item.node()->kind() != NodeKind::kText) {
-            return false;
-          }
-          break;
-      }
-    }
-    if (type.kind == SequenceType::ItemKind::kEmpty) return seq.empty();
-    return true;
-  }
-
   // --------------------------------------------------------- dispatcher
 
   StatusOr<Sequence> Eval(const Expr& e) {
@@ -279,8 +164,11 @@ class Evaluator {
         }
         return out;
       }
-      case ExprKind::kRange:
-        return EvalRange(e);
+      case ExprKind::kRange: {
+        XRPC_ASSIGN_OR_RETURN(Sequence lo, Eval(*e.children[0]));
+        XRPC_ASSIGN_OR_RETURN(Sequence hi, Eval(*e.children[1]));
+        return Range(lo, hi);
+      }
       case ExprKind::kVarRef: {
         XRPC_ASSIGN_OR_RETURN(const Sequence* v, LookupVar(e.name));
         return *v;
@@ -315,19 +203,19 @@ class Evaluator {
         XRPC_ASSIGN_OR_RETURN(bool rb, xdm::EffectiveBooleanValue(r));
         return xdm::SingletonBool(rb);
       }
-      case ExprKind::kComparison:
-        return EvalComparison(e);
-      case ExprKind::kArith:
-        return EvalArith(e);
+      case ExprKind::kComparison: {
+        XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
+        XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
+        return Compare(e.comp_op, l, r);
+      }
+      case ExprKind::kArith: {
+        XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
+        XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
+        return Arithmetic(e.arith_op, l, r);
+      }
       case ExprKind::kUnaryMinus: {
         XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-        if (v.empty()) return v;
-        XRPC_ASSIGN_OR_RETURN(AtomicValue a, AtomizeOne(v, "unary minus"));
-        if (a.type() == AtomicType::kInteger) {
-          return xdm::SingletonInt(-a.AsInteger());
-        }
-        XRPC_ASSIGN_OR_RETURN(AtomicValue d, a.CastTo(AtomicType::kDouble));
-        return xdm::SingletonDouble(-d.AsDouble());
+        return Negate(v);
       }
       case ExprKind::kUnion: {
         XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
@@ -353,43 +241,12 @@ class Evaluator {
       case ExprKind::kPiCtor:
       case ExprKind::kDocumentCtor:
         return EvalConstructor(e);
-      case ExprKind::kCastAs: {
-        XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-        if (v.empty()) {
-          if (e.seq_type.occurrence == Occurrence::kZeroOrOne) return v;
-          return Status::TypeError("cast of empty sequence");
-        }
-        XRPC_ASSIGN_OR_RETURN(AtomicValue a, AtomizeOne(v, "cast"));
-        if (e.seq_type.kind != SequenceType::ItemKind::kAtomic) {
-          return Status::TypeError("cast target must be an atomic type");
-        }
-        XRPC_ASSIGN_OR_RETURN(AtomicValue c, a.CastTo(e.seq_type.atomic));
-        return Sequence{Item(std::move(c))};
-      }
-      case ExprKind::kCastableAs: {
-        XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-        if (v.empty()) {
-          return xdm::SingletonBool(e.seq_type.occurrence ==
-                                    Occurrence::kZeroOrOne);
-        }
-        if (v.size() > 1 ||
-            e.seq_type.kind != SequenceType::ItemKind::kAtomic) {
-          return xdm::SingletonBool(false);
-        }
-        auto c = v[0].Atomize().CastTo(e.seq_type.atomic);
-        return xdm::SingletonBool(c.ok());
-      }
-      case ExprKind::kInstanceOf: {
-        XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-        return xdm::SingletonBool(MatchesSequenceType(v, e.seq_type));
-      }
+      case ExprKind::kCastAs:
+      case ExprKind::kCastableAs:
+      case ExprKind::kInstanceOf:
       case ExprKind::kTreatAs: {
         XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-        if (!MatchesSequenceType(v, e.seq_type)) {
-          return Status::TypeError("treat as " + e.seq_type.ToString() +
-                                   " failed");
-        }
-        return v;
+        return ApplyTypeExpr(e.kind, e.seq_type, std::move(v));
       }
       case ExprKind::kInsert:
       case ExprKind::kDelete:
@@ -402,23 +259,6 @@ class Evaluator {
   }
 
   // ------------------------------------------------------------- pieces
-
-  StatusOr<Sequence> EvalRange(const Expr& e) {
-    XRPC_ASSIGN_OR_RETURN(Sequence lo_s, Eval(*e.children[0]));
-    XRPC_ASSIGN_OR_RETURN(Sequence hi_s, Eval(*e.children[1]));
-    if (lo_s.empty() || hi_s.empty()) return Sequence{};
-    XRPC_ASSIGN_OR_RETURN(AtomicValue lo_a, AtomizeOne(lo_s, "range"));
-    XRPC_ASSIGN_OR_RETURN(AtomicValue hi_a, AtomizeOne(hi_s, "range"));
-    XRPC_ASSIGN_OR_RETURN(AtomicValue lo, lo_a.CastTo(AtomicType::kInteger));
-    XRPC_ASSIGN_OR_RETURN(AtomicValue hi, hi_a.CastTo(AtomicType::kInteger));
-    Sequence out;
-    int64_t a = lo.AsInteger(), b = hi.AsInteger();
-    if (a > b) return out;
-    if (b - a > 100'000'000) return EvalError("range too large");
-    out.reserve(static_cast<size_t>(b - a + 1));
-    for (int64_t i = a; i <= b; ++i) out.push_back(Item(AtomicValue::Integer(i)));
-    return out;
-  }
 
   StatusOr<Sequence> EvalFlwor(const Expr& e) {
     struct OrderedResult {
@@ -529,136 +369,6 @@ class Evaluator {
     return xdm::SingletonBool(result);
   }
 
-  StatusOr<Sequence> EvalComparison(const Expr& e) {
-    XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
-    XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
-    switch (e.comp_op) {
-      case CompOp::kNodeIs:
-      case CompOp::kNodeBefore:
-      case CompOp::kNodeAfter: {
-        if (l.empty() || r.empty()) return Sequence{};
-        if (l.size() != 1 || r.size() != 1 || !l[0].IsNode() ||
-            !r[0].IsNode()) {
-          return Status::TypeError("node comparison requires single nodes");
-        }
-        int c = xml::CompareDocumentOrder(l[0].node(), r[0].node());
-        bool v = e.comp_op == CompOp::kNodeIs
-                     ? l[0].node() == r[0].node()
-                     : (e.comp_op == CompOp::kNodeBefore ? c < 0 : c > 0);
-        return xdm::SingletonBool(v);
-      }
-      default:
-        break;
-    }
-
-    bool value_comp = e.comp_op == CompOp::kValEq ||
-                      e.comp_op == CompOp::kValNe ||
-                      e.comp_op == CompOp::kValLt ||
-                      e.comp_op == CompOp::kValLe ||
-                      e.comp_op == CompOp::kValGt || e.comp_op == CompOp::kValGe;
-
-    auto satisfied = [&](int c) {
-      switch (e.comp_op) {
-        case CompOp::kGenEq:
-        case CompOp::kValEq:
-          return c == 0;
-        case CompOp::kGenNe:
-        case CompOp::kValNe:
-          return c != 0;
-        case CompOp::kGenLt:
-        case CompOp::kValLt:
-          return c < 0;
-        case CompOp::kGenLe:
-        case CompOp::kValLe:
-          return c <= 0;
-        case CompOp::kGenGt:
-        case CompOp::kValGt:
-          return c > 0;
-        case CompOp::kGenGe:
-        case CompOp::kValGe:
-          return c >= 0;
-        default:
-          return false;
-      }
-    };
-
-    if (value_comp) {
-      if (l.empty() || r.empty()) return Sequence{};
-      XRPC_ASSIGN_OR_RETURN(AtomicValue la, AtomizeOne(l, "value comparison"));
-      XRPC_ASSIGN_OR_RETURN(AtomicValue ra, AtomizeOne(r, "value comparison"));
-      // Value comparison treats untypedAtomic as string.
-      if (la.type() == AtomicType::kUntypedAtomic) {
-        la = AtomicValue::String(la.ToString());
-      }
-      if (ra.type() == AtomicType::kUntypedAtomic) {
-        ra = AtomicValue::String(ra.ToString());
-      }
-      XRPC_ASSIGN_OR_RETURN(int c, xdm::CompareAtomic(la, ra));
-      return xdm::SingletonBool(satisfied(c));
-    }
-
-    // General comparison: existential over atomized operands.
-    std::vector<AtomicValue> la = xdm::AtomizeSequence(l);
-    std::vector<AtomicValue> ra = xdm::AtomizeSequence(r);
-    for (const AtomicValue& a : la) {
-      for (const AtomicValue& b : ra) {
-        XRPC_ASSIGN_OR_RETURN(int c, xdm::CompareAtomic(a, b));
-        if (satisfied(c)) return xdm::SingletonBool(true);
-      }
-    }
-    return xdm::SingletonBool(false);
-  }
-
-  StatusOr<Sequence> EvalArith(const Expr& e) {
-    XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
-    XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
-    if (l.empty() || r.empty()) return Sequence{};
-    XRPC_ASSIGN_OR_RETURN(AtomicValue la, AtomizeOne(l, "arithmetic"));
-    XRPC_ASSIGN_OR_RETURN(AtomicValue ra, AtomizeOne(r, "arithmetic"));
-    if (la.type() == AtomicType::kUntypedAtomic) {
-      XRPC_ASSIGN_OR_RETURN(la, la.CastTo(AtomicType::kDouble));
-    }
-    if (ra.type() == AtomicType::kUntypedAtomic) {
-      XRPC_ASSIGN_OR_RETURN(ra, ra.CastTo(AtomicType::kDouble));
-    }
-    if (!la.IsNumeric() || !ra.IsNumeric()) {
-      return Status::TypeError("arithmetic on non-numeric operands");
-    }
-    bool both_int = la.type() == AtomicType::kInteger &&
-                    ra.type() == AtomicType::kInteger;
-    switch (e.arith_op) {
-      case ArithOp::kAdd:
-        if (both_int) return xdm::SingletonInt(la.AsInteger() + ra.AsInteger());
-        return xdm::SingletonDouble(la.AsDouble() + ra.AsDouble());
-      case ArithOp::kSub:
-        if (both_int) return xdm::SingletonInt(la.AsInteger() - ra.AsInteger());
-        return xdm::SingletonDouble(la.AsDouble() - ra.AsDouble());
-      case ArithOp::kMul:
-        if (both_int) return xdm::SingletonInt(la.AsInteger() * ra.AsInteger());
-        return xdm::SingletonDouble(la.AsDouble() * ra.AsDouble());
-      case ArithOp::kDiv: {
-        double d = ra.AsDouble();
-        if (both_int && d == 0) return EvalError("division by zero (FOAR0001)");
-        return xdm::SingletonDouble(la.AsDouble() / d);
-      }
-      case ArithOp::kIDiv: {
-        if (ra.AsDouble() == 0) return EvalError("division by zero (FOAR0001)");
-        return xdm::SingletonInt(
-            static_cast<int64_t>(std::trunc(la.AsDouble() / ra.AsDouble())));
-      }
-      case ArithOp::kMod: {
-        if (both_int) {
-          if (ra.AsInteger() == 0) {
-            return EvalError("division by zero (FOAR0001)");
-          }
-          return xdm::SingletonInt(la.AsInteger() % ra.AsInteger());
-        }
-        return xdm::SingletonDouble(std::fmod(la.AsDouble(), ra.AsDouble()));
-      }
-    }
-    return Status::Internal("unhandled arithmetic op");
-  }
-
   // ---------------------------------------------------------------- paths
 
   StatusOr<Sequence> EvalPath(const Expr& e) {
@@ -737,23 +447,6 @@ class Evaluator {
     return input;
   }
 
-  /// Forward axes emit results already in document order and free of
-  /// duplicates when expanding a single context node; the sort-and-dedup
-  /// pass is only needed otherwise.
-  static bool IsForwardAxis(Axis axis) {
-    switch (axis) {
-      case Axis::kChild:
-      case Axis::kDescendant:
-      case Axis::kDescendantOrSelf:
-      case Axis::kSelf:
-      case Axis::kAttribute:
-      case Axis::kFollowingSibling:
-        return true;
-      default:
-        return false;
-    }
-  }
-
   /// True if the expression (transitively) calls fn:position or fn:last —
   /// such predicates depend on the per-context-node candidate grouping.
   static bool HasPositionalRef(const Expr& e) {
@@ -814,98 +507,6 @@ class Evaluator {
     }
     XRPC_RETURN_IF_ERROR(xdm::SortByDocumentOrder(&result));
     return result;
-  }
-
-  static bool TestMatches(const Node& n, const NodeTest& test, Axis axis) {
-    switch (test.kind) {
-      case NodeTest::Kind::kAnyKind:
-        return true;
-      case NodeTest::Kind::kText:
-        return n.kind() == NodeKind::kText;
-      case NodeTest::Kind::kComment:
-        return n.kind() == NodeKind::kComment;
-      case NodeTest::Kind::kPi:
-        return n.kind() == NodeKind::kProcessingInstruction;
-      case NodeTest::Kind::kElement:
-        return n.kind() == NodeKind::kElement;
-      case NodeTest::Kind::kAttribute:
-        return n.kind() == NodeKind::kAttribute;
-      case NodeTest::Kind::kDocument:
-        return n.kind() == NodeKind::kDocument;
-      case NodeTest::Kind::kName: {
-        NodeKind principal = axis == Axis::kAttribute ? NodeKind::kAttribute
-                                                      : NodeKind::kElement;
-        if (n.kind() != principal) return false;
-        if (test.wildcard) return true;
-        return n.name() == test.name;
-      }
-    }
-    return false;
-  }
-
-  void CollectAxis(const Item& item, Axis axis, const NodeTest& test,
-                   Sequence* out) {
-    Node* n = item.node();
-    const NodePtr& anchor = item.anchor();
-    auto emit = [&](Node* m) {
-      if (TestMatches(*m, test, axis)) {
-        out->push_back(Item::NodeInTree(m, anchor));
-      }
-    };
-    switch (axis) {
-      case Axis::kChild:
-        for (const NodePtr& c : n->children()) emit(c.get());
-        return;
-      case Axis::kAttribute:
-        for (const NodePtr& a : n->attributes()) emit(a.get());
-        return;
-      case Axis::kSelf:
-        emit(n);
-        return;
-      case Axis::kParent:
-        if (n->parent() != nullptr) emit(n->parent());
-        return;
-      case Axis::kDescendant:
-        CollectDescendants(n, test, axis, anchor, out);
-        return;
-      case Axis::kDescendantOrSelf:
-        emit(n);
-        CollectDescendants(n, test, axis, anchor, out);
-        return;
-      case Axis::kAncestor:
-        for (Node* p = n->parent(); p != nullptr; p = p->parent()) emit(p);
-        return;
-      case Axis::kAncestorOrSelf:
-        for (Node* p = n; p != nullptr; p = p->parent()) emit(p);
-        return;
-      case Axis::kFollowingSibling: {
-        Node* parent = n->parent();
-        if (parent == nullptr || n->kind() == NodeKind::kAttribute) return;
-        for (size_t i = n->IndexInParent() + 1; i < parent->children().size();
-             ++i) {
-          emit(parent->children()[i].get());
-        }
-        return;
-      }
-      case Axis::kPrecedingSibling: {
-        Node* parent = n->parent();
-        if (parent == nullptr || n->kind() == NodeKind::kAttribute) return;
-        for (size_t i = 0; i < n->IndexInParent(); ++i) {
-          emit(parent->children()[i].get());
-        }
-        return;
-      }
-    }
-  }
-
-  void CollectDescendants(Node* n, const NodeTest& test, Axis axis,
-                          const NodePtr& anchor, Sequence* out) {
-    for (const NodePtr& c : n->children()) {
-      if (TestMatches(*c, test, axis)) {
-        out->push_back(Item::NodeInTree(c.get(), anchor));
-      }
-      CollectDescendants(c.get(), test, axis, anchor, out);
-    }
   }
 
   // ---- Join detection (the optimization the paper observes in Saxon):
@@ -1050,20 +651,12 @@ class Evaluator {
           focus_ = saved;
           return value.status();
         }
-        const Sequence& v = value.value();
-        bool keep;
-        if (v.size() == 1 && v[0].IsAtomic() && v[0].atomic().IsNumeric()) {
-          keep = v[0].atomic().AsDouble() ==
-                 static_cast<double>(focus_.position);
-        } else {
-          auto ebv = xdm::EffectiveBooleanValue(v);
-          if (!ebv.ok()) {
-            focus_ = saved;
-            return ebv.status();
-          }
-          keep = ebv.value();
+        auto keep = PredicateTruth(value.value(), focus_.position);
+        if (!keep.ok()) {
+          focus_ = saved;
+          return keep.status();
         }
-        if (keep) filtered.push_back(in[i]);
+        if (keep.value()) filtered.push_back(in[i]);
       }
       focus_ = saved;
       in = std::move(filtered);
@@ -1074,32 +667,6 @@ class Evaluator {
   // ------------------------------------------------------- function calls
 
   StatusOr<Sequence> EvalFunctionCall(const Expr& e) {
-    // xs:TYPE(value) constructor functions.
-    if (e.name.ns_uri == xml::kXsNs) {
-      if (e.children.size() != 1) {
-        return Status::TypeError("constructor function takes one argument");
-      }
-      XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-      if (v.empty()) return v;
-      XRPC_ASSIGN_OR_RETURN(AtomicValue a, AtomizeOne(v, "constructor"));
-      XRPC_ASSIGN_OR_RETURN(AtomicType t,
-                            xdm::AtomicTypeFromName("xs:" + e.name.local));
-      XRPC_ASSIGN_OR_RETURN(AtomicValue c, a.CastTo(t));
-      return Sequence{Item(std::move(c))};
-    }
-
-    // Focus-dependent built-ins are handled before argument evaluation.
-    if (e.name.ns_uri == kFnNs) {
-      if (e.name.local == "position" && e.children.empty()) {
-        if (focus_.position == 0) return EvalError("fn:position: no context");
-        return xdm::SingletonInt(focus_.position);
-      }
-      if (e.name.local == "last" && e.children.empty()) {
-        if (focus_.position == 0) return EvalError("fn:last: no context");
-        return xdm::SingletonInt(focus_.size);
-      }
-    }
-
     std::vector<Sequence> args;
     args.reserve(e.children.size());
     for (const ExprPtr& c : e.children) {
@@ -1108,15 +675,9 @@ class Evaluator {
     }
 
     // User-defined functions: current module, then imported modules.
-    const FunctionDef* def = nullptr;
     const LibraryModule* def_module = nullptr;
     const Scope& scope = CurrentScope();
-    for (const FunctionDef& f : scope.prolog->functions) {
-      if (f.name == e.name && f.arity() == e.children.size()) {
-        def = &f;
-        break;
-      }
-    }
+    const FunctionDef* def = scope.prolog->FindFunction(e.name, args.size());
     if (def == nullptr) {
       auto it = scope.imports_by_ns.find(e.name.ns_uri);
       if (it != scope.imports_by_ns.end()) {
@@ -1128,11 +689,15 @@ class Evaluator {
       return CallUserFunction(*def, def_module, std::move(args));
     }
 
-    if (e.name.ns_uri == kFnNs || e.name.ns_uri == xml::kXrpcNs) {
-      return EvalBuiltin(e.name, std::move(args));
-    }
-    return Status::NotFound("unknown function " + e.name.Clark() + "#" +
-                            std::to_string(e.children.size()));
+    XRPC_ASSIGN_OR_RETURN(const Builtin* builtin,
+                          FindBuiltin(e.name, args.size()));
+    FunctionContext ctx;
+    ctx.item = focus_.item.has_value() ? &*focus_.item : nullptr;
+    ctx.position = focus_.position;
+    ctx.size = focus_.size;
+    ctx.documents = cfg_.documents;
+    ctx.pul = &pul_;
+    return (*builtin)(e.name, args, ctx);
   }
 
   StatusOr<Sequence> CallUserFunction(const FunctionDef& def,
@@ -1488,11 +1053,6 @@ class Evaluator {
     }
   }
 
-  // -------------------------------------------------------------- builtins
-
-  StatusOr<Sequence> EvalBuiltin(const QName& name,
-                                 std::vector<Sequence> args);
-
   const Interpreter::Config& cfg_;
   std::vector<std::pair<std::string, Sequence>> vars_;
   std::vector<Scope> scopes_;
@@ -1504,461 +1064,7 @@ class Evaluator {
   PendingUpdateList pul_;
   int depth_ = 0;
   int call_depth_ = 0;
-
-  friend class BuiltinLibrary;
 };
-
-// =================================================================
-// Built-in function library (fn: and xrpc: namespaces)
-// =================================================================
-
-StatusOr<Sequence> Evaluator::EvalBuiltin(const QName& name,
-                                          std::vector<Sequence> args) {
-  const std::string& f = name.local;
-  size_t n = args.size();
-
-  auto need = [&](size_t lo, size_t hi) -> Status {
-    if (n < lo || n > hi) {
-      return Status::TypeError("fn:" + f + ": wrong number of arguments");
-    }
-    return Status::OK();
-  };
-  auto string_arg = [&](size_t i) -> std::string {
-    if (i >= n || args[i].empty()) return "";
-    return args[i][0].StringValue();
-  };
-
-  if (name.ns_uri == xml::kXrpcNs) {
-    // Helper functions of Section 5 (Advanced Pushdown): split xrpc:// URLs
-    // into host prefix and path suffix; other URLs map to localhost + self.
-    if (f == "host" || f == "path") {
-      XRPC_RETURN_IF_ERROR(need(1, 1));
-      std::string url = string_arg(0);
-      if (StartsWith(url, "xrpc://")) {
-        std::string rest = url.substr(7);
-        size_t slash = rest.find('/');
-        std::string host = slash == std::string::npos
-                               ? rest
-                               : rest.substr(0, slash);
-        std::string path =
-            slash == std::string::npos ? "" : rest.substr(slash + 1);
-        return xdm::SingletonString(f == "host" ? "xrpc://" + host : path);
-      }
-      return xdm::SingletonString(f == "host" ? "localhost" : url);
-    }
-    return Status::NotFound("unknown xrpc function: " + f);
-  }
-
-  // ---- documents
-  if (f == "doc") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    if (cfg_.documents == nullptr) {
-      return Status::EvalError("fn:doc: no document provider configured");
-    }
-    if (args[0].empty()) return Sequence{};
-    XRPC_ASSIGN_OR_RETURN(NodePtr doc,
-                          cfg_.documents->GetDocument(string_arg(0)));
-    return Sequence{Item::Node(std::move(doc))};
-  }
-  if (f == "put") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    if (args[0].size() != 1 || !args[0][0].IsNode()) {
-      return Status::TypeError("fn:put: first argument must be a node");
-    }
-    UpdatePrimitive p;
-    p.kind = UpdatePrimitive::Kind::kPut;
-    p.content.push_back(Item::Node(args[0][0].node()->Clone()));
-    p.put_uri = string_arg(1);
-    pul_.Add(std::move(p));
-    return Sequence{};
-  }
-
-  // ---- cardinality & logic
-  if (f == "count") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    return xdm::SingletonInt(static_cast<int64_t>(args[0].size()));
-  }
-  if (f == "empty") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    return xdm::SingletonBool(args[0].empty());
-  }
-  if (f == "exists") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    return xdm::SingletonBool(!args[0].empty());
-  }
-  if (f == "not") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    XRPC_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
-    return xdm::SingletonBool(!b);
-  }
-  if (f == "boolean") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    XRPC_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(args[0]));
-    return xdm::SingletonBool(b);
-  }
-  if (f == "true") {
-    XRPC_RETURN_IF_ERROR(need(0, 0));
-    return xdm::SingletonBool(true);
-  }
-  if (f == "false") {
-    XRPC_RETURN_IF_ERROR(need(0, 0));
-    return xdm::SingletonBool(false);
-  }
-  if (f == "zero-or-one") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    if (args[0].size() > 1) {
-      return Status::TypeError("fn:zero-or-one: more than one item (FORG0003)");
-    }
-    return std::move(args[0]);
-  }
-  if (f == "one-or-more") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    if (args[0].empty()) {
-      return Status::TypeError("fn:one-or-more: empty sequence (FORG0004)");
-    }
-    return std::move(args[0]);
-  }
-  if (f == "exactly-one") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    if (args[0].size() != 1) {
-      return Status::TypeError("fn:exactly-one: not a singleton (FORG0005)");
-    }
-    return std::move(args[0]);
-  }
-
-  // ---- strings
-  if (f == "string") {
-    XRPC_RETURN_IF_ERROR(need(0, 1));
-    if (n == 0) {
-      if (!focus_.item.has_value()) {
-        return Status::EvalError("fn:string: no context item");
-      }
-      return xdm::SingletonString(focus_.item->StringValue());
-    }
-    if (args[0].empty()) return xdm::SingletonString("");
-    if (args[0].size() > 1) {
-      return Status::TypeError("fn:string: more than one item");
-    }
-    return xdm::SingletonString(args[0][0].StringValue());
-  }
-  if (f == "data") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    Sequence out;
-    for (const Item& item : args[0]) out.push_back(Item(item.Atomize()));
-    return out;
-  }
-  if (f == "concat") {
-    if (n < 2) return Status::TypeError("fn:concat needs >= 2 arguments");
-    std::string out;
-    for (size_t i = 0; i < n; ++i) {
-      if (args[i].size() > 1) {
-        return Status::TypeError("fn:concat: argument is not a singleton");
-      }
-      out += string_arg(i);
-    }
-    return xdm::SingletonString(std::move(out));
-  }
-  if (f == "string-join") {
-    XRPC_RETURN_IF_ERROR(need(1, 2));
-    std::string sep = n == 2 ? string_arg(1) : "";
-    std::string out;
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      if (i > 0) out += sep;
-      out += args[0][i].StringValue();
-    }
-    return xdm::SingletonString(std::move(out));
-  }
-  if (f == "string-length") {
-    XRPC_RETURN_IF_ERROR(need(0, 1));
-    std::string s = n == 1 ? string_arg(0)
-                           : (focus_.item.has_value()
-                                  ? focus_.item->StringValue()
-                                  : std::string());
-    return xdm::SingletonInt(static_cast<int64_t>(s.size()));
-  }
-  if (f == "substring") {
-    XRPC_RETURN_IF_ERROR(need(2, 3));
-    std::string s = string_arg(0);
-    if (args[1].empty()) return xdm::SingletonString("");
-    double start = args[1][0].Atomize().AsDouble();
-    double len = n == 3 && !args[2].empty()
-                     ? args[2][0].Atomize().AsDouble()
-                     : std::numeric_limits<double>::infinity();
-    // XPath substring uses 1-based rounded positions.
-    double from = std::round(start);
-    double to = from + std::round(len);
-    std::string out;
-    for (size_t i = 0; i < s.size(); ++i) {
-      double p = static_cast<double>(i + 1);
-      if (p >= from && p < to) out.push_back(s[i]);
-    }
-    return xdm::SingletonString(std::move(out));
-  }
-  if (f == "contains") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    return xdm::SingletonBool(string_arg(0).find(string_arg(1)) !=
-                              std::string::npos);
-  }
-  if (f == "starts-with") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    return xdm::SingletonBool(StartsWith(string_arg(0), string_arg(1)));
-  }
-  if (f == "ends-with") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    return xdm::SingletonBool(EndsWith(string_arg(0), string_arg(1)));
-  }
-  if (f == "substring-before") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    std::string s = string_arg(0), t = string_arg(1);
-    size_t p = s.find(t);
-    return xdm::SingletonString(p == std::string::npos ? "" : s.substr(0, p));
-  }
-  if (f == "substring-after") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    std::string s = string_arg(0), t = string_arg(1);
-    size_t p = s.find(t);
-    return xdm::SingletonString(
-        p == std::string::npos ? "" : s.substr(p + t.size()));
-  }
-  if (f == "upper-case") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    std::string s = string_arg(0);
-    for (char& c : s) c = static_cast<char>(std::toupper(c));
-    return xdm::SingletonString(std::move(s));
-  }
-  if (f == "lower-case") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    std::string s = string_arg(0);
-    for (char& c : s) c = static_cast<char>(std::tolower(c));
-    return xdm::SingletonString(std::move(s));
-  }
-  if (f == "normalize-space") {
-    XRPC_RETURN_IF_ERROR(need(0, 1));
-    std::string s = n == 1 ? string_arg(0)
-                           : (focus_.item.has_value()
-                                  ? focus_.item->StringValue()
-                                  : std::string());
-    return xdm::SingletonString(CollapseWhitespace(s));
-  }
-
-  // ---- numbers & aggregates
-  if (f == "number") {
-    XRPC_RETURN_IF_ERROR(need(0, 1));
-    AtomicValue v;
-    if (n == 1) {
-      if (args[0].empty()) {
-        return xdm::SingletonDouble(std::numeric_limits<double>::quiet_NaN());
-      }
-      v = args[0][0].Atomize();
-    } else if (focus_.item.has_value()) {
-      v = focus_.item->Atomize();
-    } else {
-      return Status::EvalError("fn:number: no context item");
-    }
-    return xdm::SingletonDouble(v.AsDouble());
-  }
-  if (f == "abs" || f == "floor" || f == "ceiling" || f == "round") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    if (args[0].empty()) return Sequence{};
-    AtomicValue v = args[0][0].Atomize();
-    if (v.type() == AtomicType::kInteger && (f == "abs")) {
-      return xdm::SingletonInt(std::abs(v.AsInteger()));
-    }
-    if (v.type() == AtomicType::kInteger) {
-      return xdm::SingletonInt(v.AsInteger());
-    }
-    double d = v.AsDouble();
-    double r = f == "abs"     ? std::fabs(d)
-               : f == "floor" ? std::floor(d)
-               : f == "ceiling" ? std::ceil(d)
-                                : std::floor(d + 0.5);
-    return xdm::SingletonDouble(r);
-  }
-  if (f == "sum" || f == "avg" || f == "min" || f == "max") {
-    XRPC_RETURN_IF_ERROR(need(1, 2));
-    if (args[0].empty()) {
-      if (f == "sum") return xdm::SingletonInt(0);
-      return Sequence{};
-    }
-    bool all_int = true;
-    double acc = f == "min" ? std::numeric_limits<double>::infinity()
-                 : f == "max" ? -std::numeric_limits<double>::infinity()
-                              : 0;
-    int64_t iacc = 0;
-    bool first = true;
-    for (const Item& item : args[0]) {
-      AtomicValue v = item.Atomize();
-      if (v.type() != AtomicType::kInteger) all_int = false;
-      double d = v.AsDouble();
-      if (f == "sum" || f == "avg") {
-        acc += d;
-        iacc += v.AsInteger();
-      } else if (f == "min") {
-        acc = first ? d : std::min(acc, d);
-      } else {
-        acc = first ? d : std::max(acc, d);
-      }
-      first = false;
-    }
-    if (f == "avg") {
-      return xdm::SingletonDouble(acc /
-                                  static_cast<double>(args[0].size()));
-    }
-    if (all_int) {
-      if (f == "sum") return xdm::SingletonInt(iacc);
-      return xdm::SingletonInt(static_cast<int64_t>(acc));
-    }
-    return xdm::SingletonDouble(acc);
-  }
-
-  // ---- sequences
-  if (f == "distinct-values") {
-    XRPC_RETURN_IF_ERROR(need(1, 2));
-    Sequence out;
-    std::vector<AtomicValue> seen;
-    for (const Item& item : args[0]) {
-      AtomicValue v = item.Atomize();
-      bool dup = false;
-      for (const AtomicValue& s : seen) {
-        auto cmp = xdm::CompareAtomic(v, s);
-        if (cmp.ok() && cmp.value() == 0) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) {
-        seen.push_back(v);
-        out.push_back(Item(std::move(v)));
-      }
-    }
-    return out;
-  }
-  if (f == "reverse") {
-    XRPC_RETURN_IF_ERROR(need(1, 1));
-    std::reverse(args[0].begin(), args[0].end());
-    return std::move(args[0]);
-  }
-  if (f == "subsequence") {
-    XRPC_RETURN_IF_ERROR(need(2, 3));
-    if (args[1].empty()) return Sequence{};
-    double start = std::round(args[1][0].Atomize().AsDouble());
-    double len = n == 3 && !args[2].empty()
-                     ? std::round(args[2][0].Atomize().AsDouble())
-                     : std::numeric_limits<double>::infinity();
-    Sequence out;
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      double p = static_cast<double>(i + 1);
-      if (p >= start && p < start + len) out.push_back(args[0][i]);
-    }
-    return out;
-  }
-  if (f == "index-of") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    if (args[1].empty()) return Sequence{};
-    AtomicValue target = args[1][0].Atomize();
-    Sequence out;
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      auto cmp = xdm::CompareAtomic(args[0][i].Atomize(), target);
-      if (cmp.ok() && cmp.value() == 0) {
-        out.push_back(Item(AtomicValue::Integer(static_cast<int64_t>(i + 1))));
-      }
-    }
-    return out;
-  }
-  if (f == "insert-before") {
-    XRPC_RETURN_IF_ERROR(need(3, 3));
-    if (args[1].empty()) return Status::TypeError("fn:insert-before: position");
-    int64_t pos = args[1][0].Atomize().AsInteger();
-    if (pos < 1) pos = 1;
-    Sequence out;
-    size_t p = static_cast<size_t>(pos - 1);
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      if (i == p) out.insert(out.end(), args[2].begin(), args[2].end());
-      out.push_back(args[0][i]);
-    }
-    if (p >= args[0].size()) {
-      out.insert(out.end(), args[2].begin(), args[2].end());
-    }
-    return out;
-  }
-  if (f == "remove") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    if (args[1].empty()) return std::move(args[0]);
-    int64_t pos = args[1][0].Atomize().AsInteger();
-    Sequence out;
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      if (static_cast<int64_t>(i + 1) != pos) out.push_back(args[0][i]);
-    }
-    return out;
-  }
-  if (f == "deep-equal") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    if (args[0].size() != args[1].size()) return xdm::SingletonBool(false);
-    for (size_t i = 0; i < args[0].size(); ++i) {
-      const Item& a = args[0][i];
-      const Item& b = args[1][i];
-      if (a.IsNode() != b.IsNode()) return xdm::SingletonBool(false);
-      if (a.IsNode()) {
-        if (xml::SerializeNode(*a.node()) != xml::SerializeNode(*b.node())) {
-          return xdm::SingletonBool(false);
-        }
-      } else {
-        auto cmp = xdm::CompareAtomic(a.atomic(), b.atomic());
-        if (!cmp.ok() || cmp.value() != 0) return xdm::SingletonBool(false);
-      }
-    }
-    return xdm::SingletonBool(true);
-  }
-
-  // ---- nodes
-  if (f == "name" || f == "local-name" || f == "namespace-uri") {
-    XRPC_RETURN_IF_ERROR(need(0, 1));
-    const Item* item = nullptr;
-    if (n == 1) {
-      if (args[0].empty()) return xdm::SingletonString("");
-      item = &args[0][0];
-    } else if (focus_.item.has_value()) {
-      item = &*focus_.item;
-    } else {
-      return Status::EvalError("fn:" + f + ": no context item");
-    }
-    if (!item->IsNode()) {
-      return Status::TypeError("fn:" + f + ": argument is not a node");
-    }
-    const Node* node = item->node();
-    if (f == "name") return xdm::SingletonString(node->name().Lexical());
-    if (f == "local-name") return xdm::SingletonString(node->name().local);
-    return xdm::SingletonString(node->name().ns_uri);
-  }
-  if (f == "root") {
-    XRPC_RETURN_IF_ERROR(need(0, 1));
-    const Item* item = nullptr;
-    if (n == 1) {
-      if (args[0].empty()) return Sequence{};
-      item = &args[0][0];
-    } else if (focus_.item.has_value()) {
-      item = &*focus_.item;
-    } else {
-      return Status::EvalError("fn:root: no context item");
-    }
-    if (!item->IsNode()) return Status::TypeError("fn:root: not a node");
-    return Sequence{Item::NodeInTree(item->node()->Root(), item->anchor())};
-  }
-
-  if (f == "error") {
-    XRPC_RETURN_IF_ERROR(need(0, 3));
-    std::string msg = n >= 2 ? string_arg(1)
-                             : (n == 1 ? string_arg(0) : "fn:error called");
-    return Status::EvalError(msg);
-  }
-  if (f == "trace") {
-    XRPC_RETURN_IF_ERROR(need(2, 2));
-    return std::move(args[0]);
-  }
-
-  return Status::NotFound("unknown built-in function fn:" + f + "#" +
-                          std::to_string(n));
-}
 
 }  // namespace
 

@@ -51,6 +51,14 @@ struct Prolog {
   /// declare variable $name := expr;
   std::vector<std::pair<xml::QName, ExprPtr>> variables;
 
+  /// Finds a function by expanded name and arity; nullptr if absent.
+  const FunctionDef* FindFunction(const xml::QName& name, size_t arity) const {
+    for (const FunctionDef& f : functions) {
+      if (f.name == name && f.arity() == arity) return &f;
+    }
+    return nullptr;
+  }
+
   /// Looks up an option by Clark name; nullptr if absent.
   const std::string* FindOption(const std::string& clark) const {
     auto it = options.find(clark);
@@ -64,12 +72,8 @@ struct LibraryModule {
   std::string target_ns;
   Prolog prolog;
 
-  /// Finds a function by expanded name and arity; nullptr if absent.
   const FunctionDef* FindFunction(const xml::QName& name, size_t arity) const {
-    for (const FunctionDef& f : prolog.functions) {
-      if (f.name == name && f.arity() == arity) return &f;
-    }
-    return nullptr;
+    return prolog.FindFunction(name, arity);
   }
 };
 

@@ -221,7 +221,8 @@ TEST_F(EdgeNetworkTest, WrapperHandlesItemStarSignatures) {
 }
 
 TEST_F(EdgeNetworkTest, MixedEnginePeersAgree) {
-  // The same remote function executed by every engine kind must agree.
+  // The same remote function executed by every engine kind must agree,
+  // also when the call violates the declared parameter type.
   std::vector<std::pair<const char*, core::EngineKind>> kinds = {
       {"e1", core::EngineKind::kRelational},
       {"e2", core::EngineKind::kRelationalNoCache},
@@ -234,6 +235,23 @@ TEST_F(EdgeNetworkTest, MixedEnginePeersAgree) {
     core::Peer* p = net_.AddPeer(name, kind);
     ASSERT_TRUE(p->AddDocument("filmDB.xml", xmark::GenerateFilmDb()).ok());
     ASSERT_TRUE(p->RegisterModule(xmark::FilmModuleSource(), "film.xq").ok());
+    ASSERT_TRUE(p->AddDocument("auctions.xml",
+                               "<site><closed_auctions><closed_auction>"
+                               "<buyer person=\"person1\"/></closed_auction>"
+                               "</closed_auctions></site>")
+                    .ok());
+    ASSERT_TRUE(p->RegisterModule(xmark::FunctionsBModuleSource("xrpc://p0"),
+                                  "b.xq")
+                    .ok());
+    // Two strings for `$pid as xs:string`: a fault on every engine, where
+    // the body alone would select person1's auction.
+    auto bad = net_.Execute("p0", std::string(R"(
+        import module namespace b="functions_b" at "b.xq";
+        execute at {"xrpc://)") + name +
+                                       R"("} {b:Q_B3(("person1","person2"))})");
+    ASSERT_FALSE(bad.ok()) << name << " answered "
+                           << xdm::SequenceToString(bad->result);
+    EXPECT_EQ(bad.status().code(), StatusCode::kSoapFault) << name;
     auto report = net_.Execute("p0", std::string(R"(
         import module namespace f="films" at "film.xq";
         execute at {"xrpc://)") + name +

@@ -6,7 +6,9 @@
 #     of the fault-schedule and chaos explorers, and their sabotage
 #     self-tests;
 #  2. a fixed-seed 200-query differential campaign on both engines
-#     (fails on any unexplained divergence; repro files land in $OUT);
+#     (fails on any unexplained divergence, repro files landing in $OUT,
+#     and on any read-only query the relational engine leaves to the
+#     interpreter);
 #  3. a fixed-seed 400-schedule fault exploration asserting the four 2PC
 #     invariants (at-most-once, all-or-nothing, no in-doubt leaks,
 #     serial equivalence);
