@@ -5,7 +5,8 @@
 //  1. Commit latency per durability mode: in-memory log vs file-backed
 //     WAL (fsync off / fsync on), with per-peer append/fsync counts.
 //  2. Commit-retry drain: phase-2 messages dropped in transit, the
-//     bounded-backoff retry loop re-drives until the commit lands.
+//     network's retrying transport re-sends (bounded backoff) until the
+//     commit lands.
 //  3. Crash/recovery convergence: every participant crash point plus the
 //     coordinator decision-log crash, each timed through WAL replay,
 //     presumed-abort inquiry, and commit re-drive to the all-or-nothing
@@ -21,7 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "server/rpc_client.h"
+#include "net/uri.h"
 #include "server/wsat.h"
 
 namespace {
@@ -32,8 +33,6 @@ using xrpc::core::ExecutionReport;
 using xrpc::core::Peer;
 using xrpc::core::PeerNetwork;
 using xrpc::server::CrashPoint;
-using xrpc::server::RunTwoPhaseCommit;
-using xrpc::server::TwoPhaseCommitOptions;
 using xrpc::server::TxnLog;
 
 constexpr char kFilmDb[] =
@@ -100,32 +99,6 @@ struct Cluster {
     return static_cast<int>(report->result[0].atomic().AsInteger());
   }
 
-  /// Stages the two-participant updating calls under `id` without
-  /// committing, for manually driven 2PC scenarios.
-  xrpc::soap::QueryId Stage(const std::string& id) {
-    xrpc::soap::QueryId qid;
-    qid.id = id;
-    qid.host = p0->uri();
-    qid.timestamp = 1;
-    qid.timeout_sec = 60;
-    xrpc::server::RpcClient::Options opts;
-    opts.isolation = xrpc::server::IsolationLevel::kRepeatable;
-    opts.query_id = qid;
-    xrpc::server::RpcClient client(&net.network(), opts);
-    xrpc::soap::XrpcRequest req;
-    req.module_ns = "films";
-    req.method = "addFilm";
-    req.arity = 2;
-    req.updating = true;
-    req.calls.push_back(
-        {xrpc::xdm::Sequence{
-             xrpc::xdm::Item(xrpc::xdm::AtomicValue::String("A"))},
-         xrpc::xdm::Sequence{
-             xrpc::xdm::Item(xrpc::xdm::AtomicValue::String("X"))}});
-    (void)client.ExecuteBulk(y->uri(), req);
-    (void)client.ExecuteBulk(z->uri(), req);
-    return qid;
-  }
 };
 
 // -- 1. Durability cost ------------------------------------------------------
@@ -190,26 +163,25 @@ void BenchDurability(int txns) {
 
 // -- 2. Commit-retry drain ---------------------------------------------------
 
-/// Drops the first `failures` phase-2 Commit messages toward `dest`.
-class CommitDropTransport : public xrpc::net::Transport {
+/// Loses the first `failures` phase-2 Commit messages before they reach
+/// the wrapped peer's endpoint.
+class CommitDropEndpoint : public xrpc::net::SoapEndpoint {
  public:
-  CommitDropTransport(xrpc::net::Transport* inner, std::string dest,
-                      int failures)
-      : inner_(inner), dest_(std::move(dest)), remaining_(failures) {}
+  CommitDropEndpoint(xrpc::net::SoapEndpoint* inner, int failures)
+      : inner_(inner), remaining_(failures) {}
 
-  StatusOr<xrpc::net::PostResult> Post(const std::string& dest_uri,
-                                       const std::string& body) override {
-    if (remaining_ > 0 && dest_uri.find(dest_) != std::string::npos &&
+  StatusOr<std::string> Handle(const std::string& path,
+                               const std::string& body) override {
+    if (remaining_ > 0 && path == xrpc::server::kWsatPath &&
         body.find("op=\"commit\"") != std::string::npos) {
       --remaining_;
       return Status::NetworkError("injected commit drop");
     }
-    return inner_->Post(dest_uri, body);
+    return inner_->Handle(path, body);
   }
 
  private:
-  xrpc::net::Transport* inner_;
-  std::string dest_;
+  xrpc::net::SoapEndpoint* inner_;
   int remaining_;
 };
 
@@ -217,38 +189,43 @@ void BenchCommitRetry() {
   std::printf("2. Commit-retry drain (phase-2 Commits toward one participant\n"
               "   dropped in transit; bounded exponential backoff):\n\n");
   xrpc::bench::TablePrinter table({"drops", "outcome", "commit retries",
-                                   "in doubt", "modeled backoff"});
+                                   "re-sends to z", "in doubt",
+                                   "modeled backoff"});
   for (int drops : {0, 1, 2, 4}) {
     Cluster c;
-    auto qid = c.Stage("retry-" + std::to_string(drops));
-    CommitDropTransport flaky(&c.net.network(), "z.example.org", drops);
-    int64_t slept_us = 0;
-    TwoPhaseCommitOptions options;
-    options.journal = &c.p0->service();
-    options.commit_retry = xrpc::net::RetryPolicy{.max_attempts = 4,
-                                                  .initial_backoff_us = 200};
-    options.sleep = [&slept_us](int64_t us) { slept_us += us; };
-    options.metrics = &c.net.metrics();
-    auto outcome = RunTwoPhaseCommit(
-        &flaky, {c.y->uri(), c.z->uri()}, qid.id, options);
+    c.net.set_retry_policy(xrpc::net::RetryPolicy{.max_attempts = 4,
+                                                  .initial_backoff_us = 200});
+    CommitDropEndpoint flaky(&c.z->service(), drops);
+    c.net.network().RegisterPeer(
+        xrpc::net::ParseXrpcUri(c.z->uri()).value(), &flaky);
+    auto report = c.Update();
     std::string verdict = "error";
     int retries = 0;
     size_t in_doubt = 0;
-    if (outcome.ok()) {
-      retries = outcome->commit_retries;
-      in_doubt = outcome->in_doubt.size();
-      verdict = !outcome->committed       ? "aborted"
-                : outcome->in_doubt.empty() ? "committed"
-                                            : "committed, in doubt";
+    if (report.ok()) {
+      retries = report->commit_retries;
+      in_doubt = report->in_doubt.size();
+      verdict = !report->committed       ? "aborted"
+                : report->in_doubt.empty() ? "committed"
+                                           : "committed, in doubt";
     }
     // With > max_attempts-1 drops the participant stays parked; drain it
     // once the network "heals" so the scenario ends converged.
+    c.z->Reconnect();
     if (c.p0->service().in_doubt_count() > 0) {
-      (void)c.p0->service().RetryInDoubt(&c.net.network());
+      (void)c.p0->service().RetryInDoubt();
     }
-    table.AddRow({std::to_string(drops), verdict, std::to_string(retries),
-                  std::to_string(in_doubt),
-                  xrpc::bench::Ms(slept_us) + " ms"});
+    // commit_retries counts the re-sends of acknowledged Commits; the
+    // transport's per-peer row also counts those of a Commit that never
+    // got through.
+    table.AddRow(
+        {std::to_string(drops), verdict, std::to_string(retries),
+         std::to_string(c.net.metrics().Get(xrpc::net::Metric::kRetries,
+                                            c.z->uri())),
+         std::to_string(in_doubt),
+         xrpc::bench::Ms(c.net.metrics().Get(
+             xrpc::net::Metric::kBackoffMicros)) +
+             " ms"});
   }
   table.Print();
   std::printf("\n");
@@ -282,7 +259,7 @@ void BenchCrashRecovery() {
     int64_t start = NowMicros();
     Status s = c.z->Restart();
     if (c.p0->service().in_doubt_count() > 0) {
-      (void)c.p0->service().RetryInDoubt(&c.net.network());
+      (void)c.p0->service().RetryInDoubt();
     }
     int64_t recovery_us = NowMicros() - start;
 
@@ -300,12 +277,8 @@ void BenchCrashRecovery() {
   // re-drives Commit to every logged participant.
   {
     Cluster c;
-    auto qid = c.Stage("coord-crash");
-    TwoPhaseCommitOptions options;
-    options.journal = &c.p0->service();
-    options.crash_point = TwoPhaseCommitOptions::CrashPoint::kAfterDecisionLog;
-    (void)RunTwoPhaseCommit(&c.net.network(), {c.y->uri(), c.z->uri()},
-                            qid.id, options);
+    c.p0->InjectCrash(CrashPoint::kCoordAfterDecisionLog);
+    (void)c.Update();
     int64_t start = NowMicros();
     Status s = c.p0->Restart();
     int64_t recovery_us = NowMicros() - start;
@@ -337,7 +310,7 @@ int main() {
   c.z->InjectCrash(CrashPoint::kAfterVote);
   (void)c.Update();
   (void)c.z->Restart();
-  (void)c.p0->service().RetryInDoubt(&c.net.network());
+  (void)c.p0->service().RetryInDoubt();
   std::printf("RpcMetrics after one crash+recovery cycle:\n%s\n",
               c.net.metrics().Report().c_str());
   return 0;

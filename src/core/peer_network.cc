@@ -83,7 +83,7 @@ const char* EngineKindToString(EngineKind kind) {
 }
 
 Peer::Peer(std::string name, EngineKind kind, net::SimulatedNetwork* network,
-           const Catalog* catalog)
+           net::Transport* outgoing, const Catalog* catalog)
     : name_(std::move(name)), uri_("xrpc://" + name_), kind_(kind),
       network_(network) {
   server::ExecutionEngine* engine = nullptr;
@@ -122,7 +122,7 @@ Peer::Peer(std::string name, EngineKind kind, net::SimulatedNetwork* network,
   }
   service_ = std::make_unique<server::XrpcService>(
       server::XrpcService::Options{uri_, catalog}, &db_, &registry_, engine,
-      network_);
+      outgoing);
   // Deadlines/cancellation are measured against the owning network's
   // virtual clock, so simulated latency (not host wall time) ages budgets.
   service_->set_time_source(
@@ -185,7 +185,8 @@ void PeerNetwork::EnableCircuitBreaker(net::CircuitBreaker::Policy policy) {
 }
 
 Peer* PeerNetwork::AddPeer(const std::string& name, EngineKind kind) {
-  auto peer = std::make_unique<Peer>(name, kind, &network_, &catalog_);
+  auto peer =
+      std::make_unique<Peer>(name, kind, &network_, &transport_, &catalog_);
   Peer* raw = peer.get();
   peer->service_->set_metrics(&metrics_);
   peers_[name] = std::move(peer);
@@ -327,21 +328,14 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
   report.participants = client.participating_peers();
 
   if (repeatable && client.sent_updating()) {
-    // Distributed atomic commit over WS-AtomicTransaction (Section 2.3).
-    // The originating peer doubles as the durable coordinator journal; a
-    // participant whose Commit keeps failing is retried under the network's
-    // retry policy (backoff advances the virtual clock) and finally parked
-    // in-doubt without failing the decided transaction.
+    // Distributed atomic commit over WS-AtomicTransaction (Section 2.3),
+    // coordinated by the originating peer's service; a participant whose
+    // Commit stays unacknowledged is parked in doubt without failing the
+    // decided transaction.
     std::vector<std::string> participants(report.participants.begin(),
                                           report.participants.end());
-    server::TwoPhaseCommitOptions txn_options;
-    txn_options.journal = &p0->service();
-    txn_options.commit_retry = transport_.policy();
-    txn_options.sleep = [this](int64_t us) { network_.clock().Advance(us); };
-    txn_options.metrics = &metrics_;
     XRPC_ASSIGN_OR_RETURN(server::CommitOutcome outcome,
-                          server::RunTwoPhaseCommit(&network_, participants,
-                                                    qid.id, txn_options));
+                          p0->service().Commit(participants, qid.id));
     report.committed = outcome.committed;
     report.abort_reason = outcome.abort_reason;
     report.commit_retries = outcome.commit_retries;

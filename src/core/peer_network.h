@@ -42,11 +42,13 @@ enum class EngineKind {
 const char* EngineKindToString(EngineKind kind);
 
 /// One XQuery peer: database + module registry + execution engine + XRPC
-/// service, addressable as xrpc://<name> on the owning PeerNetwork.
+/// service, addressable as xrpc://<name> on the owning PeerNetwork. The
+/// service sends every message through `outgoing`, the owning network's
+/// RetryingTransport.
 class Peer {
  public:
   Peer(std::string name, EngineKind kind, net::SimulatedNetwork* network,
-       const Catalog* catalog = nullptr);
+       net::Transport* outgoing, const Catalog* catalog = nullptr);
 
   Peer(const Peer&) = delete;
   Peer& operator=(const Peer&) = delete;
@@ -75,10 +77,9 @@ class Peer {
   void InjectCrash(server::CrashPoint point) { service_->InjectCrash(point); }
   bool crashed() const { return service_->crashed(); }
 
-  /// Restarts the peer after a (simulated) crash: replays the WAL and —
-  /// because the owning network's transport is passed along — resolves
-  /// in-doubt transactions by coordinator inquiry / commit retry.
-  Status Restart() { return service_->Restart(network_); }
+  /// Restarts the peer after a (simulated) crash: replays the WAL and
+  /// resolves in-doubt transactions by commit retry / coordinator inquiry.
+  Status Restart() { return service_->Restart(); }
 
   /// Membership chaos (DESIGN.md §14): detaches this peer from the
   /// simulated network — subsequent dials to it fail with the same
@@ -93,7 +94,7 @@ class Peer {
   /// applied data version lags the catalog's authoritative one from a peer
   /// copy. Call after Reconnect() when writes may have committed during the
   /// partition (Restart() runs it automatically).
-  Status Repair() { return service_->RepairReplica(network_); }
+  Status Repair() { return service_->RepairReplica(); }
 
   /// Engine-specific handles (null when the peer runs another engine).
   compiler::RelationalEngine* relational_engine() { return relational_.get(); }
@@ -192,7 +193,9 @@ class PeerNetwork {
   /// and injected faults all land here. Dumped by the bench harness.
   net::RpcMetrics& metrics() { return metrics_; }
 
-  /// Retry/timeout policy applied to every outgoing request of Execute().
+  /// Retry/timeout policy of the one outbound transport every peer sends
+  /// through: Bulk RPCs, nested hops, WS-AT verbs (2PC, in-doubt retry,
+  /// recovery inquiry) and repair. Updating Bulk RPCs stay at-most-once.
   /// Default: one attempt (no retries), preserving fail-fast semantics.
   /// Backoff waits advance the simulated network's virtual clock, keeping
   /// executions deterministic.
@@ -231,7 +234,9 @@ class PeerNetwork {
   net::SimulatedNetwork network_;
   Catalog catalog_;
   net::RpcMetrics metrics_;
-  net::RetryingTransport transport_;  ///< retry/timeout decorator over network_
+  /// Retry/timeout/breaker decorator over network_: the outbound transport
+  /// of Execute() and of every peer's service.
+  net::RetryingTransport transport_;
   std::unique_ptr<net::CircuitBreaker> breaker_;    ///< null = disabled
   std::unique_ptr<net::ThreadPool> dispatch_pool_;  ///< null = serial dispatch
   std::map<std::string, std::unique_ptr<Peer>> peers_;

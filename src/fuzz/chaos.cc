@@ -617,7 +617,7 @@ ChaosResult ChaosExplorer::RunSchedule(const ChaosSchedule& schedule) {
   }
   // Open circuits refuse healed peers until their cooldown passes.
   if (schedule.use_breaker) fx.net.network().clock().Advance(kCooldownUs);
-  (void)fx.p0->service().RetryInDoubt(&fx.net.network());
+  (void)fx.p0->service().RetryInDoubt();
   for (int s = 0; s < kNumSlots; ++s) {
     if (fx.At(s) != nullptr && fx.connected[static_cast<size_t>(s)]) {
       (void)fx.At(s)->Repair();

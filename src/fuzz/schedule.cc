@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "base/prng.h"
-#include "server/rpc_client.h"
-#include "server/wsat.h"
 #include "xml/serializer.h"
 
 namespace xrpc::fuzz {
@@ -109,6 +107,9 @@ const char* CrashPointName(server::CrashPoint p) {
     case server::CrashPoint::kAfterVote: return "after-vote";
     case server::CrashPoint::kBeforeCommitApply: return "before-commit-apply";
     case server::CrashPoint::kAfterCommitLog: return "after-commit-log";
+    case server::CrashPoint::kCoordAfterVotes: return "after-votes";
+    case server::CrashPoint::kCoordAfterDecisionLog:
+      return "after-decision-log";
   }
   return "?";
 }
@@ -285,66 +286,24 @@ ScheduleResult ScheduleExplorer::RunSchedule(const Schedule& schedule) {
   fx.net.network().set_fault_profile(schedule.faults);
 
   // --- run the workload under the schedule --------------------------------
-  const int64_t deadline_budget_us = DeadlineBudgetUs(schedule.deadline_mode);
-  if (schedule.coord_crash == 0) {
-    core::ExecuteOptions exec_options;
-    exec_options.deadline_us = deadline_budget_us;
-    auto report =
-        fx.net.Execute("p0.example.org", kUpdateBoth, exec_options);
-    if (report.ok()) {
-      r.committed_known = true;
-      r.committed = report->committed;
-      if (!report->in_doubt.empty()) ++stats_.in_doubt_seen;
-    }
-  } else {
-    // Manually staged path so the coordinator can die mid-protocol.
-    soap::QueryId qid;
-    qid.id = "sched-" + std::to_string(schedule.seed) + "-" +
-             std::to_string(schedule.index);
-    qid.host = fx.p0->uri();
-    qid.timestamp = 1;
-    qid.timeout_sec = 60;
-    server::RpcClient::Options copts;
-    copts.isolation = server::IsolationLevel::kRepeatable;
-    copts.query_id = qid;
-    if (deadline_budget_us > 0) {
-      // The staged path stamps budgets too, so coordinator-crash schedules
-      // also explore deadlines dying between dispatch and decision.
-      copts.deadline_us =
-          fx.net.network().clock().NowMicros() + deadline_budget_us;
-      copts.now_us = [&fx] { return fx.net.network().clock().NowMicros(); };
-    }
-    server::RpcClient client(&fx.net.network(), copts);
-    soap::XrpcRequest req;
-    req.module_ns = "films";
-    req.method = "addFilm";
-    req.arity = 2;
-    req.updating = true;
-    req.calls.push_back(
-        {xdm::Sequence{xdm::Item(xdm::AtomicValue::String("A"))},
-         xdm::Sequence{xdm::Item(xdm::AtomicValue::String("X"))}});
-    (void)client.ExecuteBulk(fx.y->uri(), req);
-    req.calls[0] = {xdm::Sequence{xdm::Item(xdm::AtomicValue::String("B"))},
-                    xdm::Sequence{xdm::Item(xdm::AtomicValue::String("Y"))}};
-    (void)client.ExecuteBulk(fx.z->uri(), req);
-
-    server::TwoPhaseCommitOptions options;
-    options.journal = &fx.p0->service();
-    options.crash_point =
-        schedule.coord_crash == 1
-            ? server::TwoPhaseCommitOptions::CrashPoint::kAfterVotes
-            : server::TwoPhaseCommitOptions::CrashPoint::kAfterDecisionLog;
-    auto outcome = server::RunTwoPhaseCommit(
-        &fx.net.network(), {fx.y->uri(), fx.z->uri()}, qid.id, options);
-    if (outcome.ok()) {
-      r.committed_known = true;
-      r.committed = outcome->committed;
-    }
+  if (schedule.coord_crash != 0) {
+    fx.p0->InjectCrash(schedule.coord_crash == 1
+                           ? server::CrashPoint::kCoordAfterVotes
+                           : server::CrashPoint::kCoordAfterDecisionLog);
   }
+  core::ExecuteOptions exec_options;
+  exec_options.deadline_us = DeadlineBudgetUs(schedule.deadline_mode);
+  auto report = fx.net.Execute("p0.example.org", kUpdateBoth, exec_options);
+  if (report.ok()) {
+    r.committed_known = true;
+    r.committed = report->committed;
+    if (!report->in_doubt.empty()) ++stats_.in_doubt_seen;
+  }
+  if (fx.p0->crashed()) ++stats_.coord_crashes;
 
   // --- drain: heal the network, recover every peer ------------------------
   fx.net.network().set_fault_profile({});
-  // The coordinator first (its journal answers the participants' recovery
+  // The coordinator first (its WAL answers the participants' recovery
   // inquiries and redrives logged-but-unsent decisions), then the
   // participants (inquiry resolves their prepared in-doubt sessions —
   // Restart is safe and idempotent on peers that never crashed).
@@ -352,7 +311,7 @@ ScheduleResult ScheduleExplorer::RunSchedule(const Schedule& schedule) {
   (void)fx.y->Restart();
   (void)fx.z->Restart();
   for (int i = 0; i < 3 && fx.p0->service().in_doubt_count() > 0; ++i) {
-    (void)fx.p0->service().RetryInDoubt(&fx.net.network());
+    (void)fx.p0->service().RetryInDoubt();
   }
   // Deterministic snapshot expiry: fast-forward the isolation clock far
   // past every deadline so abandoned (never-prepared) sessions collect.

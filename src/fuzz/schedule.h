@@ -29,10 +29,9 @@ struct Schedule {
   int crash_peer = 0;
   server::CrashPoint crash_point = server::CrashPoint::kNone;
 
-  /// Coordinator crash: 0 = none, 1 = after collecting votes (no decision
-  /// logged -> presumed abort), 2 = after the decision log record (commit
-  /// redriven on restart). Non-zero switches the run to the manually
-  /// staged 2PC path so the coordinator can be killed mid-protocol.
+  /// Coordinator crash armed at p0: 0 = none, 1 = after collecting votes
+  /// (no decision logged -> presumed abort), 2 = after the decision log
+  /// record (commit redriven on restart).
   int coord_crash = 0;
 
   /// File-backed WAL on the crashing participant (vs in-memory log).
@@ -66,6 +65,7 @@ struct ScheduleStats {
   int64_t aborted = 0;
   int64_t violations = 0;
   int64_t in_doubt_seen = 0;  ///< runs where some peer parked in-doubt
+  int64_t coord_crashes = 0;  ///< runs where p0 died at its armed point
 };
 
 struct ScheduleConfig {

@@ -416,7 +416,6 @@ bool HttpServer::ServeConnection(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   std::string carry;
   bool responded = false;
-  int served = 0;
   while (running_) {
     SetRecvTimeout(fd, options_.keep_alive_idle_millis);
     auto message = ReadHttpMessage(fd, &carry);
@@ -440,14 +439,11 @@ bool HttpServer::ServeConnection(int fd) {
       responded = true;
       break;
     }
-    ++served;
     requests_served_.fetch_add(1, std::memory_order_relaxed);
 
     std::string reply_body;
     std::string status_line = "HTTP/1.1 200 OK";
-    bool keep = running_ && !message->WantsClose() &&
-                !(options_.max_requests_per_connection > 0 &&
-                  served >= options_.max_requests_per_connection);
+    bool keep = running_ && !message->WantsClose();
     // Request line: METHOD SP path SP version. A request line without both
     // separators is malformed — answer 400 instead of indexing garbage.
     const std::string& line = message->start_line;

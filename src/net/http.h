@@ -67,10 +67,10 @@ StatusOr<HttpMessage> ReadHttpMessage(int fd, std::string* carry);
 ///
 /// Connections are persistent (HTTP/1.1 keep-alive): a worker serves
 /// requests off one connection until the client sends Connection: close,
-/// the idle timeout expires, the per-connection request cap is reached, or
-/// the request is malformed. Teardown is graceful — shutdown(SHUT_WR), then
-/// drain until the peer's EOF, then close — so the last response is never
-/// destroyed by a RST racing unread input.
+/// the idle timeout expires, or the request is malformed. Teardown is
+/// graceful — shutdown(SHUT_WR), then drain until the peer's EOF, then
+/// close — so the last response is never destroyed by a RST racing unread
+/// input.
 class HttpServer {
  public:
   struct Options {
@@ -79,8 +79,6 @@ class HttpServer {
     /// recv timeout while waiting for the next request on a kept-alive
     /// connection; an idle client past this is silently disconnected.
     int64_t keep_alive_idle_millis = 5000;
-    /// Requests served per connection before forcing close; 0 = unlimited.
-    int max_requests_per_connection = 0;
     /// Bound on the post-shutdown drain-for-peer-EOF wait during graceful
     /// connection teardown (both 503 rejections and normal keep-alive
     /// closes). Small keeps worker threads responsive; large tolerates

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/string_util.h"
+#include "net/uri.h"
 
 namespace xrpc::net {
 
@@ -48,6 +49,9 @@ int64_t RetryingTransport::BackoffMicros(int retry) {
 StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
                                              const std::string& body) {
   const bool updating = IsUpdatingEnvelope(body);
+  // Breaker state and metric rows belong to the destination peer, whatever
+  // endpoint path (XRPC or WS-AT) the envelope addresses.
+  const std::string peer = PeerUri(dest_uri);
   const std::optional<int64_t> budget = ExtractDeadlineMicros(body);
   const int max_attempts = std::max(1, policy_.max_attempts);
   // Backoff waits are part of the exchange's wire-level elapsed time; they
@@ -92,7 +96,7 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
       }
     }
 
-    if (breaker_ != nullptr && !breaker_->Allow(dest_uri)) {
+    if (breaker_ != nullptr && !breaker_->Allow(peer)) {
       // Open circuit: fail locally, no dial. (Allow() already counted the
       // short circuit.) Distinct from a transport failure so callers can
       // tell "refused locally" from "tried and failed".
@@ -111,7 +115,7 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
       // be used — that would resurrect an abandoned request).
       timed_out = true;
       spent_modeled += result->network_micros;
-      if (metrics_) metrics_->Add(Metric::kTimeouts, 1, dest_uri);
+      if (metrics_) metrics_->Add(Metric::kTimeouts, 1, peer);
       std::string msg = "request timed out after " +
                         std::to_string(result->network_micros) +
                         "us (deadline " +
@@ -125,10 +129,11 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
     }
 
     if (result.ok()) {
-      if (breaker_ != nullptr) breaker_->RecordSuccess(dest_uri);
+      if (breaker_ != nullptr) breaker_->RecordSuccess(peer);
       result->network_micros += backoff_total;
+      result->retries = attempt - 1;
       if (metrics_) {
-        metrics_->RecordExchange(dest_uri, body.size(), result->body.size(),
+        metrics_->RecordExchange(peer, body.size(), result->body.size(),
                                  result->network_micros, /*ok=*/true);
       }
       return result;
@@ -136,16 +141,16 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
 
     last_error = result.status();
     if (metrics_) {
-      metrics_->RecordExchange(dest_uri, body.size(), 0, 0, /*ok=*/false);
+      metrics_->RecordExchange(peer, body.size(), 0, 0, /*ok=*/false);
     }
     if (breaker_ != nullptr) {
       // Transport failures and timeout-abandoned replies age the breaker;
       // any other terminal status means the peer answered (a SOAP Fault is
       // an alive peer), which resets its consecutive-failure streak.
       if (timed_out || last_error.code() == StatusCode::kNetworkError) {
-        breaker_->RecordFailure(dest_uri);
+        breaker_->RecordFailure(peer);
       } else {
-        breaker_->RecordSuccess(dest_uri);
+        breaker_->RecordSuccess(peer);
       }
     }
 
@@ -170,7 +175,7 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
     backoff_total += backoff;
     spent_modeled += backoff;
     if (metrics_) {
-      metrics_->Add(Metric::kRetries, 1, dest_uri);
+      metrics_->Add(Metric::kRetries, 1, peer);
       metrics_->Add(Metric::kBackoffMicros, backoff);
     }
     if (sleep_) sleep_(backoff);

@@ -43,7 +43,8 @@ struct RetryPolicy {
 /// Delivery semantics:
 ///  - Read-only envelopes: at-least-once. A transient failure is retried up
 ///    to max_attempts times; the XRPC request is side-effect-free, so a
-///    duplicate delivery is harmless.
+///    duplicate delivery is harmless. WS-AT verbs travel the same way:
+///    participants answer a duplicate idempotently.
 ///  - Updating envelopes (updCall="true", Section 4.4): at-most-once. The
 ///    envelope is NEVER re-sent after its first transmission — a transport
 ///    failure leaves the delivery status in doubt, and a blind retry could
@@ -61,7 +62,9 @@ struct RetryPolicy {
 /// injected `now` clock's progress (correct for wall-clock transports).
 ///
 /// Per-peer circuit breaking: with set_circuit_breaker(), a destination
-/// whose circuit is open fails instantly without a dial. Attempt outcomes
+/// whose circuit is open fails instantly without a dial. Circuits and
+/// per-peer metric rows are keyed by the destination peer (PeerUri), so a
+/// peer's XRPC and WS-AT endpoints share one circuit and one row. Attempt outcomes
 /// age the breaker uniformly: transport failures AND timeout-abandoned
 /// replies count as failures (a peer that answers too late is as dead as
 /// one that never answers), while any response — including a SOAP Fault —

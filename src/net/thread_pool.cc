@@ -36,11 +36,6 @@ int64_t ThreadPool::peak_in_flight() const {
   return peak_in_flight_;
 }
 
-int64_t ThreadPool::in_flight() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return in_flight_;
-}
-
 int64_t ThreadPool::uncaught_exceptions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return uncaught_exceptions_;

@@ -43,8 +43,6 @@ class ThreadPool {
   /// Highest number of tasks that were running simultaneously — the pool
   /// occupancy gauge reported by RpcMetrics.
   int64_t peak_in_flight() const;
-  /// Tasks currently running.
-  int64_t in_flight() const;
 
   /// Exceptions that escaped Submit() tasks (caught at the worker loop).
   int64_t uncaught_exceptions() const;

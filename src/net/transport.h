@@ -13,6 +13,7 @@ struct PostResult {
   std::string body;           ///< response entity body (a SOAP envelope)
   int64_t network_micros = 0; ///< modeled wire time (simulated transports)
   int64_t server_micros = 0;  ///< measured handler time at the destination
+  int retries = 0;            ///< re-sends a retrying decorator made first
 };
 
 /// Abstract request/response transport carrying SOAP messages over HTTP

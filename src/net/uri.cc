@@ -129,4 +129,11 @@ StatusOr<XrpcUri> ParseXrpcUri(std::string_view uri) {
   return out;
 }
 
+std::string PeerUri(std::string_view uri) {
+  auto parsed = ParseXrpcUri(uri);
+  if (!parsed.ok()) return std::string(uri);
+  parsed->path.clear();
+  return parsed->ToString();
+}
+
 }  // namespace xrpc::net

@@ -44,6 +44,13 @@ struct XrpcUri {
 /// rejected.
 StatusOr<XrpcUri> ParseXrpcUri(std::string_view uri);
 
+/// The peer `uri` addresses: the canonical xrpc:// URI without its path
+/// ("B", "xrpc://B" and "xrpc://B/wsat" all name "xrpc://B"). Keys
+/// per-peer state such as circuit breakers and metric rows, so every
+/// endpoint path of one peer shares them. Unparsable input comes back
+/// unchanged.
+std::string PeerUri(std::string_view uri);
+
 }  // namespace xrpc::net
 
 #endif  // XRPC_NET_URI_H_

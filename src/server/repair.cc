@@ -196,8 +196,7 @@ Status XrpcService::ApplyRepairFullBody(const WsatMessage& reply) {
   return Status::OK();
 }
 
-Status XrpcService::ResyncFragmentFrom(net::Transport* transport,
-                                       const std::string& donor,
+Status XrpcService::ResyncFragmentFrom(const std::string& donor,
                                        const std::string& collection,
                                        const core::ShardInfo& shard,
                                        uint64_t authoritative) {
@@ -208,7 +207,7 @@ Status XrpcService::ResyncFragmentFrom(net::Transport* transport,
   req.doc = shard.doc_name;
   req.from_version = database_->AppliedDataVersion(shard.doc_name);
   XRPC_ASSIGN_OR_RETURN(WsatMessage reply,
-                        SendWsatEnvelope(transport, donor, req));
+                        SendWsat(donor, req));
   if (!reply.ok) {
     return Status::TransactionError("repair donor " + donor +
                                     " refused: " + reply.reason);
@@ -228,7 +227,7 @@ Status XrpcService::ResyncFragmentFrom(net::Transport* transport,
     // document, or a digest mismatch): the full fragment is always safe.
     req.want_full = true;
     req.from_version = database_->AppliedDataVersion(shard.doc_name);
-    XRPC_ASSIGN_OR_RETURN(reply, SendWsatEnvelope(transport, donor, req));
+    XRPC_ASSIGN_OR_RETURN(reply, SendWsat(donor, req));
     if (!reply.ok) {
       return Status::TransactionError("repair donor " + donor +
                                       " refused: " + reply.reason);
@@ -242,14 +241,11 @@ Status XrpcService::ResyncFragmentFrom(net::Transport* transport,
   return status;
 }
 
-Status XrpcService::RepairReplica(net::Transport* transport) {
-  if (transport == nullptr) {
-    return Status::InvalidArgument("RepairReplica requires a transport");
-  }
+Status XrpcService::RepairReplica() {
   // In-doubt transactions resolve through 2PC inquiry FIRST: a parked
   // prepared PUL must commit exactly once, through its session — never be
   // applied a second time by version catch-up.
-  Status first_error = ResolveParticipantInDoubt(transport);
+  Status first_error = ResolveParticipantInDoubt();
   auto note = [&first_error](const Status& s) {
     if (first_error.ok() && !s.ok()) first_error = s;
   };
@@ -285,8 +281,7 @@ Status XrpcService::RepairReplica(net::Transport* transport) {
                                          shard.doc_name);
       bool resynced = false;
       for (const std::string& donor : donors) {
-        Status s =
-            ResyncFragmentFrom(transport, donor, name, shard, authoritative);
+        Status s = ResyncFragmentFrom(donor, name, shard, authoritative);
         if (s.ok()) {
           resynced = true;
           break;

@@ -1,7 +1,5 @@
 #include "server/wsat.h"
 
-#include <algorithm>
-
 #include "base/string_util.h"
 #include "net/uri.h"
 #include "xml/node.h"
@@ -293,149 +291,16 @@ StatusOr<WsatMessage> SendWsatMessage(net::Transport* transport,
 
 StatusOr<WsatMessage> SendWsatEnvelope(net::Transport* transport,
                                        const std::string& participant,
-                                       const WsatMessage& request) {
+                                       const WsatMessage& request,
+                                       int* retries) {
   // Route to the peer's WS-AT endpoint path.
   XRPC_ASSIGN_OR_RETURN(net::XrpcUri uri, net::ParseXrpcUri(participant));
   uri.path = kWsatPath;
   XRPC_ASSIGN_OR_RETURN(
       net::PostResult result,
       transport->Post(uri.ToString(), SerializeWsatRequest(request)));
+  if (retries != nullptr) *retries = result.retries;
   return ParseWsatMessage(result.body);
-}
-
-namespace {
-
-/// Deterministic (jitter-free) backoff before retry number `retry`
-/// (1-based), mirroring the RetryingTransport schedule shape.
-int64_t BackoffMicros(const net::RetryPolicy& policy, int retry) {
-  double backoff = static_cast<double>(policy.initial_backoff_us);
-  for (int i = 1; i < retry; ++i) backoff *= policy.backoff_multiplier;
-  return std::min(static_cast<int64_t>(backoff), policy.max_backoff_us);
-}
-
-}  // namespace
-
-StatusOr<CommitOutcome> RunTwoPhaseCommit(
-    net::Transport* transport, const std::vector<std::string>& participants,
-    const std::string& query_id, const TwoPhaseCommitOptions& options) {
-  CommitOutcome outcome;
-
-  auto abort_all = [&](const std::string& reason) {
-    outcome.abort_reason = reason;
-    // Phase 2 (abort): roll back everyone. Rollback is idempotent at the
-    // participants, so over-delivery (including to the peer that voted
-    // abort and already discarded its state) is harmless. Nothing is
-    // logged: under presumed abort the absence of a commit decision IS the
-    // durable abort record.
-    for (const std::string& q : participants) {
-      ++outcome.rollbacks_sent;
-      (void)SendWsatMessage(transport, q, WsatOp::kRollback, query_id);
-    }
-    outcome.committed = false;
-    return outcome;
-  };
-
-  // Phase 1: Prepare on every participant. Yes-votes piggyback the sharded
-  // fragments their PUL writes; dedup by collection#shard at max version
-  // (every copy of a replicated fragment reports the same target, and the
-  // coordinator advances the catalog once).
-  for (const std::string& p : participants) {
-    ++outcome.prepares_sent;
-    auto vote = SendWsatMessage(transport, p, WsatOp::kPrepare, query_id);
-    if (!vote.ok() || !vote.value().ok) {
-      return abort_all(vote.ok() ? vote.value().reason
-                                 : vote.status().ToString());
-    }
-    for (const WrittenFragment& f : vote.value().fragments) {
-      auto same = std::find_if(
-          outcome.fragments.begin(), outcome.fragments.end(),
-          [&](const WrittenFragment& g) {
-            return g.collection == f.collection &&
-                   g.shard_index == f.shard_index;
-          });
-      if (same == outcome.fragments.end()) {
-        outcome.fragments.push_back(f);
-      } else if (f.version > same->version) {
-        same->version = f.version;
-      }
-    }
-  }
-
-  if (options.crash_point == TwoPhaseCommitOptions::CrashPoint::kAfterVotes) {
-    // Simulated coordinator crash with the decision still volatile: on
-    // recovery nothing is on record, so participants presume abort.
-    return Status::NetworkError(
-        "coordinator crashed (simulated) after collecting votes");
-  }
-
-  // The commit decision becomes durable BEFORE any participant is told to
-  // commit; from here on the transaction MUST commit eventually.
-  if (options.journal != nullptr) {
-    Status logged = options.journal->LogCommitDecision(query_id, participants);
-    if (!logged.ok()) {
-      return abort_all("coordinator decision log failed: " +
-                       logged.ToString());
-    }
-  }
-
-  if (options.crash_point ==
-      TwoPhaseCommitOptions::CrashPoint::kAfterDecisionLog) {
-    return Status::NetworkError(
-        "coordinator crashed (simulated) after logging the commit decision");
-  }
-
-  // Phase 2: Commit, with bounded per-participant retry. A participant
-  // that stays unreachable is parked in-doubt; the decision stands.
-  bool all_acked = true;
-  int max_attempts = std::max(1, options.commit_retry.max_attempts);
-  for (const std::string& p : participants) {
-    bool acked = false;
-    std::string last_error;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1) {
-        ++outcome.commit_retries;
-        if (options.metrics != nullptr) {
-          options.metrics->Add(net::Metric::kTxnCommitRetries);
-        }
-        if (options.sleep) {
-          options.sleep(BackoffMicros(options.commit_retry, attempt - 1));
-        }
-      }
-      ++outcome.commits_sent;
-      auto done = SendWsatMessage(transport, p, WsatOp::kCommit, query_id);
-      if (done.ok() && done.value().ok) {
-        acked = true;
-        break;
-      }
-      if (done.ok()) {
-        // Application-level refusal (not a lost message): retrying cannot
-        // change the answer. Park it — recovery/inquiry owns the repair.
-        last_error = done.value().reason;
-        break;
-      }
-      last_error = done.status().ToString();
-    }
-    if (acked) {
-      if (options.journal != nullptr) {
-        options.journal->RecordCommitAck(query_id, p);
-      }
-    } else {
-      all_acked = false;
-      outcome.in_doubt.push_back(p);
-      if (options.journal != nullptr) {
-        options.journal->ParkInDoubt(query_id, p);
-      }
-      if (options.metrics != nullptr) {
-        options.metrics->Add(net::Metric::kTxnInDoubt, +1);
-      }
-      (void)last_error;
-    }
-  }
-  if (all_acked && options.journal != nullptr) {
-    (void)options.journal->LogCommitEnd(query_id);
-  }
-  outcome.committed = true;
-  return outcome;
 }
 
 }  // namespace xrpc::server

@@ -2,14 +2,11 @@
 #define XRPC_SERVER_WSAT_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/statusor.h"
-#include "net/retrying_transport.h"
-#include "net/rpc_metrics.h"
 #include "net/transport.h"
 
 namespace xrpc::server {
@@ -101,94 +98,37 @@ std::string SerializePreparedPayload(const PreparedPayload& payload);
 StatusOr<PreparedPayload> ParsePreparedPayload(std::string_view text);
 
 /// Sends one WS-AT verb to `participant`'s wsat endpoint and parses the
-/// reply. Used by the coordinator driver, in-doubt drains, and recovery
-/// inquiry.
+/// reply.
 StatusOr<WsatMessage> SendWsatMessage(net::Transport* transport,
                                       const std::string& participant,
                                       WsatOp op, const std::string& query_id);
 
 /// Sends a fully populated WS-AT request (kRepair carries more than the
 /// verb + query id) to `participant`'s wsat endpoint and parses the reply.
+/// `retries`, when given, receives the retransmissions the transport made
+/// before the reply arrived (PostResult::retries).
 StatusOr<WsatMessage> SendWsatEnvelope(net::Transport* transport,
                                        const std::string& participant,
-                                       const WsatMessage& request);
+                                       const WsatMessage& request,
+                                       int* retries = nullptr);
 
-/// Durable coordinator-side state the 2PC driver records into. Implemented
-/// by XrpcService on top of its transaction WAL; null in legacy callers
-/// (then the commit decision is volatile, as before this layer existed).
-class CoordinatorJournal {
- public:
-  virtual ~CoordinatorJournal() = default;
-
-  /// Durably records the commit decision and the participant set BEFORE
-  /// phase 2 begins; a failure here aborts the transaction (the only safe
-  /// direction while no participant has been told to commit).
-  virtual Status LogCommitDecision(
-      const std::string& query_id,
-      const std::vector<std::string>& participants) = 0;
-
-  /// `participant` acknowledged Commit (volatile bookkeeping).
-  virtual void RecordCommitAck(const std::string& query_id,
-                               const std::string& participant) = 0;
-
-  /// `participant` could not be reached after bounded retry; it stays
-  /// in-doubt and is drained later (retry or participant inquiry).
-  virtual void ParkInDoubt(const std::string& query_id,
-                           const std::string& participant) = 0;
-
-  /// Every participant acknowledged; the transaction record is complete.
-  virtual Status LogCommitEnd(const std::string& query_id) = 0;
-};
-
-/// Outcome of a distributed commit.
+/// Outcome of a distributed commit (XrpcService::Commit).
 struct CommitOutcome {
   bool committed = false;
   std::string abort_reason;
   int prepares_sent = 0;
-  int commits_sent = 0;
+  int commits_sent = 0;    ///< Commit transmissions, retransmissions included
   int rollbacks_sent = 0;
-  int commit_retries = 0;  ///< phase-2 retransmissions after failures
-  /// Participants whose Commit could not be delivered within the retry
-  /// budget. The decision stands (committed == true); these are parked and
-  /// drained by coordinator retry or participant-initiated inquiry.
+  int commit_retries = 0;  ///< Commit retransmissions the transport made
+  /// Participants whose Commit was not acknowledged. The decision stands
+  /// (committed == true); they stay pending at the coordinator and are
+  /// drained by its RetryInDoubt()/Restart() or by participant inquiry.
   std::vector<std::string> in_doubt;
   /// Union of the fragments every yes-vote reported writing (deduplicated
   /// by collection#shard at the max version). On commit the caller
   /// advances the catalog's fragment data versions from this list.
   std::vector<WrittenFragment> fragments;
 };
-
-/// Knobs of RunTwoPhaseCommit beyond the classic all-or-nothing drive.
-struct TwoPhaseCommitOptions {
-  /// Coordinator decision log (usually the originating peer's XrpcService).
-  CoordinatorJournal* journal = nullptr;
-  /// Bounded-backoff policy for re-sending Commit to an unresponsive
-  /// participant (same shape as the transport retry policy; Commit IS safe
-  /// to retransmit because participants handle it idempotently).
-  net::RetryPolicy commit_retry{};
-  /// Backoff hook (tests/simulation advance a virtual clock; default none).
-  std::function<void(int64_t micros)> sleep;
-  /// Transaction observability (commit retries, in-doubt gauge).
-  net::RpcMetrics* metrics = nullptr;
-
-  /// Simulated coordinator crash points for the recovery matrix: the
-  /// driver stops dead (returns kNetworkError) at the given point.
-  enum class CrashPoint {
-    kNone,
-    kAfterVotes,       ///< all voted yes, decision NOT yet logged
-    kAfterDecisionLog, ///< decision durable, no Commit sent yet
-  };
-  CrashPoint crash_point = CrashPoint::kNone;
-};
-
-/// The WS-Coordinator role (run by the peer that started the query):
-/// registers the participating peers and drives Prepare/Commit (or
-/// Rollback on any prepare failure) over the transport. With a journal the
-/// decision is durable before phase 2 and unreachable participants are
-/// parked in-doubt instead of failing the transaction.
-StatusOr<CommitOutcome> RunTwoPhaseCommit(
-    net::Transport* transport, const std::vector<std::string>& participants,
-    const std::string& query_id, const TwoPhaseCommitOptions& options = {});
 
 }  // namespace xrpc::server
 

@@ -1,5 +1,6 @@
 #include "server/xrpc_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -423,8 +424,8 @@ StatusOr<std::string> XrpcService::HandleWsat(const std::string& body) {
     reply.reason = reason;
     return SerializeWsatResponse(reply);
   };
-  // The decided outcome for this queryID, if any (rebuilt from the WAL at
-  // recovery): the source of idempotent replies and inquiry answers.
+  // The participant's decided outcome for this queryID, if any (rebuilt
+  // from the WAL at recovery): the source of idempotent replies.
   auto decided = [&]() -> std::optional<TxnOutcome> {
     std::lock_guard<std::mutex> lock(txn_mu_);
     auto it = outcomes_.find(msg.query_id);
@@ -569,10 +570,15 @@ StatusOr<std::string> XrpcService::HandleWsat(const std::string& body) {
       // "committed"; everything else — including "never heard of it" —
       // answers "aborted".
       reply.ok = true;
-      auto o = decided();
-      reply.outcome = (o.has_value() && *o == TxnOutcome::kCommitted)
-                          ? "committed"
-                          : "aborted";
+      bool committed;
+      {
+        std::lock_guard<std::mutex> lock(txn_mu_);
+        auto it = outcomes_.find(msg.query_id);
+        committed = coord_committed_.count(msg.query_id) > 0 ||
+                    (it != outcomes_.end() &&
+                     it->second == TxnOutcome::kCommitted);
+      }
+      reply.outcome = committed ? "committed" : "aborted";
       return respond();
     }
 
@@ -586,88 +592,163 @@ StatusOr<std::string> XrpcService::HandleWsat(const std::string& body) {
   return Status::Internal("unhandled WS-AT op");
 }
 
-// -- CoordinatorJournal -----------------------------------------------------
+// -- Coordinator role -------------------------------------------------------
 
-Status XrpcService::LogCommitDecision(
-    const std::string& query_id,
-    const std::vector<std::string>& participants) {
-  XRPC_RETURN_IF_ERROR(log_.Append({TxnLog::RecordType::kCoordCommit, query_id,
-                                    JoinStrings(participants, "\n")}));
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  CoordTxn& txn = coord_[query_id];
-  txn.pending.clear();
-  txn.pending.insert(participants.begin(), participants.end());
-  txn.ended = false;
-  outcomes_[query_id] = TxnOutcome::kCommitted;
-  return Status::OK();
+StatusOr<WsatMessage> XrpcService::SendWsat(const std::string& peer,
+                                            const WsatMessage& request,
+                                            int* retries) {
+  if (outgoing_ == nullptr) {
+    return Status::InvalidArgument("peer " + options_.self_uri +
+                                   " has no outbound transport");
+  }
+  return SendWsatEnvelope(outgoing_, peer, request, retries);
 }
 
-void XrpcService::RecordCommitAck(const std::string& query_id,
-                                  const std::string& participant) {
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  auto it = coord_.find(query_id);
-  if (it != coord_.end()) it->second.pending.erase(participant);
+StatusOr<CommitOutcome> XrpcService::Commit(
+    const std::vector<std::string>& participants,
+    const std::string& query_id) {
+  CommitOutcome outcome;
+  WsatMessage request;
+  request.query_id = query_id;
+
+  // Phase 1: Prepare on every participant. Yes-votes piggyback the sharded
+  // fragments their PUL writes; dedup by collection#shard at max version
+  // (every copy of a replicated fragment reports the same target, and the
+  // caller advances the catalog once).
+  std::string abort_reason;
+  request.op = WsatOp::kPrepare;
+  for (const std::string& p : participants) {
+    ++outcome.prepares_sent;
+    auto vote = SendWsat(p, request);
+    if (!vote.ok() || !vote->ok) {
+      abort_reason = vote.ok() ? vote->reason : vote.status().ToString();
+      break;
+    }
+    for (const WrittenFragment& f : vote->fragments) {
+      auto same = std::find_if(
+          outcome.fragments.begin(), outcome.fragments.end(),
+          [&](const WrittenFragment& g) {
+            return g.collection == f.collection &&
+                   g.shard_index == f.shard_index;
+          });
+      if (same == outcome.fragments.end()) {
+        outcome.fragments.push_back(f);
+      } else if (f.version > same->version) {
+        same->version = f.version;
+      }
+    }
+  }
+
+  if (abort_reason.empty()) {
+    if (TriggerCrash(CrashPoint::kCoordAfterVotes)) {
+      // The decision is still volatile: after recovery nothing is on
+      // record, so the participants' inquiries presume abort.
+      return Status::NetworkError(
+          "coordinator crashed (simulated) after collecting votes");
+    }
+    // The commit decision becomes durable BEFORE any participant is told
+    // to commit; from here on the transaction MUST commit eventually.
+    Status logged = log_.Append({TxnLog::RecordType::kCoordCommit, query_id,
+                                 JoinStrings(participants, "\n")});
+    if (logged.ok()) {
+      {
+        std::lock_guard<std::mutex> lock(txn_mu_);
+        coord_[query_id] =
+            std::set<std::string>(participants.begin(), participants.end());
+        coord_committed_.insert(query_id);
+      }
+      if (metrics_ != nullptr) {
+        metrics_->Add(net::Metric::kTxnInDoubt,
+                      static_cast<int64_t>(participants.size()));
+      }
+      if (TriggerCrash(CrashPoint::kCoordAfterDecisionLog)) {
+        return Status::NetworkError(
+            "coordinator crashed (simulated) after logging the commit "
+            "decision");
+      }
+      outcome.committed = true;
+      outcome.in_doubt = DrainCommits(query_id, &outcome);
+      return outcome;
+    }
+    abort_reason = "coordinator decision log failed: " + logged.ToString();
+  }
+
+  // Abort: roll back everyone. Rollback is idempotent at the participants,
+  // so over-delivery (including to the peer that voted abort and already
+  // discarded its state) is harmless. Nothing is logged: under presumed
+  // abort the absence of a commit decision IS the durable abort record.
+  outcome.abort_reason = abort_reason;
+  request.op = WsatOp::kRollback;
+  for (const std::string& p : participants) {
+    ++outcome.rollbacks_sent;
+    (void)SendWsat(p, request);
+  }
+  return outcome;
 }
 
-void XrpcService::ParkInDoubt(const std::string& query_id,
-                              const std::string& participant) {
-  // The participant already sits in coord_[query_id].pending; parking just
-  // means leaving it there for RetryInDoubt to drain.
-  (void)query_id;
-  (void)participant;
-}
-
-Status XrpcService::LogCommitEnd(const std::string& query_id) {
-  XRPC_RETURN_IF_ERROR(
-      log_.Append({TxnLog::RecordType::kCoordEnd, query_id, ""}));
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  coord_.erase(query_id);
-  return Status::OK();
+std::vector<std::string> XrpcService::DrainCommits(const std::string& query_id,
+                                                   CommitOutcome* outcome) {
+  std::set<std::string> pending;
+  {
+    std::lock_guard<std::mutex> lock(txn_mu_);
+    auto it = coord_.find(query_id);
+    if (it == coord_.end()) return {};
+    pending = it->second;
+  }
+  WsatMessage request;
+  request.op = WsatOp::kCommit;
+  request.query_id = query_id;
+  for (const std::string& p : pending) {
+    // No lock is held across the send: a peer may coordinate itself.
+    int retries = 0;
+    auto done = SendWsat(p, request, &retries);
+    outcome->commits_sent += 1 + retries;
+    outcome->commit_retries += retries;
+    if (metrics_ != nullptr && retries > 0) {
+      metrics_->Add(net::Metric::kTxnCommitRetries, retries);
+    }
+    // Only an acknowledgement settles a participant. A lost Commit (after
+    // the transport's retries) and an application-level refusal alike leave
+    // it pending: the next drain or the participant's inquiry resolves it.
+    if (!done.ok() || !done->ok) continue;
+    std::lock_guard<std::mutex> lock(txn_mu_);
+    auto it = coord_.find(query_id);
+    if (it != coord_.end() && it->second.erase(p) > 0 && metrics_ != nullptr) {
+      metrics_->Add(net::Metric::kTxnInDoubt, -1);
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(txn_mu_);
+    auto it = coord_.find(query_id);
+    if (it == coord_.end()) return {};
+    if (!it->second.empty()) {
+      return std::vector<std::string>(it->second.begin(), it->second.end());
+    }
+    coord_.erase(it);
+  }
+  // Every participant acknowledged. COORD-END only spares the next replay
+  // a re-drive, which the participants would answer idempotently anyway.
+  (void)log_.Append({TxnLog::RecordType::kCoordEnd, query_id, ""});
+  return {};
 }
 
 size_t XrpcService::in_doubt_count() const {
   std::lock_guard<std::mutex> lock(txn_mu_);
   size_t n = participant_in_doubt_.size();
-  for (const auto& [qid, txn] : coord_) n += txn.pending.size();
+  for (const auto& [qid, pending] : coord_) n += pending.size();
   return n;
 }
 
-Status XrpcService::RetryInDoubt(net::Transport* transport) {
-  if (transport == nullptr) {
-    return Status::InvalidArgument("RetryInDoubt requires a transport");
-  }
-  std::map<std::string, std::set<std::string>> snapshot;
+Status XrpcService::RetryInDoubt() {
+  std::vector<std::string> query_ids;
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
-    for (const auto& [qid, txn] : coord_) {
-      if (!txn.pending.empty()) snapshot[qid] = txn.pending;
-    }
+    for (const auto& [qid, pending] : coord_) query_ids.push_back(qid);
   }
-  for (const auto& [qid, peers] : snapshot) {
-    for (const std::string& p : peers) {
-      // Commit is idempotent at the participant, so re-sending after an
-      // ack lost on the wire is harmless.
-      auto done = SendWsatMessage(transport, p, WsatOp::kCommit, qid);
-      if (done.ok() && done.value().ok) {
-        RecordCommitAck(qid, p);
-        if (metrics_ != nullptr) metrics_->Add(net::Metric::kTxnInDoubt, -1);
-      }
-    }
-  }
-  std::vector<std::string> finished;
   size_t still_pending = 0;
-  {
-    std::lock_guard<std::mutex> lock(txn_mu_);
-    for (const auto& [qid, txn] : coord_) {
-      if (txn.pending.empty()) {
-        finished.push_back(qid);
-      } else {
-        still_pending += txn.pending.size();
-      }
-    }
-  }
-  for (const std::string& qid : finished) {
-    XRPC_RETURN_IF_ERROR(LogCommitEnd(qid));
+  CommitOutcome drained;
+  for (const std::string& qid : query_ids) {
+    still_pending += DrainCommits(qid, &drained).size();
   }
   if (still_pending > 0) {
     return Status::TransactionError(
@@ -677,7 +758,7 @@ Status XrpcService::RetryInDoubt(net::Transport* transport) {
   return Status::OK();
 }
 
-Status XrpcService::ResolveParticipantInDoubt(net::Transport* transport) {
+Status XrpcService::ResolveParticipantInDoubt() {
   std::map<std::string, std::string> snapshot;
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
@@ -690,8 +771,10 @@ Status XrpcService::ResolveParticipantInDoubt(net::Transport* transport) {
   for (const auto& [qid, coordinator] : snapshot) {
     // The inquiry goes out without wsat_mu_ held (the coordinator may be
     // this very peer, whose wsat endpoint must stay reachable).
-    auto answer =
-        SendWsatMessage(transport, coordinator, WsatOp::kInquire, qid);
+    WsatMessage inquiry;
+    inquiry.op = WsatOp::kInquire;
+    inquiry.query_id = qid;
+    auto answer = SendWsat(coordinator, inquiry);
     if (!answer.ok()) {
       // Coordinator unreachable: stay in doubt, inquire again later.
       note(answer.status());
@@ -731,17 +814,21 @@ Status XrpcService::ResolveParticipantInDoubt(net::Transport* transport) {
   return first_error;
 }
 
-Status XrpcService::Restart(net::Transport* transport) {
+Status XrpcService::Restart() {
   std::unique_lock<std::mutex> wsat_lock(wsat_mu_);
   // 1. Lose everything a process restart loses.
   isolation_.Reset();
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
-    if (metrics_ != nullptr && !participant_in_doubt_.empty()) {
-      metrics_->Add(net::Metric::kTxnInDoubt,
-                    -static_cast<int64_t>(participant_in_doubt_.size()));
+    // The in-doubt gauge forgets what this peer parked; replay re-adds
+    // whatever the WAL still leaves in doubt.
+    size_t parked = participant_in_doubt_.size();
+    for (const auto& [qid, pending] : coord_) parked += pending.size();
+    if (metrics_ != nullptr && parked > 0) {
+      metrics_->Add(net::Metric::kTxnInDoubt, -static_cast<int64_t>(parked));
     }
     outcomes_.clear();
+    coord_committed_.clear();
     coord_.clear();
     participant_in_doubt_.clear();
   }
@@ -866,31 +953,25 @@ Status XrpcService::Restart(net::Transport* transport) {
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
     for (const auto& [qid, cs] : coord) {
+      coord_committed_.insert(qid);
       if (cs.ended) continue;
-      outcomes_[qid] = TxnOutcome::kCommitted;
-      CoordTxn& txn = coord_[qid];
-      txn.pending.insert(cs.participants.begin(), cs.participants.end());
+      coord_[qid].insert(cs.participants.begin(), cs.participants.end());
+      if (metrics_ != nullptr) {
+        metrics_->Add(net::Metric::kTxnInDoubt,
+                      static_cast<int64_t>(coord_[qid].size()));
+      }
     }
   }
 
-  // 5. With a transport, resolve in-doubt state actively right away
-  // (released lock: resolution sends messages, possibly to ourselves).
+  // 5. Resolve in-doubt state actively right away (released lock:
+  // resolution sends messages, possibly to ourselves): re-drive this
+  // peer's own commit decisions, then let anti-entropy inquire about its
+  // in-doubt prepares and catch up the committed transactions it missed
+  // while down (no PREPARED record to recover from) before serving reads,
+  // which the StaleReplica fence would reject anyway until the gap closes.
   wsat_lock.unlock();
-  if (transport != nullptr) {
-    note(ResolveParticipantInDoubt(transport));
-    bool have_coord_work;
-    {
-      std::lock_guard<std::mutex> lock(txn_mu_);
-      have_coord_work = !coord_.empty();
-    }
-    if (have_coord_work) note(RetryInDoubt(transport));
-    // 6. Anti-entropy: while this peer was down it may have missed whole
-    // committed transactions (no PREPARED record to recover from). Compare
-    // fragment data versions against the catalog and catch up from a peer
-    // copy before serving reads (which the StaleReplica fence would reject
-    // anyway until the gap closes).
-    note(RepairReplica(transport));
-  }
+  note(RetryInDoubt());
+  note(RepairReplica());
   return first_error;
 }
 

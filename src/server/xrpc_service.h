@@ -24,16 +24,20 @@
 namespace xrpc::server {
 
 /// Crash points of the in-process fault harness. When the armed point is
-/// reached during WS-AT handling the peer "dies": volatile state becomes
-/// unreachable (every request answers kNetworkError) until Restart() —
-/// which discards the volatile state and replays the WAL, exactly what a
-/// process restart would do.
+/// reached during WS-AT handling (participant points) or while the peer
+/// coordinates a commit (kCoord* points) the peer "dies": volatile state
+/// becomes unreachable (every request answers kNetworkError, and Commit()
+/// stops dead with kNetworkError) until Restart() — which discards the
+/// volatile state and replays the WAL, exactly what a process restart
+/// would do.
 enum class CrashPoint {
   kNone,
-  kAfterPrepareLog,    ///< PREPARED durable, vote never sent
-  kAfterVote,          ///< vote delivered, then the peer dies
-  kBeforeCommitApply,  ///< Commit received, nothing logged or applied
-  kAfterCommitLog,     ///< COMMITTED durable, PUL not applied
+  kAfterPrepareLog,        ///< PREPARED durable, vote never sent
+  kAfterVote,              ///< vote delivered, then the peer dies
+  kBeforeCommitApply,      ///< Commit received, nothing logged or applied
+  kAfterCommitLog,         ///< COMMITTED durable, PUL not applied
+  kCoordAfterVotes,        ///< all voted yes, decision NOT yet logged
+  kCoordAfterDecisionLog,  ///< decision durable, no Commit sent yet
 };
 
 /// The XRPC request handler of one peer (the server side of the protocol,
@@ -47,9 +51,14 @@ enum class CrashPoint {
 /// the serialized PUL to the transaction WAL, Commit logs the decision
 /// before applying, handlers are idempotent under coordinator retry, and
 /// Restart() recovers in-doubt transactions from the WAL (presumed abort +
-/// coordinator inquiry). The service also implements the coordinator-side
-/// journal, so the same WAL carries both roles' records.
-class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
+/// coordinator inquiry). The service is also the WS-Coordinator of the
+/// updating queries its peer starts (Commit()), so the same WAL carries
+/// both roles' records.
+///
+/// Every message the service sends — nested `execute at` hops, WS-AT
+/// verbs, in-doubt retries, recovery inquiries and repair requests — goes
+/// through its one outbound transport.
+class XrpcService : public net::SoapEndpoint {
  public:
   struct Options {
     /// This peer's own xrpc:// URI, reported in participating-peer lists.
@@ -62,8 +71,8 @@ class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
     const core::Catalog* catalog = nullptr;
   };
 
-  /// `outgoing` is the transport used for nested `execute at` calls made
-  /// by function bodies (may be null for leaf peers).
+  /// `outgoing` is the one outbound transport (may be null for a leaf
+  /// peer that never sends; its sends then fail with kInvalidArgument).
   XrpcService(Options options, Database* database, ModuleRegistry* registry,
               ExecutionEngine* engine, net::Transport* outgoing);
 
@@ -94,15 +103,30 @@ class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
   ///  - PREPARED records without a decision become in-doubt sessions,
   ///    exempt from expiry;
   ///  - coordinator decisions without COORD-END are re-driven.
-  /// With a non-null `transport`, in-doubt state is then resolved actively:
-  /// participants inquire their coordinator (presumed abort on an explicit
-  /// "aborted"/unknown answer), and this peer's own unfinished coordinator
-  /// transactions re-send Commit (idempotent at the participants).
-  Status Restart(net::Transport* transport = nullptr);
+  /// In-doubt state is then resolved actively: this peer's unfinished
+  /// coordinator transactions re-send Commit (idempotent at the
+  /// participants), and RepairReplica() inquires the coordinators of its
+  /// own in-doubt prepares (presumed abort on an "aborted"/unknown answer)
+  /// before catching lagging fragments up.
+  Status Restart();
 
-  /// Drains coordinator-side in-doubt participants by re-sending Commit.
-  /// Returns OK when none remain in doubt.
-  Status RetryInDoubt(net::Transport* transport);
+  // -- Coordinator role ----------------------------------------------------
+
+  /// The WS-Coordinator of Section 2.3, run by the peer that started an
+  /// updating query: Prepare on every participant, then the durable commit
+  /// decision (logged before any Commit is sent), then phase 2 — or, on a
+  /// no-vote, a lost vote or a failed decision log, Rollback everywhere
+  /// (presumed abort: nothing is logged). WS-AT verbs are idempotent at the
+  /// participants, so the outbound transport retries them like reads.
+  /// Participants whose Commit goes unacknowledged stay pending and are
+  /// reported in CommitOutcome::in_doubt; the decision stands. An armed
+  /// kCoord* crash point stops the coordinator dead with kNetworkError.
+  StatusOr<CommitOutcome> Commit(const std::vector<std::string>& participants,
+                                 const std::string& query_id);
+
+  /// Re-drives phase 2 for every commit decision with participants still
+  /// pending. Returns OK when none remain in doubt.
+  Status RetryInDoubt();
 
   /// Anti-entropy resync (DESIGN.md §17; implemented in server/repair.cc).
   /// First resolves participant in-doubt transactions by coordinator
@@ -113,20 +137,10 @@ class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
   /// when a donor's WAL covers the gap contiguously, else the whole
   /// fragment is transferred. Runs automatically at the end of Restart();
   /// also reachable as Peer::Repair() after a reconnect.
-  Status RepairReplica(net::Transport* transport);
+  Status RepairReplica();
 
   /// queryIDs currently parked in-doubt (either role).
   size_t in_doubt_count() const;
-
-  // -- CoordinatorJournal --------------------------------------------------
-  Status LogCommitDecision(
-      const std::string& query_id,
-      const std::vector<std::string>& participants) override;
-  void RecordCommitAck(const std::string& query_id,
-                       const std::string& participant) override;
-  void ParkInDoubt(const std::string& query_id,
-                   const std::string& participant) override;
-  Status LogCommitEnd(const std::string& query_id) override;
 
   /// Statistics.
   int64_t requests_handled() const { return requests_handled_; }
@@ -149,15 +163,9 @@ class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
   }
 
  private:
-  /// Outcome a peer remembers for a decided transaction (idempotent
-  /// Commit/Rollback replies; inquiry answers). Rebuilt from the WAL.
+  /// Outcome a participant remembers for a decided transaction (idempotent
+  /// Prepare/Commit/Rollback replies). Rebuilt from the WAL.
   enum class TxnOutcome { kCommitted, kAborted };
-
-  /// Volatile coordinator bookkeeping of one in-flight commit decision.
-  struct CoordTxn {
-    std::set<std::string> pending;  ///< participants not yet acked
-    bool ended = false;
-  };
 
   StatusOr<std::string> HandleXrpc(const std::string& body);
   StatusOr<std::string> HandleWsat(const std::string& body);
@@ -180,9 +188,20 @@ class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
   StatusOr<QuerySession*> RestoreInDoubtSession(const std::string& query_id,
                                                 const PreparedPayload& p);
 
+  /// Sends one WS-AT request through the outbound transport.
+  StatusOr<WsatMessage> SendWsat(const std::string& peer,
+                                 const WsatMessage& request,
+                                 int* retries = nullptr);
+
+  /// Phase 2, the one drain of coord_[query_id]: sends Commit to every
+  /// participant still pending and forgets each that acknowledges; once
+  /// none is left, logs COORD-END. Returns the participants still pending.
+  std::vector<std::string> DrainCommits(const std::string& query_id,
+                                        CommitOutcome* outcome);
+
   /// Resolves participant-side in-doubt transactions by inquiring their
   /// coordinators; commits or aborts per the answer (presumed abort).
-  Status ResolveParticipantInDoubt(net::Transport* transport);
+  Status ResolveParticipantInDoubt();
 
   /// Donor side of the WS-AT kRepair verb (server/repair.cc): builds the
   /// delta (or full-transfer) reply for a lagging copy's catch-up request.
@@ -190,8 +209,7 @@ class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
 
   /// Requester side (server/repair.cc): catches one lagging fragment up
   /// from `donor`, delta-first with full-transfer fallback.
-  Status ResyncFragmentFrom(net::Transport* transport,
-                            const std::string& donor,
+  Status ResyncFragmentFrom(const std::string& donor,
                             const std::string& collection,
                             const core::ShardInfo& shard,
                             uint64_t authoritative);
@@ -223,10 +241,16 @@ class XrpcService : public net::SoapEndpoint, public CoordinatorJournal {
   /// Never held across an outgoing send (a peer may coordinate itself).
   std::mutex wsat_mu_;
   mutable std::mutex txn_mu_;
-  /// Decided outcomes (both roles), for idempotency and inquiry answers.
+  /// Decided outcomes of the participant role, for idempotent replies.
   std::map<std::string, TxnOutcome> outcomes_;
-  /// Coordinator decisions not yet acknowledged by every participant.
-  std::map<std::string, CoordTxn> coord_;
+  /// Commit decisions this peer made as coordinator (kCoordCommit), the
+  /// answer to recovery inquiries. Kept apart from outcomes_: a peer may
+  /// participate in a transaction it coordinates, and its participant role
+  /// must still apply its own part when the decision's Commit arrives.
+  std::set<std::string> coord_committed_;
+  /// Commit decisions not yet acknowledged by every participant, mapped
+  /// to the participants still pending (in doubt).
+  std::map<std::string, std::set<std::string>> coord_;
   /// Participant in-doubt queryIDs awaiting a coordinator decision,
   /// mapped to the coordinator URI to inquire at.
   std::map<std::string, std::string> participant_in_doubt_;

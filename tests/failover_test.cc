@@ -427,7 +427,7 @@ TEST(FailoverTest, ReplicaCrashDuringCommitResyncsByteIdentically) {
   // Restart replays the WAL, resolves the in-doubt prepare by coordinator
   // inquiry, and runs the anti-entropy resync.
   ASSERT_TRUE(d.shards[1]->Restart().ok());
-  ASSERT_TRUE(d.p0->service().RetryInDoubt(&d.net->network()).ok());
+  ASSERT_TRUE(d.p0->service().RetryInDoubt().ok());
 
   // Peer 1 holds shard 0's replica and shard 1's primary (ring layout);
   // both must be byte-identical to the other copy of the same shard.
@@ -443,7 +443,7 @@ TEST(FailoverTest, ReplicaCrashDuringCommitResyncsByteIdentically) {
 
 TEST(FailoverTest, StaleReplicaSkipIsolatesLaggingCopy) {
   // A copy that verifiably missed a commit (crashed before applying it,
-  // restarted without a transport, so it could not resolve its in-doubt
+  // restarted behind a partition, so it could not resolve its in-doubt
   // prepare) self-fences with StaleReplica; a read whose primary is also
   // dead must skip past it to the one current copy and still answer byte
   // for byte.
@@ -457,9 +457,12 @@ TEST(FailoverTest, StaleReplicaSkipIsolatesLaggingCopy) {
   const std::string updated_baseline = RunBroadcast(d);
   ASSERT_EQ(updated_baseline.find("ERROR"), std::string::npos);
 
-  // WAL-only restart: the prepare is parked in doubt, the commit stays
-  // unapplied, so peer 1 serves — but lags every fragment it holds.
-  ASSERT_TRUE(d.shards[1]->service().Restart(nullptr).ok());
+  // Restart while every message is lost: the inquiry and the repair both
+  // fail, the prepare stays parked in doubt and the commit unapplied, so
+  // peer 1 serves — but lags every fragment it holds.
+  d.net->network().set_fault_profile({.fail_every_nth = 1});
+  EXPECT_FALSE(d.shards[1]->Restart().ok());
+  d.net->network().set_fault_profile({});
   EXPECT_LT(d.shards[1]->database().AppliedDataVersion(FragName(0)),
             d.net->catalog().FragmentDataVersion("auctions.xml", 0));
 

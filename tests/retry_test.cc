@@ -6,11 +6,13 @@
 
 #include <vector>
 
+#include "net/circuit_breaker.h"
 #include "net/retrying_transport.h"
 #include "net/rpc_metrics.h"
 #include "net/simulated_network.h"
 #include "net/uri.h"
 #include "server/rpc_client.h"
+#include "server/wsat.h"
 #include "server/xrpc_service.h"
 #include "soap/message.h"
 #include "xmark/xmark.h"
@@ -79,6 +81,47 @@ TEST(RetryingTransport, ReadOnlySucceedsAfterTransientFailures) {
   EXPECT_EQ(metrics.Get(Metric::kRequests), 3);
   EXPECT_EQ(metrics.Get(Metric::kFailures), 2);
   EXPECT_EQ(metrics.Get(Metric::kBackoffMicros), 3000);
+}
+
+TEST(RetryingTransport, PeerEndpointsShareOneCircuitAndOneMetricsRow) {
+  // A peer's XRPC endpoint and its WS-AT endpoint (".../wsat") are one
+  // destination: Bulk RPC failures that open the peer's circuit also
+  // short-circuit a Prepare to it, and the report keeps one row for it.
+  FlakyTransport inner;
+  inner.failures_remaining = 2;
+  RpcMetrics metrics;
+  int64_t now_us = 0;
+  net::CircuitBreaker breaker({/*failure_threshold=*/2, /*cooldown_us=*/1000},
+                              [&now_us] { return now_us; });
+  RetryingTransport transport(&inner, RetryPolicy{.max_attempts = 1},
+                              &metrics);
+  transport.set_circuit_breaker(&breaker);
+  EXPECT_FALSE(transport.Post("xrpc://y", "bulk rpc").ok());
+  EXPECT_FALSE(transport.Post("xrpc://y", "bulk rpc").ok());
+  ASSERT_EQ(breaker.GetState("xrpc://y"), net::CircuitBreaker::State::kOpen);
+
+  auto vote = server::SendWsatMessage(&transport, "xrpc://y",
+                                      server::WsatOp::kPrepare, "q1");
+  ASSERT_FALSE(vote.ok());
+  EXPECT_NE(vote.status().message().find("circuit open"), std::string::npos);
+  EXPECT_EQ(inner.attempts.size(), 2u);  // the Prepare was never dialed
+
+  // Past the cooldown the next Prepare is the probe; its reply closes the
+  // same circuit the Bulk RPCs opened.
+  now_us = 2000;
+  (void)server::SendWsatMessage(&transport, "xrpc://y",
+                                server::WsatOp::kPrepare, "q1");
+  EXPECT_EQ(inner.attempts.size(), 3u);
+  EXPECT_EQ(breaker.GetState("xrpc://y"), net::CircuitBreaker::State::kClosed);
+  EXPECT_EQ(metrics.Get(Metric::kRequests, "xrpc://y"), 3);
+  EXPECT_EQ(metrics.Get(Metric::kRequests, "xrpc://y/wsat"), 0);
+  const std::string report = metrics.Report();
+  size_t rows = 0;
+  for (size_t at = report.find("xrpc://y"); at != std::string::npos;
+       at = report.find("xrpc://y", at + 1)) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, 1u) << report;
 }
 
 TEST(RetryingTransport, GivesUpAfterMaxAttempts) {

@@ -67,7 +67,7 @@ class TestPeer {
 
 class ServerTest : public ::testing::Test {
  protected:
-  ServerTest() : peer_("y.example.org", &net_) {
+  ServerTest() : peer_("y.example.org", &net_), coordinator_("p0", &net_) {
     EXPECT_TRUE(peer_.db().PutDocumentText("filmDB.xml", kFilmDb).ok());
     EXPECT_TRUE(peer_.registry().RegisterModule(kFilmModule).ok());
   }
@@ -95,6 +95,7 @@ class ServerTest : public ::testing::Test {
 
   net::SimulatedNetwork net_;
   TestPeer peer_;
+  TestPeer coordinator_;  ///< xrpc://p0, the queries' WS-Coordinator
 };
 
 TEST_F(ServerTest, SingleCallRoundTrip) {
@@ -268,7 +269,7 @@ TEST_F(ServerTest, IsolatedUpdateDeferredUntilCommit) {
   // Commit through WS-AT.
   std::vector<std::string> participants(client.participating_peers().begin(),
                                         client.participating_peers().end());
-  auto outcome = RunTwoPhaseCommit(&net_, participants, "upd-1");
+  auto outcome = coordinator_.service().Commit(participants, "upd-1");
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->committed);
   EXPECT_EQ(outcome->prepares_sent, 1);
@@ -301,7 +302,7 @@ TEST_F(ServerTest, PrepareFailureAbortsDistributedTransaction) {
 
   peer_.service().txn_log().FailNextAppend(
       Status::TransactionError("disk full"));
-  auto outcome = RunTwoPhaseCommit(&net_, {peer_.uri()}, "upd-2");
+  auto outcome = coordinator_.service().Commit({peer_.uri()}, "upd-2");
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_FALSE(outcome->committed);
   EXPECT_NE(outcome->abort_reason.find("disk full"), std::string::npos);
@@ -340,7 +341,7 @@ TEST_F(ServerTest, WriteWriteConflictAbortsAtPrepare) {
                                AddFilmRequest("Thunderball", "Sean Connery"))
                   .ok());
 
-  auto outcome = RunTwoPhaseCommit(&net_, {peer_.uri()}, "upd-3");
+  auto outcome = coordinator_.service().Commit({peer_.uri()}, "upd-3");
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->committed);
   EXPECT_NE(outcome->abort_reason.find("conflict"), std::string::npos);

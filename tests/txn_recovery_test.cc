@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/peer_network.h"
+#include "net/retrying_transport.h"
 #include "server/rpc_client.h"
 #include "server/wsat.h"
 #include "tests/test_util.h"
@@ -25,9 +26,7 @@ namespace xrpc::core {
 namespace {
 
 using server::CrashPoint;
-using server::RunTwoPhaseCommit;
 using server::SendWsatMessage;
-using server::TwoPhaseCommitOptions;
 using server::TxnLog;
 using server::WsatOp;
 
@@ -54,6 +53,32 @@ constexpr char kUpdateBoth[] = R"(
   import module namespace f="films" at "http://x.example.org/film.xq";
   (execute at {"xrpc://y.example.org"} {f:addFilm("A", "X")},
    execute at {"xrpc://z.example.org"} {f:addFilm("B", "Y")}))";
+
+/// Endpoint decorator that loses the first `count` WS-AT messages of one
+/// verb (`op`, e.g. "prepare") before they reach the wrapped peer — a
+/// request dropped in transit toward that peer only.
+class VerbDropEndpoint : public net::SoapEndpoint {
+ public:
+  VerbDropEndpoint(net::SoapEndpoint* inner, const std::string& op, int count)
+      : inner_(inner), marker_("op=\"" + op + "\""), remaining_(count) {}
+
+  StatusOr<std::string> Handle(const std::string& path,
+                               const std::string& body) override {
+    if (remaining_ > 0 && path == server::kWsatPath &&
+        body.find(marker_) != std::string::npos) {
+      --remaining_;
+      return Status::NetworkError("injected drop: " + marker_);
+    }
+    return inner_->Handle(path, body);
+  }
+
+  int remaining() const { return remaining_; }
+
+ private:
+  net::SoapEndpoint* inner_;
+  std::string marker_;
+  int remaining_;
+};
 
 class TxnRecoveryTest : public ::testing::Test {
  protected:
@@ -162,7 +187,7 @@ TEST_F(TxnRecoveryTest, CrashAfterVoteRecoversViaInquiry) {
 
   // The coordinator drains its parked participant with an (idempotent)
   // commit retry and seals the transaction.
-  ASSERT_TRUE(p0_->service().RetryInDoubt(&net_.network()).ok());
+  ASSERT_TRUE(p0_->service().RetryInDoubt().ok());
   EXPECT_EQ(p0_->service().in_doubt_count(), 0u);
   EXPECT_EQ(p0_->service().txn_log().CountAppended(
                 TxnLog::RecordType::kCoordEnd),
@@ -185,7 +210,7 @@ TEST_F(TxnRecoveryTest, CrashBeforeCommitApplyRecoversViaInquiry) {
   ASSERT_TRUE(z_->Restart().ok());
   EXPECT_EQ(Count(z_), 4);
   EXPECT_EQ(z_->service().in_doubt_count(), 0u);
-  ASSERT_TRUE(p0_->service().RetryInDoubt(&net_.network()).ok());
+  ASSERT_TRUE(p0_->service().RetryInDoubt().ok());
   EXPECT_EQ(p0_->service().in_doubt_count(), 0u);
 }
 
@@ -197,8 +222,10 @@ TEST_F(TxnRecoveryTest, CrashAfterCommitLogReplaysWithoutInquiry) {
   EXPECT_EQ(Count(y_), 4);
   EXPECT_EQ(Count(z_), 3);  // decision durable, effects lost in the crash
 
-  // Replay alone re-applies COMMITTED-without-APPLIED; no transport needed.
-  ASSERT_TRUE(z_->service().Restart(nullptr).ok());
+  // Replay alone re-applies COMMITTED-without-APPLIED: z sends nothing.
+  const int64_t sent_before = net_.network().messages_sent();
+  ASSERT_TRUE(z_->Restart().ok());
+  EXPECT_EQ(net_.network().messages_sent(), sent_before);
   EXPECT_EQ(Count(z_), 4);
   EXPECT_EQ(z_->service().in_doubt_count(), 0u);
   EXPECT_EQ(z_->service().txn_log().CountAppended(
@@ -206,10 +233,10 @@ TEST_F(TxnRecoveryTest, CrashAfterCommitLogReplaysWithoutInquiry) {
             1u);
 
   // A second replay must not apply twice (kApplied seals the record).
-  ASSERT_TRUE(z_->service().Restart(nullptr).ok());
+  ASSERT_TRUE(z_->Restart().ok());
   EXPECT_EQ(Count(z_), 4);
 
-  ASSERT_TRUE(p0_->service().RetryInDoubt(&net_.network()).ok());
+  ASSERT_TRUE(p0_->service().RetryInDoubt().ok());
   EXPECT_EQ(Count(y_), 4);
   EXPECT_EQ(Count(z_), 4);
 }
@@ -217,15 +244,10 @@ TEST_F(TxnRecoveryTest, CrashAfterCommitLogReplaysWithoutInquiry) {
 // -- Coordinator crash matrix ----------------------------------------------
 
 TEST_F(TxnRecoveryTest, CoordinatorCrashAfterVotesPresumesAbort) {
-  soap::QueryId qid = MakeQueryId("coord-crash-1");
-  StageUpdates(qid);
-
-  TwoPhaseCommitOptions options;
-  options.journal = &p0_->service();
-  options.crash_point = TwoPhaseCommitOptions::CrashPoint::kAfterVotes;
-  auto outcome = RunTwoPhaseCommit(
-      &net_.network(), {y_->uri(), z_->uri()}, qid.id, options);
-  EXPECT_FALSE(outcome.ok());  // the driver died before deciding
+  p0_->InjectCrash(CrashPoint::kCoordAfterVotes);
+  auto report = Update();
+  EXPECT_FALSE(report.ok());  // the coordinator died before deciding
+  EXPECT_TRUE(p0_->crashed());
 
   // Both participants hold prepared, in-doubt transactions exempt from
   // expiry. The restarted coordinator has nothing on record, so their
@@ -241,15 +263,10 @@ TEST_F(TxnRecoveryTest, CoordinatorCrashAfterVotesPresumesAbort) {
 }
 
 TEST_F(TxnRecoveryTest, CoordinatorCrashAfterDecisionLogRedrivesCommit) {
-  soap::QueryId qid = MakeQueryId("coord-crash-2");
-  StageUpdates(qid);
-
-  TwoPhaseCommitOptions options;
-  options.journal = &p0_->service();
-  options.crash_point = TwoPhaseCommitOptions::CrashPoint::kAfterDecisionLog;
-  auto outcome = RunTwoPhaseCommit(
-      &net_.network(), {y_->uri(), z_->uri()}, qid.id, options);
-  EXPECT_FALSE(outcome.ok());  // died before sending any Commit
+  p0_->InjectCrash(CrashPoint::kCoordAfterDecisionLog);
+  auto report = Update();
+  EXPECT_FALSE(report.ok());  // died before sending any Commit
+  EXPECT_TRUE(p0_->crashed());
 
   // The decision survived in the coordinator's WAL; recovery re-drives
   // Commit to every logged participant (idempotently).
@@ -262,15 +279,42 @@ TEST_F(TxnRecoveryTest, CoordinatorCrashAfterDecisionLogRedrivesCommit) {
             1u);
 }
 
+TEST_F(TxnRecoveryTest, CoordinatorThatIsAlsoAParticipantAppliesItsPart) {
+  // y's function relays half of its update back to p0, so p0 both
+  // coordinates the transaction and participates in it. Its commit
+  // decision must not make its own participant role skip the apply.
+  constexpr char kRelayModule[] = R"(
+    module namespace relay = "relay";
+    declare updating function relay:add($name as xs:string)
+    { insert nodes <film><name>{$name}</name><actor>R</actor></film>
+      into doc("filmDB.xml")/films };
+    declare updating function relay:addHereAndAtP0($name as xs:string)
+    { (relay:add($name),
+       execute at {"xrpc://p0.example.org"} {relay:add($name)}) };
+  )";
+  ASSERT_TRUE(p0_->AddDocument("filmDB.xml", kFilmDb).ok());
+  for (Peer* p : {p0_, y_}) {
+    ASSERT_TRUE(p->RegisterModule(kRelayModule, "relay.xq").ok());
+  }
+  auto report = net_.Execute("p0.example.org", R"(
+    declare option xrpc:isolation "repeatable";
+    import module namespace r="relay" at "relay.xq";
+    execute at {"xrpc://y.example.org"} {r:addHereAndAtP0("C")})");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->committed) << report->abort_reason;
+  EXPECT_EQ(report->participants.count(p0_->uri()), 1u);
+  EXPECT_EQ(Count(y_), 4);
+  EXPECT_EQ(Count(p0_), 4);
+  EXPECT_EQ(p0_->service().isolation().active_sessions(), 0u);
+  EXPECT_EQ(p0_->service().in_doubt_count(), 0u);
+}
+
 // -- Idempotency and in-doubt behavior -------------------------------------
 
 TEST_F(TxnRecoveryTest, RedeliveredVerbsAnswerIdempotently) {
   soap::QueryId qid = MakeQueryId("idem-1");
   StageUpdates(qid);
-  TwoPhaseCommitOptions options;
-  options.journal = &p0_->service();
-  auto outcome = RunTwoPhaseCommit(
-      &net_.network(), {y_->uri(), z_->uri()}, qid.id, options);
+  auto outcome = p0_->service().Commit({y_->uri(), z_->uri()}, qid.id);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->committed);
   EXPECT_EQ(Count(y_), 4);
@@ -330,21 +374,28 @@ class CommitDropTransport : public net::Transport {
 };
 
 TEST_F(TxnRecoveryTest, CommitRetryDrainsTransientFailure) {
-  soap::QueryId qid = MakeQueryId("retry-1");
-  StageUpdates(qid);
-
-  // The first two Commits toward z vanish; the bounded retry loop keeps
-  // re-sending (advancing backoff) until the third lands.
+  // A coordinator service built by hand, whose one outbound transport
+  // retries (bounded backoff) over a link that loses the first two Commits
+  // toward z: the transport keeps re-sending until the third lands, and
+  // the coordinator reports the retransmissions.
+  server::Database db;
+  server::ModuleRegistry registry;
+  server::InterpreterEngine engine;
   CommitDropTransport flaky(&net_.network(), "z.example.org", 2);
   int64_t slept_us = 0;
-  TwoPhaseCommitOptions options;
-  options.journal = &p0_->service();
-  options.commit_retry =
-      net::RetryPolicy{.max_attempts = 4, .initial_backoff_us = 100};
-  options.sleep = [&slept_us](int64_t us) { slept_us += us; };
-  options.metrics = &net_.metrics();
-  auto outcome = RunTwoPhaseCommit(&flaky, {y_->uri(), z_->uri()}, qid.id,
-                                   options);
+  net::RetryingTransport outgoing(
+      &flaky, net::RetryPolicy{.max_attempts = 4, .initial_backoff_us = 100},
+      &net_.metrics(), [&slept_us](int64_t us) { slept_us += us; });
+  server::XrpcService coordinator({"xrpc://coord.example.org"}, &db,
+                                  &registry, &engine, &outgoing);
+  coordinator.set_metrics(&net_.metrics());
+  net_.network().RegisterPeer(
+      net::ParseXrpcUri("xrpc://coord.example.org").value(), &coordinator);
+
+  soap::QueryId qid = MakeQueryId("retry-1");
+  qid.host = "xrpc://coord.example.org";
+  StageUpdates(qid);
+  auto outcome = coordinator.Commit({y_->uri(), z_->uri()}, qid.id);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->committed);
   EXPECT_TRUE(outcome->in_doubt.empty());
@@ -353,7 +404,25 @@ TEST_F(TxnRecoveryTest, CommitRetryDrainsTransientFailure) {
   EXPECT_EQ(Count(y_), 4);
   EXPECT_EQ(Count(z_), 4);
   EXPECT_GE(net_.metrics().Get(net::Metric::kTxnCommitRetries), 2);
-  EXPECT_EQ(p0_->service().in_doubt_count(), 0u);
+  EXPECT_EQ(coordinator.in_doubt_count(), 0u);
+}
+
+TEST_F(TxnRecoveryTest, LostPrepareIsRetriedUnderTheRetryPolicy) {
+  // The first Prepare toward z is lost in transit. Prepare is idempotent
+  // at the participant, so the network's retry policy re-sends it like a
+  // read, and the transaction commits instead of aborting.
+  net_.set_retry_policy({.max_attempts = 2});
+  VerbDropEndpoint lossy(&z_->service(), "prepare", 1);
+  net_.network().RegisterPeer(net::ParseXrpcUri(z_->uri()).value(), &lossy);
+
+  auto report = Update();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->committed) << report->abort_reason;
+  EXPECT_TRUE(report->in_doubt.empty());
+  EXPECT_EQ(lossy.remaining(), 0);  // the drop did happen
+  EXPECT_EQ(net_.metrics().Get(net::Metric::kRetries, z_->uri()), 1);
+  EXPECT_EQ(Count(y_), 4);
+  EXPECT_EQ(Count(z_), 4);
 }
 
 TEST_F(TxnRecoveryTest, PreparedSessionSurvivesExpiry) {
@@ -470,17 +539,23 @@ TEST(ShardedRecoveryTest, PartitionDuringCommitHealsViaRepair) {
   ASSERT_TRUE(client.ExecuteBulk(primary, req).ok());
   ASSERT_TRUE(client.ExecuteBulk(replica, req).ok());
 
+  auto peer_of = [&](const std::string& uri) {
+    return net.GetPeer(uri.substr(std::string("xrpc://").size()));
+  };
+  Peer* primary_peer = peer_of(primary);
+  Peer* replica_peer = peer_of(replica);
+  ASSERT_NE(primary_peer, nullptr);
+  ASSERT_NE(replica_peer, nullptr);
+
   // Phase 2 partition: every Commit toward the replica vanishes; the
-  // bounded retry exhausts and parks the participant in doubt.
-  CommitDropTransport flaky(&net.network(), replica, /*failures=*/1000);
-  int64_t slept_us = 0;
-  TwoPhaseCommitOptions options;
-  options.journal = &p0->service();
-  options.commit_retry =
-      net::RetryPolicy{.max_attempts = 2, .initial_backoff_us = 100};
-  options.sleep = [&slept_us](int64_t us) { slept_us += us; };
-  auto outcome =
-      RunTwoPhaseCommit(&flaky, {primary, replica}, qid.id, options);
+  // retrying transport exhausts its attempts and the coordinator parks
+  // the participant in doubt.
+  net.set_retry_policy({.max_attempts = 2, .initial_backoff_us = 100});
+  VerbDropEndpoint partitioned(&replica_peer->service(), "commit",
+                               /*count=*/1000);
+  net.network().RegisterPeer(net::ParseXrpcUri(replica).value(),
+                             &partitioned);
+  auto outcome = p0->service().Commit({primary, replica}, qid.id);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->committed);
   ASSERT_EQ(outcome->in_doubt.size(), 1u);
@@ -493,13 +568,6 @@ TEST(ShardedRecoveryTest, PartitionDuringCommitHealsViaRepair) {
   }
   EXPECT_EQ(net.catalog().FragmentDataVersion("auctions.xml", 0), 1u);
 
-  auto peer_of = [&](const std::string& uri) {
-    return net.GetPeer(uri.substr(std::string("xrpc://").size()));
-  };
-  Peer* primary_peer = peer_of(primary);
-  Peer* replica_peer = peer_of(replica);
-  ASSERT_NE(primary_peer, nullptr);
-  ASSERT_NE(replica_peer, nullptr);
   auto frag_bytes = [&](Peer* p) {
     auto d = p->database().GetDocument(frag);
     if (!d.ok()) return std::string("<missing>");
@@ -512,6 +580,7 @@ TEST(ShardedRecoveryTest, PartitionDuringCommitHealsViaRepair) {
   EXPECT_NE(frag_bytes(primary_peer), frag_bytes(replica_peer));
 
   // Heal: the replica repairs over the (no longer partitioned) network.
+  replica_peer->Reconnect();
   ASSERT_TRUE(replica_peer->Repair().ok());
   EXPECT_EQ(replica_peer->database().AppliedDataVersion(frag), 1u);
   EXPECT_EQ(frag_bytes(replica_peer), frag_bytes(primary_peer));
@@ -520,7 +589,7 @@ TEST(ShardedRecoveryTest, PartitionDuringCommitHealsViaRepair) {
 
   // The coordinator drains its parked participant with an idempotent
   // commit retry; the replica must not apply a second time.
-  ASSERT_TRUE(p0->service().RetryInDoubt(&net.network()).ok());
+  ASSERT_TRUE(p0->service().RetryInDoubt().ok());
   EXPECT_EQ(p0->service().in_doubt_count(), 0u);
   EXPECT_EQ(frag_bytes(replica_peer), frag_bytes(primary_peer));
 }

@@ -9,9 +9,9 @@
 #     (fails on any unexplained divergence, repro files landing in $OUT,
 #     and on any read-only query the relational engine leaves to the
 #     interpreter);
-#  3. a fixed-seed 400-schedule fault exploration asserting the four 2PC
-#     invariants (at-most-once, all-or-nothing, no in-doubt leaks,
-#     serial equivalence);
+#  3. a 400-schedule fault exploration at seeds 1-3 (file-backed WALs
+#     included) asserting the four 2PC invariants (at-most-once,
+#     all-or-nothing, no in-doubt leaks, serial equivalence);
 #  4. a membership-chaos smoke at seeds 1-3: the full 384-cell grid plus a
 #     sampled tail, so every seed runs writes (an all-copies 2PC update
 #     mid-workload) and membership changes (kills, revives, joins,
@@ -37,8 +37,10 @@ cmake --build "$BUILD" -j --target \
 (cd "$BUILD" && ctest --output-on-failure -L fuzz -j"$(nproc)")
 
 "$BUILD/tools/fuzz_differential" --seed 1 --count 200 --out-dir "$OUT"
-"$BUILD/tools/fuzz_schedules" --seed 1 --count 400 --out-dir "$OUT" \
-    --wal-dir "$OUT"
+for seed in 1 2 3; do
+  "$BUILD/tools/fuzz_schedules" --seed "$seed" --count 400 --out-dir "$OUT" \
+      --wal-dir "$OUT"
+done
 for seed in 1 2 3; do
   "$BUILD/tools/fuzz_schedules" --chaos --seed "$seed" --count 400 \
       --out-dir "$OUT"

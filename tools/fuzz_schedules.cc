@@ -119,9 +119,10 @@ int Drive(const char* mode, const char* prefix, Config config, bool sabotage,
 
 void PrintScheduleStats(const ScheduleStats& s) {
   std::printf("explored=%" PRId64 " committed=%" PRId64 " aborted=%" PRId64
-              " in_doubt_seen=%" PRId64 " violations=%" PRId64 "\n",
+              " in_doubt_seen=%" PRId64 " coord_crashes=%" PRId64
+              " violations=%" PRId64 "\n",
               s.explored, s.committed, s.aborted, s.in_doubt_seen,
-              s.violations);
+              s.coord_crashes, s.violations);
 }
 
 void PrintChaosStats(const ChaosStats& s) {
