@@ -1,16 +1,20 @@
 // Microbenchmarks (google-benchmark) for the substrate operations whose
 // costs dominate the paper's experiments: XML parsing (treebuild),
-// serialization, shredding, SOAP marshaling, bulk request encoding, and the
-// encode/decode of a large shipped response.
+// serialization, shredding, SOAP marshaling, bulk request encoding, the
+// encode/decode of a large shipped response, and the descendant-path
+// probes of a shard's point read and ship call.
 
 #include <benchmark/benchmark.h>
 
+#include "core/peer_network.h"
 #include "shred/shredded_doc.h"
 #include "soap/message.h"
 #include "xmark/xmark.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
+#include "xquery/functions.h"
 #include "xquery/interpreter.h"
+#include "xquery/normalize.h"
 #include "xquery/parser.h"
 
 namespace {
@@ -172,6 +176,126 @@ void BM_BulkRequestDecode(benchmark::State& state) {
                           static_cast<int64_t>(wire.size()));
 }
 BENCHMARK(BM_BulkRequestDecode)->Arg(1)->Arg(100)->Arg(1000);
+
+// ---- Descendant-path probes (DESIGN.md §6). One shard's auctions.xml of
+// the ship and point_mix workloads: 500 closed auctions.
+
+std::string ProbeAuctions() {
+  xrpc::xmark::XmarkConfig cfg;
+  cfg.num_closed_auctions = 500;
+  return xrpc::xmark::GenerateAuctions(cfg);
+}
+
+// Queries through PeerNetwork::Execute, which normalizes paths: `//` as
+// b:Q_B1 and b:Q_B3 write it, the `descendant::` form it becomes, and a
+// predicate that keeps the per-parent plan because it is positional.
+const char* const kPathProbes[] = {
+    "doc(\"auctions.xml\")//closed_auction",
+    "doc(\"auctions.xml\")/descendant::closed_auction",
+    "for $p in (\"person3\") return "
+    "doc(\"auctions.xml\")//closed_auction[./buyer/@person=$p]",
+    "doc(\"auctions.xml\")//closed_auction[1]",
+};
+
+void BM_PathProbe(benchmark::State& state) {
+  const bool relational = state.range(0) == 0;
+  const char* query = kPathProbes[state.range(1)];
+  xrpc::core::PeerNetwork net;
+  xrpc::core::Peer* p0 =
+      net.AddPeer("p0", relational ? xrpc::core::EngineKind::kRelational
+                                   : xrpc::core::EngineKind::kInterpreter);
+  (void)p0->AddDocument("auctions.xml", ProbeAuctions());
+  for (auto _ : state) {
+    auto report = net.Execute("p0", query);
+    if (!report.ok() || report->fell_back) {
+      state.SkipWithError("probe query failed or fell back");
+      break;
+    }
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetLabel(std::string(relational ? "relational: " : "interpreter: ") +
+                 query);
+}
+BENCHMARK(BM_PathProbe)
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}})
+    ->Unit(benchmark::kMicrosecond);
+
+// The server side of semijoin's Bulk RPC on an interpreter shard: one
+// b:Q_B3 request of 62 calls. The path memo and join index turn the calls
+// into one candidate scan plus 62 probes; without them every call
+// re-filters the shard.
+void BM_InterpreterBulkQB3(benchmark::State& state) {
+  class Docs : public xrpc::xquery::DocumentProvider {
+   public:
+    Docs() : doc_(xrpc::xml::ParseXml(ProbeAuctions()).value()) {}
+    xrpc::StatusOr<xrpc::xml::NodePtr> GetDocument(
+        const std::string&) override {
+      return doc_;
+    }
+
+   private:
+    xrpc::xml::NodePtr doc_;
+  } docs;
+  auto module = xrpc::xquery::ParseLibraryModule(
+                    xrpc::xmark::FunctionsBModuleSource("xrpc://A"))
+                    .value();
+  xrpc::xquery::NormalizePaths(&module);
+  const xrpc::xquery::FunctionDef* q_b3 = module.FindFunction(
+      xrpc::xml::QName("functions_b", "Q_B3"), 1);
+  std::vector<std::vector<Sequence>> calls;
+  for (int i = 0; i < 62; ++i) {
+    calls.push_back(
+        {Sequence{Item(AtomicValue::String("person" + std::to_string(i)))}});
+  }
+  xrpc::xquery::Interpreter interp({.documents = &docs});
+  for (auto _ : state) {
+    auto results = interp.CallModuleFunction(module, *q_b3, calls);
+    benchmark::DoNotOptimize(results);
+  }
+}
+BENCHMARK(BM_InterpreterBulkQB3)->Unit(benchmark::kMicrosecond);
+
+// The bare walk `descendant-or-self::node()` over the probe document:
+// arg 0 is the shared DOM walk (xquery::CollectAxis) alone, 1 and 2 the
+// same step as a query on the relational and the interpreter engine.
+// items_per_second counts visited nodes, so its inverse is the per-node
+// cost.
+void BM_DescendantOrSelfWalk(benchmark::State& state) {
+  const std::string text = ProbeAuctions();
+  auto doc = xrpc::xml::ParseXml(text).value();
+  xrpc::xquery::NodeTest any;
+  any.kind = xrpc::xquery::NodeTest::Kind::kAnyKind;
+  Sequence nodes;
+  xrpc::xquery::CollectAxis(Item::NodeInTree(doc.get(), doc),
+                            xrpc::xquery::Axis::kDescendantOrSelf, any,
+                            &nodes);
+  const int64_t num_nodes = static_cast<int64_t>(nodes.size());
+  xrpc::core::PeerNetwork net;
+  (void)net.AddPeer("rel", xrpc::core::EngineKind::kRelational)
+      ->AddDocument("auctions.xml", text);
+  (void)net.AddPeer("int", xrpc::core::EngineKind::kInterpreter)
+      ->AddDocument("auctions.xml", text);
+  const char* query = "doc(\"auctions.xml\")/descendant-or-self::node()";
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      Sequence out;
+      xrpc::xquery::CollectAxis(Item::NodeInTree(doc.get(), doc),
+                                xrpc::xquery::Axis::kDescendantOrSelf, any,
+                                &out);
+      benchmark::DoNotOptimize(out);
+    } else {
+      auto report = net.Execute(state.range(0) == 1 ? "rel" : "int", query);
+      benchmark::DoNotOptimize(report);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * num_nodes);
+  state.SetLabel(std::to_string(num_nodes) + " nodes");
+}
+BENCHMARK(BM_DescendantOrSelfWalk)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_QueryParse(benchmark::State& state) {
   std::string module = xrpc::xmark::FunctionsBModuleSource("xrpc://A");

@@ -300,13 +300,18 @@ bool SortedByIterPos(const Table& t) {
   return true;
 }
 
+/// SortIPI of a table the caller gives up: moves it through if sorted.
+Table SortIPI(Table&& t) {
+  return SortedByIterPos(t) ? std::move(t) : SortIPI(std::as_const(t));
+}
+
 /// Consumes an iter|pos|item table one iteration at a time, each
 /// iteration's items in pos order, moving them out of the table. Visiting
 /// iterations in ascending order (as loops are) walks the table once.
 class IterCursor {
  public:
   explicit IterCursor(Table t)
-      : table_(SortedByIterPos(t) ? std::move(t) : SortIPI(t)) {}
+      : table_(SortIPI(std::move(t))) {}
 
   /// Replaces `out` with the items of iteration `iter`.
   void Take(int64_t iter, Sequence* out) {
@@ -372,7 +377,7 @@ class LoopLiftedEvaluator::Impl {
       env_.emplace_back(name.Clark(), std::move(v));
     }
     XRPC_ASSIGN_OR_RETURN(Table result, Eval(*query.body, loop));
-    return TableToSequence(SortIPI(result), 1);
+    return TableToSequence(SortIPI(std::move(result)), 1);
   }
 
   StatusOr<Table> EvaluateFunctionBulk(const xquery::LibraryModule& module,
@@ -399,7 +404,7 @@ class LoopLiftedEvaluator::Impl {
     env_.resize(env_mark);
     scopes_.pop_back();
     if (!result.ok()) return result.status();
-    return SortIPI(result.value());
+    return SortIPI(std::move(result).value());
   }
 
   const std::vector<BulkRpcTrace>& traces() const { return traces_; }
@@ -1242,7 +1247,7 @@ class LoopLiftedEvaluator::Impl {
         return Status::TypeError("path step applied to an atomic value");
       }
       nodes.clear();
-      CollectAxis(item, step, &nodes);
+      xquery::CollectAxis(item, step.axis, step.test, &nodes);
       // Per-context-node predicate application (with focus).
       if (!step.predicates.empty()) {
         XRPC_ASSIGN_OR_RETURN(
@@ -1252,7 +1257,7 @@ class LoopLiftedEvaluator::Impl {
       }
       for (size_t k = 0; k < nodes.size(); ++k) {
         expanded.AppendIPI(input.Iter(i), static_cast<int64_t>(k + 1),
-                           nodes[k]);
+                           std::move(nodes[k]));
       }
     }
     if (single_row_iters && SortedByIter(expanded) &&
@@ -1260,48 +1265,6 @@ class LoopLiftedEvaluator::Impl {
       return expanded;  // already per-iter document order, duplicate-free
     }
     return DocOrderPerIter(expanded);
-  }
-
-  /// Axis navigation: the descendant axes go through the shredded
-  /// pre/size/level tables (staircase scans); the remaining axes use the
-  /// DOM pointers. A child step reads only the node's own children, so
-  /// shredding (and caching) the whole tree for it would cost more than
-  /// it saves — and would retain every result tree p0 ever navigates.
-  void CollectAxis(const Item& item, const PathStep& step, Sequence* out) {
-    Node* n = item.node();
-    const NodePtr& anchor = item.anchor();
-    const NodeTest& test = step.test;
-
-    auto name_test_only = test.kind == NodeTest::Kind::kName && !test.wildcard;
-
-    if ((step.axis == Axis::kDescendant ||
-         step.axis == Axis::kDescendantOrSelf) &&
-        (name_test_only || (test.kind == NodeTest::Kind::kName && test.wildcard) ||
-         test.kind == NodeTest::Kind::kElement) &&
-        cfg_.shreds != nullptr) {
-      // Shredded fast path (elements only — which is what a name test
-      // selects on these axes).
-      auto shredded = cfg_.shreds->GetOrShred(
-          n->Root() == anchor.get() ? anchor : n->Root()->shared_from_this());
-      int32_t pre = shredded->PreOf(n);
-      if (pre >= 0) {
-        int32_t name_id = name_test_only ? shredded->NameId(test.name) : -1;
-        if (name_test_only && name_id < 0) return;  // name never occurs
-        std::vector<int32_t> pres = shredded->DescendantElements(pre, name_id);
-        if (step.axis == Axis::kDescendantOrSelf) {
-          const auto& row = shredded->Row(pre);
-          bool self_matches = row.kind == NodeKind::kElement &&
-                              (name_id < 0 || row.name_id == name_id);
-          if (self_matches) pres.insert(pres.begin(), pre);
-        }
-        for (int32_t p : pres) {
-          out->push_back(Item::NodeInTree(shredded->Row(p).dom, anchor));
-        }
-        return;
-      }
-    }
-
-    xquery::CollectAxis(item, step.axis, test, out);
   }
 
   /// Applies predicates to a candidate node list by loop-lifting the

@@ -9,7 +9,6 @@
 #include "base/cancellation.h"
 #include "base/statusor.h"
 #include "server/rpc_client.h"
-#include "shred/shredded_doc.h"
 #include "xquery/context.h"
 #include "xquery/module.h"
 
@@ -35,7 +34,6 @@ struct LoopLiftConfig {
   xquery::DocumentProvider* documents = nullptr;
   xquery::ModuleResolver* modules = nullptr;
   server::RpcClient* rpc = nullptr;  ///< routes and sends `execute at`
-  shred::ShredCache* shreds = nullptr;  ///< required
   int max_inline_depth = 128;
   bool trace_bulk_rpc = false;  ///< capture Figure 1 tables
   /// Ablation toggles (benchmarking the design choices; leave on).

@@ -59,7 +59,6 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
   config.documents = context.documents;
   config.modules = context.modules;
   config.rpc = context.rpc;
-  config.shreds = &shreds_;
   config.cancel = context.cancel;
   LoopLiftedEvaluator evaluator(config);
   XRPC_ASSIGN_OR_RETURN(
@@ -72,7 +71,7 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
     if (iter < 1 || iter > num_calls) {
       return Status::Internal("bulk result iteration out of range");
     }
-    out[static_cast<size_t>(iter - 1)].push_back(result.ItemAt(i));
+    out[static_cast<size_t>(iter - 1)].push_back(result.TakeItemAt(i));
   }
   return out;
 }

@@ -52,6 +52,8 @@ class RelationalEngine : public server::ExecutionEngine {
   int64_t interpreter_fallbacks() const {
     return interpreter_fallbacks_.load();
   }
+  /// No engine path fills this cache: descendant steps walk the
+  /// DOM (DESIGN.md §6). It stays readable for tools that report its size.
   shred::ShredCache& shred_cache() { return shreds_; }
 
  private:

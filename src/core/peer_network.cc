@@ -9,6 +9,7 @@
 #include "server/remote_docs.h"
 #include "server/wsat.h"
 #include "xquery/interpreter.h"
+#include "xquery/normalize.h"
 #include "xquery/parser.h"
 
 namespace xrpc::core {
@@ -201,12 +202,19 @@ Peer* PeerNetwork::GetPeer(const std::string& name) {
 StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
                                                const std::string& query_text,
                                                const ExecuteOptions& options) {
+  XRPC_ASSIGN_OR_RETURN(xquery::MainModule query,
+                        xquery::ParseMainModule(query_text));
+  xquery::NormalizePaths(&query);
+  return Execute(peer_name, query, options);
+}
+
+StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
+                                               const xquery::MainModule& query,
+                                               const ExecuteOptions& options) {
   Peer* p0 = GetPeer(peer_name);
   if (p0 == nullptr) {
     return Status::NotFound("no peer named " + peer_name);
   }
-  XRPC_ASSIGN_OR_RETURN(xquery::MainModule query,
-                        xquery::ParseMainModule(query_text));
 
   // Query-level options (Section 2.2).
   bool repeatable = false;
@@ -290,7 +298,6 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
     cfg.documents = &docs;
     cfg.modules = &p0->registry_;
     cfg.rpc = &client;
-    cfg.shreds = &p0->relational_->shred_cache();
     cfg.trace_bulk_rpc = options.trace_bulk_rpc;
     cfg.enable_hoisting = !options.disable_hoisting;
     cfg.enable_join_rewrite = !options.disable_join_rewrite;

@@ -222,12 +222,18 @@ class PeerNetwork {
   bool parallel_dispatch_enabled() const { return dispatch_pool_ != nullptr; }
 
   /// Runs `query_text` with peer `peer_name` in the p0 role: parses it,
-  /// honors its declare option xrpc:isolation / xrpc:timeout, executes it
-  /// on the peer's engine with loop-lifted Bulk RPC dispatch (relational
-  /// peers), and — for updating queries under repeatable isolation —
-  /// coordinates the WS-AT two-phase commit across all participants.
+  /// normalizes its paths (xquery/normalize.h), honors its declare option
+  /// xrpc:isolation / xrpc:timeout, executes it on the peer's engine with
+  /// loop-lifted Bulk RPC dispatch (relational peers), and — for updating
+  /// queries under repeatable isolation — coordinates the WS-AT two-phase
+  /// commit across all participants.
   StatusOr<ExecutionReport> Execute(const std::string& peer_name,
                                     const std::string& query_text,
+                                    const ExecuteOptions& options = {});
+  /// Runs an already parsed query as given, without normalizing it: the
+  /// differential harness runs the raw tree as the oracle of that rewrite.
+  StatusOr<ExecutionReport> Execute(const std::string& peer_name,
+                                    const xquery::MainModule& query,
                                     const ExecuteOptions& options = {});
 
  private:

@@ -8,6 +8,7 @@
 #include "xmark/shard_loader.h"
 #include "xmark/xmark.h"
 #include "xml/serializer.h"
+#include "xquery/parser.h"
 
 namespace xrpc::fuzz {
 
@@ -27,6 +28,16 @@ std::string CanonicalAtomic(const xdm::AtomicValue& v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", d);
   return buf;
+}
+
+/// Renders one execution as the harness compares it: the normalized
+/// result, or "ERROR: ..." with `*ok` false.
+std::string Render(const StatusOr<core::ExecutionReport>& report, bool* ok,
+                   bool* fell_back) {
+  *ok = report.ok();
+  if (!report.ok()) return "ERROR: " + report.status().ToString();
+  if (fell_back != nullptr) *fell_back = report->fell_back;
+  return NormalizeSequence(report->result);
 }
 
 }  // namespace
@@ -109,19 +120,6 @@ void DifferentialHarness::BuildFixtures() {
   interpreter_net_ = build(core::EngineKind::kInterpreter);
 }
 
-std::string DifferentialHarness::RunOn(core::PeerNetwork* net,
-                                       const std::string& query, bool* ok,
-                                       bool* fell_back) {
-  auto report = net->Execute("p0", query);
-  if (!report.ok()) {
-    *ok = false;
-    return "ERROR: " + report.status().ToString();
-  }
-  *ok = true;
-  if (fell_back != nullptr) *fell_back = report->fell_back;
-  return NormalizeSequence(report->result);
-}
-
 std::string DifferentialHarness::CaptureState(core::PeerNetwork* net) {
   std::string out;
   for (const char* peer_name : {"p0", "B"}) {
@@ -147,16 +145,25 @@ Comparison DifferentialHarness::Run(const std::string& query_text,
     return c;
   }
 
-  c.relational_result = RunOn(relational_net_.get(), query_text,
+  c.relational_result = Render(relational_net_->Execute("p0", query_text),
                               &c.relational_ok, &c.fell_back);
-  c.interpreter_result =
-      RunOn(interpreter_net_.get(), query_text, &c.interpreter_ok, nullptr);
+  c.interpreter_result = Render(interpreter_net_->Execute("p0", query_text),
+                                &c.interpreter_ok, nullptr);
   if (updating) {
     c.relational_state = CaptureState(relational_net_.get());
     c.interpreter_state = CaptureState(interpreter_net_.get());
     // Every updating query may have touched documents: restore pristine
     // fixtures for the next query (both networks, keeping them identical).
     BuildFixtures();
+  } else {
+    auto raw = xquery::ParseMainModule(query_text);
+    bool raw_ok = false;
+    c.raw_result =
+        raw.ok() ? Render(interpreter_net_->Execute("p0", raw.value()),
+                          &raw_ok, nullptr)
+                 : "ERROR: " + raw.status().ToString();
+    c.raw_mismatch = raw_ok != c.interpreter_ok ||
+                     (raw_ok && c.raw_result != c.interpreter_result);
   }
 
   if (c.relational_ok != c.interpreter_ok) {
@@ -168,6 +175,7 @@ Comparison DifferentialHarness::Run(const std::string& query_text,
     c.agree = c.relational_result == c.interpreter_result &&
               c.relational_state == c.interpreter_state;
   }
+  if (c.raw_mismatch) c.agree = false;
   if (config_.force_divergence && c.agree && c.relational_ok &&
       !c.relational_result.empty()) {
     c.agree = false;  // self-test of the minimize/repro pipeline
@@ -194,6 +202,7 @@ bool DifferentialHarness::RunAndMinimize(GeneratedQuery* query,
     return false;
   }
   ++stats_.diverged;
+  if (c.raw_mismatch) ++stats_.raw_mismatch;
 
   // Hierarchical minimization: repeatedly collapse any reducible subtree
   // whose removal preserves the divergence, until a fixpoint.

@@ -22,6 +22,11 @@ struct Comparison {
   bool fell_back = false;    ///< relational p0 fell back to the interpreter
   std::string relational_result;   ///< normalized result (or error text)
   std::string interpreter_result;  ///< normalized result (or error text)
+  /// Read-only queries: the interpreter's answer to the raw parse, which
+  /// skips path normalization (xquery/normalize.h). Both engines above see
+  /// the normalized tree, so only this catches a wrong rewrite.
+  std::string raw_result;
+  bool raw_mismatch = false;  ///< raw_result differs from the normalized
   /// For updating queries: normalized post-state of every document on every
   /// peer, per engine.
   std::string relational_state;
@@ -43,6 +48,8 @@ struct DiffStats {
   /// path (the interpreter) by design.
   int64_t fell_back_update = 0;
   int64_t updating = 0;
+  /// Divergences where the raw tree disagreed with the normalized one.
+  int64_t raw_mismatch = 0;
 };
 
 /// A divergence found by the harness, after minimization.
@@ -78,7 +85,9 @@ struct DifferentialConfig {
 /// Runs one query through two identically provisioned peer networks — one
 /// whose peers run the loop-lifted relational engine, one whose peers run
 /// the tree-walking interpreter — and compares sequence-normalized results
-/// (and, for updating queries, final document state).
+/// (and, for updating queries, final document state). A read-only query
+/// also runs un-normalized on the interpreter network; a different answer
+/// there is a divergence too.
 ///
 /// Normalization rules (documented in DESIGN.md §11):
 ///  - items are rendered space-separated (xdm::SequenceToString) with
@@ -111,9 +120,6 @@ class DifferentialHarness {
 
  private:
   void BuildFixtures();
-  /// Evaluates on one network; returns the normalized result string.
-  std::string RunOn(core::PeerNetwork* net, const std::string& query,
-                    bool* ok, bool* fell_back);
   std::string CaptureState(core::PeerNetwork* net);
 
   DifferentialConfig config_;

@@ -46,8 +46,9 @@ int64_t RetryingTransport::BackoffMicros(int retry) {
   return std::max<int64_t>(0, static_cast<int64_t>(base));
 }
 
-StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
-                                             const std::string& body) {
+StatusOr<PostResult> RetryingTransport::PostWithRetries(
+    const std::string& dest_uri, const std::string& body, int* retries) {
+  *retries = 0;
   const bool updating = IsUpdatingEnvelope(body);
   // Breaker state and metric rows belong to the destination peer, whatever
   // endpoint path (XRPC or WS-AT) the envelope addresses.
@@ -106,6 +107,7 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
     }
 
     auto result = inner_->Post(dest_uri, body);
+    *retries = attempt - 1;
 
     bool timed_out = false;
     if (result.ok() && effective_timeout_us > 0 &&
@@ -131,7 +133,6 @@ StatusOr<PostResult> RetryingTransport::Post(const std::string& dest_uri,
     if (result.ok()) {
       if (breaker_ != nullptr) breaker_->RecordSuccess(peer);
       result->network_micros += backoff_total;
-      result->retries = attempt - 1;
       if (metrics_) {
         metrics_->RecordExchange(peer, body.size(), result->body.size(),
                                  result->network_micros, /*ok=*/true);

@@ -91,7 +91,13 @@ class RetryingTransport : public Transport {
         prng_(jitter_seed) {}
 
   StatusOr<PostResult> Post(const std::string& dest_uri,
-                            const std::string& body) override;
+                            const std::string& body) override {
+    int retries = 0;
+    return PostWithRetries(dest_uri, body, &retries);
+  }
+  StatusOr<PostResult> PostWithRetries(const std::string& dest_uri,
+                                       const std::string& body,
+                                       int* retries) override;
 
   /// Forwarded to the wrapped transport (parallel fan-out bracketing).
   void BeginParallelGroup() override { inner_->BeginParallelGroup(); }

@@ -13,7 +13,6 @@ struct PostResult {
   std::string body;           ///< response entity body (a SOAP envelope)
   int64_t network_micros = 0; ///< modeled wire time (simulated transports)
   int64_t server_micros = 0;  ///< measured handler time at the destination
-  int retries = 0;            ///< re-sends a retrying decorator made first
 };
 
 /// Abstract request/response transport carrying SOAP messages over HTTP
@@ -29,6 +28,16 @@ class Transport {
   /// 200 responses and are decoded by the SOAP layer.
   virtual StatusOr<PostResult> Post(const std::string& dest_uri,
                                     const std::string& body) = 0;
+
+  /// Post that also reports in `*retries` how many re-sends a retrying
+  /// decorator made, whether the exchange succeeded or not. A plain
+  /// transport makes none.
+  virtual StatusOr<PostResult> PostWithRetries(const std::string& dest_uri,
+                                               const std::string& body,
+                                               int* retries) {
+    *retries = 0;
+    return Post(dest_uri, body);
+  }
 
   /// Brackets a group of Posts that are LOGICALLY CONCURRENT (one
   /// multi-destination fan-out). Real transports ignore this — genuine

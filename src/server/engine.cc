@@ -2,6 +2,7 @@
 
 #include "server/rpc_client.h"
 #include "xquery/interpreter.h"
+#include "xquery/normalize.h"
 #include "xquery/parser.h"
 
 namespace xrpc::server {
@@ -18,6 +19,7 @@ StatusOr<RequestFunction> ResolveRequestFunction(
                           registry->SourceOf(request.module_ns));
     XRPC_ASSIGN_OR_RETURN(xquery::LibraryModule parsed,
                           xquery::ParseLibraryModule(*source));
+    xquery::NormalizePaths(&parsed);
     out.reparsed =
         std::make_unique<xquery::LibraryModule>(std::move(parsed));
     out.module = out.reparsed.get();

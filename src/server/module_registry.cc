@@ -1,5 +1,6 @@
 #include "server/module_registry.h"
 
+#include "xquery/normalize.h"
 #include "xquery/parser.h"
 
 namespace xrpc::server {
@@ -8,6 +9,7 @@ Status ModuleRegistry::RegisterModule(std::string_view source_text,
                                       const std::string& location) {
   XRPC_ASSIGN_OR_RETURN(xquery::LibraryModule parsed,
                         xquery::ParseLibraryModule(source_text));
+  xquery::NormalizePaths(&parsed);
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = modules_[parsed.target_ns];
   e.module = std::make_unique<xquery::LibraryModule>(std::move(parsed));

@@ -296,11 +296,12 @@ StatusOr<WsatMessage> SendWsatEnvelope(net::Transport* transport,
   // Route to the peer's WS-AT endpoint path.
   XRPC_ASSIGN_OR_RETURN(net::XrpcUri uri, net::ParseXrpcUri(participant));
   uri.path = kWsatPath;
-  XRPC_ASSIGN_OR_RETURN(
-      net::PostResult result,
-      transport->Post(uri.ToString(), SerializeWsatRequest(request)));
-  if (retries != nullptr) *retries = result.retries;
-  return ParseWsatMessage(result.body);
+  int resent = 0;
+  auto result = transport->PostWithRetries(
+      uri.ToString(), SerializeWsatRequest(request), &resent);
+  if (retries != nullptr) *retries = resent;
+  XRPC_RETURN_IF_ERROR(result.status());
+  return ParseWsatMessage(result->body);
 }
 
 }  // namespace xrpc::server

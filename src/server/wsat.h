@@ -105,8 +105,8 @@ StatusOr<WsatMessage> SendWsatMessage(net::Transport* transport,
 
 /// Sends a fully populated WS-AT request (kRepair carries more than the
 /// verb + query id) to `participant`'s wsat endpoint and parses the reply.
-/// `retries`, when given, receives the retransmissions the transport made
-/// before the reply arrived (PostResult::retries).
+/// `retries`, when given, receives the retransmissions the transport made,
+/// whether a reply arrived or not (Transport::PostWithRetries).
 StatusOr<WsatMessage> SendWsatEnvelope(net::Transport* transport,
                                        const std::string& participant,
                                        const WsatMessage& request,

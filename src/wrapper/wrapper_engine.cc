@@ -6,6 +6,7 @@
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xquery/interpreter.h"
+#include "xquery/normalize.h"
 #include "xquery/parser.h"
 
 namespace xrpc::wrapper {
@@ -61,6 +62,7 @@ StatusOr<std::vector<xdm::Sequence>> WrapperEngine::ExecuteRequest(
   XRPC_ASSIGN_OR_RETURN(last_query_, GenerateWrapperQuery(request, *f.def));
   XRPC_ASSIGN_OR_RETURN(xquery::MainModule generated,
                         xquery::ParseMainModule(last_query_));
+  xquery::NormalizePaths(&generated);
   last_timings_.compile_us = compile.ElapsedMicros();
 
   // (iii) exec: evaluate; the result is the SOAP response envelope.

@@ -79,32 +79,11 @@ bool ContainsUpdatingSyntax(const Expr& e) {
     default:
       break;
   }
-  for (const ExprPtr& c : e.children) {
-    if (c != nullptr && ContainsUpdatingSyntax(*c)) return true;
-  }
-  for (const FlworClause& c : e.clauses) {
-    if (c.expr != nullptr && ContainsUpdatingSyntax(*c.expr)) return true;
-  }
-  if (e.where != nullptr && ContainsUpdatingSyntax(*e.where)) return true;
-  for (const OrderSpec& s : e.order_by) {
-    if (s.key != nullptr && ContainsUpdatingSyntax(*s.key)) return true;
-  }
-  if (e.ret != nullptr && ContainsUpdatingSyntax(*e.ret)) return true;
-  for (const ExprPtr& p : e.predicates) {
-    if (p != nullptr && ContainsUpdatingSyntax(*p)) return true;
-  }
-  for (const ExprPtr& a : e.attributes) {
-    if (a != nullptr && ContainsUpdatingSyntax(*a)) return true;
-  }
-  if (e.name_expr != nullptr && ContainsUpdatingSyntax(*e.name_expr)) {
-    return true;
-  }
-  for (const PathStep& s : e.steps) {
-    for (const ExprPtr& p : s.predicates) {
-      if (p != nullptr && ContainsUpdatingSyntax(*p)) return true;
-    }
-  }
-  return false;
+  bool found = false;
+  ForEachSubexpr(e, [&found](const Expr& c) {
+    found = found || ContainsUpdatingSyntax(c);
+  });
+  return found;
 }
 
 }  // namespace xrpc::xquery

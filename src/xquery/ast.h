@@ -202,6 +202,26 @@ struct Expr {
 /// Creates an expression node.
 inline ExprPtr MakeExpr(ExprKind kind) { return std::make_unique<Expr>(kind); }
 
+/// Calls `fn(Expr&)` on every direct subexpression of `e`, whatever slot
+/// of the node holds it.
+template <typename Fn>
+void ForEachSubexpr(const Expr& e, Fn&& fn) {
+  auto visit = [&](const ExprPtr& p) {
+    if (p != nullptr) fn(*p);
+  };
+  for (const ExprPtr& c : e.children) visit(c);
+  for (const FlworClause& c : e.clauses) visit(c.expr);
+  visit(e.where);
+  for (const OrderSpec& s : e.order_by) visit(s.key);
+  visit(e.ret);
+  for (const ExprPtr& p : e.predicates) visit(p);
+  for (const ExprPtr& a : e.attributes) visit(a);
+  visit(e.name_expr);
+  for (const PathStep& s : e.steps) {
+    for (const ExprPtr& p : s.predicates) visit(p);
+  }
+}
+
 /// True if the expression (transitively) contains an updating expression or
 /// a call to a function declared updating (checked at parse time for
 /// syntactic update kinds only; function-call updating-ness is resolved at

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "xquery/functions.h"
+#include "xquery/normalize.h"
 
 namespace xrpc::xquery {
 
@@ -395,23 +396,25 @@ class Evaluator {
     // whole request. So bulk calls that re-apply the same path (the
     // semi-join's Q_B3, the wrapper's generated query) pay the scan once;
     // this is the amortization the paper observes in Saxon's bulk exec
-    // times. When the step after the prefix filters with plain
-    // comparisons, its candidates are memoized as well, and each call
-    // reduces to a probe of the entry's join index. Only nodes of
-    // document-rooted trees are memoized: calls share those, while
-    // constructed trees are per call. An entry whose tree was mutated
+    // times. When the step after the prefix (or the first step, as in
+    // the normalized `descendant::closed_auction[./buyer/@person=$p]`)
+    // filters with non-positional predicates, its candidates are memoized
+    // as well, and each call reduces to a probe of the entry's join
+    // index. Only nodes of document-rooted trees are memoized: calls
+    // share those, while constructed trees are per call. An entry whose tree was mutated
     // since (a nested update applied mid-request) is rebuilt.
     size_t prefix = 0;
     while (prefix < e.steps.size() && e.steps[prefix].predicates.empty()) {
       ++prefix;
     }
+    const bool plain =
+        prefix < e.steps.size() && HasPlainPredicates(e.steps[prefix]);
     size_t first_step = 0;
     Node* root = input.size() == 1 && input[0].IsNode()
                      ? input[0].node()->Root()
                      : nullptr;
-    if (prefix > 0 && root != nullptr && root->kind() == NodeKind::kDocument) {
-      const bool plain =
-          prefix < e.steps.size() && HasPlainPredicates(e.steps[prefix]);
+    if ((prefix > 0 || plain) && root != nullptr &&
+        root->kind() == NodeKind::kDocument) {
       PathMemoKey key{&e, input[0].node()};
       auto it = path_memo_.find(key);
       if (it == path_memo_.end() ||
@@ -445,32 +448,6 @@ class Evaluator {
       XRPC_ASSIGN_OR_RETURN(input, EvalStep(input, e.steps[i]));
     }
     return input;
-  }
-
-  /// True if the expression (transitively) calls fn:position or fn:last —
-  /// such predicates depend on the per-context-node candidate grouping.
-  static bool HasPositionalRef(const Expr& e) {
-    if (e.kind == ExprKind::kFunctionCall && e.name.ns_uri == kFnNs &&
-        (e.name.local == "position" || e.name.local == "last")) {
-      return true;
-    }
-    for (const ExprPtr& c : e.children) {
-      if (c && HasPositionalRef(*c)) return true;
-    }
-    for (const FlworClause& c : e.clauses) {
-      if (c.expr && HasPositionalRef(*c.expr)) return true;
-    }
-    if (e.where && HasPositionalRef(*e.where)) return true;
-    if (e.ret && HasPositionalRef(*e.ret)) return true;
-    for (const ExprPtr& pr : e.predicates) {
-      if (pr && HasPositionalRef(*pr)) return true;
-    }
-    for (const PathStep& st : e.steps) {
-      for (const ExprPtr& pr : st.predicates) {
-        if (pr && HasPositionalRef(*pr)) return true;
-      }
-    }
-    return false;
   }
 
   /// Collects a step's axis/test output for every input node, without
@@ -516,17 +493,11 @@ class Evaluator {
   // turning the per-call selection into a join. The index is built once
   // per memo entry and lives as long as the entry.
 
-  /// True if a step has predicates and all of them are comparisons free
-  /// of position()/last(): filtering the step's candidates as one set then
-  /// equals filtering them per context node.
+  /// True if a step has predicates and none of them is positional:
+  /// filtering the step's candidates as one set then equals filtering
+  /// them per context node.
   static bool HasPlainPredicates(const PathStep& step) {
-    if (step.predicates.empty()) return false;
-    for (const ExprPtr& pred : step.predicates) {
-      if (pred->kind != ExprKind::kComparison || HasPositionalRef(*pred)) {
-        return false;
-      }
-    }
-    return true;
+    return !step.predicates.empty() && HasNonPositionalPredicates(step);
   }
 
   /// True for a path evaluated from the context item using only downward

@@ -47,7 +47,6 @@ class LoopLiftTest : public ::testing::Test {
     LoopLiftConfig config;
     config.documents = &docs_;
     config.modules = &modules_;
-    config.shreds = &shreds_;
     LoopLiftedEvaluator evaluator(config);
     return evaluator.EvaluateQuery(parsed);
   }
@@ -75,7 +74,6 @@ class LoopLiftTest : public ::testing::Test {
 
   MapDocumentProvider docs_;
   MapModuleResolver modules_;
-  shred::ShredCache shreds_;
 };
 
 TEST_F(LoopLiftTest, PaperQ5NestedLoops) {
@@ -290,7 +288,6 @@ TEST_F(LoopLiftTest, BulkCallChecksParameterOccurrence) {
   args.AppendIPI(2, 2, gerard);
   LoopLiftConfig config;
   config.documents = &docs_;
-  config.shreds = &shreds_;
   LoopLiftedEvaluator evaluator(config);
   auto result = evaluator.EvaluateFunctionBulk(*module, def, {args}, 2);
   ASSERT_FALSE(result.ok());

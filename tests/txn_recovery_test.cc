@@ -425,6 +425,71 @@ TEST_F(TxnRecoveryTest, LostPrepareIsRetriedUnderTheRetryPolicy) {
   EXPECT_EQ(Count(z_), 4);
 }
 
+/// Endpoint decorator that opens another peer's circuit right after
+/// answering a Bulk RPC, as if other callers' requests toward that peer had
+/// just failed. Counts the WS-AT messages that reach the wrapped peer.
+class TripCircuitEndpoint : public net::SoapEndpoint {
+ public:
+  TripCircuitEndpoint(net::SoapEndpoint* inner, net::CircuitBreaker* breaker,
+                      std::string victim)
+      : inner_(inner), breaker_(breaker), victim_(std::move(victim)) {}
+
+  StatusOr<std::string> Handle(const std::string& path,
+                               const std::string& body) override {
+    if (path == server::kWsatPath) {
+      ++wsat_seen_;
+    } else {
+      breaker_->RecordFailure(victim_);
+    }
+    return inner_->Handle(path, body);
+  }
+
+  int wsat_seen() const { return wsat_seen_; }
+
+ private:
+  net::SoapEndpoint* inner_;
+  net::CircuitBreaker* breaker_;
+  std::string victim_;
+  int wsat_seen_ = 0;
+};
+
+TEST_F(TxnRecoveryTest, CircuitOpeningBeforePrepareAbortsCleanly) {
+  // z answers its Bulk RPC, then its circuit opens before the coordinator
+  // prepares: the Prepare toward z is refused locally, without a dial. The
+  // missing vote aborts the transaction, y (prepared, in doubt) is rolled
+  // back and its session released, and the in-doubt gauge returns to 0.
+  net_.EnableCircuitBreaker(
+      {.failure_threshold = 1, .cooldown_us = 60'000'000});
+  TripCircuitEndpoint z_ep(&z_->service(), net_.circuit_breaker(),
+                           net::PeerUri(z_->uri()));
+  TripCircuitEndpoint y_ep(&y_->service(), net_.circuit_breaker(),
+                           net::PeerUri(z_->uri()));
+  net_.network().RegisterPeer(net::ParseXrpcUri(z_->uri()).value(), &z_ep);
+  net_.network().RegisterPeer(net::ParseXrpcUri(y_->uri()).value(), &y_ep);
+
+  // z's Bulk RPC goes first; y's, which trips z's circuit, second.
+  auto report = net_.Execute("p0.example.org", R"(
+    declare option xrpc:isolation "repeatable";
+    declare option xrpc:timeout "60";
+    import module namespace f="films" at "http://x.example.org/film.xq";
+    (execute at {"xrpc://z.example.org"} {f:addFilm("B", "Y")},
+     execute at {"xrpc://y.example.org"} {f:addFilm("A", "X")}))");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->committed);
+  EXPECT_NE(report->abort_reason.find("circuit open"), std::string::npos)
+      << report->abort_reason;
+  EXPECT_EQ(z_ep.wsat_seen(), 0);  // neither Prepare nor Rollback dialed z
+  EXPECT_GE(y_ep.wsat_seen(), 2);  // Prepare, then Rollback
+  EXPECT_GE(net_.metrics().Get(net::Metric::kBreakerShortCircuits), 1);
+
+  EXPECT_EQ(y_->service().isolation().active_sessions(), 0u);
+  EXPECT_EQ(y_->service().in_doubt_count(), 0u);
+  EXPECT_EQ(z_->service().in_doubt_count(), 0u);
+  EXPECT_EQ(net_.metrics().Get(net::Metric::kTxnInDoubt), 0);
+  EXPECT_EQ(Count(y_), 3);
+  EXPECT_EQ(Count(z_), 3);
+}
+
 TEST_F(TxnRecoveryTest, PreparedSessionSurvivesExpiry) {
   soap::QueryId qid = MakeQueryId("expiry-1");
   qid.timeout_sec = 0;  // expires immediately

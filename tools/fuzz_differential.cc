@@ -74,6 +74,9 @@ int Replay(const std::string& path) {
   std::printf("query:\n%s\n", d.query.c_str());
   std::printf("relational : %s\n", c.relational_result.c_str());
   std::printf("interpreter: %s\n", c.interpreter_result.c_str());
+  if (c.raw_mismatch) {
+    std::printf("raw tree   : %s\n", c.raw_result.c_str());
+  }
   if (c.skipped) {
     std::printf("verdict: SKIPPED (%s)\n", c.skip_reason.c_str());
     return 0;
@@ -157,20 +160,24 @@ int main(int argc, char** argv) {
                 d.comparison.relational_result.c_str());
     std::printf("  interpreter: %s\n",
                 d.comparison.interpreter_result.c_str());
+    if (d.comparison.raw_mismatch) {
+      std::printf("  raw tree   : %s\n", d.comparison.raw_result.c_str());
+    }
   }
 
   const auto& s = harness.stats();
   std::printf(
       "fuzz_differential: seed=%llu executed=%lld agreed=%lld "
       "diverged=%lld skipped=%lld both_error=%lld fell_back_read=%lld "
-      "fell_back_update=%lld updating=%lld\n",
+      "fell_back_update=%lld updating=%lld raw_mismatch=%lld\n",
       static_cast<unsigned long long>(gcfg.seed),
       static_cast<long long>(s.executed), static_cast<long long>(s.agreed),
       static_cast<long long>(s.diverged), static_cast<long long>(s.skipped),
       static_cast<long long>(s.both_error),
       static_cast<long long>(s.fell_back_read),
       static_cast<long long>(s.fell_back_update),
-      static_cast<long long>(s.updating));
+      static_cast<long long>(s.updating),
+      static_cast<long long>(s.raw_mismatch));
   if (dcfg.force_divergence) {
     // Self-test mode: success means the pipeline caught and minimized at
     // least one (artificial) divergence.
