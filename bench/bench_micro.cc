@@ -1,10 +1,14 @@
 // Microbenchmarks (google-benchmark) for the substrate operations whose
-// costs dominate the paper's experiments: XML parsing (treebuild),
-// serialization, shredding, SOAP marshaling, bulk request encoding, the
-// encode/decode of a large shipped response, and the descendant-path
-// probes of a shard's point read and ship call.
+// costs dominate the paper's experiments: XML parsing (treebuild) and the
+// DOM's bytes per node, serialization, shredding, SOAP marshaling, bulk
+// request encoding, the encode/decode of a large shipped response, the
+// descendant-path probes of a shard's point read and ship call, and a
+// warm point read through a shard's service.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <functional>
 
 #include "core/peer_network.h"
 #include "shred/shredded_doc.h"
@@ -254,6 +258,61 @@ void BM_InterpreterBulkQB3(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterpreterBulkQB3)->Unit(benchmark::kMicrosecond);
+
+// A point_mix read on a warm shard: one 1-call b:Q_B3 request decoded,
+// executed and encoded by the shard's XrpcService. The interpreter
+// engine's path index spans requests, so after the first request each
+// read is one join-index probe (DESIGN.md §6).
+void BM_WarmPointRead(benchmark::State& state) {
+  xrpc::core::PeerNetwork net;
+  xrpc::core::Peer* shard =
+      net.AddPeer("shard", xrpc::core::EngineKind::kInterpreter);
+  (void)shard->AddDocument("auctions.xml", ProbeAuctions());
+  (void)shard->RegisterModule(
+      xrpc::xmark::FunctionsBModuleSource(shard->uri()), "b.xq");
+  xrpc::soap::XrpcRequest request;
+  request.module_ns = "functions_b";
+  request.method = "Q_B3";
+  request.location = "b.xq";
+  request.arity = 1;
+  request.calls.push_back({xrpc::xdm::SingletonString("person3")});
+  const std::string body = xrpc::soap::SerializeRequest(request);
+  for (auto _ : state) {
+    auto reply = shard->service().Handle("/xrpc", body);
+    if (!reply.ok()) {
+      state.SkipWithError("point read failed");
+      break;
+    }
+    benchmark::DoNotOptimize(reply);
+  }
+}
+BENCHMARK(BM_WarmPointRead)->Unit(benchmark::kMicrosecond);
+
+// Heap bytes the parsed probe document occupies per DOM node (elements,
+// attributes, text), read from the allocator around one parse. Nodes of
+// one parse share one name object per distinct name.
+void BM_ParseBytesPerNode(benchmark::State& state) {
+  const std::string text = ProbeAuctions();
+  double bytes_per_node = 0;
+  for (auto _ : state) {
+    const size_t before = mallinfo2().uordblks;
+    auto doc = xrpc::xml::ParseXml(text).value();
+    const size_t after = mallinfo2().uordblks;
+    int64_t nodes = 0;
+    std::function<void(const xrpc::xml::Node&)> count =
+        [&](const xrpc::xml::Node& n) {
+          nodes += 1 + static_cast<int64_t>(n.attributes().size());
+          for (const xrpc::xml::NodePtr& c : n.children()) count(*c);
+        };
+    count(*doc);
+    bytes_per_node = static_cast<double>(after - before) /
+                     static_cast<double>(nodes);
+    state.counters["nodes"] = static_cast<double>(nodes);
+  }
+  state.counters["bytes_per_node"] = bytes_per_node;
+  state.counters["sizeof_node"] = sizeof(xrpc::xml::Node);
+}
+BENCHMARK(BM_ParseBytesPerNode)->Unit(benchmark::kMicrosecond);
 
 // The bare walk `descendant-or-self::node()` over the probe document:
 // arg 0 is the shared DOM walk (xquery::CollectAxis) alone, 1 and 2 the

@@ -50,10 +50,11 @@ class LatencyHistogram {
 enum class Metric : uint8_t {
   kRequests, kFailures, kRetries, kTimeouts, kBytesSent, kBytesReceived,
   kLatency, kBackoffMicros, kInjectedFaults, kServerRequests, kServerCalls,
-  kServerFaults, kConnReuseHits, kConnDials, kConnExpired, kConnStaleRetries,
-  kPoolMaxIdle, kFanoutGroups, kFanoutDestinations, kDispatchMaxInFlight,
-  kFanoutLatency, kAcceptQueueMaxDepth, kServerOverloads, kTxnCommitRetries,
-  kTxnInDoubt, kTxnRecoveries, kTxnReplayedRecords, kTxnRecoveredSessions,
+  kServerFaults, kIndexBuilds, kIndexHits, kIndexSwept, kConnReuseHits,
+  kConnDials, kConnExpired, kConnStaleRetries, kPoolMaxIdle, kFanoutGroups,
+  kFanoutDestinations, kDispatchMaxInFlight, kFanoutLatency,
+  kAcceptQueueMaxDepth, kServerOverloads, kTxnCommitRetries, kTxnInDoubt,
+  kTxnRecoveries, kTxnReplayedRecords, kTxnRecoveredSessions,
   kTxnIdempotentReplies, kBreakerOpens, kBreakerHalfOpens, kBreakerCloses,
   kBreakerShortCircuits, kBreakerProbesAbandoned, kFailoverAttempts,
   kFailoverSuccesses, kFailoverExhausted, kStaleCatalogRejects,
@@ -117,6 +118,12 @@ inline constexpr std::array<MetricRow, kMetricCount> kMetricRows = [] {
     {kServerCalls, "server", "calls", kCounter, kServer, "bulk calls run"},
     {kServerFaults, "server", "faults", kCounter, kServer,
      "requests answered with a SOAP Fault"},
+    {kIndexBuilds, "path-index", "builds", kCounter, kServer,
+     "interpreter path index entries built"},
+    {kIndexHits, "path-index", "hits", kCounter, kServer,
+     "paths answered from a current entry"},
+    {kIndexSwept, "path-index", "swept", kCounter, kServer,
+     "entries dropped with their document"},
     {kConnReuseHits, "connections", "reuse_hits", kCounter, kNone,
      "keep-alive pool hits"},
     {kConnDials, "connections", "dials", kCounter, kNone, "fresh dials"},

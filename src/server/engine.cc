@@ -53,6 +53,8 @@ StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
   config.modules = context.modules;
   config.rpc = context.rpc;
   config.cancel = context.cancel;
+  if (f.reparsed == nullptr) config.path_index = &path_index_;
+  config.index_counters = context.index_counters;
   xquery::Interpreter interp(config);
   XRPC_ASSIGN_OR_RETURN(
       std::vector<xquery::QueryResult> call_results,

@@ -10,6 +10,7 @@
 #include "server/module_registry.h"
 #include "soap/message.h"
 #include "xquery/context.h"
+#include "xquery/path_index.h"
 #include "xquery/update.h"
 
 namespace xrpc::server {
@@ -27,14 +28,17 @@ struct CallContext {
   /// boundaries and abandon the request once it trips (deadline expiry or
   /// explicit cancel). Null = never cancelled.
   const CancellationToken* cancel = nullptr;
+  /// Tallies the interpreter's path index builds, hits and sweeps for the
+  /// service's metrics. Null = not counted.
+  xquery::PathIndex::Counters* index_counters = nullptr;
 };
 
 /// An XQuery execution engine able to serve (bulk) XRPC requests.
 ///
 /// Implementations:
 ///  - InterpreterEngine (here): tree-walking evaluation of all calls of a
-///    request in one evaluation context (shared path memo and join
-///    index); the reference semantics.
+///    request in one evaluation context, over a path index that spans
+///    requests; the reference semantics.
 ///  - compiler::RelationalEngine: loop-lifted relational plans with a
 ///    function cache (the MonetDB/XQuery role).
 ///  - wrapper::WrapperEngine: generates the Fig. 3 XQuery text for the
@@ -77,6 +81,11 @@ StatusOr<RequestFunction> ResolveRequestFunction(
 /// registry on every request, modeling a cache-less system (the "No
 /// Function Cache" column of Table 2); otherwise the pre-parsed module is
 /// used directly (the function cache hit path).
+///
+/// The engine owns one path index (DESIGN.md §6) that spans the requests
+/// it serves over pre-parsed modules, so a point read probes a join index
+/// built once per document version. Re-parsed modules die with their
+/// request, and so does the index their evaluation builds.
 class InterpreterEngine : public ExecutionEngine {
  public:
   struct Options {
@@ -95,6 +104,7 @@ class InterpreterEngine : public ExecutionEngine {
 
  private:
   Options options_;
+  xquery::PathIndex path_index_;
 };
 
 }  // namespace xrpc::server

@@ -12,6 +12,7 @@ Status ModuleRegistry::RegisterModule(std::string_view source_text,
   xquery::NormalizePaths(&parsed);
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = modules_[parsed.target_ns];
+  if (e.module != nullptr) superseded_.push_back(std::move(e.module));
   e.module = std::make_unique<xquery::LibraryModule>(std::move(parsed));
   e.source = std::string(source_text);
   e.location = location;

@@ -27,7 +27,11 @@ class ModuleRegistry : public xquery::ModuleResolver {
   ModuleRegistry& operator=(const ModuleRegistry&) = delete;
 
   /// Parses and registers a library module; `location` is the URL the
-  /// module is nominally served from (matched against at-hints).
+  /// module is nominally served from (matched against at-hints). A module
+  /// of the same namespace is superseded: later requests resolve the new
+  /// one, and the old one stays alive as long as the registry, because
+  /// requests in flight run it through the pointer Resolve() gave them and
+  /// path indexes are keyed by its expressions.
   Status RegisterModule(std::string_view source_text,
                         const std::string& location = "");
 
@@ -48,6 +52,7 @@ class ModuleRegistry : public xquery::ModuleResolver {
   };
   mutable std::mutex mu_;
   std::map<std::string, Entry> modules_;
+  std::vector<std::unique_ptr<xquery::LibraryModule>> superseded_;
 };
 
 }  // namespace xrpc::server

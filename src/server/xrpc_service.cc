@@ -226,9 +226,19 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
   context.modules = registry_;
   context.rpc = nested.get();
   context.cancel = &cancel_token;
+  xquery::PathIndex::Counters index_counters;
+  context.index_counters = &index_counters;
 
   xquery::PendingUpdateList pul;
   auto results = engine_->ExecuteRequest(request, context, &pul);
+  if (metrics_ != nullptr) {
+    metrics_->Add(net::Metric::kIndexBuilds, index_counters.builds,
+                  options_.self_uri);
+    metrics_->Add(net::Metric::kIndexHits, index_counters.hits,
+                  options_.self_uri);
+    metrics_->Add(net::Metric::kIndexSwept, index_counters.swept,
+                  options_.self_uri);
+  }
   if (!results.ok()) {
     const StatusCode code = results.status().code();
     if (code == StatusCode::kDeadlineExceeded || code == StatusCode::kCancelled) {

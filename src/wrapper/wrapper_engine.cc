@@ -72,6 +72,7 @@ StatusOr<std::vector<xdm::Sequence>> WrapperEngine::ExecuteRequest(
   config.documents = &docs;
   config.modules = context.modules;
   config.rpc = nullptr;  // wrapped engines cannot make outgoing XRPC calls
+  config.index_counters = context.index_counters;
   xquery::Interpreter interp(config);
   XRPC_ASSIGN_OR_RETURN(xquery::QueryResult result,
                         interp.EvaluateQuery(generated));

@@ -33,6 +33,8 @@ const char* NodeKindToString(NodeKind kind) {
   return "unknown";
 }
 
+const QName Node::kNoName;
+
 Node::Node(ConstructionTag, NodeKind kind)
     : kind_(kind), ordinal_(NextOrdinal()) {}
 
@@ -43,12 +45,22 @@ NodePtr Node::Make(NodeKind kind) {
 NodePtr Node::NewDocument() { return Make(NodeKind::kDocument); }
 
 NodePtr Node::NewElement(QName name) {
+  return NewElement(std::make_shared<const QName>(std::move(name)));
+}
+
+NodePtr Node::NewAttribute(QName name, std::string value) {
+  return NewAttribute(std::make_shared<const QName>(std::move(name)),
+                      std::move(value));
+}
+
+NodePtr Node::NewElement(std::shared_ptr<const QName> name) {
   NodePtr n = Make(NodeKind::kElement);
   n->name_ = std::move(name);
   return n;
 }
 
-NodePtr Node::NewAttribute(QName name, std::string value) {
+NodePtr Node::NewAttribute(std::shared_ptr<const QName> name,
+                           std::string value) {
   NodePtr n = Make(NodeKind::kAttribute);
   n->name_ = std::move(name);
   n->value_ = std::move(value);
@@ -69,7 +81,7 @@ NodePtr Node::NewComment(std::string value) {
 
 NodePtr Node::NewProcessingInstruction(std::string target, std::string value) {
   NodePtr n = Make(NodeKind::kProcessingInstruction);
-  n->name_ = QName(std::move(target));
+  n->name_ = std::make_shared<const QName>(std::move(target));
   n->value_ = std::move(value);
   return n;
 }
@@ -106,7 +118,7 @@ void Node::SetAttribute(NodePtr attr) {
   BumpMutationStamp();
   attr->parent_ = this;
   for (size_t i = 0; i < attributes_.size(); ++i) {
-    if (attributes_[i]->name_ == attr->name_) {
+    if (attributes_[i]->name() == attr->name()) {
       attr->index_in_parent_ = i;
       attributes_[i] = std::move(attr);
       return;
@@ -140,7 +152,7 @@ void Node::RemoveChild(const Node* child) {
 
 const Node* Node::FindAttribute(const QName& name) const {
   for (const NodePtr& a : attributes_) {
-    if (a->name_ == name) return a.get();
+    if (a->name() == name) return a.get();
   }
   return nullptr;
 }

@@ -45,6 +45,11 @@ class Node : public std::enable_shared_from_this<Node> {
   static NodePtr NewDocument();
   static NodePtr NewElement(QName name);
   static NodePtr NewAttribute(QName name, std::string value);
+  /// Share `name` with other nodes instead of copying it: the parser hands
+  /// every node of one parse the same object per distinct name.
+  static NodePtr NewElement(std::shared_ptr<const QName> name);
+  static NodePtr NewAttribute(std::shared_ptr<const QName> name,
+                              std::string value);
   static NodePtr NewText(std::string value);
   static NodePtr NewComment(std::string value);
   static NodePtr NewProcessingInstruction(std::string target,
@@ -58,14 +63,14 @@ class Node : public std::enable_shared_from_this<Node> {
   Node& operator=(const Node&) = delete;
 
   NodeKind kind() const { return kind_; }
-  const QName& name() const { return name_; }
+  const QName& name() const { return name_ != nullptr ? *name_ : kNoName; }
   const std::string& value() const { return value_; }
   void set_value(std::string v) {
     value_ = std::move(v);
     BumpMutationStamp();
   }
   void set_name(QName name) {
-    name_ = std::move(name);
+    name_ = std::make_shared<const QName>(std::move(name));
     BumpMutationStamp();
   }
 
@@ -129,8 +134,13 @@ class Node : public std::enable_shared_from_this<Node> {
   void AppendStringValue(std::string* out) const;
   void BumpMutationStamp() { ++Root()->mutation_stamp_; }
 
+  /// name() of the kinds that have none.
+  static const QName kNoName;
+
   NodeKind kind_;
-  QName name_;
+  /// Immutable and shared: Clone() and the parser's nodes of one name point
+  /// to one object. Null for the kinds without a name.
+  std::shared_ptr<const QName> name_;
   std::string value_;
   Node* parent_ = nullptr;
   size_t index_in_parent_ = 0;

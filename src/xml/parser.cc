@@ -1,6 +1,8 @@
 #include "xml/parser.h"
 
 #include <cstdint>
+#include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -419,8 +421,7 @@ class Parser {
     if (euri == nullptr) {
       return Error("undeclared namespace prefix: " + std::string(eprefix));
     }
-    NodePtr elem = Node::NewElement(
-        QName(*euri, std::string(elocal), std::string(eprefix)));
+    NodePtr elem = Node::NewElement(Intern(*euri, elocal, eprefix));
 
     for (RawAttribute& a : attrs_) {
       auto [aprefix, alocal] = SplitQName(a.name);
@@ -437,9 +438,8 @@ class Parser {
           return Error("duplicate attribute " + std::string(a.name));
         }
       }
-      elem->SetAttribute(Node::NewAttribute(
-          QName(*auri, std::string(alocal), std::string(aprefix)),
-          std::move(a.value)));
+      elem->SetAttribute(Node::NewAttribute(Intern(*auri, alocal, aprefix),
+                                            std::move(a.value)));
     }
 
     if (!self_closing) {
@@ -462,6 +462,21 @@ class Parser {
     return Status::OK();
   }
 
+  // The one name object of this parse for (uri, local, prefix).
+  std::shared_ptr<const QName> Intern(const std::string& uri,
+                                      std::string_view local,
+                                      std::string_view prefix) {
+    name_key_.assign(uri).push_back('\0');
+    name_key_.append(prefix).push_back('\0');
+    name_key_.append(local);
+    std::shared_ptr<const QName>& name = names_[name_key_];
+    if (name == nullptr) {
+      name = std::make_shared<const QName>(uri, std::string(local),
+                                           std::string(prefix));
+    }
+    return name;
+  }
+
   // A prefix -> URI binding; prefixes point into the input.
   struct Binding {
     std::string_view prefix;
@@ -478,6 +493,8 @@ class Parser {
   ParseOptions options_;
   std::vector<Binding> bindings_;     ///< in-scope bindings, innermost last
   std::vector<RawAttribute> attrs_;   ///< the current start tag's, reused
+  std::unordered_map<std::string, std::shared_ptr<const QName>> names_;
+  std::string name_key_;  ///< Intern's lookup key, reused
 };
 
 }  // namespace

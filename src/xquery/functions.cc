@@ -179,9 +179,15 @@ StatusOr<Sequence> FnStringJoin(const Call& c) {
   return xdm::SingletonString(std::move(out));
 }
 
+/// True for a byte that starts a UTF-8 character: XQuery strings count
+/// characters (code points), not bytes.
+bool StartsCodePoint(char c) {
+  return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+}
+
 StatusOr<Sequence> FnStringLength(const Call& c) {
   XRPC_ASSIGN_OR_RETURN(std::string s, ArgOrContextString(c));
-  return xdm::SingletonInt(static_cast<int64_t>(s.size()));
+  return xdm::SingletonInt(std::count_if(s.begin(), s.end(), StartsCodePoint));
 }
 
 StatusOr<Sequence> FnNormalizeSpace(const Call& c) {
@@ -199,9 +205,10 @@ StatusOr<Sequence> FnSubstring(const Call& c) {
   double from = std::round(start_item->Atomize().AsDouble());
   double to = from + std::round(len);
   std::string out;
-  for (size_t i = 0; i < s.size(); ++i) {
-    double p = static_cast<double>(i + 1);
-    if (p >= from && p < to) out.push_back(s[i]);
+  double p = 0;  // position of the character s[i] belongs to
+  for (char ch : s) {
+    if (StartsCodePoint(ch)) ++p;
+    if (p >= from && p < to) out.push_back(ch);
   }
   return xdm::SingletonString(std::move(out));
 }

@@ -5,7 +5,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "xquery/functions.h"
@@ -32,8 +31,9 @@ struct Focus {
 };
 
 /// The tree-walking evaluator. One instance evaluates one query, or all
-/// calls of one request; it owns the variable environment, the focus, the
-/// pending update list, and the path memo.
+/// calls of one request; it owns the variable environment, the focus and
+/// the pending update list, and the path index unless the configuration
+/// supplies a longer-lived one.
 class Evaluator {
  public:
   explicit Evaluator(const Interpreter::Config& config) : cfg_(config) {}
@@ -52,8 +52,8 @@ class Evaluator {
   }
 
   /// Evaluates every call of one request in this evaluator, so the path
-  /// memo and join indexes persist across calls. Each call gets fresh
-  /// parameter bindings and its own pending update list.
+  /// index persists across calls. Each call gets fresh parameter bindings
+  /// and its own pending update list.
   StatusOr<std::vector<QueryResult>> RunFunction(
       const LibraryModule& module, const FunctionDef& function,
       std::vector<std::vector<Sequence>> calls) {
@@ -391,18 +391,13 @@ class Evaluator {
       }
     }
 
-    // Path memo: the predicate-free step prefix applied to one source node
-    // is deterministic while documents do not change, which holds for a
-    // whole request. So bulk calls that re-apply the same path (the
-    // semi-join's Q_B3, the wrapper's generated query) pay the scan once;
-    // this is the amortization the paper observes in Saxon's bulk exec
-    // times. When the step after the prefix (or the first step, as in
-    // the normalized `descendant::closed_auction[./buyer/@person=$p]`)
-    // filters with non-positional predicates, its candidates are memoized
-    // as well, and each call reduces to a probe of the entry's join
-    // index. Only nodes of document-rooted trees are memoized: calls
-    // share those, while constructed trees are per call. An entry whose tree was mutated
-    // since (a nested update applied mid-request) is rebuilt.
+    // Path index (DESIGN.md §6): a path from a document node that starts
+    // with predicate-free steps, or whose first filtered step is plain, is
+    // answered from the index entry for this document version. Behind a
+    // plain step each call reduces to a probe of the entry's join index,
+    // so the calls of a bulk request (the semi-join's Q_B3, the wrapper's
+    // generated query) and, on a server, successive requests pay the scan
+    // once: the amortization the paper observes in Saxon's bulk exec.
     size_t prefix = 0;
     while (prefix < e.steps.size() && e.steps[prefix].predicates.empty()) {
       ++prefix;
@@ -410,37 +405,26 @@ class Evaluator {
     const bool plain =
         prefix < e.steps.size() && HasPlainPredicates(e.steps[prefix]);
     size_t first_step = 0;
-    Node* root = input.size() == 1 && input[0].IsNode()
-                     ? input[0].node()->Root()
-                     : nullptr;
-    if ((prefix > 0 || plain) && root != nullptr &&
-        root->kind() == NodeKind::kDocument) {
-      PathMemoKey key{&e, input[0].node()};
-      auto it = path_memo_.find(key);
-      if (it == path_memo_.end() ||
-          it->second.stamp != root->mutation_stamp()) {
-        PathMemoEntry entry;
-        entry.anchor = root->shared_from_this();
-        entry.stamp = root->mutation_stamp();
-        entry.prefix = std::move(input);
-        for (size_t i = 0; i < prefix; ++i) {
-          XRPC_ASSIGN_OR_RETURN(entry.prefix,
-                                EvalStep(entry.prefix, e.steps[i]));
-        }
-        if (plain) {
-          XRPC_ASSIGN_OR_RETURN(
-              entry.candidates,
-              CollectStepCandidates(entry.prefix, e.steps[prefix]));
-        }
-        it = path_memo_.insert_or_assign(key, std::move(entry)).first;
+    Node* doc = input.size() == 1 && input[0].IsNode() ? input[0].node()
+                                                       : nullptr;
+    if ((prefix > 0 || plain) && doc != nullptr &&
+        doc->kind() == NodeKind::kDocument && doc->parent() == nullptr) {
+      std::shared_ptr<const PathIndex::Entry> entry =
+          path_index_->Find(&e, *doc);
+      if (entry != nullptr) {
+        ++counters_->hits;
+      } else {
+        XRPC_ASSIGN_OR_RETURN(entry, BuildEntry(e, input[0], prefix, plain));
+        ++counters_->builds;
+        counters_->swept += path_index_->Insert(&e, *doc, entry);
       }
-      PathMemoEntry& entry = it->second;
+      const NodePtr& anchor = input[0].anchor();
       if (plain) {
         XRPC_ASSIGN_OR_RETURN(
-            input, FilterMemoizedCandidates(&entry, e.steps[prefix]));
+            input, FilterIndexed(*entry, e.steps[prefix], anchor));
         first_step = prefix + 1;
       } else {
-        input = entry.prefix;
+        input = Items(entry->nodes, anchor);
         first_step = prefix;
       }
     }
@@ -466,6 +450,40 @@ class Evaluator {
     return result;
   }
 
+  /// Evaluates the indexed part of `e` from document node `source`: the
+  /// `prefix` predicate-free steps and, if `plain`, the next step's
+  /// candidates with their join index.
+  StatusOr<std::shared_ptr<const PathIndex::Entry>> BuildEntry(
+      const Expr& e, const Item& source, size_t prefix, bool plain) {
+    auto entry = std::make_shared<PathIndex::Entry>();
+    entry->doc = source.node()->weak_from_this();
+    entry->stamp = source.node()->mutation_stamp();
+    Sequence nodes{source};
+    for (size_t i = 0; i < prefix; ++i) {
+      XRPC_ASSIGN_OR_RETURN(nodes, EvalStep(nodes, e.steps[i]));
+    }
+    if (plain) {
+      const PathStep& step = e.steps[prefix];
+      XRPC_ASSIGN_OR_RETURN(nodes, CollectStepCandidates(nodes, step));
+      const Expr* key_path = IndexableEquality(*step.predicates[0]).first;
+      if (key_path != nullptr && nodes.size() >= 16) {
+        XRPC_ASSIGN_OR_RETURN(entry->join, BuildJoinIndex(nodes, *key_path));
+      }
+    }
+    // Axis steps yield nodes only.
+    entry->nodes.reserve(nodes.size());
+    for (const Item& item : nodes) entry->nodes.push_back(item.node());
+    return std::shared_ptr<const PathIndex::Entry>(std::move(entry));
+  }
+
+  /// Items of indexed nodes, kept alive by the source document's anchor.
+  static Sequence Items(std::span<Node* const> nodes, const NodePtr& anchor) {
+    Sequence out;
+    out.reserve(nodes.size());
+    for (Node* n : nodes) out.push_back(Item::NodeInTree(n, anchor));
+    return out;
+  }
+
   StatusOr<Sequence> EvalStep(const Sequence& input, const PathStep& step) {
     Sequence result;
     for (const Item& item : input) {
@@ -488,10 +506,10 @@ class Evaluator {
 
   // ---- Join detection (the optimization the paper observes in Saxon):
   // a predicate of the form [path-from-context = $var] applied repeatedly
-  // to the same memoized candidate set (as the calls of a bulk request
-  // do) is executed through a hash index on the path's string value,
-  // turning the per-call selection into a join. The index is built once
-  // per memo entry and lives as long as the entry.
+  // to the same indexed candidate set (as the calls of a bulk request and
+  // successive point reads do) is executed through a hash index on the
+  // path's string value, turning the per-call selection into a join. The
+  // join index is built with its path index entry and lives as long.
 
   /// True if a step has predicates and none of them is positional:
   /// filtering the step's candidates as one set then equals filtering
@@ -539,20 +557,7 @@ class Evaluator {
     return {nullptr, nullptr};
   }
 
-  /// Key-path string value -> position in the indexed candidates.
-  using JoinIndex = std::unordered_multimap<std::string, size_t>;
-
-  /// A path memo entry: see EvalPath.
-  struct PathMemoEntry {
-    /// Pins the keyed tree, so no other tree can take the key node's
-    /// address while the entry lives.
-    NodePtr anchor;
-    uint64_t stamp = 0;   ///< the tree's mutation stamp when built
-    Sequence prefix;      ///< result of the predicate-free step prefix
-    Sequence candidates;  ///< next step's unfiltered output, if plain
-    /// Over `candidates`, for that step's first predicate; built on use.
-    std::optional<JoinIndex> index;
-  };
+  using JoinIndex = PathIndex::JoinIndex;
 
   StatusOr<JoinIndex> BuildJoinIndex(const Sequence& in,
                                      const Expr& key_path) {
@@ -573,38 +578,39 @@ class Evaluator {
     return index;
   }
 
-  /// Filters a memo entry's candidates by the predicates of `step`. An
-  /// indexable first predicate is answered through the entry's join
-  /// index, but only when all probe values are string-comparable
-  /// (string/untypedAtomic/anyURI), where string equality coincides with
-  /// XQuery general-comparison semantics.
-  StatusOr<Sequence> FilterMemoizedCandidates(PathMemoEntry* entry,
-                                              const PathStep& step) {
-    const Sequence& in = entry->candidates;
+  /// Filters an index entry's candidates by the predicates of `step`. The
+  /// first predicate is answered through the entry's join index, if it
+  /// has a non-empty one, but only when all probe values are
+  /// string-comparable (string/untypedAtomic/anyURI), where string
+  /// equality coincides with XQuery general-comparison semantics.
+  StatusOr<Sequence> FilterIndexed(const PathIndex::Entry& entry,
+                                   const PathStep& step,
+                                   const NodePtr& anchor) {
     std::span<const ExprPtr> preds = step.predicates;
-    auto [key_path, probe] = IndexableEquality(*preds[0]);
-    if (key_path == nullptr || in.size() < 16) {
-      return ApplyPredicates(in, preds);
-    }
-    XRPC_ASSIGN_OR_RETURN(Sequence probe_seq, Eval(*probe));
-    for (const Item& p : probe_seq) {
-      AtomicType t = p.Atomize().type();
-      if (t != AtomicType::kString && t != AtomicType::kUntypedAtomic &&
-          t != AtomicType::kAnyUri) {
-        return ApplyPredicates(in, preds);
+    if (!entry.join.empty()) {
+      const Expr* probe = IndexableEquality(*preds[0]).second;
+      XRPC_ASSIGN_OR_RETURN(Sequence probe_seq, Eval(*probe));
+      bool strings = true;
+      for (const Item& p : probe_seq) {
+        AtomicType t = p.Atomize().type();
+        strings = strings && (t == AtomicType::kString ||
+                              t == AtomicType::kUntypedAtomic ||
+                              t == AtomicType::kAnyUri);
+      }
+      if (strings) {
+        std::set<size_t> hits;
+        for (const Item& p : probe_seq) {
+          auto [lo, hi] = entry.join.equal_range(p.StringValue());
+          for (auto h = lo; h != hi; ++h) hits.insert(h->second);
+        }
+        Sequence kept;
+        for (size_t i : hits) {
+          kept.push_back(Item::NodeInTree(entry.nodes[i], anchor));
+        }
+        return ApplyPredicates(std::move(kept), preds.subspan(1));
       }
     }
-    if (!entry->index.has_value()) {
-      XRPC_ASSIGN_OR_RETURN(entry->index, BuildJoinIndex(in, *key_path));
-    }
-    std::set<size_t> hits;
-    for (const Item& p : probe_seq) {
-      auto [lo, hi] = entry->index->equal_range(p.StringValue());
-      for (auto h = lo; h != hi; ++h) hits.insert(h->second);
-    }
-    Sequence kept;
-    for (size_t i : hits) kept.push_back(in[i]);
-    return ApplyPredicates(std::move(kept), preds.subspan(1));
+    return ApplyPredicates(Items(entry.nodes, anchor), preds);
   }
 
   StatusOr<Sequence> ApplyPredicates(Sequence in,
@@ -1028,10 +1034,13 @@ class Evaluator {
   std::vector<std::pair<std::string, Sequence>> vars_;
   std::vector<Scope> scopes_;
   Focus focus_;
-  /// Path memo keyed by (path expression, source node); lives as long as
-  /// this evaluator, i.e. for one query or for all calls of one request.
-  using PathMemoKey = std::pair<const Expr*, const Node*>;
-  std::map<PathMemoKey, PathMemoEntry> path_memo_;
+  /// Used when the configuration supplies no index or no counters.
+  PathIndex own_index_;
+  PathIndex::Counters own_counters_;
+  PathIndex* path_index_ =
+      cfg_.path_index != nullptr ? cfg_.path_index : &own_index_;
+  PathIndex::Counters* counters_ =
+      cfg_.index_counters != nullptr ? cfg_.index_counters : &own_counters_;
   PendingUpdateList pul_;
   int depth_ = 0;
   int call_depth_ = 0;

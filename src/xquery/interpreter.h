@@ -7,6 +7,7 @@
 #include "base/statusor.h"
 #include "xquery/context.h"
 #include "xquery/module.h"
+#include "xquery/path_index.h"
 
 namespace xrpc::xquery {
 
@@ -36,6 +37,11 @@ class Interpreter {
     /// boundary; a tripped token aborts the evaluation with its status
     /// (kDeadlineExceeded / kCancelled). Null = never cancelled.
     const CancellationToken* cancel = nullptr;
+    /// Path index to probe and fill. Null: the evaluation owns one for its
+    /// own duration (one query, or all calls of one request).
+    PathIndex* path_index = nullptr;
+    /// Tallies the index builds, hits and sweeps this evaluation causes.
+    PathIndex::Counters* index_counters = nullptr;
   };
 
   explicit Interpreter(const Config& config) : config_(config) {}
@@ -47,10 +53,9 @@ class Interpreter {
   /// Applies a module function to the already-evaluated arguments of each
   /// call of one (Bulk) XRPC request — the server side, after n2s()
   /// unmarshaling — returning one result per call. All calls share one
-  /// evaluation context, so the path memo and join index built by the
-  /// first call serve the rest: a per-call selection becomes one join.
-  /// That is sound because documents do not change while a request runs.
-  /// The cancellation token is also checked between calls.
+  /// path index, so the candidates and join index built by the first call
+  /// serve the rest: a per-call selection becomes one join. The
+  /// cancellation token is also checked between calls.
   StatusOr<std::vector<QueryResult>> CallModuleFunction(
       const LibraryModule& module, const FunctionDef& function,
       std::vector<std::vector<xdm::Sequence>> calls) const;

@@ -119,6 +119,18 @@ TEST(Eval, StringBuiltins) {
   EXPECT_EQ(EvalToString("substring-after(\"a=b\", \"=\")"), "b");
 }
 
+TEST(Eval, StringLengthAndSubstringCountCharactersNotBytes) {
+  // "é" is two UTF-8 bytes, "日" three and "😀" four; each is one
+  // character, and substring never splits one.
+  EXPECT_EQ(EvalToString("string-length(\"café\")"), "4");
+  EXPECT_EQ(EvalToString("string-length(\"日本語\")"), "3");
+  EXPECT_EQ(EvalToString("substring(\"café\", 4, 1)"), "é");
+  EXPECT_EQ(EvalToString("substring(\"naïve\", 2, 3)"), "aïv");
+  EXPECT_EQ(EvalToString("substring(\"日本語\", 2)"), "本語");
+  EXPECT_EQ(EvalToString("substring(\"x😀y\", 2, 1)"), "😀");
+  EXPECT_EQ(EvalToString("substring(\"x😀y\", 3)"), "y");
+}
+
 TEST(Eval, NumericBuiltins) {
   EXPECT_EQ(EvalToString("count((1,2,3))"), "3");
   EXPECT_EQ(EvalToString("sum((1,2,3))"), "6");

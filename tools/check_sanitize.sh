@@ -15,7 +15,8 @@
 # codec and XML suites (Marshal, Message, XmlParser, XmlNode, XmlSerializer,
 # EdgeCases): decoding moves parsed value subtrees out of the envelope's
 # shared_ptr tree instead of copying them, which is what the address lane
-# watches.
+# watches. PathIndexTest runs concurrent readers through one service's
+# shared path index.
 #
 # Usage: tools/check_sanitize.sh [thread|address]
 set -euo pipefail
@@ -29,7 +30,7 @@ cmake -B "$BUILD" -S "$ROOT" -DXRPC_SANITIZE="$SANITIZER" \
 cmake --build "$BUILD" -j
 cd "$BUILD"
 ctest --output-on-failure -j"$(nproc)" \
-      -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest|ParallelExecTest|Marshal|Message|XmlParser|XmlNode|XmlSerializer|EdgeCases'
+      -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest|ParallelExecTest|Marshal|Message|XmlParser|XmlNode|XmlSerializer|EdgeCases|PathIndexTest'
 # The failover lane by label: replica failover + epoch fencing
 # (failover_test) and the half-open probe races (circuit_breaker_test).
 ctest --output-on-failure -j"$(nproc)" -L failover
