@@ -69,7 +69,7 @@ int main() {
   for (const auto& peer : trace.peers) {
     std::printf("---- peer %s ----\n", peer.peer.c_str());
     std::printf("map (iter <-> iterp, the rho renumbering):\n%s\n",
-                peer.map.ToString().c_str());
+                peer.MapToString().c_str());
     for (size_t p = 0; p < peer.req.size(); ++p) {
       std::printf("req parameter %zu (iterp|pos|item):\n%s\n", p + 1,
                   peer.req[p].ToString().c_str());

@@ -15,7 +15,7 @@ namespace xrpc::compiler {
 
 namespace {
 
-using algebra::Cell;
+using algebra::SortByIterPos;
 using algebra::Table;
 using xdm::AtomicType;
 using xdm::AtomicValue;
@@ -284,34 +284,12 @@ bool IsStringJoinableType(AtomicType t) {
          t == AtomicType::kAnyUri;
 }
 
-/// Sorts an iter|pos|item table by (iter, pos).
-Table SortIPI(const Table& t) {
-  auto sorted = algebra::SortBy(t, {"iter", "pos"});
-  return sorted.ok() ? std::move(sorted).value() : t;
-}
-
-bool SortedByIterPos(const Table& t) {
-  for (size_t i = 1; i < t.NumRows(); ++i) {
-    if (t.Iter(i) != t.Iter(i - 1) ? t.Iter(i) < t.Iter(i - 1)
-                                   : t.Pos(i) < t.Pos(i - 1)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// SortIPI of a table the caller gives up: moves it through if sorted.
-Table SortIPI(Table&& t) {
-  return SortedByIterPos(t) ? std::move(t) : SortIPI(std::as_const(t));
-}
-
 /// Consumes an iter|pos|item table one iteration at a time, each
 /// iteration's items in pos order, moving them out of the table. Visiting
 /// iterations in ascending order (as loops are) walks the table once.
 class IterCursor {
  public:
-  explicit IterCursor(Table t)
-      : table_(SortIPI(std::move(t))) {}
+  explicit IterCursor(Table t) : table_(SortByIterPos(std::move(t))) {}
 
   /// Replaces `out` with the items of iteration `iter`.
   void Take(int64_t iter, Sequence* out) {
@@ -341,27 +319,6 @@ class IterCursor {
 
 }  // namespace
 
-Table SequenceToTable(const Sequence& seq, int64_t iter) {
-  Table t = Table::IterPosItem();
-  for (size_t i = 0; i < seq.size(); ++i) {
-    t.AppendIPI(iter, static_cast<int64_t>(i + 1), seq[i]);
-  }
-  return t;
-}
-
-Sequence TableToSequence(const Table& table, int64_t iter) {
-  std::vector<std::pair<int64_t, Item>> rows;
-  for (size_t i = 0; i < table.NumRows(); ++i) {
-    if (table.Iter(i) == iter) rows.emplace_back(table.Pos(i), table.ItemAt(i));
-  }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  Sequence out;
-  out.reserve(rows.size());
-  for (auto& [pos, item] : rows) out.push_back(std::move(item));
-  return out;
-}
-
 // ===========================================================================
 
 class LoopLiftedEvaluator::Impl {
@@ -377,12 +334,14 @@ class LoopLiftedEvaluator::Impl {
       env_.emplace_back(name.Clark(), std::move(v));
     }
     XRPC_ASSIGN_OR_RETURN(Table result, Eval(*query.body, loop));
-    return TableToSequence(SortIPI(std::move(result)), 1);
+    Sequence out;
+    IterCursor(std::move(result)).Take(1, &out);
+    return out;
   }
 
   StatusOr<Table> EvaluateFunctionBulk(const xquery::LibraryModule& module,
                                        const xquery::FunctionDef& def,
-                                       const std::vector<Table>& args,
+                                       std::vector<Table> args,
                                        int64_t num_calls) {
     if (args.size() != def.arity()) {
       return Status::TypeError("bulk call arity mismatch for " +
@@ -396,15 +355,16 @@ class LoopLiftedEvaluator::Impl {
     for (int64_t i = 1; i <= num_calls; ++i) loop.push_back(i);
     size_t env_mark = env_.size();
     for (size_t p = 0; p < args.size(); ++p) {
-      XRPC_ASSIGN_OR_RETURN(Table coerced,
-                            CoerceParam(args[p], def.params[p].type, loop));
+      XRPC_ASSIGN_OR_RETURN(
+          Table coerced,
+          CoerceParam(std::move(args[p]), def.params[p].type, loop));
       env_.emplace_back(def.params[p].name.Clark(), std::move(coerced));
     }
     auto result = Eval(*def.body, loop);
     env_.resize(env_mark);
     scopes_.pop_back();
     if (!result.ok()) return result.status();
-    return SortIPI(std::move(result).value());
+    return SortByIterPos(std::move(result).value());
   }
 
   const std::vector<BulkRpcTrace>& traces() const { return traces_; }
@@ -481,7 +441,7 @@ class LoopLiftedEvaluator::Impl {
     Sequence focus_seqs[3];
     xquery::FunctionContext ctx;
     ctx.documents = cfg_.documents;
-    Table out = Table::IterPosItem();
+    Table out;
     PollGate gate(cfg_.cancel);
     for (int64_t iter : loop) {
       if (gate.Tick()) return gate.status();
@@ -566,7 +526,7 @@ class LoopLiftedEvaluator::Impl {
       }
     }
     if (all_in) return t;
-    Table out = Table::IterPosItem();
+    Table out;
     for (size_t i = 0; i < t.NumRows(); ++i) {
       if (in_loop(t.Iter(i))) {
         out.AppendIPI(t.Iter(i), t.Pos(i), t.ItemAt(i));
@@ -601,7 +561,7 @@ class LoopLiftedEvaluator::Impl {
       // observe a tripped deadline.
       XRPC_RETURN_IF_ERROR(cfg_.cancel->CheckCancelled());
     }
-    if (loop.empty()) return Table::IterPosItem();
+    if (loop.empty()) return Table();
     // Loop-invariant hoisting: evaluate once, broadcast over the loop.
     if (cfg_.enable_hoisting && loop.size() > 1) {
       auto cached = hoistable_.find(&e);
@@ -609,7 +569,7 @@ class LoopLiftedEvaluator::Impl {
                                                   : (hoistable_[&e] = IsHoistable(e));
       if (hoistable) {
         XRPC_ASSIGN_OR_RETURN(Table once, Eval(e, Loop{loop.front()}));
-        Table out = Table::IterPosItem();
+        Table out;
         for (int64_t iter : loop) {
           for (size_t i = 0; i < once.NumRows(); ++i) {
             out.AppendIPI(iter, once.Pos(i), once.ItemAt(i));
@@ -620,7 +580,7 @@ class LoopLiftedEvaluator::Impl {
     }
     switch (e.kind) {
       case ExprKind::kLiteral: {
-        Table t = Table::IterPosItem();
+        Table t;
         for (int64_t iter : loop) t.AppendIPI(iter, 1, Item(e.literal));
         return t;
       }
@@ -687,19 +647,19 @@ class LoopLiftedEvaluator::Impl {
 
   StatusOr<Table> EvalSequence(const Expr& e, const Loop& loop) {
     // (e1, ..., en): per iter, concatenate branch results in order.
-    std::vector<Table> parts;
+    std::vector<IterCursor> parts;
     parts.reserve(e.children.size());
     for (const ExprPtr& c : e.children) {
       XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-      parts.push_back(SortIPI(t));
+      parts.emplace_back(std::move(t));
     }
-    Table out = Table::IterPosItem();
+    Table out;
+    Sequence seq;
     for (int64_t iter : loop) {
       int64_t pos = 0;
-      for (const Table& part : parts) {
-        for (size_t i = 0; i < part.NumRows(); ++i) {
-          if (part.Iter(i) == iter) out.AppendIPI(iter, ++pos, part.ItemAt(i));
-        }
+      for (IterCursor& part : parts) {
+        part.Take(iter, &seq);
+        for (Item& item : seq) out.AppendIPI(iter, ++pos, std::move(item));
       }
     }
     return out;
@@ -710,7 +670,7 @@ class LoopLiftedEvaluator::Impl {
   /// deeper scope).
   Table MapIntoInner(const Table& t,
                      const std::multimap<int64_t, int64_t>& outer_to_inner) {
-    Table out = Table::IterPosItem();
+    Table out;
     for (size_t i = 0; i < t.NumRows(); ++i) {
       auto [lo, hi] = outer_to_inner.equal_range(t.Iter(i));
       for (auto it = lo; it != hi; ++it) {
@@ -724,7 +684,7 @@ class LoopLiftedEvaluator::Impl {
   Table MapIntoInnerSorted(
       const Table& t,
       const std::vector<std::pair<int64_t, int64_t>>& outer_to_inner) {
-    Table out = Table::IterPosItem();
+    Table out;
     auto less_outer = [](const std::pair<int64_t, int64_t>& p, int64_t v) {
       return p.first < v;
     };
@@ -788,7 +748,7 @@ class LoopLiftedEvaluator::Impl {
     // Key each bound row: evaluate the y-side with $var bound per row.
     int64_t n = static_cast<int64_t>(t_once.NumRows());
     Loop yloop;
-    Table yvar = Table::IterPosItem();
+    Table yvar;
     for (int64_t i = 0; i < n; ++i) {
       int64_t iter = iter_base_ + i + 1;
       yloop.push_back(iter);
@@ -824,7 +784,7 @@ class LoopLiftedEvaluator::Impl {
     // then bound-row order.
     std::vector<std::pair<int64_t, int64_t>> old_to_new;
     std::map<int64_t, int64_t> next_inner_to_outer;
-    Table var_table = Table::IterPosItem();
+    Table var_table;
     Loop new_loop;
     for (int64_t iter : *cur_loop) {
       auto xk = xkeys_or.value().find(iter);
@@ -901,14 +861,15 @@ class LoopLiftedEvaluator::Impl {
         break;
       }
       if (c.kind == FlworClause::Kind::kLet) {
-        env_.emplace_back(c.var.Clark(), SortIPI(bound.value()));
+        env_.emplace_back(c.var.Clark(),
+                          SortByIterPos(std::move(bound).value()));
         continue;
       }
       // for $v in t: every row of t becomes a new iteration.
-      Table t = SortIPI(bound.value());
+      Table t = SortByIterPos(std::move(bound).value());
       std::vector<std::pair<int64_t, int64_t>> old_to_new;  // sorted by old
-      Table var_table = Table::IterPosItem();
-      Table pos_table = Table::IterPosItem();
+      Table var_table;
+      Table pos_table;
       Loop new_loop;
       std::map<int64_t, int64_t> next_inner_to_outer;
       int64_t pos_index = 0;
@@ -919,7 +880,7 @@ class LoopLiftedEvaluator::Impl {
         old_to_new.emplace_back(t.Iter(i), new_iter);
         next_inner_to_outer[new_iter] = inner_to_outer[t.Iter(i)];
         new_loop.push_back(new_iter);
-        var_table.AppendIPI(new_iter, 1, t.ItemAt(i));
+        var_table.AppendIPI(new_iter, 1, t.TakeItemAt(i));
         ++pos_index;
         if (!c.pos_var.empty()) {
           pos_table.AppendIPI(new_iter, 1,
@@ -1017,19 +978,19 @@ class LoopLiftedEvaluator::Impl {
     // return clause under the final loop; map back to outer iters with
     // pos renumbered in (ordered inner iteration, inner pos) order.
     XRPC_ASSIGN_OR_RETURN(Table ret, Eval(*e.ret, cur_loop));
-    ret = SortIPI(ret);
+    ret = SortByIterPos(std::move(ret));
     auto groups = GroupByIter(ret);
-    Table out = Table::IterPosItem();
+    Table out;
     std::map<int64_t, int64_t> out_pos;
     for (int64_t iter : ordered_iters) {
       auto g = groups.find(iter);
       if (g == groups.end()) continue;
       int64_t outer = inner_to_outer[iter];
       for (size_t row : g->second) {
-        out.AppendIPI(outer, ++out_pos[outer], ret.ItemAt(row));
+        out.AppendIPI(outer, ++out_pos[outer], ret.TakeItemAt(row));
       }
     }
-    return SortIPI(out);
+    return SortByIterPos(std::move(out));
   }
 
   StatusOr<Table> EvalIf(const Expr& e, const Loop& loop) {
@@ -1039,16 +1000,16 @@ class LoopLiftedEvaluator::Impl {
       auto it = cond.find(iter);
       (it != cond.end() && it->second ? then_loop : else_loop).push_back(iter);
     }
-    Table out = Table::IterPosItem();
+    Table out;
     if (!then_loop.empty()) {
       XRPC_ASSIGN_OR_RETURN(Table t, Eval(*e.children[1], then_loop));
-      XRPC_ASSIGN_OR_RETURN(out, algebra::DisjointUnion(out, t));
+      out = algebra::DisjointUnion(std::move(out), std::move(t));
     }
     if (!else_loop.empty()) {
       XRPC_ASSIGN_OR_RETURN(Table t, Eval(*e.children[2], else_loop));
-      XRPC_ASSIGN_OR_RETURN(out, algebra::DisjointUnion(out, t));
+      out = algebra::DisjointUnion(std::move(out), std::move(t));
     }
-    return SortIPI(out);
+    return SortByIterPos(std::move(out));
   }
 
   StatusOr<Table> EvalQuantified(const Expr& e, const Loop& loop) {
@@ -1067,17 +1028,17 @@ class LoopLiftedEvaluator::Impl {
         st = bound.status();
         break;
       }
-      Table t = SortIPI(bound.value());
+      Table t = SortByIterPos(std::move(bound).value());
       std::multimap<int64_t, int64_t> old_to_new;
       std::map<int64_t, int64_t> new_to_old;
-      Table var_table = Table::IterPosItem();
+      Table var_table;
       Loop new_loop;
       for (size_t i = 0; i < t.NumRows(); ++i) {
         int64_t new_iter = static_cast<int64_t>(i + 1) + iter_base_;
         old_to_new.emplace(t.Iter(i), new_iter);
         new_to_old[new_iter] = t.Iter(i);
         new_loop.push_back(new_iter);
-        var_table.AppendIPI(new_iter, 1, t.ItemAt(i));
+        var_table.AppendIPI(new_iter, 1, t.TakeItemAt(i));
       }
       iter_base_ += static_cast<int64_t>(t.NumRows()) + 1;
       std::vector<std::pair<std::string, Table>> remapped;
@@ -1114,7 +1075,7 @@ class LoopLiftedEvaluator::Impl {
     env_ = std::move(saved_env);
     env_.resize(env_mark);
     XRPC_RETURN_IF_ERROR(st);
-    Table out = Table::IterPosItem();
+    Table out;
     for (int64_t iter : loop) {
       out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(verdict[iter])));
     }
@@ -1131,7 +1092,7 @@ class LoopLiftedEvaluator::Impl {
       if (l[iter] != is_or) undecided.push_back(iter);
     }
     XRPC_ASSIGN_OR_RETURN(auto r, EvalBool(*e.children[1], undecided));
-    Table out = Table::IterPosItem();
+    Table out;
     for (int64_t iter : loop) {
       bool v = l[iter] == is_or ? is_or : r[iter];
       out.AppendIPI(iter, 1, Item(AtomicValue::Boolean(v)));
@@ -1152,7 +1113,7 @@ class LoopLiftedEvaluator::Impl {
       bool b = false;
       if (g != groups.end()) {
         seq.clear();
-        for (size_t row : g->second) seq.push_back(t.ItemAt(row));
+        for (size_t row : g->second) seq.push_back(t.TakeItemAt(row));
         XRPC_ASSIGN_OR_RETURN(b, xdm::EffectiveBooleanValue(seq));
       }
       out[iter] = b;
@@ -1163,42 +1124,36 @@ class LoopLiftedEvaluator::Impl {
   StatusOr<Table> EvalUnion(const Expr& e, const Loop& loop) {
     XRPC_ASSIGN_OR_RETURN(Table l, Eval(*e.children[0], loop));
     XRPC_ASSIGN_OR_RETURN(Table r, Eval(*e.children[1], loop));
-    XRPC_ASSIGN_OR_RETURN(Table both, algebra::DisjointUnion(l, r));
-    return DocOrderPerIter(both);
+    return DocOrderPerIter(algebra::DisjointUnion(std::move(l), std::move(r)));
   }
 
   /// Sorts node rows per iter into document order, deduplicates, and
   /// renumbers pos.
-  StatusOr<Table> DocOrderPerIter(const Table& t_in) {
-    Table sorted;
-    const Table* t = &t_in;
-    if (!SortedByIter(t_in)) {
-      sorted = SortIPI(t_in);
-      t = &sorted;
-    }
-    Table out = Table::IterPosItem();
+  StatusOr<Table> DocOrderPerIter(Table t) {
+    if (!SortedByIter(t)) t = SortByIterPos(std::move(t));
+    Table out;
     PollGate gate(cfg_.cancel);
     Sequence seq;
-    const size_t end = t->NumRows();
+    const size_t end = t.NumRows();
     size_t i = 0;
     while (i < end) {
       if (gate.Tick()) return gate.status();
-      int64_t iter = t->Iter(i);
+      int64_t iter = t.Iter(i);
       seq.clear();
-      for (; i < end && t->Iter(i) == iter; ++i) {
-        seq.push_back(t->ItemAt(i));
+      for (; i < end && t.Iter(i) == iter; ++i) {
+        seq.push_back(t.TakeItemAt(i));
       }
       if (seq.size() == 1) {
         if (!seq[0].IsNode()) {
           return Status::TypeError(
               "path step result contains an atomic value (XPTY0018)");
         }
-        out.AppendIPI(iter, 1, seq[0]);
+        out.AppendIPI(iter, 1, std::move(seq[0]));
         continue;
       }
       XRPC_RETURN_IF_ERROR(xdm::SortByDocumentOrder(&seq));
       for (size_t k = 0; k < seq.size(); ++k) {
-        out.AppendIPI(iter, static_cast<int64_t>(k + 1), seq[k]);
+        out.AppendIPI(iter, static_cast<int64_t>(k + 1), std::move(seq[k]));
       }
     }
     return out;
@@ -1207,14 +1162,14 @@ class LoopLiftedEvaluator::Impl {
   // ----------------------------------------------------------------- paths
 
   StatusOr<Table> EvalPath(const Expr& e, const Loop& loop) {
-    Table input = Table::IterPosItem();
+    Table input;
     if (e.children[0] != nullptr) {
       XRPC_ASSIGN_OR_RETURN(input, Eval(*e.children[0], loop));
     } else {
       XRPC_ASSIGN_OR_RETURN(const Table* dot, LookupVar(kDotVar));
       input = RestrictToLoop(*dot, loop);
       if (e.root_path) {
-        Table roots = Table::IterPosItem();
+        Table roots;
         for (size_t i = 0; i < input.NumRows(); ++i) {
           const Item& item = input.ItemAt(i);
           if (!item.IsNode()) {
@@ -1233,7 +1188,7 @@ class LoopLiftedEvaluator::Impl {
   }
 
   StatusOr<Table> EvalStep(const Table& input, const PathStep& step) {
-    Table expanded = Table::IterPosItem();
+    Table expanded;
     bool single_row_iters = true;  // no iter contributed two context nodes
     PollGate gate(cfg_.cancel);
     Sequence nodes;
@@ -1264,7 +1219,7 @@ class LoopLiftedEvaluator::Impl {
         xquery::IsForwardAxis(step.axis)) {
       return expanded;  // already per-iter document order, duplicate-free
     }
-    return DocOrderPerIter(expanded);
+    return DocOrderPerIter(std::move(expanded));
   }
 
   /// Applies predicates to a candidate node list by loop-lifting the
@@ -1279,9 +1234,9 @@ class LoopLiftedEvaluator::Impl {
     for (const ExprPtr& pred : predicates) {
       if (candidates.empty()) break;
       Loop cand_loop;
-      Table dot = Table::IterPosItem();
-      Table position = Table::IterPosItem();
-      Table last = Table::IterPosItem();
+      Table dot;
+      Table position;
+      Table last;
       std::multimap<int64_t, int64_t> outer_to_cand;
       int64_t n = static_cast<int64_t>(candidates.size());
       for (int64_t i = 0; i < n; ++i) {
@@ -1325,16 +1280,17 @@ class LoopLiftedEvaluator::Impl {
   StatusOr<Table> ApplyPredicates(Table in,
                                   const std::vector<ExprPtr>& predicates) {
     auto groups = GroupByIter(in);
-    Table out = Table::IterPosItem();
+    Table out;
     for (auto& [iter, rows] : groups) {
       Sequence seq;
-      for (size_t row : rows) seq.push_back(in.ItemAt(row));
-      XRPC_ASSIGN_OR_RETURN(seq, FilterWithPredicates(seq, predicates, iter));
+      for (size_t row : rows) seq.push_back(in.TakeItemAt(row));
+      XRPC_ASSIGN_OR_RETURN(
+          seq, FilterWithPredicates(std::move(seq), predicates, iter));
       for (size_t i = 0; i < seq.size(); ++i) {
-        out.AppendIPI(iter, static_cast<int64_t>(i + 1), seq[i]);
+        out.AppendIPI(iter, static_cast<int64_t>(i + 1), std::move(seq[i]));
       }
     }
-    return SortIPI(out);
+    return SortByIterPos(std::move(out));
   }
 
   // ------------------------------------------------------------ functions
@@ -1442,7 +1398,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
   std::vector<Table> params;
   for (size_t i = 1; i < e.children.size(); ++i) {
     XRPC_ASSIGN_OR_RETURN(Table p, Eval(*e.children[i], loop));
-    params.push_back(SortIPI(p));
+    params.push_back(SortByIterPos(std::move(p)));
   }
   size_t arity = params.size();
 
@@ -1482,7 +1438,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
       Sequence param;
       auto g = param_groups[p].find(iter);
       if (g != param_groups[p].end()) {
-        for (size_t row : g->second) param.push_back(params[p].ItemAt(row));
+        for (size_t row : g->second) param.push_back(params[p].TakeItemAt(row));
       }
       call.args.push_back(std::move(param));
     }
@@ -1504,7 +1460,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
   BulkRpcTrace trace;
   std::map<int64_t, int64_t> trace_rank;
   auto normalize = [&trace_rank](const Table& t) {
-    Table out = Table::IterPosItem();
+    Table out;
     for (size_t i = 0; i < t.NumRows(); ++i) {
       auto r = trace_rank.find(t.Iter(i));
       out.AppendIPI(r == trace_rank.end() ? t.Iter(i) : r->second, t.Pos(i),
@@ -1520,8 +1476,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
     for (const server::RpcClient::RoutedGroup& group : groups) {
       BulkRpcTrace::PerPeer tp;
       tp.peer = group.peer;
-      tp.map = algebra::LiteralTable({"iter", "iterp"}, {});
-      tp.req.resize(arity, Table::IterPosItem());
+      tp.req.resize(arity);
       for (size_t k = 0; k < group.slots.size(); ++k) {
         const int64_t iterp = static_cast<int64_t>(k + 1);
         const server::RpcClient::RoutedCall& call = calls[group.slots[k].call];
@@ -1531,8 +1486,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
                                 call.args[p][j]);
           }
         }
-        tp.map.AppendRow({Cell::Int(trace_rank[loop[group.slots[k].call]]),
-                          Cell::Int(iterp)});
+        tp.map.emplace_back(trace_rank[loop[group.slots[k].call]], iterp);
       }
       trace.peers.push_back(std::move(tp));
     }
@@ -1550,21 +1504,16 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
       max_rank = std::max(max_rank, slot.rank);
     }
   }
-  std::vector<Table> shard_sources(static_cast<size_t>(max_rank) + 1,
-                                   Table::IterPosItem());
+  std::vector<Table> shard_sources(static_cast<size_t>(max_rank) + 1);
   for (size_t w = 0; w < groups.size(); ++w) {
     // A replica echo of an all-copies write answered (and is enlisted in
     // the 2PC); only the primary's results feed the merge.
     if (groups[w].echo) continue;
-    const std::vector<Sequence>& results = groups[w].response.results;
+    std::vector<Sequence>& results = groups[w].response.results;
     for (size_t k = 0; k < results.size(); ++k) {
       const server::RpcClient::Slot& slot = groups[w].slots[k];
       const int64_t iter = loop[slot.call];
-      const Sequence& seq = results[k];
-      for (size_t i = 0; i < seq.size(); ++i) {
-        shard_sources[static_cast<size_t>(slot.rank)].AppendIPI(
-            iter, static_cast<int64_t>(i + 1), seq[i]);
-      }
+      Sequence& seq = results[k];
       if (cfg_.trace_bulk_rpc) {
         for (size_t i = 0; i < seq.size(); ++i) {
           trace.peers[w].msg.AppendIPI(static_cast<int64_t>(k + 1),
@@ -1573,13 +1522,17 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
                                        static_cast<int64_t>(i + 1), seq[i]);
         }
       }
+      for (size_t i = 0; i < seq.size(); ++i) {
+        shard_sources[static_cast<size_t>(slot.rank)].AppendIPI(
+            iter, static_cast<int64_t>(i + 1), std::move(seq[i]));
+      }
     }
   }
-  Table result = algebra::ScatterGatherMerge(shard_sources);
+  Table result = algebra::ScatterGatherMerge(std::move(shard_sources));
   if (cfg_.trace_bulk_rpc) {
     for (auto& tp : trace.peers) {
-      tp.msg = SortIPI(tp.msg);
-      tp.res = SortIPI(tp.res);
+      tp.msg = SortByIterPos(std::move(tp.msg));
+      tp.res = SortByIterPos(std::move(tp.res));
     }
     trace.result = normalize(result);
     traces_.push_back(std::move(trace));
@@ -1611,7 +1564,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
         w.attr = a.get();
         for (const ExprPtr& c : a->children) {
           XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-          w.parts.push_back(SortIPI(t));
+          w.parts.push_back(SortByIterPos(std::move(t)));
         }
         attrs.push_back(std::move(w));
       }
@@ -1619,13 +1572,13 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
       std::vector<std::pair<const Expr*, Table>> content;
       for (const ExprPtr& c : e.children) {
         if (c->kind == ExprKind::kTextCtor && c->children.empty()) {
-          content.emplace_back(c.get(), Table::IterPosItem());  // literal text
+          content.emplace_back(c.get(), Table());  // literal text
           continue;
         }
         XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-        content.emplace_back(c.get(), SortIPI(t));
+        content.emplace_back(c.get(), SortByIterPos(std::move(t)));
       }
-      Table out = Table::IterPosItem();
+      Table out;
       for (int64_t iter : loop) {
         xml::QName name = e.name;
         auto ni = names.find(iter);
@@ -1658,7 +1611,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
           }
           Sequence items;
           for (size_t row = 0; row < table.NumRows(); ++row) {
-            if (table.Iter(row) == iter) items.push_back(table.ItemAt(row));
+            if (table.Iter(row) == iter) items.push_back(table.TakeItemAt(row));
           }
           std::string pending;
           bool has_pending = false;
@@ -1695,7 +1648,7 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
     }
     case ExprKind::kTextCtor: {
       if (e.children.empty()) {
-        Table out = Table::IterPosItem();
+        Table out;
         for (int64_t iter : loop) {
           out.AppendIPI(iter, 1,
                         Item::Node(Node::NewText(e.literal.ToString())));
@@ -1703,8 +1656,9 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
         return out;
       }
       XRPC_ASSIGN_OR_RETURN(Table t, Eval(*e.children[0], loop));
-      auto groups = GroupByIter(SortIPI(t));
-      Table out = Table::IterPosItem();
+      t = SortByIterPos(std::move(t));
+      auto groups = GroupByIter(t);
+      Table out;
       for (int64_t iter : loop) {
         auto g = groups.find(iter);
         if (g == groups.end() || g->second.empty()) continue;
@@ -1737,12 +1691,20 @@ StatusOr<xdm::Sequence> LoopLiftedEvaluator::EvaluateQuery(
 
 StatusOr<algebra::Table> LoopLiftedEvaluator::EvaluateFunctionBulk(
     const xquery::LibraryModule& module, const xquery::FunctionDef& def,
-    const std::vector<algebra::Table>& args, int64_t num_calls) {
-  return impl_->EvaluateFunctionBulk(module, def, args, num_calls);
+    std::vector<algebra::Table> args, int64_t num_calls) {
+  return impl_->EvaluateFunctionBulk(module, def, std::move(args), num_calls);
 }
 
 const std::vector<BulkRpcTrace>& LoopLiftedEvaluator::traces() const {
   return impl_->traces();
+}
+
+std::string BulkRpcTrace::PerPeer::MapToString() const {
+  std::string out = "iter | iterp\n";
+  for (const auto& [iter, iterp] : map) {
+    out += std::to_string(iter) + " | " + std::to_string(iterp) + "\n";
+  }
+  return out;
 }
 
 }  // namespace xrpc::compiler

@@ -1,8 +1,10 @@
 #ifndef XRPC_COMPILER_LOOP_LIFT_H_
 #define XRPC_COMPILER_LOOP_LIFT_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/table.h"
@@ -19,10 +21,14 @@ namespace xrpc::compiler {
 struct BulkRpcTrace {
   struct PerPeer {
     std::string peer;
-    algebra::Table map;  ///< iter | iterp
+    /// (iter, iterp) rows: the ρ renumbering of this peer's calls.
+    std::vector<std::pair<int64_t, int64_t>> map;
     std::vector<algebra::Table> req;  ///< per parameter: iterp|pos|item
-    algebra::Table msg = algebra::Table::IterPosItem();  ///< iterp|pos|item
-    algebra::Table res = algebra::Table::IterPosItem();  ///< iter|pos|item
+    algebra::Table msg;  ///< iterp|pos|item
+    algebra::Table res;  ///< iter|pos|item
+
+    /// Renders `map` as an "iter | iterp" table.
+    std::string MapToString() const;
   };
   algebra::Table dst;     ///< the loop-lifted destination variable
   std::vector<PerPeer> peers;
@@ -80,7 +86,7 @@ class LoopLiftedEvaluator {
   /// holds one result sequence per iter.
   StatusOr<algebra::Table> EvaluateFunctionBulk(
       const xquery::LibraryModule& module, const xquery::FunctionDef& def,
-      const std::vector<algebra::Table>& args, int64_t num_calls);
+      std::vector<algebra::Table> args, int64_t num_calls);
 
   /// Bulk RPC traces captured so far (trace_bulk_rpc only).
   const std::vector<BulkRpcTrace>& traces() const;
@@ -89,10 +95,6 @@ class LoopLiftedEvaluator {
   class Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Converts between sequences and canonical tables.
-algebra::Table SequenceToTable(const xdm::Sequence& seq, int64_t iter);
-xdm::Sequence TableToSequence(const algebra::Table& table, int64_t iter);
 
 }  // namespace xrpc::compiler
 

@@ -40,8 +40,7 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
   // Shred the request parameters into loop-lifted tables: call i becomes
   // iteration i+1.
   int64_t num_calls = static_cast<int64_t>(request.calls.size());
-  std::vector<algebra::Table> args(request.arity,
-                                   algebra::Table::IterPosItem());
+  std::vector<algebra::Table> args(request.arity);
   PollGate gate(context.cancel);
   for (size_t call = 0; call < request.calls.size(); ++call) {
     if (gate.Tick()) return gate.status();
@@ -63,7 +62,7 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
   LoopLiftedEvaluator evaluator(config);
   XRPC_ASSIGN_OR_RETURN(
       algebra::Table result,
-      evaluator.EvaluateFunctionBulk(module, def, args, num_calls));
+      evaluator.EvaluateFunctionBulk(module, def, std::move(args), num_calls));
 
   std::vector<xdm::Sequence> out(static_cast<size_t>(num_calls));
   for (size_t i = 0; i < result.NumRows(); ++i) {

@@ -2,10 +2,117 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "base/string_util.h"
 
 namespace xrpc::xdm {
+
+namespace {
+
+/// An xs:date or xs:dateTime as the instant it denotes: seconds since
+/// 1970-01-01T00:00:00Z plus the fractional-second digits without trailing
+/// zeros (so digit strings order like the fractions they spell). A value
+/// without a timezone reads as UTC; an xs:date is its first instant.
+using Instant = std::pair<int64_t, std::string>;
+
+/// Days since 1970-01-01 of a proleptic Gregorian date (y = 0 is 1 BCE).
+int64_t DaysFromCivil(int64_t y, int64_t m, int64_t d) {
+  y -= m <= 2 ? 1 : 0;
+  const int64_t era = (y >= 0 ? y : y - 399) / 400;
+  const int64_t yoe = y - era * 400;
+  const int64_t doy = (153 * (m + (m > 2 ? -3 : 9)) + 2) / 5 + d - 1;
+  return era * 146097 + yoe * 365 + yoe / 4 - yoe / 100 + doy - 719468;
+}
+
+/// Parses the XML Schema lexical form of an xs:date (`with_time` false)
+/// or xs:dateTime: -?YYYY-MM-DD, then THH:MM:SS(.S+)? for a dateTime,
+/// then an optional Z or +HH:MM / -HH:MM timezone. Nullopt if invalid.
+std::optional<Instant> ParseInstant(std::string_view s, bool with_time) {
+  size_t i = 0;
+  auto number = [&](size_t min_len, size_t max_len) -> std::optional<int64_t> {
+    size_t start = i;
+    while (i < s.size() && i - start < max_len && s[i] >= '0' && s[i] <= '9') {
+      ++i;
+    }
+    if (i - start < min_len || (i < s.size() && s[i] >= '0' && s[i] <= '9')) {
+      return std::nullopt;
+    }
+    return std::stoll(std::string(s.substr(start, i - start)));
+  };
+  auto skip = [&](char c) {
+    if (i >= s.size() || s[i] != c) return false;
+    ++i;
+    return true;
+  };
+  const bool bce = skip('-');
+  const size_t year_start = i;
+  auto year = number(4, 9);
+  if (!year || *year == 0 ||
+      (i - year_start > 4 && s[year_start] == '0')) {
+    return std::nullopt;
+  }
+  std::optional<int64_t> month, day;
+  if (!skip('-') || !(month = number(2, 2)) || !skip('-') ||
+      !(day = number(2, 2))) {
+    return std::nullopt;
+  }
+  const int64_t y = bce ? 1 - *year : *year;
+  const bool leap = y % 4 == 0 && (y % 100 != 0 || y % 400 == 0);
+  static constexpr int kDays[] = {31, 28, 31, 30, 31, 30,
+                                  31, 31, 30, 31, 30, 31};
+  if (*month < 1 || *month > 12 || *day < 1 ||
+      *day > kDays[*month - 1] + (*month == 2 && leap ? 1 : 0)) {
+    return std::nullopt;
+  }
+  Instant instant{DaysFromCivil(y, *month, *day) * 86400, ""};
+  if (with_time) {
+    std::optional<int64_t> hh, mm, ss;
+    if (!skip('T') || !(hh = number(2, 2)) || !skip(':') ||
+        !(mm = number(2, 2)) || !skip(':') || !(ss = number(2, 2))) {
+      return std::nullopt;
+    }
+    if (skip('.')) {
+      size_t start = i;
+      while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+      if (i == start) return std::nullopt;
+      instant.second = std::string(s.substr(start, i - start));
+      while (!instant.second.empty() && instant.second.back() == '0') {
+        instant.second.pop_back();
+      }
+    }
+    const bool midnight = *hh == 24 && *mm == 0 && *ss == 0 &&
+                          instant.second.empty();
+    if ((*hh > 23 && !midnight) || *mm > 59 || *ss > 59) return std::nullopt;
+    instant.first += *hh * 3600 + *mm * 60 + *ss;
+  }
+  if (!skip('Z') && i < s.size()) {
+    const int64_t sign = s[i] == '-' ? -1 : 1;
+    std::optional<int64_t> tzh, tzm;
+    if (!(skip('+') || skip('-')) || !(tzh = number(2, 2)) || !skip(':') ||
+        !(tzm = number(2, 2)) || *tzm > 59 || *tzh > 14 ||
+        (*tzh == 14 && *tzm != 0)) {
+      return std::nullopt;
+    }
+    instant.first -= sign * (*tzh * 3600 + *tzm * 60);
+  }
+  if (i != s.size()) return std::nullopt;
+  return instant;
+}
+
+/// Orders two date or dateTime values of one type by their instants.
+/// Values built without validation (AtomicValue::Date on a bad lexical
+/// form) fall back to lexical order.
+int CompareInstants(const std::string& a, const std::string& b,
+                    bool with_time) {
+  auto ia = ParseInstant(a, with_time);
+  auto ib = ParseInstant(b, with_time);
+  if (!ia || !ib) return a.compare(b) < 0 ? -1 : (a == b ? 0 : 1);
+  return *ia < *ib ? -1 : (*ib < *ia ? 1 : 0);
+}
+
+}  // namespace
 
 const char* AtomicTypeName(AtomicType type) {
   switch (type) {
@@ -241,21 +348,31 @@ StatusOr<AtomicValue> AtomicValue::CastTo(AtomicType target) const {
       }
       return Status::TypeError("cannot cast to xs:QName");
     case AtomicType::kDate:
-      if (type_ == AtomicType::kString || type_ == AtomicType::kUntypedAtomic) {
-        return Date(std::string(TrimWhitespace(lex)));
+    case AtomicType::kDateTime: {
+      const bool with_time = target == AtomicType::kDateTime;
+      if (type_ != AtomicType::kString && type_ != AtomicType::kUntypedAtomic) {
+        return Status::TypeError(std::string("cannot cast to ") +
+                                 AtomicTypeName(target));
       }
-      return Status::TypeError("cannot cast to xs:date");
-    case AtomicType::kDateTime:
-      if (type_ == AtomicType::kString || type_ == AtomicType::kUntypedAtomic) {
-        return DateTime(std::string(TrimWhitespace(lex)));
+      std::string trimmed(TrimWhitespace(lex));
+      if (!ParseInstant(trimmed, with_time)) {
+        return Status::TypeError("cannot cast '" + lex + "' to " +
+                                 AtomicTypeName(target) + " (FORG0001)");
       }
-      return Status::TypeError("cannot cast to xs:dateTime");
+      return with_time ? DateTime(std::move(trimmed))
+                       : Date(std::move(trimmed));
+    }
   }
   return Status::TypeError("unsupported cast");
 }
 
 bool operator==(const AtomicValue& a, const AtomicValue& b) {
   if (a.type_ != b.type_) return false;
+  if (a.type_ == AtomicType::kDate || a.type_ == AtomicType::kDateTime) {
+    return CompareInstants(std::get<std::string>(a.value_),
+                           std::get<std::string>(b.value_),
+                           a.type_ == AtomicType::kDateTime) == 0;
+  }
   return a.value_ == b.value_;
 }
 
@@ -321,6 +438,8 @@ StatusOr<int> CompareAtomic(const AtomicValue& a, const AtomicValue& b) {
     }
     case AtomicType::kDate:
     case AtomicType::kDateTime:
+      return CompareInstants(a.ToString(), b.ToString(),
+                             ta == AtomicType::kDateTime);
     case AtomicType::kQName:
       return CompareStrings(a.ToString(), b.ToString());
     default:

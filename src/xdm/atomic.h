@@ -13,8 +13,9 @@ namespace xrpc::xdm {
 /// The atomic types of the XQuery Data Model subset XRPC marshals.
 ///
 /// Decimals are represented as doubles (sufficient for the paper's
-/// workloads; documented restriction). Dates/times keep their lexical form
-/// and compare lexically, which is correct for valid canonical values.
+/// workloads; documented restriction). Dates and dateTimes keep their
+/// lexical form, which CastTo validates, and compare as the instants they
+/// denote.
 enum class AtomicType {
   kUntypedAtomic,
   kString,
@@ -72,8 +73,9 @@ class AtomicValue {
 
   bool IsNumeric() const { return IsNumericType(type_); }
 
-  /// Deep equality: same type and same value (used by tests; query-level
-  /// comparison goes through CompareAtomic).
+  /// Deep equality: same type and same value, dates and dateTimes by
+  /// instant (used by tests; query-level comparison goes through
+  /// CompareAtomic).
   friend bool operator==(const AtomicValue& a, const AtomicValue& b);
 
  private:
@@ -87,8 +89,8 @@ class AtomicValue {
 ///    numerics, and cast for the remaining types;
 ///  - numeric types promote to the wider of the two;
 ///  - strings/URIs compare by codepoint; booleans false<true;
-///  - date/dateTime compare lexically (valid canonical lexical forms order
-///    correctly).
+///  - date/dateTime compare by their timezone-normalized instant, a value
+///    without a timezone read as UTC (so 12:00:00+02:00 eq 10:00:00Z).
 /// Returns -1/0/1, or error for incomparable types (XPTY0004).
 StatusOr<int> CompareAtomic(const AtomicValue& a, const AtomicValue& b);
 

@@ -118,17 +118,64 @@ TEST_F(CoreTest, Figure1TraceCapturesIntermediateTables) {
       opts);
   ASSERT_EQ(last_report_.traces.size(), 1u);
   const compiler::BulkRpcTrace& trace = last_report_.traces[0];
-  ASSERT_EQ(trace.peers.size(), 2u);
-  // Peer y gets iterations 1 and 3 renumbered to 1 and 2 (Figure 1).
-  EXPECT_EQ(trace.peers[0].peer, "xrpc://y.example.org");
-  ASSERT_EQ(trace.peers[0].map.NumRows(), 2u);
-  EXPECT_EQ(trace.peers[0].map.At(0, 1).num, 1);
-  EXPECT_EQ(trace.peers[0].map.At(1, 1).num, 2);
-  ASSERT_EQ(trace.peers[0].req.size(), 1u);
-  EXPECT_EQ(trace.peers[0].req[0].NumRows(), 2u);
-  // msg_z: "Sound Of Music" for iterp 1 -> res_z iter 2 (the map-back).
-  EXPECT_EQ(trace.peers[1].res.NumRows(), 1u);
-  EXPECT_EQ(trace.peers[1].res.Iter(0), 2);
+  std::string rendered = "dst:\n" + trace.dst.ToString();
+  for (const compiler::BulkRpcTrace::PerPeer& peer : trace.peers) {
+    rendered += "peer " + peer.peer + "\nmap:\n" + peer.MapToString();
+    for (const algebra::Table& req : peer.req) {
+      rendered += "req:\n" + req.ToString();
+    }
+    rendered += "msg:\n" + peer.msg.ToString();
+    rendered += "res:\n" + peer.res.ToString();
+  }
+  rendered += "result:\n" + trace.result.ToString();
+  // Figure 1: peer y gets iterations 1 and 3 renumbered to iterp 1 and 2,
+  // peer z iterations 2 and 4; each response maps back through `map`
+  // (msg_z's iterp 1 becomes res_z's iter 2), and the merge-union
+  // restores query order.
+  EXPECT_EQ(rendered,
+            "dst:\n"
+            "iter | pos | item\n"
+            "1 | 1 | \"xrpc://y.example.org\"\n"
+            "2 | 1 | \"xrpc://z.example.org\"\n"
+            "3 | 1 | \"xrpc://y.example.org\"\n"
+            "4 | 1 | \"xrpc://z.example.org\"\n"
+            "peer xrpc://y.example.org\n"
+            "map:\n"
+            "iter | iterp\n"
+            "1 | 1\n"
+            "3 | 2\n"
+            "req:\n"
+            "iter | pos | item\n"
+            "1 | 1 | \"Julie Andrews\"\n"
+            "2 | 1 | \"Sean Connery\"\n"
+            "msg:\n"
+            "iter | pos | item\n"
+            "2 | 1 | <name>\n"
+            "2 | 2 | <name>\n"
+            "res:\n"
+            "iter | pos | item\n"
+            "3 | 1 | <name>\n"
+            "3 | 2 | <name>\n"
+            "peer xrpc://z.example.org\n"
+            "map:\n"
+            "iter | iterp\n"
+            "2 | 1\n"
+            "4 | 2\n"
+            "req:\n"
+            "iter | pos | item\n"
+            "1 | 1 | \"Julie Andrews\"\n"
+            "2 | 1 | \"Sean Connery\"\n"
+            "msg:\n"
+            "iter | pos | item\n"
+            "1 | 1 | <name>\n"
+            "res:\n"
+            "iter | pos | item\n"
+            "2 | 1 | <name>\n"
+            "result:\n"
+            "iter | pos | item\n"
+            "2 | 1 | <name>\n"
+            "3 | 1 | <name>\n"
+            "3 | 2 | <name>\n");
 }
 
 TEST_F(CoreTest, PaperQ6OutOfOrderBulk) {

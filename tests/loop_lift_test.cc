@@ -269,7 +269,42 @@ INSTANTIATE_TEST_SUITE_P(
                   "for $i in 1 to 2 return m:double(())",
                   StatusCode::kTypeError},
         // fn:error's message is its description, the second argument.
-        ErrorCase{"fn:error(\"a\",\"b\",\"c\")", StatusCode::kEvalError}));
+        ErrorCase{"fn:error(\"a\",\"b\",\"c\")", StatusCode::kEvalError},
+        // xs:date and xs:dateTime validate their lexical form (FORG0001).
+        ErrorCase{"xs:date(\"banana\")", StatusCode::kTypeError},
+        ErrorCase{"xs:date(\"2006-1-1\")", StatusCode::kTypeError},
+        ErrorCase{"for $d in (\"2006-02-28\", \"2006-02-29\") "
+                  "return xs:date($d)",
+                  StatusCode::kTypeError},
+        ErrorCase{"xs:dateTime(\"2006-01-01T24:00:01Z\")",
+                  StatusCode::kTypeError}));
+
+TEST_F(LoopLiftTest, DateTimesCompareAsInstantsOnBothEngines) {
+  // 12:00 at +02:00 is 10:00 UTC; a value without a timezone reads as UTC,
+  // and the lexical form, timezone included, survives.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"xs:dateTime(\"2006-01-01T12:00:00+02:00\") eq "
+       "xs:dateTime(\"2006-01-01T10:00:00Z\")",
+       "true"},
+      {"xs:dateTime(\"2006-01-01T12:00:00+02:00\") lt "
+       "xs:dateTime(\"2006-01-01T11:00:00Z\")",
+       "true"},
+      {"xs:dateTime(\"2006-01-01T10:00:00\") eq "
+       "xs:dateTime(\"2006-01-01T10:00:00.000Z\")",
+       "true"},
+      {"xs:date(\"2006-01-02+14:00\") lt xs:date(\"2006-01-01-12:00\")",
+       "true"},
+      {"string(xs:dateTime(\" 2006-01-01T12:00:00+02:00 \"))",
+       "2006-01-01T12:00:00+02:00"},
+      {"for $d in (xs:date(\"2010-01-01\"), xs:date(\"999999-01-01\"), "
+       "xs:date(\"2009-12-31\")) order by $d return string($d)",
+       "2009-12-31 2010-01-01 999999-01-01"},
+  };
+  for (const auto& [query, expected] : cases) {
+    EXPECT_EQ(Relational(query), expected) << query;
+    EXPECT_EQ(Interpreted(query), expected) << query;
+  }
+}
 
 TEST_F(LoopLiftTest, BulkCallChecksParameterOccurrence) {
   // The server side of a Bulk RPC: a call passing two strings for
@@ -282,7 +317,7 @@ TEST_F(LoopLiftTest, BulkCallChecksParameterOccurrence) {
   const xquery::FunctionDef& def = module->prolog.functions[0];
   const xdm::Item sean(xdm::AtomicValue::String("Sean Connery"));
   const xdm::Item gerard(xdm::AtomicValue::String("Gerard Depardieu"));
-  algebra::Table args = algebra::Table::IterPosItem();
+  algebra::Table args;
   args.AppendIPI(1, 1, sean);
   args.AppendIPI(2, 1, sean);
   args.AppendIPI(2, 2, gerard);

@@ -63,6 +63,19 @@ TEST(Marshal, RoundTripsMixedSequence) {
             "<name pos=\"1\">The Rock</name>");
 }
 
+TEST(Marshal, DecoderValidatesDates) {
+  // The lexical form crosses the wire as written, timezone included; a
+  // malformed xs:date is rejected at decode time, not carried along.
+  auto good = WireRoundTrip(
+      {Item(AtomicValue::String("2006-01-01T12:00:00+02:00")
+                .CastTo(xdm::AtomicType::kDateTime)
+                .value())});
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(good.value()[0].atomic().type(), xdm::AtomicType::kDateTime);
+  EXPECT_EQ(good.value()[0].atomic().ToString(), "2006-01-01T12:00:00+02:00");
+  EXPECT_FALSE(WireRoundTrip({Item(AtomicValue::Date("banana"))}).ok());
+}
+
 TEST(Marshal, AllNodeKindsRoundTrip) {
   Sequence seq;
   auto doc = xml::ParseXml("<d><x/></d>");

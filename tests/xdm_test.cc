@@ -42,6 +42,65 @@ TEST(AtomicValue, CastStringToNumeric) {
   EXPECT_FALSE(AtomicValue::String("abc").CastTo(AtomicType::kInteger).ok());
 }
 
+TEST(AtomicValue, CastDateValidatesTheLexicalForm) {
+  for (const char* ok : {"2006-01-01", "2004-02-29", "-0044-03-15",
+                         "12006-01-01", "2006-01-01Z", "2006-01-01-05:00",
+                         "2006-01-01+14:00"}) {
+    EXPECT_TRUE(AtomicValue::String(ok).CastTo(AtomicType::kDate).ok()) << ok;
+  }
+  for (const char* bad : {"banana", "2006-1-1", "06-01-01", "2006-13-01",
+                          "2006-02-29", "1900-02-29", "0000-01-01",
+                          "02006-01-01", "2006-01-01+15:00", "2006-01-01T",
+                          "2006-01-01ZZ", "2006-01-01T00:00:00"}) {
+    auto cast = AtomicValue::Untyped(bad).CastTo(AtomicType::kDate);
+    ASSERT_FALSE(cast.ok()) << bad;
+    EXPECT_NE(cast.status().message().find("FORG0001"), std::string::npos);
+  }
+  for (const char* ok : {"2006-01-01T12:00:00", "2006-01-01T12:00:00.5Z",
+                         "2006-01-01T24:00:00", "2006-01-01T23:59:59-14:00"}) {
+    EXPECT_TRUE(AtomicValue::String(ok).CastTo(AtomicType::kDateTime).ok())
+        << ok;
+  }
+  for (const char* bad :
+       {"2006-01-01", "2006-01-01T12:00", "2006-01-01T12:60:00",
+        "2006-01-01T24:00:00.1", "2006-01-01T12:00:00.",
+        "2006-01-01T12:00:00+2:00"}) {
+    EXPECT_FALSE(AtomicValue::String(bad).CastTo(AtomicType::kDateTime).ok())
+        << bad;
+  }
+}
+
+TEST(AtomicValue, DatesCompareAsTimezoneNormalizedInstants) {
+  auto dt = [](const char* lex) {
+    return AtomicValue::String(lex).CastTo(AtomicType::kDateTime).value();
+  };
+  auto d = [](const char* lex) {
+    return AtomicValue::String(lex).CastTo(AtomicType::kDate).value();
+  };
+  EXPECT_EQ(CompareAtomic(dt("2006-01-01T12:00:00+02:00"),
+                          dt("2006-01-01T10:00:00Z")).value(), 0);
+  EXPECT_EQ(CompareAtomic(dt("2006-01-01T12:00:00+02:00"),
+                          dt("2006-01-01T11:00:00Z")).value(), -1);
+  EXPECT_EQ(CompareAtomic(dt("2006-01-01T10:00:00"),
+                          dt("2006-01-01T10:00:00Z")).value(), 0);
+  EXPECT_EQ(CompareAtomic(dt("2006-01-01T10:00:00.25"),
+                          dt("2006-01-01T10:00:00.3")).value(), -1);
+  EXPECT_EQ(CompareAtomic(dt("2006-01-01T24:00:00"),
+                          dt("2006-01-02T00:00:00")).value(), 0);
+  EXPECT_EQ(CompareAtomic(d("-0001-12-31"), d("0001-01-01")).value(), -1);
+  EXPECT_EQ(CompareAtomic(d("10000-01-01"), d("9999-12-31")).value(), 1);
+  EXPECT_EQ(CompareAtomic(d("2006-01-02+14:00"), d("2006-01-01-12:00")).value(),
+            -1);
+  EXPECT_TRUE(dt("2006-01-01T12:00:00+02:00") == dt("2006-01-01T10:00:00Z"));
+  EXPECT_FALSE(dt("2006-01-01T12:00:00") == dt("2006-01-01T12:00:01"));
+  // The lexical form is kept, timezone included.
+  EXPECT_EQ(dt(" 2006-01-01T12:00:00+02:00").ToString(),
+            "2006-01-01T12:00:00+02:00");
+  // An untyped operand is cast, so a bad one is an error, not an order.
+  EXPECT_FALSE(CompareAtomic(AtomicValue::Untyped("banana"),
+                             d("2006-01-01")).ok());
+}
+
 TEST(AtomicValue, CastNumericTruncates) {
   auto i = AtomicValue::Double(3.9).CastTo(AtomicType::kInteger);
   ASSERT_TRUE(i.ok());

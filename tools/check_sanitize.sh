@@ -16,7 +16,10 @@
 # EdgeCases): decoding moves parsed value subtrees out of the envelope's
 # shared_ptr tree instead of copying them, which is what the address lane
 # watches. PathIndexTest runs concurrent readers through one service's
-# shared path index.
+# shared path index. The relational engine's suites (the table kernels of
+# algebra_test, LoopLiftTest and its engine-equivalence corpora, CoreTest,
+# DifferentialCorpusTest) run here too: its iter|pos|item tables move
+# items, and the node anchors they own, from table to table.
 #
 # Usage: tools/check_sanitize.sh [thread|address]
 set -euo pipefail
@@ -30,7 +33,7 @@ cmake -B "$BUILD" -S "$ROOT" -DXRPC_SANITIZE="$SANITIZER" \
 cmake --build "$BUILD" -j
 cd "$BUILD"
 ctest --output-on-failure -j"$(nproc)" \
-      -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest|ParallelExecTest|Marshal|Message|XmlParser|XmlNode|XmlSerializer|EdgeCases|PathIndexTest'
+      -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest|ParallelExecTest|Marshal|Message|XmlParser|XmlNode|XmlSerializer|EdgeCases|PathIndexTest|TableTest|DisjointUnionTest|SortByTest|ScatterGatherMergeTest|LoopLiftTest|EngineEquivalence|EngineErrorEquivalence|CoreTest|DifferentialCorpusTest'
 # The failover lane by label: replica failover + epoch fencing
 # (failover_test) and the half-open probe races (circuit_breaker_test).
 ctest --output-on-failure -j"$(nproc)" -L failover
