@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -70,8 +71,9 @@ bool ContiguousLoop(const std::vector<int64_t>& loop) {
 // ---- Loop-invariant hoisting analysis (Pathfinder performs the algebraic
 // equivalent: subplans independent of the loop relation are evaluated once
 // and joined back). An expression is hoistable when it has no free
-// variables (including the hidden focus) and constructs no nodes (node
-// constructors must mint fresh identities per iteration).
+// variables (including the hidden focus), constructs no nodes (node
+// constructors must mint fresh identities per iteration) and updates
+// nothing (each iteration files its own pending updates).
 
 void CollectHoistInfo(const Expr& e, std::set<std::string>* bound,
                       bool* has_free, bool* blocks, bool* has_rpc);
@@ -133,6 +135,13 @@ void CollectHoistInfo(const Expr& e, std::set<std::string>* bound,
     case ExprKind::kDocumentCtor:
       *blocks = true;  // constructors mint per-iteration node identities
       return;
+    case ExprKind::kInsert:
+    case ExprKind::kDelete:
+    case ExprKind::kReplaceNode:
+    case ExprKind::kReplaceValue:
+    case ExprKind::kRename:
+      *blocks = true;
+      return;
     case ExprKind::kPath:
       // A relative path (no source expression) reads the context item.
       if (e.children[0] == nullptr && bound->count(kDotVar) == 0) {
@@ -145,8 +154,9 @@ void CollectHoistInfo(const Expr& e, std::set<std::string>* bound,
           bound->count(kDotVar) == 0) {
         *has_free = true;
       }
-      if (e.name.ns_uri != xquery::kFnNs && e.name.ns_uri != xml::kXsNs) {
-        *blocks = true;  // user function bodies are opaque here
+      if ((e.name.ns_uri != xquery::kFnNs && e.name.ns_uri != xml::kXsNs) ||
+          (e.name.ns_uri == xquery::kFnNs && e.name.local == "put")) {
+        *blocks = true;  // user function bodies are opaque; fn:put updates
       }
       CollectChildHoistInfo(e, bound, has_free, blocks, has_rpc);
       return;
@@ -158,7 +168,6 @@ void CollectHoistInfo(const Expr& e, std::set<std::string>* bound,
         inner.insert(c.var.Clark());
         if (!c.pos_var.empty()) inner.insert(c.pos_var.Clark());
       }
-      Expr shallow(e.kind);  // visit the non-clause parts under `inner`
       if (e.where) {
         CollectHoistInfo(*e.where, &inner, has_free, blocks, has_rpc);
       }
@@ -166,13 +175,26 @@ void CollectHoistInfo(const Expr& e, std::set<std::string>* bound,
         if (o.key) CollectHoistInfo(*o.key, &inner, has_free, blocks, has_rpc);
       }
       if (e.ret) CollectHoistInfo(*e.ret, &inner, has_free, blocks, has_rpc);
-      (void)shallow;
       return;
     }
     default:
       CollectChildHoistInfo(e, bound, has_free, blocks, has_rpc);
       return;
   }
+}
+
+/// What CollectHoistInfo finds in a whole expression.
+struct HoistInfo {
+  bool has_free = false;
+  bool blocks = false;
+  bool has_rpc = false;
+};
+
+HoistInfo Analyze(const Expr& e) {
+  std::set<std::string> bound;
+  HoistInfo info;
+  CollectHoistInfo(e, &bound, &info.has_free, &info.blocks, &info.has_rpc);
+  return info;
 }
 
 /// True if evaluating `e` once and broadcasting the result over the loop
@@ -185,20 +207,18 @@ bool IsHoistable(const Expr& e) {
       e.kind != ExprKind::kFunctionCall) {
     return false;
   }
-  std::set<std::string> bound;
-  bool has_free = false, blocks = false, has_rpc = false;
-  CollectHoistInfo(e, &bound, &has_free, &blocks, &has_rpc);
-  return !has_free && !blocks && !has_rpc;
+  const HoistInfo info = Analyze(e);
+  return !info.has_free && !info.blocks && !info.has_rpc;
 }
 
-/// Loop-invariance for the hash-join binding: the join evaluates the
-/// build side once, which is sound for remote calls too (they are pure
-/// reads under the join rewrite, as in any distributed query optimizer).
-bool IsJoinInvariant(const Expr& e) {
-  std::set<std::string> bound;
-  bool has_free = false, blocks = false, has_rpc = false;
-  CollectHoistInfo(e, &bound, &has_free, &blocks, &has_rpc);
-  return !has_free && !blocks;
+/// The hash join evaluates its binding once, which is sound for remote
+/// calls too (they are pure reads under the join rewrite, as in any
+/// distributed query optimizer), and its where clause per bound row, not
+/// per tuple: neither may construct, update or call a user function
+/// (which might update), and the binding must be loop-invariant.
+bool IsJoinable(const Expr& binding, const Expr& where) {
+  const HoistInfo info = Analyze(binding);
+  return !info.has_free && !info.blocks && !Analyze(where).blocks;
 }
 
 /// Collects the free variable names of `e` (Clark names; the hidden focus
@@ -325,7 +345,8 @@ class LoopLiftedEvaluator::Impl {
  public:
   explicit Impl(const LoopLiftConfig& config) : cfg_(config) {}
 
-  StatusOr<Sequence> EvaluateQuery(const xquery::MainModule& query) {
+  StatusOr<xquery::QueryResult> EvaluateQuery(
+      const xquery::MainModule& query) {
     XRPC_ASSIGN_OR_RETURN(Scope scope, BuildScope(&query.prolog, ""));
     scopes_.push_back(std::move(scope));
     Loop loop{1};
@@ -334,15 +355,15 @@ class LoopLiftedEvaluator::Impl {
       env_.emplace_back(name.Clark(), std::move(v));
     }
     XRPC_ASSIGN_OR_RETURN(Table result, Eval(*query.body, loop));
-    Sequence out;
-    IterCursor(std::move(result)).Take(1, &out);
-    return out;
+    std::vector<xquery::QueryResult> out(1);
+    IterCursor(std::move(result)).Take(1, &out[0].sequence);
+    XRPC_RETURN_IF_ERROR(TakePending(&out));
+    return std::move(out[0]);
   }
 
-  StatusOr<Table> EvaluateFunctionBulk(const xquery::LibraryModule& module,
-                                       const xquery::FunctionDef& def,
-                                       std::vector<Table> args,
-                                       int64_t num_calls) {
+  StatusOr<std::vector<xquery::QueryResult>> EvaluateFunctionBulk(
+      const xquery::LibraryModule& module, const xquery::FunctionDef& def,
+      std::vector<Table> args, int64_t num_calls) {
     if (args.size() != def.arity()) {
       return Status::TypeError("bulk call arity mismatch for " +
                                def.name.Lexical());
@@ -364,7 +385,17 @@ class LoopLiftedEvaluator::Impl {
     env_.resize(env_mark);
     scopes_.pop_back();
     if (!result.ok()) return result.status();
-    return SortByIterPos(std::move(result).value());
+    Table t = SortByIterPos(std::move(result).value());
+    std::vector<xquery::QueryResult> out(static_cast<size_t>(num_calls));
+    for (size_t i = 0; i < t.NumRows(); ++i) {
+      if (t.Iter(i) < 1 || t.Iter(i) > num_calls) {
+        return Status::Internal("bulk result iteration out of range");
+      }
+      out[static_cast<size_t>(t.Iter(i) - 1)].sequence.push_back(
+          t.TakeItemAt(i));
+    }
+    XRPC_RETURN_IF_ERROR(TakePending(&out));
+    return out;
   }
 
   const std::vector<BulkRpcTrace>& traces() const { return traces_; }
@@ -394,6 +425,59 @@ class LoopLiftedEvaluator::Impl {
     return scope;
   }
 
+  // ------------------------------------------------------ pending updates
+  //
+  // Update primitives (XQUF expressions, updating functions, fn:put) land
+  // in one table, each row tagged with the iteration that produced it.
+  // Within one iteration rows keep their evaluation order, which is the
+  // interpreter's: operands evaluate in order, and an `if` runs one branch
+  // per iteration. Across iterations the order does not matter until an
+  // operator that evaluated under an inner loop maps its rows out: it
+  // first sorts them stably by inner iter, which is tuple order, then
+  // re-tags them with their outer iters. The final split buckets rows by
+  // iter.
+
+  struct PendingRow {
+    int64_t iter;
+    xquery::UpdatePrimitive primitive;
+  };
+
+  void SortPending(size_t from) {
+    auto by_iter = [](const PendingRow& a, const PendingRow& b) {
+      return a.iter < b.iter;
+    };
+    auto first = pending_.begin() + static_cast<std::ptrdiff_t>(from);
+    if (!std::is_sorted(first, pending_.end(), by_iter)) {
+      std::stable_sort(first, pending_.end(), by_iter);
+    }
+  }
+
+  /// Re-tags the rows from `*from` on, added under an inner loop, with the
+  /// outer iters `inner_to_outer` maps them to, and advances `*from`.
+  void PendingToOuter(size_t* from,
+                      const std::map<int64_t, int64_t>& inner_to_outer) {
+    SortPending(*from);
+    for (size_t r = *from; r < pending_.size(); ++r) {
+      pending_[r].iter = inner_to_outer.find(pending_[r].iter)->second;
+    }
+    *from = pending_.size();
+  }
+
+  /// Moves the pending table into the per-iteration PULs of `out` (iter i
+  /// fills out[i - 1]), leaving it empty.
+  Status TakePending(std::vector<xquery::QueryResult>* out) {
+    std::vector<PendingRow> rows = std::move(pending_);
+    pending_.clear();
+    for (PendingRow& row : rows) {
+      if (row.iter < 1 || row.iter > static_cast<int64_t>(out->size())) {
+        return Status::Internal("pending update iteration out of range");
+      }
+      (*out)[static_cast<size_t>(row.iter - 1)].updates.Add(
+          std::move(row.primitive));
+    }
+    return Status::OK();
+  }
+
   const Table* FindVar(const std::string& clark) const {
     for (auto it = env_.rbegin(); it != env_.rend(); ++it) {
       if (it->first == clark) return &it->second;
@@ -406,11 +490,11 @@ class LoopLiftedEvaluator::Impl {
     return Status::EvalError("unbound variable $" + clark);
   }
 
-  StatusOr<std::vector<Table>> EvalArgs(const std::vector<ExprPtr>& exprs,
-                                        const Loop& loop) {
+  template <typename Exprs>
+  StatusOr<std::vector<Table>> EvalArgs(const Exprs& exprs, const Loop& loop) {
     std::vector<Table> out;
     out.reserve(exprs.size());
-    for (const ExprPtr& x : exprs) {
+    for (const auto& x : exprs) {
       XRPC_ASSIGN_OR_RETURN(Table t, Eval(*x, loop));
       out.push_back(std::move(t));
     }
@@ -422,7 +506,9 @@ class LoopLiftedEvaluator::Impl {
   /// `loop`, moves that iteration's sequence out of each argument table,
   /// calls `fn(sequences, context)` once and appends the result sequence.
   /// With `focus`, the context carries the item, position and size bound
-  /// to the hidden focus variables in that iteration.
+  /// to the hidden focus variables in that iteration. Update primitives
+  /// the call adds to the context's list join the pending table under
+  /// that iteration.
   template <typename Fn>
   StatusOr<Table> PerIteration(const Loop& loop, std::vector<Table> args,
                                bool focus, const Fn& fn) {
@@ -439,8 +525,10 @@ class LoopLiftedEvaluator::Impl {
     }
     std::vector<Sequence> call_args(cursors.size());
     Sequence focus_seqs[3];
+    xquery::PendingUpdateList updates;
     xquery::FunctionContext ctx;
     ctx.documents = cfg_.documents;
+    ctx.pul = &updates;
     Table out;
     PollGate gate(cfg_.cancel);
     for (int64_t iter : loop) {
@@ -461,6 +549,12 @@ class LoopLiftedEvaluator::Impl {
                        : focus_seqs[2][0].atomic().AsInteger();
       }
       XRPC_ASSIGN_OR_RETURN(Sequence result, fn(call_args, ctx));
+      if (!updates.empty()) {
+        for (auto& entry : updates.mutable_entries()) {
+          pending_.push_back({iter, std::move(entry.primitive)});
+        }
+        updates.mutable_entries().clear();
+      }
       for (size_t k = 0; k < result.size(); ++k) {
         out.AppendIPI(iter, static_cast<int64_t>(k + 1), std::move(result[k]));
       }
@@ -485,8 +579,8 @@ class LoopLiftedEvaluator::Impl {
         });
   }
 
-  /// Operators and type expressions: operands evaluate loop-lifted, the
-  /// operator itself applies per iteration.
+  /// Sequences, operators and type expressions: operands evaluate
+  /// loop-lifted, the operator itself applies per iteration.
   StatusOr<Table> EvalOperator(const Expr& e, const Loop& loop) {
     XRPC_ASSIGN_OR_RETURN(std::vector<Table> args, EvalArgs(e.children, loop));
     return PerIteration(
@@ -502,6 +596,12 @@ class LoopLiftedEvaluator::Impl {
               return xquery::Range(a[0], a[1]);
             case ExprKind::kUnaryMinus:
               return xquery::Negate(a[0]);
+            case ExprKind::kSequence:
+              for (size_t i = 1; i < a.size(); ++i) {
+                a[0].insert(a[0].end(), std::make_move_iterator(a[i].begin()),
+                            std::make_move_iterator(a[i].end()));
+              }
+              return a.empty() ? Sequence{} : std::move(a[0]);
             default:
               return xquery::ApplyTypeExpr(e.kind, e.seq_type,
                                            std::move(a[0]));
@@ -553,6 +653,12 @@ class LoopLiftedEvaluator::Impl {
 
   // ------------------------------------------------------------ dispatcher
 
+  // [[gnu::noinline]] keeps called-once operators that the compiler would
+  // fold into the dispatcher or the user-function call path out of line:
+  // every nesting level of a query, and so every level of a recursion,
+  // pays those frames, and a recursion of xquery::kMaxCallDepth calls must
+  // fit a thread's stack, sanitizer builds included.
+
   StatusOr<Table> Eval(const Expr& e, const Loop& loop) {
     if (cfg_.cancel != nullptr) {
       // Set-oriented plans batch whole loops into single operators, so the
@@ -563,21 +669,31 @@ class LoopLiftedEvaluator::Impl {
     }
     if (loop.empty()) return Table();
     // Loop-invariant hoisting: evaluate once, broadcast over the loop.
-    if (cfg_.enable_hoisting && loop.size() > 1) {
-      auto cached = hoistable_.find(&e);
-      bool hoistable = cached != hoistable_.end() ? cached->second
-                                                  : (hoistable_[&e] = IsHoistable(e));
-      if (hoistable) {
-        XRPC_ASSIGN_OR_RETURN(Table once, Eval(e, Loop{loop.front()}));
-        Table out;
-        for (int64_t iter : loop) {
-          for (size_t i = 0; i < once.NumRows(); ++i) {
-            out.AppendIPI(iter, once.Pos(i), once.ItemAt(i));
-          }
-        }
-        return out;
+    if (cfg_.enable_hoisting && loop.size() > 1 && Hoistable(e)) {
+      return EvalHoisted(e, loop);
+    }
+    return Dispatch(e, loop);
+  }
+
+  bool Hoistable(const Expr& e) {
+    auto cached = hoistable_.find(&e);
+    return cached != hoistable_.end() ? cached->second
+                                      : (hoistable_[&e] = IsHoistable(e));
+  }
+
+  [[gnu::noinline]] StatusOr<Table> EvalHoisted(const Expr& e,
+                                                const Loop& loop) {
+    XRPC_ASSIGN_OR_RETURN(Table once, Eval(e, Loop{loop.front()}));
+    Table out;
+    for (int64_t iter : loop) {
+      for (size_t i = 0; i < once.NumRows(); ++i) {
+        out.AppendIPI(iter, once.Pos(i), once.ItemAt(i));
       }
     }
+    return out;
+  }
+
+  StatusOr<Table> Dispatch(const Expr& e, const Loop& loop) {
     switch (e.kind) {
       case ExprKind::kLiteral: {
         Table t;
@@ -585,7 +701,6 @@ class LoopLiftedEvaluator::Impl {
         return t;
       }
       case ExprKind::kSequence:
-        return EvalSequence(e, loop);
       case ExprKind::kRange:
       case ExprKind::kComparison:
       case ExprKind::kArith:
@@ -636,34 +751,26 @@ class LoopLiftedEvaluator::Impl {
       case ExprKind::kReplaceNode:
       case ExprKind::kReplaceValue:
       case ExprKind::kRename:
-        return Status::Unsupported(
-            "updating expressions run on the update path, not the "
-            "loop-lifted relational engine");
+        return EvalUpdating(e, loop);
     }
     return Status::Internal("unhandled expression kind");
   }
 
-  // ----------------------------------------------------------- structures
-
-  StatusOr<Table> EvalSequence(const Expr& e, const Loop& loop) {
-    // (e1, ..., en): per iter, concatenate branch results in order.
-    std::vector<IterCursor> parts;
-    parts.reserve(e.children.size());
-    for (const ExprPtr& c : e.children) {
-      XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-      parts.emplace_back(std::move(t));
-    }
-    Table out;
-    Sequence seq;
-    for (int64_t iter : loop) {
-      int64_t pos = 0;
-      for (IterCursor& part : parts) {
-        part.Take(iter, &seq);
-        for (Item& item : seq) out.AppendIPI(iter, ++pos, std::move(item));
-      }
-    }
-    return out;
+  /// XQUF expressions: operands evaluate loop-lifted, primitives are built
+  /// per iteration into the pending table.
+  [[gnu::noinline]] StatusOr<Table> EvalUpdating(const Expr& e,
+                                                 const Loop& loop) {
+    XRPC_ASSIGN_OR_RETURN(std::vector<Table> args, EvalArgs(e.children, loop));
+    return PerIteration(
+        loop, std::move(args), false,
+        [&e](std::vector<Sequence>& a,
+             const xquery::FunctionContext& ctx) -> StatusOr<Sequence> {
+          XRPC_RETURN_IF_ERROR(xquery::AddUpdatePrimitives(e, a, ctx.pul));
+          return Sequence{};
+        });
   }
+
+  // ----------------------------------------------------------- structures
 
   /// Remaps a value table through an outer->inner iteration map, yielding
   /// the table keyed by inner iters ("loop-lifting" a live variable into a
@@ -712,11 +819,11 @@ class LoopLiftedEvaluator::Impl {
     if (w.kind != ExprKind::kComparison || w.comp_op != CompOp::kGenEq) {
       return false;
     }
-    auto cached = join_invariant_.find(c.expr.get());
+    auto cached = joinable_.find(c.expr.get());
     bool invariant =
-        cached != join_invariant_.end()
+        cached != joinable_.end()
             ? cached->second
-            : (join_invariant_[c.expr.get()] = IsJoinInvariant(*c.expr));
+            : (joinable_[c.expr.get()] = IsJoinable(*c.expr, w));
     if (!invariant) return false;
 
     std::set<std::string> free_l, free_r;
@@ -830,6 +937,9 @@ class LoopLiftedEvaluator::Impl {
       std::vector<std::pair<std::string, Table>>* saved;
       ~EnvRestorer() { self->env_ = std::move(*saved); }
     } restore{this, &saved_env};
+    // Pending rows from here on carry the current inner loop's iters until
+    // they are mapped back, before each change of loop and at the end.
+    size_t pending_inner = pending_.size();
 
     Status st = Status::OK();
     bool where_consumed = false;
@@ -844,6 +954,7 @@ class LoopLiftedEvaluator::Impl {
       if (cfg_.enable_join_rewrite && k + 1 == e.clauses.size() &&
           c.kind == FlworClause::Kind::kFor && c.pos_var.empty() &&
           e.where != nullptr && cur_loop.size() > 1) {
+        PendingToOuter(&pending_inner, inner_to_outer);
         auto joined = TryHashJoinClause(e, c, &cur_loop, &inner_to_outer);
         if (!joined.ok()) {
           st = joined.status();
@@ -899,6 +1010,7 @@ class LoopLiftedEvaluator::Impl {
       if (!c.pos_var.empty()) {
         env_.emplace_back(c.pos_var.Clark(), std::move(pos_table));
       }
+      PendingToOuter(&pending_inner, inner_to_outer);
       inner_to_outer = std::move(next_inner_to_outer);
       cur_loop = std::move(new_loop);
     }
@@ -978,6 +1090,7 @@ class LoopLiftedEvaluator::Impl {
     // return clause under the final loop; map back to outer iters with
     // pos renumbered in (ordered inner iteration, inner pos) order.
     XRPC_ASSIGN_OR_RETURN(Table ret, Eval(*e.ret, cur_loop));
+    PendingToOuter(&pending_inner, inner_to_outer);
     ret = SortByIterPos(std::move(ret));
     auto groups = GroupByIter(ret);
     Table out;
@@ -1020,6 +1133,7 @@ class LoopLiftedEvaluator::Impl {
     for (int64_t iter : loop) inner_to_outer[iter] = iter;
     size_t env_mark = env_.size();
     std::vector<std::pair<std::string, Table>> saved_env = env_;
+    size_t pending_inner = pending_.size();  // as in EvalFlwor
 
     Status st = Status::OK();
     for (const FlworClause& c : e.clauses) {
@@ -1049,6 +1163,7 @@ class LoopLiftedEvaluator::Impl {
       env_.emplace_back(c.var.Clark(), std::move(var_table));
       std::map<int64_t, int64_t> composed;
       for (const auto& [ni, oi] : new_to_old) composed[ni] = inner_to_outer[oi];
+      PendingToOuter(&pending_inner, inner_to_outer);
       inner_to_outer = std::move(composed);
       cur_loop = std::move(new_loop);
     }
@@ -1058,6 +1173,7 @@ class LoopLiftedEvaluator::Impl {
       if (!cond.ok()) {
         st = cond.status();
       } else {
+        PendingToOuter(&pending_inner, inner_to_outer);
         for (int64_t iter : loop) verdict[iter] = e.every;
         for (int64_t inner : cur_loop) {
           bool b = false;
@@ -1256,9 +1372,14 @@ class LoopLiftedEvaluator::Impl {
       env_.emplace_back(kDotVar, std::move(dot));
       env_.emplace_back(kPositionVar, std::move(position));
       env_.emplace_back(kLastVar, std::move(last));
+      const size_t pending_mark = pending_.size();
       auto value = Eval(*pred, cand_loop);
       env_ = std::move(saved_env);
       XRPC_RETURN_IF_ERROR(value.status());
+      SortPending(pending_mark);  // candidates in order
+      for (size_t r = pending_mark; r < pending_.size(); ++r) {
+        pending_[r].iter = enclosing_iter;
+      }
       auto groups = GroupByIter(value.value());
       Sequence kept;
       for (int64_t i = 0; i < n; ++i) {
@@ -1296,9 +1417,15 @@ class LoopLiftedEvaluator::Impl {
   // ------------------------------------------------------------ functions
 
   StatusOr<Table> EvalFunctionCall(const Expr& e, const Loop& loop);
-  StatusOr<Table> InlineUserFunction(const xquery::FunctionDef& def,
-                                     const xquery::LibraryModule* module,
-                                     const Expr& call, const Loop& loop);
+  [[gnu::noinline]] StatusOr<Table> EvalBuiltinCall(const Expr& e,
+                                                    const Loop& loop);
+  /// Evaluates and coerces a user function's arguments under `loop` into a
+  /// fresh frame (only parameters are visible in the body) and enters the
+  /// function's module scope.
+  [[gnu::noinline]] StatusOr<std::vector<std::pair<std::string, Table>>>
+  EnterFunction(const xquery::FunctionDef& def,
+                const xquery::LibraryModule* module, const Expr& call,
+                const Loop& loop);
 
   // -------------------------------------------------------------- XRPC
 
@@ -1313,7 +1440,8 @@ class LoopLiftedEvaluator::Impl {
   std::vector<Scope> scopes_;
   std::vector<BulkRpcTrace> traces_;
   std::unordered_map<const Expr*, bool> hoistable_;
-  std::unordered_map<const Expr*, bool> join_invariant_;
+  std::unordered_map<const Expr*, bool> joinable_;
+  std::vector<PendingRow> pending_;
   int64_t iter_base_ = 1'000'000;  ///< fresh iteration number source
   int inline_depth_ = 0;
 };
@@ -1335,32 +1463,44 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalFunctionCall(const Expr& e,
     }
   }
   if (def != nullptr) {
-    if (def->updating) {
-      return Status::Unsupported("updating function on the relational path");
-    }
-    if (inline_depth_ >= cfg_.max_inline_depth) {
-      return Status::Unsupported(
-          "recursion beyond inline depth on the relational path");
+    // Each level of recursion runs on the sub-loop of the iterations that
+    // reach the call, so the loops shrink as the recursion deepens.
+    if (inline_depth_ >= xquery::kMaxCallDepth) {
+      return xquery::RecursionLimitExceeded();
     }
     ++inline_depth_;
-    auto result = InlineUserFunction(*def, def_module, e, loop);
+    const size_t scope_mark = scopes_.size();
+    auto frame = EnterFunction(*def, def_module, e, loop);
+    if (!frame.ok()) {
+      --inline_depth_;
+      return frame.status();
+    }
+    frame->swap(env_);
+    auto result = Eval(*def->body, loop);
+    env_ = std::move(frame).value();
+    scopes_.resize(scope_mark);
     --inline_depth_;
     return result;
   }
+  return EvalBuiltinCall(e, loop);
+}
 
+StatusOr<Table> LoopLiftedEvaluator::Impl::EvalBuiltinCall(const Expr& e,
+                                                           const Loop& loop) {
   XRPC_ASSIGN_OR_RETURN(std::vector<Table> args, EvalArgs(e.children, loop));
   XRPC_ASSIGN_OR_RETURN(const xquery::Builtin* builtin,
-                        xquery::FindBuiltin(e.name, arity));
+                        xquery::FindBuiltin(e.name, e.children.size()));
   return PerIteration(
-      loop, std::move(args), builtin->focus && arity == 0,
+      loop, std::move(args), builtin->focus && e.children.empty(),
       [&](std::vector<Sequence>& a, const xquery::FunctionContext& ctx) {
         return (*builtin)(e.name, a, ctx);
       });
 }
 
-StatusOr<Table> LoopLiftedEvaluator::Impl::InlineUserFunction(
-    const xquery::FunctionDef& def, const xquery::LibraryModule* module,
-    const Expr& call, const Loop& loop) {
+StatusOr<std::vector<std::pair<std::string, Table>>>
+LoopLiftedEvaluator::Impl::EnterFunction(const xquery::FunctionDef& def,
+                                         const xquery::LibraryModule* module,
+                                         const Expr& call, const Loop& loop) {
   XRPC_ASSIGN_OR_RETURN(std::vector<Table> args,
                         EvalArgs(call.children, loop));
   // A fresh frame: only parameters are visible inside the body.
@@ -1370,17 +1510,12 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::InlineUserFunction(
         Table coerced, CoerceParam(std::move(args[i]), def.params[i].type, loop));
     frame.emplace_back(def.params[i].name.Clark(), std::move(coerced));
   }
-  const size_t scope_mark = scopes_.size();
   if (module != nullptr) {
     XRPC_ASSIGN_OR_RETURN(Scope scope,
                           BuildScope(&module->prolog, module->target_ns));
     scopes_.push_back(std::move(scope));
   }
-  frame.swap(env_);
-  auto result = Eval(*def.body, loop);
-  env_ = std::move(frame);
-  scopes_.resize(scope_mark);
-  return result;
+  return frame;
 }
 
 // ------------------------- execute at (Figure 2) ---------------------------
@@ -1544,137 +1679,14 @@ StatusOr<Table> LoopLiftedEvaluator::Impl::EvalExecuteAt(const Expr& e,
 
 StatusOr<Table> LoopLiftedEvaluator::Impl::EvalConstructor(const Expr& e,
                                                            const Loop& loop) {
-  // Content tables are evaluated loop-lifted; node assembly is per iter.
-  switch (e.kind) {
-    case ExprKind::kElementCtor: {
-      std::map<int64_t, xml::QName> names;
-      if (e.name_expr != nullptr) {
-        XRPC_ASSIGN_OR_RETURN(Table nt, Eval(*e.name_expr, loop));
-        XRPC_ASSIGN_OR_RETURN(auto nm, AtomizedSingletons(nt, "element name"));
-        for (auto& [iter, v] : nm) names[iter] = xml::QName(v.ToString());
-      }
-      // Attribute value tables.
-      struct AttrWork {
-        const Expr* attr;
-        std::vector<Table> parts;
-      };
-      std::vector<AttrWork> attrs;
-      for (const ExprPtr& a : e.attributes) {
-        AttrWork w;
-        w.attr = a.get();
-        for (const ExprPtr& c : a->children) {
-          XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-          w.parts.push_back(SortByIterPos(std::move(t)));
-        }
-        attrs.push_back(std::move(w));
-      }
-      // Content tables.
-      std::vector<std::pair<const Expr*, Table>> content;
-      for (const ExprPtr& c : e.children) {
-        if (c->kind == ExprKind::kTextCtor && c->children.empty()) {
-          content.emplace_back(c.get(), Table());  // literal text
-          continue;
-        }
-        XRPC_ASSIGN_OR_RETURN(Table t, Eval(*c, loop));
-        content.emplace_back(c.get(), SortByIterPos(std::move(t)));
-      }
-      Table out;
-      for (int64_t iter : loop) {
-        xml::QName name = e.name;
-        auto ni = names.find(iter);
-        if (ni != names.end()) name = ni->second;
-        NodePtr elem = Node::NewElement(name);
-        for (const AttrWork& w : attrs) {
-          std::string value;
-          bool first_enclosed = true;
-          for (size_t p = 0; p < w.parts.size(); ++p) {
-            const Expr* part_expr = w.attr->children[p].get();
-            if (part_expr->kind == ExprKind::kLiteral) {
-              value += part_expr->literal.ToString();
-              continue;
-            }
-            (void)first_enclosed;
-            bool first = true;
-            for (size_t row = 0; row < w.parts[p].NumRows(); ++row) {
-              if (w.parts[p].Iter(row) != iter) continue;
-              if (!first) value += " ";
-              value += w.parts[p].ItemAt(row).StringValue();
-              first = false;
-            }
-          }
-          elem->SetAttribute(Node::NewAttribute(w.attr->name, value));
-        }
-        for (auto& [expr, table] : content) {
-          if (expr->kind == ExprKind::kTextCtor && expr->children.empty()) {
-            elem->AppendChild(Node::NewText(expr->literal.ToString()));
-            continue;
-          }
-          Sequence items;
-          for (size_t row = 0; row < table.NumRows(); ++row) {
-            if (table.Iter(row) == iter) items.push_back(table.TakeItemAt(row));
-          }
-          std::string pending;
-          bool has_pending = false;
-          for (const Item& item : items) {
-            if (item.IsAtomic()) {
-              if (has_pending) pending += " ";
-              pending += item.atomic().ToString();
-              has_pending = true;
-              continue;
-            }
-            if (has_pending) {
-              elem->AppendChild(Node::NewText(pending));
-              pending.clear();
-              has_pending = false;
-            }
-            const Node* node = item.node();
-            if (node->kind() == NodeKind::kAttribute) {
-              elem->SetAttribute(node->Clone());
-            } else if (node->kind() == NodeKind::kDocument) {
-              for (const NodePtr& c : node->children()) {
-                elem->AppendChild(c->Clone());
-              }
-            } else {
-              elem->AppendChild(node->Clone());
-            }
-          }
-          if (has_pending && !pending.empty()) {
-            elem->AppendChild(Node::NewText(pending));
-          }
-        }
-        out.AppendIPI(iter, 1, Item::Node(std::move(elem)));
-      }
-      return out;
-    }
-    case ExprKind::kTextCtor: {
-      if (e.children.empty()) {
-        Table out;
-        for (int64_t iter : loop) {
-          out.AppendIPI(iter, 1,
-                        Item::Node(Node::NewText(e.literal.ToString())));
-        }
-        return out;
-      }
-      XRPC_ASSIGN_OR_RETURN(Table t, Eval(*e.children[0], loop));
-      t = SortByIterPos(std::move(t));
-      auto groups = GroupByIter(t);
-      Table out;
-      for (int64_t iter : loop) {
-        auto g = groups.find(iter);
-        if (g == groups.end() || g->second.empty()) continue;
-        std::string text;
-        for (size_t k = 0; k < g->second.size(); ++k) {
-          if (k > 0) text += " ";
-          text += t.ItemAt(g->second[k]).StringValue();
-        }
-        out.AppendIPI(iter, 1, Item::Node(Node::NewText(std::move(text))));
-      }
-      return out;
-    }
-    default:
-      return Status::Unsupported(
-          "this constructor kind on the relational path");
-  }
+  // Operands evaluate loop-lifted; nodes are built once per iteration.
+  XRPC_ASSIGN_OR_RETURN(std::vector<Table> args,
+                        EvalArgs(xquery::ConstructorOperands(e), loop));
+  return PerIteration(
+      loop, std::move(args), false,
+      [&e](std::vector<Sequence>& a, const xquery::FunctionContext&) {
+        return xquery::Construct(e, a);
+      });
 }
 
 // ===========================================================================
@@ -1684,12 +1696,13 @@ LoopLiftedEvaluator::LoopLiftedEvaluator(const LoopLiftConfig& config)
 
 LoopLiftedEvaluator::~LoopLiftedEvaluator() = default;
 
-StatusOr<xdm::Sequence> LoopLiftedEvaluator::EvaluateQuery(
+StatusOr<xquery::QueryResult> LoopLiftedEvaluator::EvaluateQuery(
     const xquery::MainModule& query) {
   return impl_->EvaluateQuery(query);
 }
 
-StatusOr<algebra::Table> LoopLiftedEvaluator::EvaluateFunctionBulk(
+StatusOr<std::vector<xquery::QueryResult>>
+LoopLiftedEvaluator::EvaluateFunctionBulk(
     const xquery::LibraryModule& module, const xquery::FunctionDef& def,
     std::vector<algebra::Table> args, int64_t num_calls) {
   return impl_->EvaluateFunctionBulk(module, def, std::move(args), num_calls);

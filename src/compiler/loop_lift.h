@@ -40,7 +40,6 @@ struct LoopLiftConfig {
   xquery::DocumentProvider* documents = nullptr;
   xquery::ModuleResolver* modules = nullptr;
   server::RpcClient* rpc = nullptr;  ///< routes and sends `execute at`
-  int max_inline_depth = 128;
   bool trace_bulk_rpc = false;  ///< capture Figure 1 tables
   /// Ablation toggles (benchmarking the design choices; leave on).
   bool enable_hoisting = true;       ///< loop-invariant subplan hoisting
@@ -60,15 +59,16 @@ struct LoopLiftConfig {
 /// rule of Figure 2 literally — including the ρ-renumbered per-peer
 /// iterations and the order-restoring merge-union map-back.
 ///
-/// Built-in functions, operators and type rules are not re-implemented
-/// here: the engine calls the shared library (xquery/functions.h) once per
-/// iteration, so every read-only builtin runs relationally and answers as
-/// on the interpreter. What reports kUnsupported, for the caller to fall
-/// back to the interpreter, is the update path (MonetDB routes it
-/// separately): XQUF expressions, updating functions and fn:put. So do
-/// comment, processing-instruction, document and standalone attribute
-/// constructors, and user-function recursion deeper than
-/// `max_inline_depth`.
+/// Built-in functions, operators, type rules, node constructors and XQUF
+/// primitives are not re-implemented here: the engine calls the shared
+/// library (xquery/functions.h, xquery/update.h) once per iteration, so
+/// both engines answer alike and neither needs the other.
+/// Updating expressions, updating functions and fn:put file their
+/// primitives in a pending table tagged with the iteration; evaluation
+/// returns them as pending update lists in the interpreter's order, for
+/// the caller to apply at commit (the paper's PUL, Section 2.3). User
+/// functions are inlined over the loop of the iterations that call them,
+/// recursion included, up to xquery::kMaxCallDepth.
 class LoopLiftedEvaluator {
  public:
   explicit LoopLiftedEvaluator(const LoopLiftConfig& config);
@@ -78,13 +78,13 @@ class LoopLiftedEvaluator {
   LoopLiftedEvaluator& operator=(const LoopLiftedEvaluator&) = delete;
 
   /// Evaluates a main module under the singleton loop relation.
-  StatusOr<xdm::Sequence> EvaluateQuery(const xquery::MainModule& query);
+  StatusOr<xquery::QueryResult> EvaluateQuery(const xquery::MainModule& query);
 
-  /// Evaluates `arity` loop-lifted applications of a module function: the
-  /// server side of a Bulk RPC. args[p] holds parameter p of every call
-  /// as an iter|pos|item table with iters 1..num_calls; the result table
-  /// holds one result sequence per iter.
-  StatusOr<algebra::Table> EvaluateFunctionBulk(
+  /// Evaluates `num_calls` loop-lifted applications of a module function:
+  /// the server side of a Bulk RPC. args[p] holds parameter p of every
+  /// call as an iter|pos|item table with iters 1..num_calls; result i
+  /// holds call i+1's sequence and pending updates.
+  StatusOr<std::vector<xquery::QueryResult>> EvaluateFunctionBulk(
       const xquery::LibraryModule& module, const xquery::FunctionDef& def,
       std::vector<algebra::Table> args, int64_t num_calls);
 

@@ -6,40 +6,14 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRequest(
     const soap::XrpcRequest& request, const server::CallContext& context,
     xquery::PendingUpdateList* pul) {
   ++bulk_requests_;
-
-  // Updates run on the separate update path (the interpreter), exactly as
-  // MonetDB/XQuery routes XQUF updates outside the loop-lifted plans.
-  if (request.updating) {
-    ++interpreter_fallbacks_;
-    server::InterpreterEngine fallback;
-    return fallback.ExecuteRequest(request, context, pul);
-  }
-
   XRPC_ASSIGN_OR_RETURN(
       server::RequestFunction f,
       server::ResolveRequestFunction(request, context,
                                      !options_.use_function_cache,
                                      options_.registry));
-  auto relational = ExecuteRelational(request, context, *f.module, *f.def);
-  if (relational.ok() ||
-      relational.status().code() != StatusCode::kUnsupported) {
-    return relational;
-  }
-  // Outside the relational subset: interpret instead.
-  ++interpreter_fallbacks_;
-  server::InterpreterEngine::Options iopts;
-  iopts.reparse_per_request = !options_.use_function_cache;
-  iopts.registry = options_.registry;
-  server::InterpreterEngine fallback(iopts);
-  return fallback.ExecuteRequest(request, context, pul);
-}
 
-StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
-    const soap::XrpcRequest& request, const server::CallContext& context,
-    const xquery::LibraryModule& module, const xquery::FunctionDef& def) {
   // Shred the request parameters into loop-lifted tables: call i becomes
   // iteration i+1.
-  int64_t num_calls = static_cast<int64_t>(request.calls.size());
   std::vector<algebra::Table> args(request.arity);
   PollGate gate(context.cancel);
   for (size_t call = 0; call < request.calls.size(); ++call) {
@@ -61,18 +35,11 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRelational(
   config.cancel = context.cancel;
   LoopLiftedEvaluator evaluator(config);
   XRPC_ASSIGN_OR_RETURN(
-      algebra::Table result,
-      evaluator.EvaluateFunctionBulk(module, def, std::move(args), num_calls));
-
-  std::vector<xdm::Sequence> out(static_cast<size_t>(num_calls));
-  for (size_t i = 0; i < result.NumRows(); ++i) {
-    int64_t iter = result.Iter(i);
-    if (iter < 1 || iter > num_calls) {
-      return Status::Internal("bulk result iteration out of range");
-    }
-    out[static_cast<size_t>(iter - 1)].push_back(result.TakeItemAt(i));
-  }
-  return out;
+      std::vector<xquery::QueryResult> results,
+      evaluator.EvaluateFunctionBulk(
+          *f.module, *f.def, std::move(args),
+          static_cast<int64_t>(request.calls.size())));
+  return server::MergeCallResults(std::move(results), pul);
 }
 
 }  // namespace xrpc::compiler

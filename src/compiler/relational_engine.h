@@ -23,11 +23,10 @@ namespace xrpc::compiler {
 /// source is re-parsed on every request, modeling the 130 ms translation
 /// overhead column of Table 2.
 ///
-/// Updating requests, and the few plans the loop-lifted evaluator reports
-/// kUnsupported for (see LoopLiftedEvaluator), run on the interpreter
-/// instead (counted in `interpreter_fallbacks`), mirroring MonetDB's
-/// separate update path. Both engines share one function-and-operator
-/// library, so a fallback changes the plan, not the answer.
+/// Updating requests run loop-lifted too: each call's pending update list
+/// comes back separately and joins the request's list as one update
+/// source, exactly as on the interpreter, so both engines stage the same
+/// primitives in the same order for the isolation layer (Section 2.3).
 class RelationalEngine : public server::ExecutionEngine {
  public:
   struct Options {
@@ -49,24 +48,16 @@ class RelationalEngine : public server::ExecutionEngine {
       xquery::PendingUpdateList* pul) override;
 
   int64_t bulk_requests() const { return bulk_requests_.load(); }
-  int64_t interpreter_fallbacks() const {
-    return interpreter_fallbacks_.load();
-  }
   /// No engine path fills this cache: descendant steps walk the
   /// DOM (DESIGN.md §6). It stays readable for tools that report its size.
   shred::ShredCache& shred_cache() { return shreds_; }
 
  private:
-  StatusOr<std::vector<xdm::Sequence>> ExecuteRelational(
-      const soap::XrpcRequest& request, const server::CallContext& context,
-      const xquery::LibraryModule& module, const xquery::FunctionDef& def);
-
   Options options_;
   shred::ShredCache shreds_;
-  // One engine serves concurrent HTTP workers, so these counters are
-  // atomics — a plain ++ here is a data race under load (TSan-verified).
+  // One engine serves concurrent HTTP workers, so the counter is an
+  // atomic — a plain ++ here is a data race under load (TSan-verified).
   std::atomic<int64_t> bulk_requests_{0};
-  std::atomic<int64_t> interpreter_fallbacks_{0};
 };
 
 }  // namespace xrpc::compiler

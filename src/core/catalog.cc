@@ -1,5 +1,6 @@
 #include "core/catalog.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace xrpc::core {
@@ -95,6 +96,26 @@ bool Catalog::Snapshot(std::string_view name, ShardedCollection* out,
   if (it == collections_.end()) return false;
   if (out != nullptr) *out = it->second;
   return true;
+}
+
+std::string PartitionKeyForm(const xdm::AtomicValue& key) {
+  if (auto instant = xdm::InstantOf(key)) {
+    return std::to_string(instant->first) +
+           (instant->second.empty() ? "" : "." + instant->second);
+  }
+  if (key.type() == xdm::AtomicType::kInteger) {
+    return std::to_string(key.AsInteger());
+  }
+  if (key.IsNumeric()) {
+    const double d = key.AsDouble();
+    if (std::trunc(d) == d && std::fabs(d) < 9.2e18) {
+      return std::to_string(static_cast<int64_t>(d));
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    return buf;
+  }
+  return key.ToString();
 }
 
 StatusOr<int> Catalog::RouteKey(const ShardedCollection& collection,

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/statusor.h"
+#include "xdm/atomic.h"
 
 namespace xrpc::core {
 
@@ -55,6 +56,13 @@ struct ShardedCollection {
 /// and the query-time router MUST agree on this function — both sides use
 /// this one.
 uint64_t ShardHash(std::string_view key);
+
+/// The form of a partition-key value that routing hashes, equal for keys
+/// that compare equal: for xs:date and xs:dateTime the timezone-normalized
+/// instant, for numerics the canonical numeric form (4, 4.0 and 4e0 alike),
+/// and for anything else the string itself, so string keys route as the
+/// loaders place them.
+std::string PartitionKeyForm(const xdm::AtomicValue& key);
 
 /// The peer catalog: a versioned registry of sharded collections, shared
 /// by every peer of a simulated network (standing in for the gossiped /

@@ -287,13 +287,12 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
 
   ExecutionReport report;
   StopWatch wall;
-  xquery::PendingUpdateList local_pul;
 
-  bool try_relational = (p0->kind_ == EngineKind::kRelational ||
-                         p0->kind_ == EngineKind::kRelationalNoCache) &&
-                        !options.force_one_at_a_time;
-  bool evaluated = false;
-  if (try_relational) {
+  const bool relational = (p0->kind_ == EngineKind::kRelational ||
+                            p0->kind_ == EngineKind::kRelationalNoCache) &&
+                           !options.force_one_at_a_time;
+  xquery::QueryResult evaluated;
+  if (relational) {
     compiler::LoopLiftConfig cfg;
     cfg.documents = &docs;
     cfg.modules = &p0->registry_;
@@ -303,30 +302,20 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
     cfg.enable_join_rewrite = !options.disable_join_rewrite;
     cfg.cancel = cancel;
     compiler::LoopLiftedEvaluator evaluator(cfg);
-    auto result = evaluator.EvaluateQuery(query);
-    if (result.ok()) {
-      report.result = std::move(result).value();
-      report.used_relational = true;
-      report.traces = evaluator.traces();
-      evaluated = true;
-    } else if (result.status().code() == StatusCode::kUnsupported) {
-      report.fell_back = true;  // interpret below
-    } else {
-      return result.status();
-    }
-  }
-  if (!evaluated) {
+    XRPC_ASSIGN_OR_RETURN(evaluated, evaluator.EvaluateQuery(query));
+    report.used_relational = true;
+    report.traces = evaluator.traces();
+  } else {
     xquery::Interpreter::Config cfg;
     cfg.documents = &docs;
     cfg.modules = &p0->registry_;
     cfg.rpc = &client;
     cfg.cancel = cancel;
     xquery::Interpreter interpreter(cfg);
-    XRPC_ASSIGN_OR_RETURN(xquery::QueryResult qr,
-                          interpreter.EvaluateQuery(query));
-    report.result = std::move(qr.sequence);
-    local_pul = std::move(qr.updates);
+    XRPC_ASSIGN_OR_RETURN(evaluated, interpreter.EvaluateQuery(query));
   }
+  report.result = std::move(evaluated.sequence);
+  xquery::PendingUpdateList local_pul = std::move(evaluated.updates);
 
   report.wall_micros = wall.ElapsedMicros();
   report.network_micros = client.network_micros();

@@ -156,7 +156,6 @@ struct ExecutionReport {
   std::set<std::string> participants;
 
   bool used_relational = false;  ///< p0 ran the loop-lifted engine
-  bool fell_back = false;        ///< relational p0 fell back to interpreter
   std::vector<compiler::BulkRpcTrace> traces;
 };
 

@@ -32,11 +32,9 @@ std::string CanonicalAtomic(const xdm::AtomicValue& v) {
 
 /// Renders one execution as the harness compares it: the normalized
 /// result, or "ERROR: ..." with `*ok` false.
-std::string Render(const StatusOr<core::ExecutionReport>& report, bool* ok,
-                   bool* fell_back) {
+std::string Render(const StatusOr<core::ExecutionReport>& report, bool* ok) {
   *ok = report.ok();
   if (!report.ok()) return "ERROR: " + report.status().ToString();
-  if (fell_back != nullptr) *fell_back = report->fell_back;
   return NormalizeSequence(report->result);
 }
 
@@ -54,23 +52,6 @@ std::string NormalizeSequence(const xdm::Sequence& seq) {
     }
   }
   return out;
-}
-
-// ------------------------------------------------------------- skiplist
-
-std::string DifferentialHarness::SkiplistReason(
-    const std::string& query_text) {
-  // Known, documented engine spec gaps. Every entry must explain WHY the
-  // two engines answer differently and why that is accepted rather than
-  // fixed; keep this list short and auditable.
-  //
-  // fn:put bypasses the PUL on the interpreter's immediate path but is
-  // rejected on the relational read-only path; the generator does not
-  // emit it, but replayed/corpus queries might.
-  if (query_text.find("put(") != std::string::npos) {
-    return "fn:put document creation is outside the relational subset";
-  }
-  return "";
 }
 
 // ------------------------------------------------------ fixture plumbing
@@ -137,18 +118,10 @@ std::string DifferentialHarness::CaptureState(core::PeerNetwork* net) {
 Comparison DifferentialHarness::Run(const std::string& query_text,
                                     bool updating) {
   Comparison c;
-  std::string reason = SkiplistReason(query_text);
-  if (!reason.empty()) {
-    c.skipped = true;
-    c.skip_reason = std::move(reason);
-    c.agree = true;
-    return c;
-  }
-
   c.relational_result = Render(relational_net_->Execute("p0", query_text),
-                              &c.relational_ok, &c.fell_back);
+                              &c.relational_ok);
   c.interpreter_result = Render(interpreter_net_->Execute("p0", query_text),
-                                &c.interpreter_ok, nullptr);
+                                &c.interpreter_ok);
   if (updating) {
     c.relational_state = CaptureState(relational_net_.get());
     c.interpreter_state = CaptureState(interpreter_net_.get());
@@ -160,7 +133,7 @@ Comparison DifferentialHarness::Run(const std::string& query_text,
     bool raw_ok = false;
     c.raw_result =
         raw.ok() ? Render(interpreter_net_->Execute("p0", raw.value()),
-                          &raw_ok, nullptr)
+                          &raw_ok)
                  : "ERROR: " + raw.status().ToString();
     c.raw_mismatch = raw_ok != c.interpreter_ok ||
                      (raw_ok && c.raw_result != c.interpreter_result);
@@ -189,13 +162,6 @@ bool DifferentialHarness::RunAndMinimize(GeneratedQuery* query,
   Comparison c = Run(text, query->updating);
   ++stats_.executed;
   if (query->updating) ++stats_.updating;
-  if (c.skipped) {
-    ++stats_.skipped;
-    return false;
-  }
-  if (c.fell_back) {
-    ++(query->updating ? stats_.fell_back_update : stats_.fell_back_read);
-  }
   if (!c.relational_ok && !c.interpreter_ok) ++stats_.both_error;
   if (c.agree) {
     ++stats_.agreed;
@@ -217,7 +183,7 @@ bool DifferentialHarness::RunAndMinimize(GeneratedQuery* query,
       n->collapsed = true;
       const std::string candidate = query->root->Render();
       Comparison cc = Run(candidate, query->updating);
-      if (cc.skipped || cc.agree) {
+      if (cc.agree) {
         n->collapsed = false;  // reduction lost the divergence; undo
       } else {
         shrunk = true;

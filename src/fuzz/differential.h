@@ -14,12 +14,8 @@ namespace xrpc::fuzz {
 /// Outcome of running one query through both engines.
 struct Comparison {
   bool agree = false;
-  bool skipped = false;      ///< hit a documented known-divergence pattern
-  std::string skip_reason;
-
   bool relational_ok = false;
   bool interpreter_ok = false;
-  bool fell_back = false;    ///< relational p0 fell back to the interpreter
   std::string relational_result;   ///< normalized result (or error text)
   std::string interpreter_result;  ///< normalized result (or error text)
   /// Read-only queries: the interpreter's answer to the raw parse, which
@@ -38,16 +34,8 @@ struct DiffStats {
   int64_t executed = 0;
   int64_t agreed = 0;
   int64_t diverged = 0;
-  int64_t skipped = 0;       ///< skiplisted known spec gaps
   int64_t both_error = 0;    ///< both engines rejected the query
-  /// Read-only queries the relational engine left to the interpreter:
-  /// each is a lost operator, so the comparison pitted the interpreter
-  /// against itself.
-  int64_t fell_back_read = 0;
-  /// Updating queries, which the relational engine hands to its update
-  /// path (the interpreter) by design.
-  int64_t fell_back_update = 0;
-  int64_t updating = 0;
+  int64_t updating = 0;      ///< XQUF queries, compared on document state
   /// Divergences where the raw tree disagreed with the normalized one.
   int64_t raw_mismatch = 0;
 };
@@ -110,11 +98,6 @@ class DifferentialHarness {
   /// collapses reducible subtrees while the divergence persists.
   /// Returns true if a divergence was recorded into `out`.
   bool RunAndMinimize(GeneratedQuery* query, Divergence* out);
-
-  /// Classifies a query against the known-divergence skiplist. Returns a
-  /// non-empty reason when the query exercises a documented spec gap that
-  /// the two engines answer differently on purpose.
-  static std::string SkiplistReason(const std::string& query_text);
 
   const DiffStats& stats() const { return stats_; }
 

@@ -41,6 +41,20 @@ StatusOr<RequestFunction> ResolveRequestFunction(
   return out;
 }
 
+std::vector<xdm::Sequence> MergeCallResults(
+    std::vector<xquery::QueryResult> calls, xquery::PendingUpdateList* pul) {
+  std::vector<xdm::Sequence> results;
+  results.reserve(calls.size());
+  for (xquery::QueryResult& call : calls) {
+    if (pul != nullptr && !call.updates.empty()) {
+      pul->BeginCall();
+      pul->Merge(std::move(call.updates));
+    }
+    results.push_back(std::move(call.sequence));
+  }
+  return results;
+}
+
 StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
     const soap::XrpcRequest& request, const CallContext& context,
     xquery::PendingUpdateList* pul) {
@@ -59,17 +73,7 @@ StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
   XRPC_ASSIGN_OR_RETURN(
       std::vector<xquery::QueryResult> call_results,
       interp.CallModuleFunction(*f.module, *f.def, request.calls));
-
-  std::vector<xdm::Sequence> results;
-  results.reserve(call_results.size());
-  for (xquery::QueryResult& result : call_results) {
-    if (pul != nullptr && !result.updates.empty()) {
-      pul->BeginCall();
-      pul->Merge(std::move(result.updates));
-    }
-    results.push_back(std::move(result.sequence));
-  }
-  return results;
+  return MergeCallResults(std::move(call_results), pul);
 }
 
 }  // namespace xrpc::server

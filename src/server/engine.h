@@ -74,6 +74,12 @@ StatusOr<RequestFunction> ResolveRequestFunction(
     const soap::XrpcRequest& request, const CallContext& context,
     bool reparse = false, ModuleRegistry* registry = nullptr);
 
+/// One result sequence per call, in call order. Each call's pending
+/// updates join `pul` (when non-null) as one update source: calls that
+/// updated nothing open no source.
+std::vector<xdm::Sequence> MergeCallResults(
+    std::vector<xquery::QueryResult> calls, xquery::PendingUpdateList* pul);
+
 /// Reference engine: resolves the function and interprets it for every
 /// call of the request in one interpreter evaluation context.
 ///

@@ -67,7 +67,8 @@ Status Route(const core::Catalog* catalog, const soap::XrpcRequest& header,
     if (key_param >= 0 && key_param < static_cast<int>(calls[i].args.size()) &&
         calls[i].args[key_param].size() == 1) {
       auto r = catalog->RouteKey(
-          collection, calls[i].args[key_param][0].Atomize().ToString());
+          collection,
+          core::PartitionKeyForm(calls[i].args[key_param][0].Atomize()));
       // An unroutable key (e.g. outside every range) is not an error — the
       // call simply cannot be pruned and broadcasts.
       if (r.ok()) routed = r.value();

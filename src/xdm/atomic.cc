@@ -392,6 +392,13 @@ int CompareStrings(const std::string& x, const std::string& y) {
 
 }  // namespace
 
+std::optional<std::pair<int64_t, std::string>> InstantOf(const AtomicValue& v) {
+  if (v.type() != AtomicType::kDate && v.type() != AtomicType::kDateTime) {
+    return std::nullopt;
+  }
+  return ParseInstant(v.ToString(), v.type() == AtomicType::kDateTime);
+}
+
 StatusOr<int> CompareAtomic(const AtomicValue& a, const AtomicValue& b) {
   AtomicType ta = a.type();
   AtomicType tb = b.type();

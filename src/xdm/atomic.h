@@ -2,8 +2,10 @@
 #define XRPC_XDM_ATOMIC_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "base/statusor.h"
@@ -93,6 +95,12 @@ class AtomicValue {
 ///    without a timezone read as UTC (so 12:00:00+02:00 eq 10:00:00Z).
 /// Returns -1/0/1, or error for incomparable types (XPTY0004).
 StatusOr<int> CompareAtomic(const AtomicValue& a, const AtomicValue& b);
+
+/// The instant an xs:date or xs:dateTime denotes, the one CompareAtomic
+/// orders by: seconds since 1970-01-01T00:00:00Z plus the fractional-second
+/// digits without trailing zeros. Nullopt for other types and for invalid
+/// lexical forms.
+std::optional<std::pair<int64_t, std::string>> InstantOf(const AtomicValue& v);
 
 }  // namespace xrpc::xdm
 

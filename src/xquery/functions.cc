@@ -98,9 +98,6 @@ StatusOr<Sequence> FnDoc(const Call& c) {
 }
 
 StatusOr<Sequence> FnPut(const Call& c) {
-  if (c.ctx.pul == nullptr) {
-    return Status::Unsupported("fn:put on a read-only engine");
-  }
   if (c.args[0].size() != 1 || !c.args[0][0].IsNode()) {
     return ArgError(c, "first argument must be a node");
   }
@@ -949,6 +946,157 @@ void CollectAxis(const Item& item, Axis axis, const NodeTest& test,
       return;
     }
   }
+}
+
+// ------------------------------------------------------------ constructors
+
+namespace {
+
+/// Literal text of a direct element constructor's body.
+bool IsLiteralText(const Expr& e) {
+  return e.kind == ExprKind::kTextCtor && e.children.empty();
+}
+
+/// The string values of `items`, joined by single spaces.
+std::string JoinStringValues(const Sequence& items) {
+  std::string out;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ' ';
+    out += items[i].StringValue();
+  }
+  return out;
+}
+
+/// Appends one enclosed expression's items to a constructed parent.
+void BuildContent(xml::Node* parent, const Sequence& items) {
+  std::string pending_text;
+  bool has_pending = false;
+  auto flush = [&]() {
+    if (has_pending && !pending_text.empty()) {
+      parent->AppendChild(xml::Node::NewText(std::move(pending_text)));
+    }
+    pending_text.clear();
+    has_pending = false;
+  };
+  for (const Item& item : items) {
+    if (item.IsAtomic()) {
+      if (has_pending) pending_text += ' ';
+      pending_text += item.atomic().ToString();
+      has_pending = true;
+      continue;
+    }
+    flush();
+    const xml::Node* n = item.node();
+    if (n->kind() == NodeKind::kAttribute) {
+      parent->SetAttribute(n->Clone());
+    } else if (n->kind() == NodeKind::kDocument) {
+      for (const xml::NodePtr& c : n->children()) {
+        parent->AppendChild(c->Clone());
+      }
+    } else {
+      parent->AppendChild(n->Clone());
+    }
+  }
+  flush();
+}
+
+/// The value of an attribute constructor: literal parts verbatim, each
+/// enclosed part's items joined by spaces.
+std::string ContentString(const Expr& attr, const Sequence** next) {
+  std::string out;
+  for (const ExprPtr& part : attr.children) {
+    out += part->kind == ExprKind::kLiteral ? part->literal.ToString()
+                                            : JoinStringValues(*(*next)++);
+  }
+  return out;
+}
+
+/// A computed name. A prefixed name keeps its prefix lexically, with no
+/// namespace URI (enough to rename within one document).
+StatusOr<xml::QName> ComputedName(const Sequence& value) {
+  XRPC_ASSIGN_OR_RETURN(AtomicValue a, AtomizeOne(value, "computed name"));
+  std::string lex = a.ToString();
+  size_t colon = lex.find(':');
+  if (colon == std::string::npos) return xml::QName(std::move(lex));
+  return xml::QName("", lex.substr(colon + 1), lex.substr(0, colon));
+}
+
+}  // namespace
+
+std::vector<const Expr*> ConstructorOperands(const Expr& e) {
+  std::vector<const Expr*> out;
+  if (e.name_expr != nullptr) out.push_back(e.name_expr.get());
+  auto parts = [&out](const Expr& attr) {
+    for (const ExprPtr& part : attr.children) {
+      if (part->kind != ExprKind::kLiteral) out.push_back(part.get());
+    }
+  };
+  for (const ExprPtr& attr : e.attributes) parts(*attr);
+  if (e.kind == ExprKind::kAttributeCtor) {
+    parts(e);
+    return out;
+  }
+  for (const ExprPtr& c : e.children) {
+    if (!IsLiteralText(*c)) out.push_back(c.get());
+  }
+  return out;
+}
+
+StatusOr<Sequence> Construct(const Expr& e,
+                             const std::vector<Sequence>& operands) {
+  const Sequence* next = operands.data();
+  xml::QName name = e.name;
+  if (e.name_expr != nullptr) {
+    XRPC_ASSIGN_OR_RETURN(name, ComputedName(*next++));
+  }
+  xml::NodePtr node;
+  switch (e.kind) {
+    case ExprKind::kElementCtor:
+      node = xml::Node::NewElement(std::move(name));
+      for (const ExprPtr& attr : e.attributes) {
+        node->SetAttribute(
+            xml::Node::NewAttribute(attr->name, ContentString(*attr, &next)));
+      }
+      for (const ExprPtr& c : e.children) {
+        if (IsLiteralText(*c)) {
+          node->AppendChild(xml::Node::NewText(c->literal.ToString()));
+        } else {
+          BuildContent(node.get(), *next++);
+        }
+      }
+      break;
+    case ExprKind::kAttributeCtor:
+      node = xml::Node::NewAttribute(std::move(name), ContentString(e, &next));
+      break;
+    case ExprKind::kTextCtor:
+      if (IsLiteralText(e)) {
+        node = xml::Node::NewText(e.literal.ToString());
+      } else if (!next->empty()) {
+        node = xml::Node::NewText(JoinStringValues(*next));
+      }
+      break;
+    case ExprKind::kCommentCtor:
+      node = xml::Node::NewComment(
+          e.children.empty() ? "" : JoinStringValues(*next));
+      break;
+    case ExprKind::kPiCtor:
+      node = xml::Node::NewProcessingInstruction(
+          e.name.local, e.children.empty() ? "" : JoinStringValues(*next));
+      break;
+    case ExprKind::kDocumentCtor:
+      node = xml::Node::NewDocument();
+      if (!e.children.empty()) BuildContent(node.get(), *next);
+      break;
+    default:
+      return Status::Internal("not a constructor");
+  }
+  if (node == nullptr) return Sequence{};
+  return Sequence{Item::Node(std::move(node))};
+}
+
+Status RecursionLimitExceeded() {
+  return Status::EvalError("function recursion limit exceeded (depth " +
+                           std::to_string(kMaxCallDepth) + ")");
 }
 
 }  // namespace xrpc::xquery

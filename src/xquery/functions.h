@@ -15,10 +15,11 @@ namespace xrpc::xquery {
 
 // The XQuery function-and-operator library, shared by both engines: the
 // built-in functions, the comparison and arithmetic operators, the type
-// rules and the DOM axis walk, each defined once over evaluated sequences. The interpreter calls
-// it per expression; the loop-lifted engine calls it once per iteration
-// through one adapter (DESIGN.md §6). Where the spec and a past engine
-// disagreed, these follow the XQuery 1.0 Functions and Operators spec.
+// rules, the DOM axis walk and node construction, each defined once over
+// evaluated sequences. The interpreter calls it per expression; the
+// loop-lifted engine calls it once per iteration through one adapter
+// (DESIGN.md §6). Where the spec and a past engine disagreed, these follow
+// the XQuery 1.0 Functions and Operators spec.
 
 /// What a function may read besides its arguments.
 struct FunctionContext {
@@ -26,8 +27,9 @@ struct FunctionContext {
   int64_t position = 0;             ///< context position; 0 = no focus
   int64_t size = 0;                 ///< context size
   DocumentProvider* documents = nullptr;
-  /// Receives fn:put; null on a read-only engine, where fn:put reports
-  /// kUnsupported.
+  /// Receives fn:put. The interpreter passes its evaluation's list; the
+  /// loop-lifted engine passes one per iteration and files its entries
+  /// under that iteration.
   PendingUpdateList* pul = nullptr;
 };
 
@@ -113,10 +115,36 @@ StatusOr<xdm::Sequence> ApplyTypeExpr(ExprKind kind, const SequenceType& type,
 bool IsForwardAxis(Axis axis);
 
 /// Appends the nodes `axis` reaches from `item` that pass `test`, in axis
-/// order, by walking the DOM. (The relational engine answers descendant
-/// element steps from its shredded columns first.)
+/// order, by walking the DOM.
 void CollectAxis(const xdm::Item& item, Axis axis, const NodeTest& test,
                  xdm::Sequence* out);
+
+// --------------------------------------------------------- constructors
+
+/// The sub-expressions constructor `e` evaluates, in evaluation order: its
+/// computed name, the enclosed parts of each attribute, then its content.
+/// Literal text and literal attribute parts are not listed: Construct
+/// reads them from `e`.
+std::vector<const Expr*> ConstructorOperands(const Expr& e);
+
+/// Builds the node of constructor `e` (element, attribute, text, comment,
+/// processing instruction or document) from its evaluated operands, given
+/// in ConstructorOperands order. Content follows the XQuery rules: adjacent
+/// atomic values join with a space into one text node, attribute nodes
+/// become attributes, a document node contributes its children, and every
+/// node is copied. Each enclosed part of an attribute value contributes
+/// its items joined by spaces. A text constructor over the empty sequence
+/// yields the empty sequence.
+StatusOr<xdm::Sequence> Construct(const Expr& e,
+                                  const std::vector<xdm::Sequence>& operands);
+
+// ------------------------------------------------------------ recursion
+
+/// The deepest nesting of user-function calls either engine evaluates.
+inline constexpr int kMaxCallDepth = 512;
+
+/// The error of a user-function call nested deeper than kMaxCallDepth.
+Status RecursionLimitExceeded();
 
 }  // namespace xrpc::xquery
 

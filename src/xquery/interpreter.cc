@@ -1,6 +1,7 @@
 #include "xquery/interpreter.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -125,7 +126,8 @@ class Evaluator {
     return Status::EvalError(msg);
   }
 
-  StatusOr<const Sequence*> LookupVar(const QName& name) const {
+  [[gnu::noinline]] StatusOr<const Sequence*> LookupVar(
+      const QName& name) const {
     std::string key = name.Clark();
     for (auto it = vars_.rbegin(); it != vars_.rend(); ++it) {
       if (it->first == key) return &it->second;
@@ -144,7 +146,7 @@ class Evaluator {
       // than one expression.
       XRPC_RETURN_IF_ERROR(cfg_.cancel->CheckCancelled());
     }
-    if (++depth_ > cfg_.max_recursion_depth * 16) {
+    if (++depth_ > kMaxCallDepth * 16) {
       --depth_;
       return Status::EvalError("expression nesting too deep");
     }
@@ -157,19 +159,17 @@ class Evaluator {
     switch (e.kind) {
       case ExprKind::kLiteral:
         return Sequence{Item(e.literal)};
-      case ExprKind::kSequence: {
-        Sequence out;
-        for (const ExprPtr& c : e.children) {
-          XRPC_ASSIGN_OR_RETURN(Sequence part, Eval(*c));
-          out.insert(out.end(), part.begin(), part.end());
-        }
-        return out;
-      }
-      case ExprKind::kRange: {
-        XRPC_ASSIGN_OR_RETURN(Sequence lo, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(Sequence hi, Eval(*e.children[1]));
-        return Range(lo, hi);
-      }
+      case ExprKind::kSequence:
+      case ExprKind::kRange:
+      case ExprKind::kComparison:
+      case ExprKind::kArith:
+      case ExprKind::kUnaryMinus:
+      case ExprKind::kUnion:
+      case ExprKind::kCastAs:
+      case ExprKind::kCastableAs:
+      case ExprKind::kInstanceOf:
+      case ExprKind::kTreatAs:
+        return EvalOperator(e);
       case ExprKind::kVarRef: {
         XRPC_ASSIGN_OR_RETURN(const Sequence* v, LookupVar(e.name));
         return *v;
@@ -182,55 +182,25 @@ class Evaluator {
       case ExprKind::kFlwor:
         return EvalFlwor(e);
       case ExprKind::kIf: {
-        XRPC_ASSIGN_OR_RETURN(Sequence cond, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(bool b, xdm::EffectiveBooleanValue(cond));
+        XRPC_ASSIGN_OR_RETURN(bool b, EvalBool(*e.children[0]));
         return Eval(b ? *e.children[1] : *e.children[2]);
       }
       case ExprKind::kQuantified:
         return EvalQuantified(e);
-      case ExprKind::kOr: {
-        XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(bool lb, xdm::EffectiveBooleanValue(l));
-        if (lb) return xdm::SingletonBool(true);
-        XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
-        XRPC_ASSIGN_OR_RETURN(bool rb, xdm::EffectiveBooleanValue(r));
-        return xdm::SingletonBool(rb);
-      }
+      case ExprKind::kOr:
       case ExprKind::kAnd: {
-        XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(bool lb, xdm::EffectiveBooleanValue(l));
-        if (!lb) return xdm::SingletonBool(false);
-        XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
-        XRPC_ASSIGN_OR_RETURN(bool rb, xdm::EffectiveBooleanValue(r));
-        return xdm::SingletonBool(rb);
-      }
-      case ExprKind::kComparison: {
-        XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
-        return Compare(e.comp_op, l, r);
-      }
-      case ExprKind::kArith: {
-        XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
-        return Arithmetic(e.arith_op, l, r);
-      }
-      case ExprKind::kUnaryMinus: {
-        XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-        return Negate(v);
-      }
-      case ExprKind::kUnion: {
-        XRPC_ASSIGN_OR_RETURN(Sequence l, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(Sequence r, Eval(*e.children[1]));
-        l.insert(l.end(), r.begin(), r.end());
-        XRPC_RETURN_IF_ERROR(xdm::SortByDocumentOrder(&l));
-        return l;
+        // The right operand runs only when the left leaves it undecided.
+        const bool is_or = e.kind == ExprKind::kOr;
+        XRPC_ASSIGN_OR_RETURN(bool b, EvalBool(*e.children[0]));
+        if (b != is_or) {
+          XRPC_ASSIGN_OR_RETURN(b, EvalBool(*e.children[1]));
+        }
+        return xdm::SingletonBool(b);
       }
       case ExprKind::kPath:
         return EvalPath(e);
-      case ExprKind::kFilter: {
-        XRPC_ASSIGN_OR_RETURN(Sequence in, Eval(*e.children[0]));
-        return ApplyPredicates(std::move(in), e.predicates);
-      }
+      case ExprKind::kFilter:
+        return EvalFilter(e);
       case ExprKind::kFunctionCall:
         return EvalFunctionCall(e);
       case ExprKind::kExecuteAt:
@@ -242,13 +212,6 @@ class Evaluator {
       case ExprKind::kPiCtor:
       case ExprKind::kDocumentCtor:
         return EvalConstructor(e);
-      case ExprKind::kCastAs:
-      case ExprKind::kCastableAs:
-      case ExprKind::kInstanceOf:
-      case ExprKind::kTreatAs: {
-        XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-        return ApplyTypeExpr(e.kind, e.seq_type, std::move(v));
-      }
       case ExprKind::kInsert:
       case ExprKind::kDelete:
       case ExprKind::kReplaceNode:
@@ -260,8 +223,53 @@ class Evaluator {
   }
 
   // ------------------------------------------------------------- pieces
+  //
+  // [[gnu::noinline]] keeps the cases of EvalImpl that hold sequences out
+  // of the dispatcher, where the compiler would fold these called-once
+  // helpers: every nesting level of a query, and so every level of a
+  // user-function recursion, pays the dispatcher's frame, and a recursion
+  // of kMaxCallDepth calls must fit a thread's stack, sanitizer builds
+  // included.
 
-  StatusOr<Sequence> EvalFlwor(const Expr& e) {
+  [[gnu::noinline]] StatusOr<Sequence> EvalFilter(const Expr& e) {
+    XRPC_ASSIGN_OR_RETURN(Sequence in, Eval(*e.children[0]));
+    return ApplyPredicates(std::move(in), e.predicates);
+  }
+
+  [[gnu::noinline]] StatusOr<bool> EvalBool(const Expr& e) {
+    XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(e));
+    return xdm::EffectiveBooleanValue(v);
+  }
+
+  /// Sequences, operators and type expressions: every operand evaluates,
+  /// then the library applies the operator.
+  [[gnu::noinline]] StatusOr<Sequence> EvalOperator(const Expr& e) {
+    XRPC_ASSIGN_OR_RETURN(std::vector<Sequence> a, EvalEach(e.children));
+    switch (e.kind) {
+      case ExprKind::kComparison:
+        return Compare(e.comp_op, a[0], a[1]);
+      case ExprKind::kArith:
+        return Arithmetic(e.arith_op, a[0], a[1]);
+      case ExprKind::kRange:
+        return Range(a[0], a[1]);
+      case ExprKind::kUnaryMinus:
+        return Negate(a[0]);
+      case ExprKind::kSequence:
+        for (size_t i = 1; i < a.size(); ++i) {
+          a[0].insert(a[0].end(), std::make_move_iterator(a[i].begin()),
+                      std::make_move_iterator(a[i].end()));
+        }
+        return a.empty() ? Sequence{} : std::move(a[0]);
+      case ExprKind::kUnion:
+        a[0].insert(a[0].end(), a[1].begin(), a[1].end());
+        XRPC_RETURN_IF_ERROR(xdm::SortByDocumentOrder(&a[0]));
+        return std::move(a[0]);
+      default:
+        return ApplyTypeExpr(e.kind, e.seq_type, std::move(a[0]));
+    }
+  }
+
+  [[gnu::noinline]] StatusOr<Sequence> EvalFlwor(const Expr& e) {
     struct OrderedResult {
       std::vector<AtomicValue> keys;
       std::vector<bool> key_empty;
@@ -354,7 +362,7 @@ class Evaluator {
     return Status::OK();
   }
 
-  StatusOr<Sequence> EvalQuantified(const Expr& e) {
+  [[gnu::noinline]] StatusOr<Sequence> EvalQuantified(const Expr& e) {
     bool result = e.every;
     Status st = ForEachTuple(e, 0, [&]() -> Status {
       XRPC_ASSIGN_OR_RETURN(Sequence s, Eval(*e.ret));
@@ -372,7 +380,7 @@ class Evaluator {
 
   // ---------------------------------------------------------------- paths
 
-  StatusOr<Sequence> EvalPath(const Expr& e) {
+  [[gnu::noinline]] StatusOr<Sequence> EvalPath(const Expr& e) {
     Sequence input;
     if (e.children[0] != nullptr) {
       XRPC_ASSIGN_OR_RETURN(input, Eval(*e.children[0]));
@@ -613,7 +621,7 @@ class Evaluator {
     return ApplyPredicates(Items(entry.nodes, anchor), preds);
   }
 
-  StatusOr<Sequence> ApplyPredicates(Sequence in,
+  [[gnu::noinline]] StatusOr<Sequence> ApplyPredicates(Sequence in,
                                      std::span<const ExprPtr> preds) {
     for (const ExprPtr& pred : preds) {
       Sequence filtered;
@@ -643,13 +651,8 @@ class Evaluator {
 
   // ------------------------------------------------------- function calls
 
-  StatusOr<Sequence> EvalFunctionCall(const Expr& e) {
-    std::vector<Sequence> args;
-    args.reserve(e.children.size());
-    for (const ExprPtr& c : e.children) {
-      XRPC_ASSIGN_OR_RETURN(Sequence a, Eval(*c));
-      args.push_back(std::move(a));
-    }
+  [[gnu::noinline]] StatusOr<Sequence> EvalFunctionCall(const Expr& e) {
+    XRPC_ASSIGN_OR_RETURN(std::vector<Sequence> args, EvalEach(e.children));
 
     // User-defined functions: current module, then imported modules.
     const LibraryModule* def_module = nullptr;
@@ -680,9 +683,9 @@ class Evaluator {
   StatusOr<Sequence> CallUserFunction(const FunctionDef& def,
                                       const LibraryModule* module,
                                       std::vector<Sequence> args) {
-    if (++call_depth_ > cfg_.max_recursion_depth) {
+    if (++call_depth_ > kMaxCallDepth) {
       --call_depth_;
-      return EvalError("function recursion limit exceeded");
+      return RecursionLimitExceeded();
     }
     size_t env_mark = vars_.size();
     size_t scope_mark = scopes_.size();
@@ -728,7 +731,7 @@ class Evaluator {
 
   // ------------------------------------------------------------ XRPC call
 
-  StatusOr<Sequence> EvalExecuteAt(const Expr& e) {
+  [[gnu::noinline]] StatusOr<Sequence> EvalExecuteAt(const Expr& e) {
     if (cfg_.rpc == nullptr) {
       return EvalError("no RPC handler configured for 'execute at'");
     }
@@ -759,275 +762,30 @@ class Evaluator {
     return cfg_.rpc->Execute(call);
   }
 
-  // ---------------------------------------------------------- constructors
+  // ------------------------------------------ constructors and updates
 
-  /// Appends evaluated content items to a parent node per the XQuery
-  /// constructor content rules: adjacent atomic values join with a space
-  /// into one text node; node items are deep-copied; document nodes
-  /// contribute their children.
-  Status BuildContent(Node* parent, const Sequence& items) {
-    std::string pending_text;
-    bool has_pending = false;
-    auto flush = [&]() {
-      if (has_pending && !pending_text.empty()) {
-        parent->AppendChild(Node::NewText(pending_text));
-      }
-      pending_text.clear();
-      has_pending = false;
-    };
-    for (const Item& item : items) {
-      if (item.IsAtomic()) {
-        if (has_pending) pending_text += " ";
-        pending_text += item.atomic().ToString();
-        has_pending = true;
-        continue;
-      }
-      const Node* n = item.node();
-      if (n->kind() == NodeKind::kAttribute) {
-        flush();
-        parent->SetAttribute(n->Clone());
-        continue;
-      }
-      if (n->kind() == NodeKind::kDocument) {
-        flush();
-        for (const NodePtr& c : n->children()) {
-          parent->AppendChild(c->Clone());
-        }
-        continue;
-      }
-      flush();
-      parent->AppendChild(n->Clone());
-    }
-    flush();
-    return Status::OK();
-  }
-
-  StatusOr<std::string> ContentString(const Expr& e) {
-    std::string out;
-    bool first = true;
-    for (const ExprPtr& c : e.children) {
-      XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*c));
-      if (c->kind == ExprKind::kLiteral) {
-        out += v.empty() ? "" : v[0].StringValue();
-        first = false;
-        continue;
-      }
-      for (const Item& item : v) {
-        if (!first) {
-          // Items from one enclosed expression join with spaces.
-        }
-        if (!out.empty() && !first) out += " ";
-        out += item.StringValue();
-        first = false;
-      }
+  template <typename Exprs>
+  StatusOr<std::vector<Sequence>> EvalEach(const Exprs& exprs) {
+    std::vector<Sequence> out;
+    out.reserve(exprs.size());
+    for (const auto& x : exprs) {
+      XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*x));
+      out.push_back(std::move(v));
     }
     return out;
   }
 
-  StatusOr<xml::QName> ComputedName(const Expr& e) {
-    if (e.name_expr == nullptr) return e.name;
-    XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.name_expr));
-    XRPC_ASSIGN_OR_RETURN(AtomicValue a, AtomizeOne(v, "computed name"));
-    std::string lex = a.ToString();
-    size_t colon = lex.find(':');
-    if (colon == std::string::npos) return xml::QName(lex);
-    // A computed prefixed name without static scope information: keep the
-    // prefix lexically, no URI (sufficient for rename of same-document
-    // names).
-    return xml::QName("", lex.substr(colon + 1), lex.substr(0, colon));
+  [[gnu::noinline]] StatusOr<Sequence> EvalConstructor(const Expr& e) {
+    XRPC_ASSIGN_OR_RETURN(std::vector<Sequence> operands,
+                          EvalEach(ConstructorOperands(e)));
+    return Construct(e, operands);
   }
 
-  StatusOr<Sequence> EvalConstructor(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kElementCtor: {
-        XRPC_ASSIGN_OR_RETURN(xml::QName name, ComputedName(e));
-        NodePtr elem = Node::NewElement(std::move(name));
-        for (const ExprPtr& attr : e.attributes) {
-          XRPC_ASSIGN_OR_RETURN(std::string value, ContentString(*attr));
-          elem->SetAttribute(
-              Node::NewAttribute(attr->name, std::move(value)));
-        }
-        for (const ExprPtr& c : e.children) {
-          if (c->kind == ExprKind::kTextCtor &&
-              c->literal.type() == AtomicType::kString &&
-              c->children.empty()) {
-            // Literal text from the direct constructor body.
-            elem->AppendChild(Node::NewText(c->literal.ToString()));
-            continue;
-          }
-          if (c->kind == ExprKind::kAttributeCtor) {
-            XRPC_ASSIGN_OR_RETURN(Sequence av, Eval(*c));
-            for (const Item& item : av) {
-              if (item.IsNode() &&
-                  item.node()->kind() == NodeKind::kAttribute) {
-                elem->SetAttribute(item.node()->Clone());
-              }
-            }
-            continue;
-          }
-          XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*c));
-          XRPC_RETURN_IF_ERROR(BuildContent(elem.get(), v));
-        }
-        return Sequence{Item::Node(std::move(elem))};
-      }
-      case ExprKind::kAttributeCtor: {
-        XRPC_ASSIGN_OR_RETURN(xml::QName name, ComputedName(e));
-        XRPC_ASSIGN_OR_RETURN(std::string value, ContentString(e));
-        return Sequence{
-            Item::Node(Node::NewAttribute(std::move(name), std::move(value)))};
-      }
-      case ExprKind::kTextCtor: {
-        if (e.children.empty()) {
-          // Direct literal text.
-          return Sequence{Item::Node(Node::NewText(e.literal.ToString()))};
-        }
-        XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-        if (v.empty()) return Sequence{};
-        std::string text;
-        for (size_t i = 0; i < v.size(); ++i) {
-          if (i > 0) text += " ";
-          text += v[i].StringValue();
-        }
-        return Sequence{Item::Node(Node::NewText(std::move(text)))};
-      }
-      case ExprKind::kCommentCtor: {
-        std::string text;
-        if (!e.children.empty()) {
-          if (e.children[0]->kind == ExprKind::kLiteral) {
-            text = e.children[0]->literal.ToString();
-          } else {
-            XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-            for (size_t i = 0; i < v.size(); ++i) {
-              if (i > 0) text += " ";
-              text += v[i].StringValue();
-            }
-          }
-        }
-        return Sequence{Item::Node(Node::NewComment(std::move(text)))};
-      }
-      case ExprKind::kPiCtor: {
-        std::string text;
-        if (!e.children.empty() &&
-            e.children[0]->kind == ExprKind::kLiteral) {
-          text = e.children[0]->literal.ToString();
-        }
-        return Sequence{Item::Node(
-            Node::NewProcessingInstruction(e.name.local, std::move(text)))};
-      }
-      case ExprKind::kDocumentCtor: {
-        NodePtr doc = Node::NewDocument();
-        if (!e.children.empty()) {
-          XRPC_ASSIGN_OR_RETURN(Sequence v, Eval(*e.children[0]));
-          XRPC_RETURN_IF_ERROR(BuildContent(doc.get(), v));
-        }
-        return Sequence{Item::Node(std::move(doc))};
-      }
-      default:
-        return Status::Internal("not a constructor");
-    }
-  }
-
-  // -------------------------------------------------------------- updates
-
-  StatusOr<Sequence> EvalUpdating(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kInsert: {
-        XRPC_ASSIGN_OR_RETURN(Sequence src, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(Sequence tgt, Eval(*e.children[1]));
-        if (tgt.size() != 1 || !tgt[0].IsNode()) {
-          return Status::TypeError("insert target must be a single node");
-        }
-        UpdatePrimitive p;
-        switch (e.insert_pos) {
-          case InsertPos::kInto:
-            p.kind = UpdatePrimitive::Kind::kInsertInto;
-            break;
-          case InsertPos::kAsFirstInto:
-            p.kind = UpdatePrimitive::Kind::kInsertFirst;
-            break;
-          case InsertPos::kAsLastInto:
-            p.kind = UpdatePrimitive::Kind::kInsertLast;
-            break;
-          case InsertPos::kBefore:
-            p.kind = UpdatePrimitive::Kind::kInsertBefore;
-            break;
-          case InsertPos::kAfter:
-            p.kind = UpdatePrimitive::Kind::kInsertAfter;
-            break;
-        }
-        p.target = tgt[0];
-        for (const Item& item : src) {
-          if (item.IsNode()) {
-            p.content.push_back(Item::Node(item.node()->Clone()));
-          } else {
-            p.content.push_back(
-                Item::Node(Node::NewText(item.StringValue())));
-          }
-        }
-        pul_.Add(std::move(p));
-        return Sequence{};
-      }
-      case ExprKind::kDelete: {
-        XRPC_ASSIGN_OR_RETURN(Sequence tgt, Eval(*e.children[0]));
-        for (const Item& item : tgt) {
-          if (!item.IsNode()) {
-            return Status::TypeError("delete target must be nodes");
-          }
-          UpdatePrimitive p;
-          p.kind = UpdatePrimitive::Kind::kDelete;
-          p.target = item;
-          pul_.Add(std::move(p));
-        }
-        return Sequence{};
-      }
-      case ExprKind::kReplaceNode:
-      case ExprKind::kReplaceValue: {
-        XRPC_ASSIGN_OR_RETURN(Sequence tgt, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(Sequence src, Eval(*e.children[1]));
-        if (tgt.size() != 1 || !tgt[0].IsNode()) {
-          return Status::TypeError("replace target must be a single node");
-        }
-        UpdatePrimitive p;
-        p.target = tgt[0];
-        if (e.kind == ExprKind::kReplaceValue) {
-          p.kind = UpdatePrimitive::Kind::kReplaceValue;
-          std::string value;
-          for (size_t i = 0; i < src.size(); ++i) {
-            if (i > 0) value += " ";
-            value += src[i].StringValue();
-          }
-          p.new_value = std::move(value);
-        } else {
-          p.kind = UpdatePrimitive::Kind::kReplaceNode;
-          for (const Item& item : src) {
-            if (item.IsNode()) {
-              p.content.push_back(Item::Node(item.node()->Clone()));
-            } else {
-              p.content.push_back(
-                  Item::Node(Node::NewText(item.StringValue())));
-            }
-          }
-        }
-        pul_.Add(std::move(p));
-        return Sequence{};
-      }
-      case ExprKind::kRename: {
-        XRPC_ASSIGN_OR_RETURN(Sequence tgt, Eval(*e.children[0]));
-        XRPC_ASSIGN_OR_RETURN(Sequence name_s, Eval(*e.children[1]));
-        if (tgt.size() != 1 || !tgt[0].IsNode()) {
-          return Status::TypeError("rename target must be a single node");
-        }
-        XRPC_ASSIGN_OR_RETURN(AtomicValue a, AtomizeOne(name_s, "rename"));
-        UpdatePrimitive p;
-        p.kind = UpdatePrimitive::Kind::kRename;
-        p.target = tgt[0];
-        p.new_name = xml::QName(a.ToString());
-        pul_.Add(std::move(p));
-        return Sequence{};
-      }
-      default:
-        return Status::Internal("not an updating expression");
-    }
+  [[gnu::noinline]] StatusOr<Sequence> EvalUpdating(const Expr& e) {
+    XRPC_ASSIGN_OR_RETURN(std::vector<Sequence> operands,
+                          EvalEach(e.children));
+    XRPC_RETURN_IF_ERROR(AddUpdatePrimitives(e, operands, &pul_));
+    return Sequence{};
   }
 
   const Interpreter::Config& cfg_;

@@ -31,8 +31,6 @@ class Interpreter {
     /// Resolves module imports; required for queries calling module
     /// functions.
     ModuleResolver* modules = nullptr;
-    /// Recursion limit guarding against runaway user functions.
-    int max_recursion_depth = 512;
     /// Cooperative cancellation token polled at every expression-dispatch
     /// boundary; a tripped token aborts the evaluation with its status
     /// (kDeadlineExceeded / kCancelled). Null = never cancelled.

@@ -4,6 +4,8 @@
 
 #include "base/string_util.h"
 #include "xml/node.h"
+#include "xquery/ast.h"
+#include "xquery/functions.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -25,6 +27,92 @@ namespace {
 using xml::Node;
 using xml::NodeKind;
 using xml::NodePtr;
+
+/// XQUF content: copies of the source nodes, atomic values as text nodes.
+std::vector<xdm::Item> CopyContent(const xdm::Sequence& source) {
+  std::vector<xdm::Item> out;
+  out.reserve(source.size());
+  for (const xdm::Item& item : source) {
+    out.push_back(xdm::Item::Node(item.IsNode()
+                                      ? item.node()->Clone()
+                                      : Node::NewText(item.StringValue())));
+  }
+  return out;
+}
+
+StatusOr<xdm::Item> SingleTarget(const xdm::Sequence& target,
+                                 const char* what) {
+  if (target.size() != 1 || !target[0].IsNode()) {
+    return Status::TypeError(std::string(what) +
+                             " target must be a single node");
+  }
+  return target[0];
+}
+
+UpdatePrimitive::Kind InsertKind(InsertPos pos) {
+  switch (pos) {
+    case InsertPos::kInto:
+      return UpdatePrimitive::Kind::kInsertInto;
+    case InsertPos::kAsFirstInto:
+      return UpdatePrimitive::Kind::kInsertFirst;
+    case InsertPos::kAsLastInto:
+      return UpdatePrimitive::Kind::kInsertLast;
+    case InsertPos::kBefore:
+      return UpdatePrimitive::Kind::kInsertBefore;
+    case InsertPos::kAfter:
+      break;
+  }
+  return UpdatePrimitive::Kind::kInsertAfter;
+}
+
+}  // namespace
+
+Status AddUpdatePrimitives(const Expr& e,
+                           const std::vector<xdm::Sequence>& operands,
+                           PendingUpdateList* pul) {
+  UpdatePrimitive p;
+  if (e.kind == ExprKind::kDelete) {
+    for (const xdm::Item& item : operands[0]) {
+      if (!item.IsNode()) {
+        return Status::TypeError("delete target must be nodes");
+      }
+    }
+    p.kind = UpdatePrimitive::Kind::kDelete;
+    for (const xdm::Item& item : operands[0]) {
+      p.target = item;
+      pul->Add(p);
+    }
+    return Status::OK();
+  }
+  if (e.kind == ExprKind::kInsert) {
+    XRPC_ASSIGN_OR_RETURN(p.target, SingleTarget(operands[1], "insert"));
+    p.kind = InsertKind(e.insert_pos);
+    p.content = CopyContent(operands[0]);
+  } else if (e.kind == ExprKind::kReplaceNode) {
+    XRPC_ASSIGN_OR_RETURN(p.target, SingleTarget(operands[0], "replace"));
+    p.kind = UpdatePrimitive::Kind::kReplaceNode;
+    p.content = CopyContent(operands[1]);
+  } else if (e.kind == ExprKind::kReplaceValue) {
+    XRPC_ASSIGN_OR_RETURN(p.target, SingleTarget(operands[0], "replace"));
+    p.kind = UpdatePrimitive::Kind::kReplaceValue;
+    for (size_t i = 0; i < operands[1].size(); ++i) {
+      if (i > 0) p.new_value += ' ';
+      p.new_value += operands[1][i].StringValue();
+    }
+  } else if (e.kind == ExprKind::kRename) {
+    XRPC_ASSIGN_OR_RETURN(p.target, SingleTarget(operands[0], "rename"));
+    XRPC_ASSIGN_OR_RETURN(xdm::AtomicValue name,
+                          AtomizeOne(operands[1], "rename"));
+    p.kind = UpdatePrimitive::Kind::kRename;
+    p.new_name = xml::QName(name.ToString());
+  } else {
+    return Status::Internal("not an updating expression");
+  }
+  pul->Add(std::move(p));
+  return Status::OK();
+}
+
+namespace {
 
 // Inserts copied content nodes relative to the target.
 Status ApplyInsert(const UpdatePrimitive& p) {

@@ -12,6 +12,8 @@
 
 namespace xrpc::xquery {
 
+struct Expr;
+
 /// One XQUF update primitive. Targets carry their tree anchor (an Item), so
 /// the tree a pending update refers to stays alive until application.
 struct UpdatePrimitive {
@@ -94,6 +96,15 @@ class PendingUpdateList {
   std::vector<Entry> entries_;
   int next_call_index_ = 0;
 };
+
+/// Appends the primitives of updating expression `e` (insert in any of
+/// its five positions, delete, replace node, replace value of, rename) to
+/// `pul`, from its evaluated operands: `e.children` in order. Checks the
+/// targets (one node, or for delete only nodes) and copies the inserted
+/// or replacing content, atomic values as text nodes.
+Status AddUpdatePrimitives(const Expr& e,
+                           const std::vector<xdm::Sequence>& operands,
+                           PendingUpdateList* pul);
 
 class DocumentStore;
 

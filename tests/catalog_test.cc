@@ -113,6 +113,29 @@ TEST(CatalogTest, ShardUriHelpers) {
   EXPECT_EQ(Catalog::ShardUri("auctions.xml"), "shard:auctions.xml");
 }
 
+TEST(CatalogTest, PartitionKeyFormIsTheValueNotTheLexicalForm) {
+  using xdm::AtomicValue;
+  // Equal instants in two timezones, and an xs:date with its timezone.
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::DateTime("2006-01-01T12:00:00+02:00")),
+            PartitionKeyForm(AtomicValue::DateTime("2006-01-01T10:00:00Z")));
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::DateTime("2006-01-01T10:00:00.50")),
+            PartitionKeyForm(AtomicValue::DateTime("2006-01-01T10:00:00.5Z")));
+  EXPECT_NE(PartitionKeyForm(AtomicValue::DateTime("2006-01-01T10:00:00Z")),
+            PartitionKeyForm(AtomicValue::DateTime("2006-01-01T10:00:01Z")));
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::Date("2006-01-02+01:00")),
+            PartitionKeyForm(AtomicValue::DateTime("2006-01-01T23:00:00Z")));
+  // Equal numbers of three types.
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::Integer(4)), "4");
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::Decimal(4.0)), "4");
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::Double(4.0)), "4");
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::Double(2.5)),
+            PartitionKeyForm(AtomicValue::Decimal(2.5)));
+  // Strings (and untyped attribute values) hash as they always did, so
+  // the loaders' placement by ShardHash(string) still matches.
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::String("person7")), "person7");
+  EXPECT_EQ(PartitionKeyForm(AtomicValue::Untyped("person7")), "person7");
+}
+
 TEST(CatalogTest, ReRegistrationBumpsVersionAndReplaces) {
   Catalog catalog;
   ASSERT_TRUE(catalog.RegisterCollection(HashCollection(4)).ok());

@@ -11,6 +11,7 @@
 #include "compiler/loop_lift.h"
 #include "tests/test_util.h"
 #include "xquery/interpreter.h"
+#include "xml/serializer.h"
 #include "xquery/parser.h"
 
 namespace xrpc::compiler {
@@ -48,7 +49,9 @@ class LoopLiftTest : public ::testing::Test {
     config.documents = &docs_;
     config.modules = &modules_;
     LoopLiftedEvaluator evaluator(config);
-    return evaluator.EvaluateQuery(parsed);
+    XRPC_ASSIGN_OR_RETURN(xquery::QueryResult result,
+                          evaluator.EvaluateQuery(parsed));
+    return std::move(result.sequence);
   }
 
   StatusOr<xdm::Sequence> RunInterpreted(const std::string& query) {
@@ -107,9 +110,52 @@ TEST_F(LoopLiftTest, SelectionFunctionActsAsJoin) {
       "1 2");
 }
 
-TEST_F(LoopLiftTest, UpdatingExpressionIsUnsupported) {
-  std::string r = Relational("delete nodes doc(\"filmDB.xml\")//film");
-  EXPECT_NE(r.find("Unsupported"), std::string::npos) << r;
+TEST_F(LoopLiftTest, UpdatingExpressionFilesPendingUpdates) {
+  // Per iteration, in the interpreter's order: the condition's fn:put,
+  // then the branch's primitives.
+  auto parsed = xquery::ParseMainModule(R"(
+      for $f in doc("filmDB.xml")//film
+      order by string($f/name)
+      return if (put(<seen>{string($f/name)}</seen>, "log.xml"))
+             then () else (delete nodes $f/actor, rename node $f as "movie"))");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  LoopLiftConfig config;
+  config.documents = &docs_;
+  LoopLiftedEvaluator evaluator(config);
+  auto relational = evaluator.EvaluateQuery(*parsed);
+  ASSERT_TRUE(relational.ok()) << relational.status();
+  xquery::Interpreter::Config iconfig;
+  iconfig.documents = &docs_;
+  auto interpreted = xquery::Interpreter(iconfig).EvaluateQuery(*parsed);
+  ASSERT_TRUE(interpreted.ok()) << interpreted.status();
+
+  auto render = [](const xquery::PendingUpdateList& pul) {
+    std::string out;
+    for (const auto& entry : pul.entries()) {
+      const xquery::UpdatePrimitive& p = entry.primitive;
+      out += std::to_string(static_cast<int>(p.kind)) + ":";
+      out += p.kind == xquery::UpdatePrimitive::Kind::kPut
+                 ? xml::SerializeNode(*p.content[0].node())
+                 : xml::SerializeNode(*p.target.node());
+      out += "\n";
+    }
+    return out;
+  };
+  EXPECT_TRUE(relational->sequence.empty());
+  EXPECT_EQ(relational->updates.size(), 9u);
+  EXPECT_EQ(render(relational->updates), render(interpreted->updates));
+
+  // Updates inside a predicate, two per candidate: candidate order.
+  parsed = xquery::ParseMainModule(R"(
+      count(doc("filmDB.xml")//film[(put(<a>{string(name)}</a>, "a.xml"),
+                                     put(<b>{string(name)}</b>, "b.xml"))]))");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  relational = LoopLiftedEvaluator(config).EvaluateQuery(*parsed);
+  ASSERT_TRUE(relational.ok()) << relational.status();
+  interpreted = xquery::Interpreter(iconfig).EvaluateQuery(*parsed);
+  ASSERT_TRUE(interpreted.ok()) << interpreted.status();
+  EXPECT_EQ(relational->updates.size(), 6u);
+  EXPECT_EQ(render(relational->updates), render(interpreted->updates));
 }
 
 TEST_F(LoopLiftTest, PathMemoNeverAliasesTreesOrSources) {

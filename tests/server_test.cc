@@ -8,12 +8,14 @@
 #include <functional>
 #include <memory>
 
+#include "compiler/relational_engine.h"
 #include "net/simulated_network.h"
 #include "server/rpc_client.h"
 #include "server/xrpc_service.h"
 #include "tests/test_util.h"
 #include "xmark/xmark.h"
 #include "xml/serializer.h"
+#include "xquery/functions.h"
 
 namespace xrpc::server {
 namespace {
@@ -384,6 +386,9 @@ TEST_F(ServerTest, NetworkTimeAccumulatesOnClient) {
 // InterpreterEngine evaluates all calls of one Bulk RPC request in one
 // evaluation context, so the path memo and join index are shared across
 // calls. The shared context must change no answer and no update order.
+// The constructor, update and recursion cases also run on the relational
+// engine, which evaluates the calls as one loop: both engines build nodes
+// and update primitives through one library and must agree call by call.
 class InterpreterBulkTest : public ::testing::Test {
  protected:
   InterpreterBulkTest() {
@@ -416,7 +421,20 @@ class InterpreterBulkTest : public ::testing::Test {
         then insert nodes <film><name>{$n}</name></film>
              into doc("filmDB.xml")/films
         else ()
-      };)")
+      };
+      declare updating function t:addTwice($n as xs:integer) {
+        for $i in 1 to $n
+        order by $i mod 3, $i descending
+        return if ($i mod 2 = 0)
+               then (insert nodes <film><name>{$n}.{$i}a</name></film>
+                       into doc("filmDB.xml")/films,
+                     insert nodes <film><name>{$n}.{$i}b</name></film>
+                       as first into doc("filmDB.xml")/films)
+               else insert nodes <film><name>{$n}.{$i}</name></film>
+                      into doc("filmDB.xml")/films
+      };
+      declare function t:down($n as xs:integer) as xs:integer
+      { if ($n = 0) then 0 else 1 + t:down($n - 1) };)")
                     .ok());
   }
 
@@ -440,7 +458,12 @@ class InterpreterBulkTest : public ::testing::Test {
     context.documents = documents != nullptr ? documents : &docs_;
     context.modules = &modules_;
     context.cancel = cancel;
-    return engine_.ExecuteRequest(req, context, pul);
+    return engine_->ExecuteRequest(req, context, pul);
+  }
+
+  /// The engines the shared-library cases run on, interpreter first.
+  std::vector<ExecutionEngine*> Engines() {
+    return {&interpreter_, &relational_};
   }
 
   /// Runs `args` as one N-call request and as N one-call requests; both
@@ -482,7 +505,9 @@ class InterpreterBulkTest : public ::testing::Test {
 
   testing::MapDocumentProvider docs_;
   testing::MapModuleResolver modules_;
-  InterpreterEngine engine_;
+  InterpreterEngine interpreter_;
+  compiler::RelationalEngine relational_;
+  ExecutionEngine* engine_ = &interpreter_;  ///< what Run executes on
 };
 
 TEST_F(InterpreterBulkTest, SemiJoinBulkEqualsOneCallRequests) {
@@ -509,14 +534,18 @@ TEST_F(InterpreterBulkTest, ConstructedTreesArePathSteppedPerCall) {
   for (int n : {0, 3, 20, 0, 17, 3, 32, 0}) {
     sizes.push_back(xdm::SingletonInt(n));
   }
-  std::vector<std::string> results =
-      ExpectBulkMatchesSingleCalls("bulk", "shape", sizes);
-  ASSERT_EQ(results.size(), sizes.size());
-  EXPECT_EQ(results[0], "0:");
-  EXPECT_EQ(results[1], "3:1,3");
-  EXPECT_EQ(results[4], "17:1,3,5,7,9,11,13,15,17");
-  EXPECT_EQ(results[5], "3:1,3");
-  EXPECT_EQ(results[7], "0:");
+  for (ExecutionEngine* engine : Engines()) {
+    SCOPED_TRACE(engine->name());
+    engine_ = engine;
+    std::vector<std::string> results =
+        ExpectBulkMatchesSingleCalls("bulk", "shape", sizes);
+    ASSERT_EQ(results.size(), sizes.size());
+    EXPECT_EQ(results[0], "0:");
+    EXPECT_EQ(results[1], "3:1,3");
+    EXPECT_EQ(results[4], "17:1,3,5,7,9,11,13,15,17");
+    EXPECT_EQ(results[5], "3:1,3");
+    EXPECT_EQ(results[7], "0:");
+  }
 }
 
 TEST_F(InterpreterBulkTest, FreedDocumentAddressesDoNotHitTheMemo) {
@@ -525,32 +554,89 @@ TEST_F(InterpreterBulkTest, FreedDocumentAddressesDoNotHitTheMemo) {
   // later call's document can take its address and read "0".
   std::vector<Sequence> args;
   for (int i = 0; i < 8; ++i) args.push_back(xdm::SingletonInt(i));
-  std::vector<std::string> results =
-      ExpectBulkMatchesSingleCalls("bulk", "docStep", args);
-  std::string joined;
-  for (const std::string& r : results) joined += r;
-  EXPECT_EQ(joined, "01010101");
+  for (ExecutionEngine* engine : Engines()) {
+    SCOPED_TRACE(engine->name());
+    engine_ = engine;
+    std::vector<std::string> results =
+        ExpectBulkMatchesSingleCalls("bulk", "docStep", args);
+    std::string joined;
+    for (const std::string& r : results) joined += r;
+    EXPECT_EQ(joined, "01010101");
+  }
 }
 
 TEST_F(InterpreterBulkTest, UpdatingBulkKeepsPerCallPulOrder) {
   std::vector<Sequence> ns;
   for (int n : {2, 1, 4, 6, 3, 8}) ns.push_back(xdm::SingletonInt(n));
-  xquery::PendingUpdateList bulk_pul;
-  auto bulk = Run(Request("bulk", "maybeAdd", ns), &bulk_pul);
-  ASSERT_TRUE(bulk.ok()) << bulk.status();
+  for (ExecutionEngine* engine : Engines()) {
+    SCOPED_TRACE(engine->name());
+    engine_ = engine;
+    xquery::PendingUpdateList bulk_pul;
+    auto bulk = Run(Request("bulk", "maybeAdd", ns), &bulk_pul);
+    ASSERT_TRUE(bulk.ok()) << bulk.status();
 
-  xquery::PendingUpdateList single_pul;
-  for (const Sequence& n : ns) {
-    ASSERT_TRUE(Run(Request("bulk", "maybeAdd", {n}), &single_pul).ok());
+    xquery::PendingUpdateList single_pul;
+    for (const Sequence& n : ns) {
+      ASSERT_TRUE(Run(Request("bulk", "maybeAdd", {n}), &single_pul).ok());
+    }
+    EXPECT_EQ(bulk_pul.size(), 4u);
+    EXPECT_EQ(RenderPul(bulk_pul), RenderPul(single_pul));
+    // Entries follow the calls that produced them.
+    const auto& entries = bulk_pul.entries();
+    for (size_t i = 1; i < entries.size(); ++i) {
+      EXPECT_LT(entries[i - 1].call_index, entries[i].call_index);
+    }
+    EXPECT_NE(RenderPul(bulk_pul).find("<name>2</name>"), std::string::npos);
   }
-  EXPECT_EQ(bulk_pul.size(), 4u);
-  EXPECT_EQ(RenderPul(bulk_pul), RenderPul(single_pul));
-  // Entries follow the calls that produced them.
-  const auto& entries = bulk_pul.entries();
-  for (size_t i = 1; i < entries.size(); ++i) {
-    EXPECT_LT(entries[i - 1].call_index, entries[i].call_index);
+}
+
+TEST_F(InterpreterBulkTest, OrderSensitiveUpdatesSerializeAlikeOnBothEngines) {
+  // Each call inserts once or twice into one target per iteration of a
+  // FLWOR with order by and an if. The relational engine evaluates every
+  // call's iterations as one loop, yet its list must come out in the
+  // interpreter's order, byte for byte as the prepare log records it.
+  std::vector<Sequence> ns;
+  for (int n : {2, 0, 3, 1, 4, 2}) ns.push_back(xdm::SingletonInt(n));
+  auto films = docs_.GetDocument("filmDB.xml");
+  ASSERT_TRUE(films.ok());
+  auto namer = [&films](const xml::Node* root) -> StatusOr<std::string> {
+    if (root == films->get()) return std::string("filmDB.xml");
+    return Status::NotFound("unnamed tree");
+  };
+  std::vector<std::string> logs;
+  for (ExecutionEngine* engine : Engines()) {
+    SCOPED_TRACE(engine->name());
+    engine_ = engine;
+    xquery::PendingUpdateList pul;
+    auto bulk = Run(Request("bulk", "addTwice", ns), &pul);
+    ASSERT_TRUE(bulk.ok()) << bulk.status();
+    EXPECT_EQ(pul.size(), 17u);
+    auto log = pul.Serialize(namer);
+    ASSERT_TRUE(log.ok()) << log.status();
+    logs.push_back(std::move(log).value());
   }
-  EXPECT_NE(RenderPul(bulk_pul).find("<name>2</name>"), std::string::npos);
+  EXPECT_EQ(logs[0], logs[1]);
+  // Tuple order, not order-by order: call 1 (n = 2) runs i = 1 then 2.
+  EXPECT_LT(logs[0].find("2.1"), logs[0].find("2.2a"));
+}
+
+TEST_F(InterpreterBulkTest, RecursionLimitIsOneErrorOnBothEngines) {
+  const int limit = xquery::kMaxCallDepth;
+  std::vector<std::string> errors;
+  for (ExecutionEngine* engine : Engines()) {
+    SCOPED_TRACE(engine->name());
+    engine_ = engine;
+    auto deepest = Run(Request("bulk", "down", {xdm::SingletonInt(limit),
+                                                xdm::SingletonInt(3)}));
+    ASSERT_TRUE(deepest.ok()) << deepest.status();
+    EXPECT_EQ(xdm::SequenceToString((*deepest)[0]), std::to_string(limit));
+    auto past = Run(Request("bulk", "down", {xdm::SingletonInt(3),
+                                             xdm::SingletonInt(limit + 1)}));
+    ASSERT_FALSE(past.ok());
+    errors.push_back(past.status().ToString());
+  }
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_EQ(errors[0], xquery::RecursionLimitExceeded().ToString());
 }
 
 // Runs `hook` on a document when the `at`-th fetch (1-based) happens:

@@ -5,10 +5,9 @@
 #     corpus, forced-divergence minimization/repro round-trips, slices
 #     of the fault-schedule and chaos explorers, and their sabotage
 #     self-tests;
-#  2. a fixed-seed 200-query differential campaign on both engines
-#     (fails on any unexplained divergence, repro files landing in $OUT,
-#     and on any read-only query the relational engine leaves to the
-#     interpreter);
+#  2. a fixed-seed 200-query differential campaign on both engines,
+#     updating queries included (fails on any divergence, repro files
+#     landing in $OUT);
 #  3. a 400-schedule fault exploration at seeds 1-3 (file-backed WALs
 #     included) asserting the four 2PC invariants (at-most-once,
 #     all-or-nothing, no in-doubt leaks, serial equivalence);

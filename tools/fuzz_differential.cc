@@ -9,15 +9,12 @@
 //   fuzz_differential --seed 7 --count 20 --force-divergence   # self-test
 //   fuzz_differential --replay diff-7-13.repro
 //
-// A read-only query the relational engine leaves to the interpreter fails
-// the run like a divergence: the engine lost an operator, and the query
-// compared the interpreter with itself. Updating queries take the
-// interpreter's update path by design and are counted apart.
+// Updating queries run on both engines too, and compare on the documents
+// they leave behind.
 //
-// Exit status: 0 = no unexplained divergence and no read-only fallback (or,
-// under --force-divergence, the forced divergence was caught, minimized and
-// written); 1 = an unexplained divergence (repro file written) or a
-// read-only fallback was found; 2 = usage / replay input error.
+// Exit status: 0 = no divergence (or, under --force-divergence, the forced
+// divergence was caught, minimized and written); 1 = a divergence was
+// found (repro file written); 2 = usage / replay input error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -76,10 +73,6 @@ int Replay(const std::string& path) {
   std::printf("interpreter: %s\n", c.interpreter_result.c_str());
   if (c.raw_mismatch) {
     std::printf("raw tree   : %s\n", c.raw_result.c_str());
-  }
-  if (c.skipped) {
-    std::printf("verdict: SKIPPED (%s)\n", c.skip_reason.c_str());
-    return 0;
   }
   std::printf("verdict: %s\n", c.agree ? "AGREE" : "DIVERGE");
   return c.agree ? 0 : 1;
@@ -140,13 +133,8 @@ int main(int argc, char** argv) {
     if (verbose) {
       std::printf("-- query %d --\n%s\n", i, q.Text().c_str());
     }
-    const int64_t read_fallbacks = harness.stats().fell_back_read;
     Divergence d;
     const bool diverged = harness.RunAndMinimize(&q, &d);
-    if (harness.stats().fell_back_read > read_fallbacks) {
-      std::printf("READ-ONLY FALLBACK at query %d:\n%s\n", q.index,
-                  q.Text().c_str());
-    }
     if (!diverged) continue;
     ++divergences;
     const std::string path = out_dir + "/diff-" + std::to_string(d.seed) +
@@ -168,14 +156,11 @@ int main(int argc, char** argv) {
   const auto& s = harness.stats();
   std::printf(
       "fuzz_differential: seed=%llu executed=%lld agreed=%lld "
-      "diverged=%lld skipped=%lld both_error=%lld fell_back_read=%lld "
-      "fell_back_update=%lld updating=%lld raw_mismatch=%lld\n",
+      "diverged=%lld both_error=%lld updating=%lld raw_mismatch=%lld\n",
       static_cast<unsigned long long>(gcfg.seed),
       static_cast<long long>(s.executed), static_cast<long long>(s.agreed),
-      static_cast<long long>(s.diverged), static_cast<long long>(s.skipped),
+      static_cast<long long>(s.diverged),
       static_cast<long long>(s.both_error),
-      static_cast<long long>(s.fell_back_read),
-      static_cast<long long>(s.fell_back_update),
       static_cast<long long>(s.updating),
       static_cast<long long>(s.raw_mismatch));
   if (dcfg.force_divergence) {
@@ -183,5 +168,5 @@ int main(int argc, char** argv) {
     // least one (artificial) divergence.
     return divergences > 0 ? 0 : 1;
   }
-  return divergences == 0 && s.fell_back_read == 0 ? 0 : 1;
+  return divergences == 0 ? 0 : 1;
 }
