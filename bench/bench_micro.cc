@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the substrate operations whose
 // costs dominate the paper's experiments: XML parsing (treebuild) and the
-// DOM's bytes per node, serialization, shredding, SOAP marshaling, bulk
+// DOM's bytes per node, serialization, SOAP marshaling, bulk
 // request encoding, the encode/decode of a large shipped response, the
 // descendant-path probes of a shard's point read and ship call, and a
 // warm point read through a shard's service.
@@ -10,8 +10,8 @@
 
 #include <functional>
 
+#include "compiler/loop_lift.h"
 #include "core/peer_network.h"
-#include "shred/shredded_doc.h"
 #include "soap/message.h"
 #include "xmark/xmark.h"
 #include "xml/parser.h"
@@ -55,28 +55,6 @@ void BM_XmlSerialize(benchmark::State& state) {
                           static_cast<int64_t>(doc.size()));
 }
 BENCHMARK(BM_XmlSerialize)->Arg(100)->Arg(1000)->Arg(5000);
-
-void BM_Shred(benchmark::State& state) {
-  auto parsed =
-      xrpc::xml::ParseXml(PersonsDoc(static_cast<int>(state.range(0))))
-          .value();
-  for (auto _ : state) {
-    auto shredded = xrpc::shred::ShreddedDoc::Shred(parsed);
-    benchmark::DoNotOptimize(shredded);
-  }
-}
-BENCHMARK(BM_Shred)->Arg(100)->Arg(1000)->Arg(5000);
-
-void BM_StaircaseDescendantScan(benchmark::State& state) {
-  auto parsed = xrpc::xml::ParseXml(PersonsDoc(5000)).value();
-  auto shredded = xrpc::shred::ShreddedDoc::Shred(parsed);
-  int32_t name_id = shredded->NameId(xrpc::xml::QName("person"));
-  for (auto _ : state) {
-    auto hits = shredded->DescendantElements(0, name_id);
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_StaircaseDescendantScan);
 
 void BM_MarshalSequence(benchmark::State& state) {
   xrpc::soap::XrpcResponse resp;
@@ -251,11 +229,12 @@ BENCHMARK_CAPTURE(BM_ElementConstructorLoop, interpreter, false)
     ->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
-// The server side of semijoin's Bulk RPC on an interpreter shard: one
-// b:Q_B3 request of 62 calls. The path memo and join index turn the calls
-// into one candidate scan plus 62 probes; without them every call
-// re-filters the shard.
-void BM_InterpreterBulkQB3(benchmark::State& state) {
+// The server side of semijoin's Bulk RPC: one b:Q_B3 request of 62 calls,
+// evaluated the way each engine serves it (the interpreter call by call in
+// one evaluation, the relational engine as one loop of 62 iterations). The
+// path index and its join index turn the calls into one candidate scan
+// plus 62 probes; without them every call re-filters the shard.
+void BM_BulkQB3(benchmark::State& state, bool relational) {
   class Docs : public xrpc::xquery::DocumentProvider {
    public:
     Docs() : doc_(xrpc::xml::ParseXml(ProbeAuctions()).value()) {}
@@ -273,27 +252,47 @@ void BM_InterpreterBulkQB3(benchmark::State& state) {
   xrpc::xquery::NormalizePaths(&module);
   const xrpc::xquery::FunctionDef* q_b3 = module.FindFunction(
       xrpc::xml::QName("functions_b", "Q_B3"), 1);
+  constexpr int kCalls = 62;
   std::vector<std::vector<Sequence>> calls;
-  for (int i = 0; i < 62; ++i) {
-    calls.push_back(
-        {Sequence{Item(AtomicValue::String("person" + std::to_string(i)))}});
+  xrpc::algebra::Table pids;
+  for (int i = 0; i < kCalls; ++i) {
+    Item pid(AtomicValue::String("person" + std::to_string(i)));
+    calls.push_back({Sequence{pid}});
+    pids.AppendIPI(i + 1, 1, pid);
   }
   xrpc::xquery::Interpreter interp({.documents = &docs});
   for (auto _ : state) {
-    auto results = interp.CallModuleFunction(module, *q_b3, calls);
-    benchmark::DoNotOptimize(results);
+    bool ok;
+    if (relational) {
+      xrpc::compiler::LoopLiftedEvaluator eval({.documents = &docs});
+      auto results = eval.EvaluateFunctionBulk(module, *q_b3, {pids}, kCalls);
+      ok = results.ok();
+      benchmark::DoNotOptimize(results);
+    } else {
+      auto results = interp.CallModuleFunction(module, *q_b3, calls);
+      ok = results.ok();
+      benchmark::DoNotOptimize(results);
+    }
+    if (!ok) {
+      state.SkipWithError("bulk Q_B3 failed");
+      break;
+    }
   }
 }
-BENCHMARK(BM_InterpreterBulkQB3)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BulkQB3, relational, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_BulkQB3, interpreter, false)
+    ->Unit(benchmark::kMicrosecond);
 
 // A point_mix read on a warm shard: one 1-call b:Q_B3 request decoded,
-// executed and encoded by the shard's XrpcService. The interpreter
-// engine's path index spans requests, so after the first request each
-// read is one join-index probe (DESIGN.md §6).
-void BM_WarmPointRead(benchmark::State& state) {
+// executed and encoded by the shard's XrpcService. The service's path
+// index spans requests, so after the first request each read is one
+// join-index probe on either engine (DESIGN.md §6).
+void BM_WarmPointRead(benchmark::State& state, bool relational) {
   xrpc::core::PeerNetwork net;
   xrpc::core::Peer* shard =
-      net.AddPeer("shard", xrpc::core::EngineKind::kInterpreter);
+      net.AddPeer("shard", relational ? xrpc::core::EngineKind::kRelational
+                                      : xrpc::core::EngineKind::kInterpreter);
   (void)shard->AddDocument("auctions.xml", ProbeAuctions());
   (void)shard->RegisterModule(
       xrpc::xmark::FunctionsBModuleSource(shard->uri()), "b.xq");
@@ -313,7 +312,10 @@ void BM_WarmPointRead(benchmark::State& state) {
     benchmark::DoNotOptimize(reply);
   }
 }
-BENCHMARK(BM_WarmPointRead)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WarmPointRead, relational, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WarmPointRead, interpreter, false)
+    ->Unit(benchmark::kMicrosecond);
 
 // Heap bytes the parsed probe document occupies per DOM node (elements,
 // attributes, text), read from the allocator around one parse. Nodes of

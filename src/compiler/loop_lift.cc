@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -1297,10 +1298,93 @@ class LoopLiftedEvaluator::Impl {
         input = std::move(roots);
       }
     }
-    for (const PathStep& step : e.steps) {
-      XRPC_ASSIGN_OR_RETURN(input, EvalStep(input, step));
+    // Path index (DESIGN.md §6): when every iteration's source is one
+    // document, the path's indexed head comes from the entries of the
+    // documents' current versions.
+    const xquery::IndexedHead head = xquery::HeadOf(e);
+    size_t first_step = 0;
+    if (head.end() > 0 && OneDocumentPerIter(input)) {
+      XRPC_ASSIGN_OR_RETURN(input, EvalIndexedHead(e, head, input));
+      first_step = head.end();
+    }
+    for (size_t i = first_step; i < e.steps.size(); ++i) {
+      XRPC_ASSIGN_OR_RETURN(input, EvalStep(input, e.steps[i]));
     }
     return input;
+  }
+
+  /// True if `t` has rows, each an index source, and no two share an iter.
+  static bool OneDocumentPerIter(const Table& t) {
+    Loop iters;
+    iters.reserve(t.NumRows());
+    for (size_t i = 0; i < t.NumRows(); ++i) {
+      if (!xquery::IsIndexSource(t.ItemAt(i))) return false;
+      iters.push_back(t.Iter(i));
+    }
+    std::sort(iters.begin(), iters.end());
+    return !iters.empty() &&
+           std::adjacent_find(iters.begin(), iters.end()) == iters.end();
+  }
+
+  /// The head of path `e` from index entries, for `docs`' one document row
+  /// per iteration. Each distinct document's entry is looked up once per
+  /// loop. Behind a plain step with a join index, the probe ($v or a
+  /// literal) is evaluated once under the loop and each iteration makes
+  /// one hash probe: an index nested-loop join. The step's other
+  /// predicates then filter each iteration's nodes under its own iter.
+  StatusOr<Table> EvalIndexedHead(const Expr& e,
+                                  const xquery::IndexedHead& head,
+                                  const Table& docs) {
+    using Entry = xquery::PathIndex::Entry;
+    std::map<const xml::Node*, std::shared_ptr<const Entry>> by_doc;
+    std::vector<const Entry*> entries;  // per row
+    bool join = false;
+    Loop iters;
+    for (size_t i = 0; i < docs.NumRows(); ++i) {
+      auto& entry = by_doc[docs.ItemAt(i).node()];
+      if (entry == nullptr) {
+        entry = path_index_->Lookup(e, head, docs.ItemAt(i), counters_);
+      }
+      entries.push_back(entry.get());
+      join = join || !entry->join.empty();
+      iters.push_back(docs.Iter(i));
+    }
+    std::sort(iters.begin(), iters.end());
+    Table probe;
+    std::unordered_map<int64_t, std::vector<size_t>> probe_rows;
+    if (join) {
+      XRPC_ASSIGN_OR_RETURN(probe,
+                            Eval(*xquery::JoinProbe(*head.plain), iters));
+      probe_rows = GroupByIter(probe);
+    }
+    Table out;
+    PollGate gate(cfg_.cancel);
+    for (size_t i = 0; i < docs.NumRows(); ++i) {
+      if (gate.Tick()) return gate.status();
+      const int64_t iter = docs.Iter(i);
+      const Entry& entry = *entries[i];
+      std::span<const ExprPtr> preds;
+      if (head.plain != nullptr) preds = head.plain->predicates;
+      std::optional<std::vector<xml::Node*>> hits;
+      if (!entry.join.empty()) {
+        Sequence values;
+        if (auto g = probe_rows.find(iter); g != probe_rows.end()) {
+          for (size_t row : g->second) values.push_back(probe.ItemAt(row));
+        }
+        hits = entry.Probe(values);
+        if (hits) preds = preds.subspan(1);
+      }
+      Sequence nodes = xquery::NodeItems(hits ? *hits : entry.nodes,
+                                         docs.ItemAt(i).anchor());
+      if (!preds.empty()) {
+        XRPC_ASSIGN_OR_RETURN(
+            nodes, FilterWithPredicates(std::move(nodes), preds, iter));
+      }
+      for (size_t k = 0; k < nodes.size(); ++k) {
+        out.AppendIPI(iter, static_cast<int64_t>(k + 1), std::move(nodes[k]));
+      }
+    }
+    return SortedByIter(out) ? std::move(out) : SortByIterPos(std::move(out));
   }
 
   StatusOr<Table> EvalStep(const Table& input, const PathStep& step) {
@@ -1345,7 +1429,7 @@ class LoopLiftedEvaluator::Impl {
   /// into the candidate loop so loop-dependent predicates such as
   /// [./buyer/@person = $pid] see the right binding per iteration.
   StatusOr<Sequence> FilterWithPredicates(
-      Sequence candidates, const std::vector<ExprPtr>& predicates,
+      Sequence candidates, std::span<const ExprPtr> predicates,
       int64_t enclosing_iter) {
     for (const ExprPtr& pred : predicates) {
       if (candidates.empty()) break;
@@ -1444,6 +1528,13 @@ class LoopLiftedEvaluator::Impl {
   std::vector<PendingRow> pending_;
   int64_t iter_base_ = 1'000'000;  ///< fresh iteration number source
   int inline_depth_ = 0;
+  /// Used when the configuration supplies no index or no counters.
+  xquery::PathIndex own_index_;
+  xquery::PathIndex::Counters own_counters_;
+  xquery::PathIndex* path_index_ =
+      cfg_.path_index != nullptr ? cfg_.path_index : &own_index_;
+  xquery::PathIndex::Counters* counters_ =
+      cfg_.index_counters != nullptr ? cfg_.index_counters : &own_counters_;
 };
 
 // ------------------------- function calls ---------------------------------

@@ -13,6 +13,7 @@
 #include "server/rpc_client.h"
 #include "xquery/context.h"
 #include "xquery/module.h"
+#include "xquery/path_index.h"
 
 namespace xrpc::compiler {
 
@@ -47,6 +48,11 @@ struct LoopLiftConfig {
   /// Cooperative cancellation token polled at every algebra-expression
   /// dispatch; a tripped token aborts evaluation with its status.
   const CancellationToken* cancel = nullptr;
+  /// Path index to probe and fill. Null: the evaluation owns one for its
+  /// own duration (one query, or all calls of one request).
+  xquery::PathIndex* path_index = nullptr;
+  /// Tallies the index builds, hits and sweeps this evaluation causes.
+  xquery::PathIndex::Counters* index_counters = nullptr;
 };
 
 /// The Pathfinder-style loop-lifted evaluator: XQuery expressions evaluate

@@ -33,6 +33,8 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRequest(
   config.modules = context.modules;
   config.rpc = context.rpc;
   config.cancel = context.cancel;
+  if (f.reparsed == nullptr) config.path_index = context.path_index;
+  config.index_counters = context.index_counters;
   LoopLiftedEvaluator evaluator(config);
   XRPC_ASSIGN_OR_RETURN(
       std::vector<xquery::QueryResult> results,

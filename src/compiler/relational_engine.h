@@ -48,8 +48,8 @@ class RelationalEngine : public server::ExecutionEngine {
       xquery::PendingUpdateList* pul) override;
 
   int64_t bulk_requests() const { return bulk_requests_.load(); }
-  /// No engine path fills this cache: descendant steps walk the
-  /// DOM (DESIGN.md §6). It stays readable for tools that report its size.
+  /// Always empty (shred/shredded_doc.h); readable for tools that report
+  /// its size.
   shred::ShredCache& shred_cache() { return shreds_; }
 
  private:

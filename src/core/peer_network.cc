@@ -75,8 +75,6 @@ const char* EngineKindToString(EngineKind kind) {
       return "relational-nocache";
     case EngineKind::kInterpreter:
       return "interpreter";
-    case EngineKind::kInterpreterNoCache:
-      return "interpreter-nocache";
     case EngineKind::kWrapper:
       return "wrapper";
   }
@@ -108,14 +106,6 @@ Peer::Peer(std::string name, EngineKind kind, net::SimulatedNetwork* network,
       interpreter_ = std::make_unique<server::InterpreterEngine>();
       engine = interpreter_.get();
       break;
-    case EngineKind::kInterpreterNoCache: {
-      server::InterpreterEngine::Options opts;
-      opts.reparse_per_request = true;
-      opts.registry = &registry_;
-      interpreter_ = std::make_unique<server::InterpreterEngine>(opts);
-      engine = interpreter_.get();
-      break;
-    }
     case EngineKind::kWrapper:
       wrapper_ = std::make_unique<wrapper::WrapperEngine>();
       engine = wrapper_.get();

@@ -119,7 +119,7 @@ inline constexpr std::array<MetricRow, kMetricCount> kMetricRows = [] {
     {kServerFaults, "server", "faults", kCounter, kServer,
      "requests answered with a SOAP Fault"},
     {kIndexBuilds, "path-index", "builds", kCounter, kServer,
-     "interpreter path index entries built"},
+     "path index entries built (either engine)"},
     {kIndexHits, "path-index", "hits", kCounter, kServer,
      "paths answered from a current entry"},
     {kIndexSwept, "path-index", "swept", kCounter, kServer,

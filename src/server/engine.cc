@@ -58,16 +58,14 @@ std::vector<xdm::Sequence> MergeCallResults(
 StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
     const soap::XrpcRequest& request, const CallContext& context,
     xquery::PendingUpdateList* pul) {
-  XRPC_ASSIGN_OR_RETURN(
-      RequestFunction f,
-      ResolveRequestFunction(request, context, options_.reparse_per_request,
-                             options_.registry));
+  XRPC_ASSIGN_OR_RETURN(RequestFunction f,
+                        ResolveRequestFunction(request, context));
   xquery::Interpreter::Config config;
   config.documents = context.documents;
   config.modules = context.modules;
   config.rpc = context.rpc;
   config.cancel = context.cancel;
-  if (f.reparsed == nullptr) config.path_index = &path_index_;
+  config.path_index = context.path_index;
   config.index_counters = context.index_counters;
   xquery::Interpreter interp(config);
   XRPC_ASSIGN_OR_RETURN(

@@ -28,8 +28,13 @@ struct CallContext {
   /// boundaries and abandon the request once it trips (deadline expiry or
   /// explicit cancel). Null = never cancelled.
   const CancellationToken* cancel = nullptr;
-  /// Tallies the interpreter's path index builds, hits and sweeps for the
-  /// service's metrics. Null = not counted.
+  /// The peer's path index (DESIGN.md §6), which spans requests. Its keys
+  /// are expressions, so an engine probes it only for functions resolved
+  /// through `modules`; a re-parsed module evaluates over an index of its
+  /// own. Null = every evaluation owns one.
+  xquery::PathIndex* path_index = nullptr;
+  /// Tallies the path index builds, hits and sweeps for the service's
+  /// metrics. Null = not counted.
   xquery::PathIndex::Counters* index_counters = nullptr;
 };
 
@@ -37,8 +42,7 @@ struct CallContext {
 ///
 /// Implementations:
 ///  - InterpreterEngine (here): tree-walking evaluation of all calls of a
-///    request in one evaluation context, over a path index that spans
-///    requests; the reference semantics.
+///    request in one evaluation context; the reference semantics.
 ///  - compiler::RelationalEngine: loop-lifted relational plans with a
 ///    function cache (the MonetDB/XQuery role).
 ///  - wrapper::WrapperEngine: generates the Fig. 3 XQuery text for the
@@ -80,37 +84,16 @@ StatusOr<RequestFunction> ResolveRequestFunction(
 std::vector<xdm::Sequence> MergeCallResults(
     std::vector<xquery::QueryResult> calls, xquery::PendingUpdateList* pul);
 
-/// Reference engine: resolves the function and interprets it for every
-/// call of the request in one interpreter evaluation context.
-///
-/// With `reparse_per_request` the module source is re-parsed from the
-/// registry on every request, modeling a cache-less system (the "No
-/// Function Cache" column of Table 2); otherwise the pre-parsed module is
-/// used directly (the function cache hit path).
-///
-/// The engine owns one path index (DESIGN.md §6) that spans the requests
-/// it serves over pre-parsed modules, so a point read probes a join index
-/// built once per document version. Re-parsed modules die with their
-/// request, and so does the index their evaluation builds.
+/// Reference engine: resolves the pre-parsed function (the function cache
+/// hit path) and interprets it for every call of the request in one
+/// interpreter evaluation context, over the context's path index.
 class InterpreterEngine : public ExecutionEngine {
  public:
-  struct Options {
-    bool reparse_per_request = false;
-    ModuleRegistry* registry = nullptr;  ///< required when reparsing
-  };
-
-  InterpreterEngine() = default;
-  explicit InterpreterEngine(const Options& options) : options_(options) {}
-
   std::string name() const override { return "interpreter"; }
 
   StatusOr<std::vector<xdm::Sequence>> ExecuteRequest(
       const soap::XrpcRequest& request, const CallContext& context,
       xquery::PendingUpdateList* pul) override;
-
- private:
-  Options options_;
-  xquery::PathIndex path_index_;
 };
 
 }  // namespace xrpc::server

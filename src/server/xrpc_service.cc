@@ -226,6 +226,7 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
   context.modules = registry_;
   context.rpc = nested.get();
   context.cancel = &cancel_token;
+  context.path_index = &path_index_;
   xquery::PathIndex::Counters index_counters;
   context.index_counters = &index_counters;
 

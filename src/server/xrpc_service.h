@@ -230,6 +230,10 @@ class XrpcService : public net::SoapEndpoint {
   Database* database_;
   ModuleRegistry* registry_;
   ExecutionEngine* engine_;
+  /// The peer's one long-lived path index (DESIGN.md §6), handed to the
+  /// engine with every request. Its keys are expressions of `registry_`'s
+  /// modules, so the service must be destroyed before the registry.
+  xquery::PathIndex path_index_;
   net::Transport* outgoing_;
   IsolationManager isolation_;
   TxnLog log_;

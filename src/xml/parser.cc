@@ -155,23 +155,11 @@ class Parser {
     }
   }
 
-  // Parses element content (or top-level content) into `parent`.
+  // Parses element content (or top-level content) into `parent`. Each
+  // nesting level recurses through this frame, so the rarer constructs
+  // parse out of line.
   Status ParseContent(Node* parent, bool top_level) {
     std::string text;
-    auto flush_text = [&]() {
-      if (text.empty()) return;
-      bool all_ws = true;
-      for (char c : text) {
-        if (!IsXmlWhitespace(c)) {
-          all_ws = false;
-          break;
-        }
-      }
-      bool drop = all_ws && (top_level || options_.strip_ignorable_whitespace);
-      if (!drop) parent->AppendChild(Node::NewText(std::move(text)));
-      text.clear();
-    };
-
     while (!Eof()) {
       if (Peek() != '<') {
         if (top_level) {
@@ -180,36 +168,55 @@ class Parser {
         XRPC_RETURN_IF_ERROR(AppendCharData(&text));
         continue;
       }
-      if (Lookahead("</")) {
-        flush_text();
-        return Status::OK();
-      }
-      if (Lookahead("<!--")) {
-        flush_text();
-        size_t end = in_.find("-->", pos_ + 4);
-        if (end == std::string_view::npos) return Error("unterminated comment");
-        parent->AppendChild(Node::NewComment(
-            NormalizeLineEnds(in_.substr(pos_ + 4, end - pos_ - 4))));
-        pos_ = end + 3;
-        continue;
-      }
       if (Lookahead("<![CDATA[")) {
-        size_t end = in_.find("]]>", pos_ + 9);
-        if (end == std::string_view::npos) return Error("unterminated CDATA");
-        AppendNormalizingLineEnds(in_.substr(pos_ + 9, end - pos_ - 9), &text);
-        pos_ = end + 3;
+        XRPC_RETURN_IF_ERROR(AppendCdata(&text));
         continue;
       }
-      if (Lookahead("<?")) {
-        flush_text();
+      if (!text.empty()) FlushText(parent, top_level, &text);
+      if (Lookahead("</")) return Status::OK();
+      if (Lookahead("<!--")) {
+        XRPC_RETURN_IF_ERROR(ParseComment(parent));
+      } else if (Lookahead("<?")) {
         XRPC_RETURN_IF_ERROR(ParsePi(parent));
-        continue;
+      } else {
+        XRPC_RETURN_IF_ERROR(ParseElement(parent));
+        if (top_level) SkipMisc();
       }
-      flush_text();
-      XRPC_RETURN_IF_ERROR(ParseElement(parent));
-      if (top_level) SkipMisc();
     }
-    flush_text();
+    if (!text.empty()) FlushText(parent, top_level, &text);
+    return Status::OK();
+  }
+
+  // Appends pending character data to `parent` as a text node, unless it
+  // is whitespace that is ignorable here.
+  [[gnu::noinline]] void FlushText(Node* parent, bool top_level,
+                                   std::string* text) {
+    bool all_ws = true;
+    for (char c : *text) {
+      if (!IsXmlWhitespace(c)) {
+        all_ws = false;
+        break;
+      }
+    }
+    bool drop = all_ws && (top_level || options_.strip_ignorable_whitespace);
+    if (!drop) parent->AppendChild(Node::NewText(std::move(*text)));
+    text->clear();
+  }
+
+  [[gnu::noinline]] Status AppendCdata(std::string* text) {
+    size_t end = in_.find("]]>", pos_ + 9);
+    if (end == std::string_view::npos) return Error("unterminated CDATA");
+    AppendNormalizingLineEnds(in_.substr(pos_ + 9, end - pos_ - 9), text);
+    pos_ = end + 3;
+    return Status::OK();
+  }
+
+  [[gnu::noinline]] Status ParseComment(Node* parent) {
+    size_t end = in_.find("-->", pos_ + 4);
+    if (end == std::string_view::npos) return Error("unterminated comment");
+    parent->AppendChild(Node::NewComment(
+        NormalizeLineEnds(in_.substr(pos_ + 4, end - pos_ - 4))));
+    pos_ = end + 3;
     return Status::OK();
   }
 
@@ -381,20 +388,45 @@ class Parser {
     return prefix.empty() ? &kNoNamespace : nullptr;
   }
 
+  // Only the element's node, its name and its namespace scope live in the
+  // frame that recurses into its content; the tags parse out of line, so
+  // every nesting level costs little stack, sanitizer builds included.
   Status ParseElement(Node* parent) {
-    ++pos_;  // '<'
+    if (depth_ == kMaxElementDepth) {
+      return Error("elements nested deeper than " +
+                   std::to_string(kMaxElementDepth) + " levels");
+    }
+    const size_t scope_mark = bindings_.size();
     std::string_view raw_name;
-    XRPC_RETURN_IF_ERROR(ParseName(&raw_name));
+    bool self_closing = false;
+    XRPC_ASSIGN_OR_RETURN(NodePtr elem,
+                          ParseStartTag(&raw_name, &self_closing));
+    if (!self_closing) {
+      ++depth_;
+      Status content = ParseContent(elem.get(), /*top_level=*/false);
+      --depth_;
+      XRPC_RETURN_IF_ERROR(content);
+      XRPC_RETURN_IF_ERROR(ParseEndTag(raw_name));
+    }
+    bindings_.resize(scope_mark);
+    parent->AppendChild(std::move(elem));
+    return Status::OK();
+  }
+
+  // Parses a start tag from its '<' and binds its namespace declarations
+  // (the caller unbinds them after the element's content).
+  [[gnu::noinline]] StatusOr<NodePtr> ParseStartTag(std::string_view* raw_name,
+                                                    bool* self_closing) {
+    ++pos_;  // '<'
+    XRPC_RETURN_IF_ERROR(ParseName(raw_name));
 
     // Namespace declarations bind for this element's scope; the other
     // attributes wait in attrs_ until all declarations of the tag are known.
-    const size_t scope_mark = bindings_.size();
     attrs_.clear();
-    bool self_closing = false;
     while (true) {
       SkipWs();
       if (Consume("/>")) {
-        self_closing = true;
+        *self_closing = true;
         break;
       }
       if (Consume(">")) break;
@@ -416,7 +448,7 @@ class Parser {
       }
     }
 
-    auto [eprefix, elocal] = SplitQName(raw_name);
+    auto [eprefix, elocal] = SplitQName(*raw_name);
     const std::string* euri = ResolvePrefix(eprefix);
     if (euri == nullptr) {
       return Error("undeclared namespace prefix: " + std::string(eprefix));
@@ -441,24 +473,21 @@ class Parser {
       elem->SetAttribute(Node::NewAttribute(Intern(*auri, alocal, aprefix),
                                             std::move(a.value)));
     }
+    return elem;
+  }
 
-    if (!self_closing) {
-      XRPC_RETURN_IF_ERROR(ParseContent(elem.get(), /*top_level=*/false));
-      if (!Consume("</")) {
-        return Error("expected end tag for " + std::string(raw_name));
-      }
-      std::string_view end_name;
-      XRPC_RETURN_IF_ERROR(ParseName(&end_name));
-      SkipWs();
-      if (!Consume(">")) return Error("malformed end tag");
-      if (end_name != raw_name) {
-        return Error("mismatched end tag </" + std::string(end_name) +
-                     ">, expected </" + std::string(raw_name) + ">");
-      }
+  [[gnu::noinline]] Status ParseEndTag(std::string_view raw_name) {
+    if (!Consume("</")) {
+      return Error("expected end tag for " + std::string(raw_name));
     }
-
-    bindings_.resize(scope_mark);
-    parent->AppendChild(std::move(elem));
+    std::string_view end_name;
+    XRPC_RETURN_IF_ERROR(ParseName(&end_name));
+    SkipWs();
+    if (!Consume(">")) return Error("malformed end tag");
+    if (end_name != raw_name) {
+      return Error("mismatched end tag </" + std::string(end_name) +
+                   ">, expected </" + std::string(raw_name) + ">");
+    }
     return Status::OK();
   }
 
@@ -490,6 +519,7 @@ class Parser {
 
   std::string_view in_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< elements open around the parse position
   ParseOptions options_;
   std::vector<Binding> bindings_;     ///< in-scope bindings, innermost last
   std::vector<RawAttribute> attrs_;   ///< the current start tag's, reused

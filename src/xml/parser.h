@@ -18,6 +18,12 @@ struct ParseOptions {
   bool strip_ignorable_whitespace = false;
 };
 
+/// The deepest element nesting the parser accepts; deeper input is a
+/// ParseError rather than a recursion that outgrows the stack. It admits
+/// any tree a query can build and ship: a recursion of
+/// xquery::kMaxCallDepth (512) levels inside a SOAP envelope's framing.
+inline constexpr int kMaxElementDepth = 1024;
+
 /// Non-validating, namespace-aware XML 1.0 parser.
 ///
 /// Supported: prolog, comments, PIs, CDATA, character and predefined entity

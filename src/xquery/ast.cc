@@ -1,5 +1,7 @@
 #include "xquery/ast.h"
 
+#include "xquery/module.h"
+
 namespace xrpc::xquery {
 
 const char* AxisToString(Axis axis) {
@@ -76,6 +78,9 @@ bool ContainsUpdatingSyntax(const Expr& e) {
     case ExprKind::kReplaceValue:
     case ExprKind::kRename:
       return true;
+    case ExprKind::kFunctionCall:
+      if (e.name.ns_uri == kFnNs && e.name.local == "put") return true;
+      break;
     default:
       break;
   }

@@ -222,10 +222,9 @@ void ForEachSubexpr(const Expr& e, Fn&& fn) {
   }
 }
 
-/// True if the expression (transitively) contains an updating expression or
-/// a call to a function declared updating (checked at parse time for
-/// syntactic update kinds only; function-call updating-ness is resolved at
-/// evaluation time).
+/// True if the expression (transitively) contains an XQUF expression or a
+/// call of fn:put. Calls of functions declared updating are not seen: they
+/// are resolved at evaluation time.
 bool ContainsUpdatingSyntax(const Expr& e);
 
 }  // namespace xrpc::xquery

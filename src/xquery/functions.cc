@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "base/string_util.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xrpc::xquery {
@@ -1093,6 +1094,9 @@ StatusOr<Sequence> Construct(const Expr& e,
   if (node == nullptr) return Sequence{};
   return Sequence{Item::Node(std::move(node))};
 }
+
+// A tree a query builds must parse again once shipped in an envelope.
+static_assert(xml::kMaxElementDepth >= kMaxCallDepth + 16);
 
 Status RecursionLimitExceeded() {
   return Status::EvalError("function recursion limit exceeded (depth " +

@@ -4,7 +4,6 @@
 #include <iterator>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <utility>
 
@@ -15,7 +14,6 @@ namespace xrpc::xquery {
 
 namespace {
 
-using xdm::AtomicType;
 using xdm::AtomicValue;
 using xdm::Item;
 using xdm::Sequence;
@@ -399,97 +397,30 @@ class Evaluator {
       }
     }
 
-    // Path index (DESIGN.md §6): a path from a document node that starts
-    // with predicate-free steps, or whose first filtered step is plain, is
-    // answered from the index entry for this document version. Behind a
-    // plain step each call reduces to a probe of the entry's join index,
+    // Path index (DESIGN.md §6): a path from a document whose head is
+    // indexed is answered from the entry for this document version. Behind
+    // a plain step each call reduces to a probe of the entry's join index,
     // so the calls of a bulk request (the semi-join's Q_B3, the wrapper's
     // generated query) and, on a server, successive requests pay the scan
     // once: the amortization the paper observes in Saxon's bulk exec.
-    size_t prefix = 0;
-    while (prefix < e.steps.size() && e.steps[prefix].predicates.empty()) {
-      ++prefix;
-    }
-    const bool plain =
-        prefix < e.steps.size() && HasPlainPredicates(e.steps[prefix]);
+    const IndexedHead head = HeadOf(e);
     size_t first_step = 0;
-    Node* doc = input.size() == 1 && input[0].IsNode() ? input[0].node()
-                                                       : nullptr;
-    if ((prefix > 0 || plain) && doc != nullptr &&
-        doc->kind() == NodeKind::kDocument && doc->parent() == nullptr) {
+    if (head.end() > 0 && input.size() == 1 && IsIndexSource(input[0])) {
       std::shared_ptr<const PathIndex::Entry> entry =
-          path_index_->Find(&e, *doc);
-      if (entry != nullptr) {
-        ++counters_->hits;
-      } else {
-        XRPC_ASSIGN_OR_RETURN(entry, BuildEntry(e, input[0], prefix, plain));
-        ++counters_->builds;
-        counters_->swept += path_index_->Insert(&e, *doc, entry);
-      }
+          path_index_->Lookup(e, head, input[0], counters_);
       const NodePtr& anchor = input[0].anchor();
-      if (plain) {
-        XRPC_ASSIGN_OR_RETURN(
-            input, FilterIndexed(*entry, e.steps[prefix], anchor));
-        first_step = prefix + 1;
+      if (head.plain != nullptr) {
+        XRPC_ASSIGN_OR_RETURN(input,
+                              FilterIndexed(*entry, *head.plain, anchor));
       } else {
-        input = Items(entry->nodes, anchor);
-        first_step = prefix;
+        input = NodeItems(entry->nodes, anchor);
       }
+      first_step = head.end();
     }
     for (size_t i = first_step; i < e.steps.size(); ++i) {
       XRPC_ASSIGN_OR_RETURN(input, EvalStep(input, e.steps[i]));
     }
     return input;
-  }
-
-  /// Collects a step's axis/test output for every input node, without
-  /// applying predicates; result in document order, duplicate-free.
-  StatusOr<Sequence> CollectStepCandidates(const Sequence& input,
-                                           const PathStep& step) {
-    Sequence result;
-    for (const Item& item : input) {
-      if (!item.IsNode()) {
-        return Status::TypeError("path step applied to an atomic value");
-      }
-      CollectAxis(item, step.axis, step.test, &result);
-    }
-    if (input.size() == 1 && IsForwardAxis(step.axis)) return result;
-    XRPC_RETURN_IF_ERROR(xdm::SortByDocumentOrder(&result));
-    return result;
-  }
-
-  /// Evaluates the indexed part of `e` from document node `source`: the
-  /// `prefix` predicate-free steps and, if `plain`, the next step's
-  /// candidates with their join index.
-  StatusOr<std::shared_ptr<const PathIndex::Entry>> BuildEntry(
-      const Expr& e, const Item& source, size_t prefix, bool plain) {
-    auto entry = std::make_shared<PathIndex::Entry>();
-    entry->doc = source.node()->weak_from_this();
-    entry->stamp = source.node()->mutation_stamp();
-    Sequence nodes{source};
-    for (size_t i = 0; i < prefix; ++i) {
-      XRPC_ASSIGN_OR_RETURN(nodes, EvalStep(nodes, e.steps[i]));
-    }
-    if (plain) {
-      const PathStep& step = e.steps[prefix];
-      XRPC_ASSIGN_OR_RETURN(nodes, CollectStepCandidates(nodes, step));
-      const Expr* key_path = IndexableEquality(*step.predicates[0]).first;
-      if (key_path != nullptr && nodes.size() >= 16) {
-        XRPC_ASSIGN_OR_RETURN(entry->join, BuildJoinIndex(nodes, *key_path));
-      }
-    }
-    // Axis steps yield nodes only.
-    entry->nodes.reserve(nodes.size());
-    for (const Item& item : nodes) entry->nodes.push_back(item.node());
-    return std::shared_ptr<const PathIndex::Entry>(std::move(entry));
-  }
-
-  /// Items of indexed nodes, kept alive by the source document's anchor.
-  static Sequence Items(std::span<Node* const> nodes, const NodePtr& anchor) {
-    Sequence out;
-    out.reserve(nodes.size());
-    for (Node* n : nodes) out.push_back(Item::NodeInTree(n, anchor));
-    return out;
   }
 
   StatusOr<Sequence> EvalStep(const Sequence& input, const PathStep& step) {
@@ -512,113 +443,20 @@ class Evaluator {
     return result;
   }
 
-  // ---- Join detection (the optimization the paper observes in Saxon):
-  // a predicate of the form [path-from-context = $var] applied repeatedly
-  // to the same indexed candidate set (as the calls of a bulk request and
-  // successive point reads do) is executed through a hash index on the
-  // path's string value, turning the per-call selection into a join. The
-  // join index is built with its path index entry and lives as long.
-
-  /// True if a step has predicates and none of them is positional:
-  /// filtering the step's candidates as one set then equals filtering
-  /// them per context node.
-  static bool HasPlainPredicates(const PathStep& step) {
-    return !step.predicates.empty() && HasNonPositionalPredicates(step);
-  }
-
-  /// True for a path evaluated from the context item using only downward
-  /// axes and no nested predicates (safe to index).
-  static bool IsDownwardContextPath(const Expr& e) {
-    if (e.kind != ExprKind::kPath) return false;
-    if (e.root_path) return false;
-    if (e.children[0] != nullptr &&
-        e.children[0]->kind != ExprKind::kContextItem) {
-      return false;
-    }
-    for (const PathStep& s : e.steps) {
-      if (s.axis != Axis::kChild && s.axis != Axis::kDescendant &&
-          s.axis != Axis::kDescendantOrSelf && s.axis != Axis::kAttribute &&
-          s.axis != Axis::kSelf) {
-        return false;
-      }
-      if (!s.predicates.empty()) return false;
-    }
-    return true;
-  }
-
-  static bool IsContextIndependent(const Expr& e) {
-    return e.kind == ExprKind::kVarRef || e.kind == ExprKind::kLiteral;
-  }
-
-  /// Returns the indexable (key-path, probe) orientation of an equality
-  /// predicate, or nullptr key path if not indexable.
-  static std::pair<const Expr*, const Expr*> IndexableEquality(
-      const Expr& pred) {
-    if (pred.kind != ExprKind::kComparison ||
-        pred.comp_op != CompOp::kGenEq) {
-      return {nullptr, nullptr};
-    }
-    const Expr* l = pred.children[0].get();
-    const Expr* r = pred.children[1].get();
-    if (IsDownwardContextPath(*l) && IsContextIndependent(*r)) return {l, r};
-    if (IsDownwardContextPath(*r) && IsContextIndependent(*l)) return {r, l};
-    return {nullptr, nullptr};
-  }
-
-  using JoinIndex = PathIndex::JoinIndex;
-
-  StatusOr<JoinIndex> BuildJoinIndex(const Sequence& in,
-                                     const Expr& key_path) {
-    JoinIndex index;
-    Focus saved = focus_;
-    for (size_t i = 0; i < in.size(); ++i) {
-      focus_.item = in[i];
-      focus_.position = static_cast<int64_t>(i + 1);
-      focus_.size = static_cast<int64_t>(in.size());
-      auto keys = Eval(key_path);
-      if (!keys.ok()) {
-        focus_ = saved;
-        return keys.status();
-      }
-      for (const Item& k : keys.value()) index.emplace(k.StringValue(), i);
-    }
-    focus_ = saved;
-    return index;
-  }
-
-  /// Filters an index entry's candidates by the predicates of `step`. The
-  /// first predicate is answered through the entry's join index, if it
-  /// has a non-empty one, but only when all probe values are
-  /// string-comparable (string/untypedAtomic/anyURI), where string
-  /// equality coincides with XQuery general-comparison semantics.
+  /// Filters an index entry's candidates by the predicates of plain step
+  /// `step`, the first one by a probe of the entry's join index when the
+  /// entry has one and the probe values allow it.
   StatusOr<Sequence> FilterIndexed(const PathIndex::Entry& entry,
                                    const PathStep& step,
                                    const NodePtr& anchor) {
     std::span<const ExprPtr> preds = step.predicates;
     if (!entry.join.empty()) {
-      const Expr* probe = IndexableEquality(*preds[0]).second;
-      XRPC_ASSIGN_OR_RETURN(Sequence probe_seq, Eval(*probe));
-      bool strings = true;
-      for (const Item& p : probe_seq) {
-        AtomicType t = p.Atomize().type();
-        strings = strings && (t == AtomicType::kString ||
-                              t == AtomicType::kUntypedAtomic ||
-                              t == AtomicType::kAnyUri);
-      }
-      if (strings) {
-        std::set<size_t> hits;
-        for (const Item& p : probe_seq) {
-          auto [lo, hi] = entry.join.equal_range(p.StringValue());
-          for (auto h = lo; h != hi; ++h) hits.insert(h->second);
-        }
-        Sequence kept;
-        for (size_t i : hits) {
-          kept.push_back(Item::NodeInTree(entry.nodes[i], anchor));
-        }
-        return ApplyPredicates(std::move(kept), preds.subspan(1));
+      XRPC_ASSIGN_OR_RETURN(Sequence probe, Eval(*JoinProbe(step)));
+      if (auto hits = entry.Probe(probe)) {
+        return ApplyPredicates(NodeItems(*hits, anchor), preds.subspan(1));
       }
     }
-    return ApplyPredicates(Items(entry.nodes, anchor), preds);
+    return ApplyPredicates(NodeItems(entry.nodes, anchor), preds);
   }
 
   [[gnu::noinline]] StatusOr<Sequence> ApplyPredicates(Sequence in,

@@ -505,7 +505,26 @@ class Parser {
     return seq;
   }
 
+  /// Holds one nesting level of the parse while it lasts.
+  class Level {
+   public:
+    explicit Level(int* depth) : depth_(depth) { ++*depth_; }
+    ~Level() { --*depth_; }
+    Level(const Level&) = delete;
+    Level& operator=(const Level&) = delete;
+
+   private:
+    int* depth_;
+  };
+
+  Status TooDeep() const {
+    return Error("expressions nested deeper than " +
+                 std::to_string(kMaxExprDepth) + " levels");
+  }
+
   StatusOr<ExprPtr> ParseExprSingle() {
+    Level level(&depth_);
+    if (depth_ > kMaxExprDepth) return TooDeep();
     SkipWs();
     if (AfterWordIsDollar("for")) return ParseFlwor();
     if (AfterWordIsDollar("let")) return ParseFlwor();
@@ -536,6 +555,18 @@ class Parser {
     return ok;
   }
 
+  // XQUF allows updating expressions only where their pending updates
+  // have one place in the result: a FLWOR's bindings, where clause and
+  // order keys are not such places (XUST0001).
+  StatusOr<ExprPtr> ParseSimpleExprSingle(const char* clause) {
+    XRPC_ASSIGN_OR_RETURN(ExprPtr e, ParseExprSingle());
+    if (ContainsUpdatingSyntax(*e)) {
+      return Error(std::string("XUST0001: updating expression in ") +
+                   clause);
+    }
+    return e;
+  }
+
   StatusOr<ExprPtr> ParseFlwor() {
     ExprPtr e = MakeExpr(ExprKind::kFlwor);
     while (true) {
@@ -552,7 +583,7 @@ class Parser {
             XRPC_ASSIGN_OR_RETURN(c.pos_var, ParseVarName());
           }
           if (!ConsumeWord("in")) return Error("expected 'in'");
-          XRPC_ASSIGN_OR_RETURN(c.expr, ParseExprSingle());
+          XRPC_ASSIGN_OR_RETURN(c.expr, ParseSimpleExprSingle("a for binding"));
           e->clauses.push_back(std::move(c));
         } while (ConsumeSym(","));
         continue;
@@ -567,7 +598,7 @@ class Parser {
             XRPC_RETURN_IF_ERROR(ParseSequenceType().status());
           }
           if (!ConsumeSym(":=")) return Error("expected ':='");
-          XRPC_ASSIGN_OR_RETURN(c.expr, ParseExprSingle());
+          XRPC_ASSIGN_OR_RETURN(c.expr, ParseSimpleExprSingle("a let binding"));
           e->clauses.push_back(std::move(c));
         } while (ConsumeSym(","));
         continue;
@@ -576,7 +607,7 @@ class Parser {
     }
     if (e->clauses.empty()) return Error("expected for/let clause");
     if (ConsumeWord("where")) {
-      XRPC_ASSIGN_OR_RETURN(e->where, ParseExprSingle());
+      XRPC_ASSIGN_OR_RETURN(e->where, ParseSimpleExprSingle("a where clause"));
     }
     if (LookWords("stable", "order")) {
       ConsumeWord("stable");
@@ -586,7 +617,8 @@ class Parser {
       if (!ConsumeWord("by")) return Error("expected 'by'");
       do {
         OrderSpec spec;
-        XRPC_ASSIGN_OR_RETURN(spec.key, ParseExprSingle());
+        XRPC_ASSIGN_OR_RETURN(spec.key,
+                              ParseSimpleExprSingle("an order by key"));
         if (ConsumeWord("ascending")) {
         } else if (ConsumeWord("descending")) {
           spec.descending = true;
@@ -1340,6 +1372,8 @@ class Parser {
   }
 
   StatusOr<ExprPtr> ParseDirectElement() {
+    Level level(&depth_);
+    if (depth_ > kMaxExprDepth) return TooDeep();
     if (!ConsumeSym("<")) return Error("expected '<'");
     // Element names in constructors are parsed lexically; namespace
     // resolution uses prolog-declared prefixes (plus any xmlns attributes,
@@ -1539,6 +1573,7 @@ class Parser {
   /// Line of the first unterminated comment SkipWs ran into (0 = none);
   /// see Error() — it beats whatever confusing EOF error follows.
   int unterminated_comment_line_ = 0;
+  int depth_ = 0;  ///< nesting levels open around the parse position
   std::vector<std::pair<std::string, std::string>> ns_;
   std::string module_target_ns_;
 };

@@ -8,6 +8,13 @@
 
 namespace xrpc::xquery {
 
+/// The deepest nesting of expressions (each parenthesized or enclosed
+/// expression, predicate, clause and operand opens one level) and of
+/// direct element constructors a query may have. A level costs a chain of
+/// recursive-descent frames, so deeper input is a ParseError rather than a
+/// stack overflow, sanitizer builds included.
+inline constexpr int kMaxExprDepth = 128;
+
 /// Parses a main module (prolog + query body) including the `execute at`
 /// XRPC extension and the XQUF updating expressions.
 StatusOr<MainModule> ParseMainModule(std::string_view text);

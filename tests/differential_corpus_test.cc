@@ -32,6 +32,16 @@ bool IsUpdating(const std::string& text) {
          text.find("put(") != std::string::npos;
 }
 
+/// The error code an entry marked `(: expect error CODE :)` must raise on
+/// both engines, or "" for an entry that must answer.
+std::string ExpectedError(const std::string& text) {
+  const std::string marker = "(: expect error ";
+  const size_t at = text.find(marker);
+  if (at == std::string::npos) return "";
+  const size_t code = at + marker.size();
+  return text.substr(code, text.find(' ', code) - code);
+}
+
 std::vector<std::filesystem::path> CorpusFiles() {
   std::vector<std::filesystem::path> files;
   for (const auto& entry :
@@ -61,6 +71,16 @@ TEST(DifferentialCorpusTest, EveryCorpusQueryAgreesAcrossEngines) {
     EXPECT_TRUE(c.agree) << path.filename() << "\n  relational : "
                          << c.relational_result
                          << "\n  interpreter: " << c.interpreter_result;
+    const std::string error = ExpectedError(text);
+    if (!error.empty()) {
+      // Both engines fail, naming the error.
+      EXPECT_FALSE(c.relational_ok) << path.filename();
+      EXPECT_NE(c.relational_result.find(error), std::string::npos)
+          << path.filename() << ": " << c.relational_result;
+      EXPECT_NE(c.interpreter_result.find(error), std::string::npos)
+          << path.filename() << ": " << c.interpreter_result;
+      continue;
+    }
     EXPECT_TRUE(c.relational_ok) << path.filename() << ": "
                                  << c.relational_result;
   }

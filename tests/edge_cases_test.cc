@@ -227,8 +227,7 @@ TEST_F(EdgeNetworkTest, MixedEnginePeersAgree) {
       {"e1", core::EngineKind::kRelational},
       {"e2", core::EngineKind::kRelationalNoCache},
       {"e3", core::EngineKind::kInterpreter},
-      {"e4", core::EngineKind::kInterpreterNoCache},
-      {"e5", core::EngineKind::kWrapper},
+      {"e4", core::EngineKind::kWrapper},
   };
   std::string expected;
   for (auto& [name, kind] : kinds) {

@@ -1,13 +1,14 @@
-// Tests of the interpreter engine's path index (DESIGN.md §6): a point
-// read builds the index entry for its fragment once and probes it on every
-// later request, and every way the data behind an entry can change (an
-// in-place update, a 2PC commit that installs a new tree, a replica healed
-// by WAL-delta replay or by full transfer, a re-registered module) makes
-// the next read answer from the new data. Entries must not pin replaced
-// trees, and concurrent readers share them.
+// Tests of a peer's path index (DESIGN.md §6), on interpreter and on
+// relational shards: a point read builds the index entry for its fragment
+// once and probes it on every later request, and every way the data behind
+// an entry can change (an in-place update, a 2PC commit that installs a new
+// tree, a replica healed by WAL-delta replay or by full transfer, a
+// re-registered module) makes the next read answer from the new data.
+// Entries must not pin replaced trees, and concurrent readers share them.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,9 +17,12 @@
 #include "core/peer_network.h"
 #include "soap/message.h"
 #include "xdm/item.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xmark/shard_loader.h"
 #include "xmark/xmark.h"
+#include "xquery/parser.h"
+#include "xquery/path_index.h"
 
 namespace xrpc::core {
 namespace {
@@ -76,16 +80,16 @@ std::string Run(PeerNetwork& net, const std::string& body,
   return xdm::SequenceToString(report->result);
 }
 
-// One interpreter peer `s` holding the whole auctions document, and an
-// interpreter p0 that sends it one-call requests.
+// One peer `s` running `kind` and holding the whole auctions document, and
+// a p0 that sends it one-call requests.
 struct SinglePeer {
   PeerNetwork net;
   Peer* s = nullptr;
   Peer* p0 = nullptr;
 
-  SinglePeer() {
-    s = net.AddPeer("s", EngineKind::kInterpreter);
-    p0 = net.AddPeer("p0", EngineKind::kInterpreter);
+  explicit SinglePeer(EngineKind kind) {
+    s = net.AddPeer("s", kind);
+    p0 = net.AddPeer("p0", kind);
     EXPECT_TRUE(
         s->AddDocument("auctions.xml", xmark::GenerateAuctions(Config()))
             .ok());
@@ -107,8 +111,18 @@ struct SinglePeer {
   int64_t Hits() { return net.metrics().Get(Metric::kIndexHits, s->uri()); }
 };
 
-TEST(PathIndexTest, PointReadsBuildOnceThenProbe) {
-  SinglePeer d;
+// Defines test `name` twice: on interpreter peers, and with the suffix
+// OnRelationalShards on relational ones. The body sees `kind`.
+#define PATH_INDEX_TEST(name)                                   \
+  void name(EngineKind kind);                                   \
+  TEST(PathIndexTest, name) { name(EngineKind::kInterpreter); } \
+  TEST(PathIndexTest, name##OnRelationalShards) {               \
+    name(EngineKind::kRelational);                              \
+  }                                                             \
+  void name(EngineKind kind)
+
+PATH_INDEX_TEST(PointReadsBuildOnceThenProbe) {
+  SinglePeer d(kind);
   const std::string first = d.Read("person1");
   ASSERT_NE(first.find("<closed_auction"), std::string::npos) << first;
   for (int i = 1; i < 100; ++i) ASSERT_EQ(d.Read("person1"), first);
@@ -121,8 +135,8 @@ TEST(PathIndexTest, PointReadsBuildOnceThenProbe) {
       << d.net.metrics().Report();
 }
 
-TEST(PathIndexTest, InPlaceUpdateRebuildsTheEntry) {
-  SinglePeer d;
+PATH_INDEX_TEST(InPlaceUpdateRebuildsTheEntry) {
+  SinglePeer d(kind);
   const std::string before = d.Read("person1");
   ASSERT_NE(before.find("<closed_auction"), std::string::npos);
   ASSERT_EQ(d.Read("person29x"), "");
@@ -143,8 +157,8 @@ TEST(PathIndexTest, InPlaceUpdateRebuildsTheEntry) {
   EXPECT_EQ(d.Builds(), builds + 1);
 }
 
-TEST(PathIndexTest, RepeatableCommitServesTheNewTreeAndFreesTheOld) {
-  SinglePeer d;
+PATH_INDEX_TEST(RepeatableCommitServesTheNewTreeAndFreesTheOld) {
+  SinglePeer d(kind);
   std::weak_ptr<xml::Node> old_root =
       d.s->database().GetDocument("auctions.xml").value();
   const std::string before = d.Read("person2");
@@ -159,8 +173,8 @@ TEST(PathIndexTest, RepeatableCommitServesTheNewTreeAndFreesTheOld) {
   EXPECT_TRUE(old_root.expired());
 }
 
-TEST(PathIndexTest, ReregisteredModuleAnswersFromItsNewBody) {
-  SinglePeer d;
+PATH_INDEX_TEST(ReregisteredModuleAnswersFromItsNewBody) {
+  SinglePeer d(kind);
   // Sellers are unique persons outside the buyers' id range.
   const std::string seller = "person100035";
   ASSERT_NE(d.Read("person3").find("<closed_auction"), std::string::npos);
@@ -178,8 +192,8 @@ TEST(PathIndexTest, ReregisteredModuleAnswersFromItsNewBody) {
   EXPECT_EQ(by_seller.find("<closed_auction", 1), std::string::npos);
 }
 
-TEST(PathIndexTest, ConcurrentReadersShareOneService) {
-  SinglePeer d;
+PATH_INDEX_TEST(ConcurrentReadersShareOneService) {
+  SinglePeer d(kind);
   constexpr int kThreads = 4;
   constexpr int kReadsPerThread = 50;
   auto request_for = [&](int person) {
@@ -229,26 +243,28 @@ std::string FragmentBytes(Peer* peer, const std::string& doc) {
   return xml::SerializeNode(*d.value());
 }
 
-// A sharded interpreter deployment at replication factor `rf`, whose
+// A sharded deployment of `kind` peers at replication factor `rf`, whose
 // update hands every auction of shard 0's first buyer to a new person and
 // marks every fragment, after a peer "joiner" took a pre-update copy of
 // shard 0. The joiner's
 // index is warm when Repair() heals it; its next read must match the
 // primary's.
-void HealJoinerAfterWarmRead(int rf, bool expect_full_transfer) {
+void HealJoinerAfterWarmRead(EngineKind kind, int rf,
+                             bool expect_full_transfer) {
   PeerNetwork net;
   xmark::ShardLoadOptions opts;
   opts.num_shards = 3;
   opts.replication_factor = rf;
+  opts.engine = kind;
   auto loaded = xmark::LoadShardedXmark(&net, Config(), opts);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   std::vector<Peer*> shards = loaded->peers;
-  Peer* p0 = net.AddPeer("p0", EngineKind::kInterpreter);
+  Peer* p0 = net.AddPeer("p0", kind);
   ASSERT_TRUE(RegisterModules(p0).ok());
   for (Peer* shard : shards) ASSERT_TRUE(RegisterModules(shard).ok());
 
   const std::string pre_update = FragmentBytes(shards[0], FragName(0));
-  Peer* joiner = net.AddPeer("joiner", EngineKind::kInterpreter);
+  Peer* joiner = net.AddPeer("joiner", kind);
   ASSERT_TRUE(RegisterModules(joiner).ok());
   ASSERT_TRUE(joiner->AddDocument(FragName(0), pre_update).ok());
   std::weak_ptr<xml::Node> joiner_root =
@@ -290,17 +306,107 @@ void HealJoinerAfterWarmRead(int rf, bool expect_full_transfer) {
   EXPECT_EQ(joiner_root.expired(), expect_full_transfer);
 }
 
-TEST(PathIndexTest, ReplicaHealedByWalDeltaReplayServesTheNewData) {
+PATH_INDEX_TEST(ReplicaHealedByWalDeltaReplayServesTheNewData) {
   // rf 1: the donor's PUL writes only shard 0, so it replays in place.
-  HealJoinerAfterWarmRead(/*rf=*/1, /*expect_full_transfer=*/false);
+  HealJoinerAfterWarmRead(kind, /*rf=*/1, /*expect_full_transfer=*/false);
 }
 
-TEST(PathIndexTest, ReplicaHealedByFullTransferServesTheNewData) {
+PATH_INDEX_TEST(ReplicaHealedByFullTransferServesTheNewData) {
   // rf 2: every donor holds two fragments and its PUL marks both, one of
   // which the joiner lacks, so the delta cannot replay and the whole
   // fragment is transferred.
-  HealJoinerAfterWarmRead(/*rf=*/2, /*expect_full_transfer=*/true);
+  HealJoinerAfterWarmRead(kind, /*rf=*/2, /*expect_full_transfer=*/true);
 }
+
+// -- One entry per path on a relational shard --------------------------------
+
+std::string BulkRequest(const std::string& method, int calls) {
+  soap::XrpcRequest request;
+  request.module_ns = "functions_b";
+  request.method = method;
+  request.location = "b.xq";
+  request.arity = method == "Q_B3" ? 1 : 0;
+  for (int i = 0; i < calls; ++i) {
+    std::vector<xdm::Sequence> params;
+    if (request.arity == 1) {
+      params.push_back(xdm::SingletonString("person" + std::to_string(i)));
+    }
+    request.calls.push_back(std::move(params));
+  }
+  return soap::SerializeRequest(request);
+}
+
+TEST(PathIndexTest, RelationalShardAnswersQB1AndBulkQB3FromOneEntryEach) {
+  SinglePeer relational(EngineKind::kRelational);
+  SinglePeer interpreter(EngineKind::kInterpreter);
+  for (const std::string& body :
+       {BulkRequest("Q_B1", 1), BulkRequest("Q_B3", 62)}) {
+    auto want = interpreter.s->service().Handle("/xrpc", body);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_NE(want->find("<closed_auction"), std::string::npos);
+    for (int round = 0; round < 2; ++round) {
+      auto got = relational.s->service().Handle("/xrpc", body);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got.value(), want.value());
+    }
+  }
+  // Each path's first request builds its entry; the second request hits
+  // it. All 62 calls of a Q_B3 request are one loop: one lookup, then one
+  // hash probe per call.
+  EXPECT_EQ(relational.Builds(), 2);
+  EXPECT_EQ(relational.Hits(), 2);
+}
+
+// -- Property: an entry holds what the axis walk yields ----------------------
+
+class PathIndexProperty : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PathIndexProperty, DescendantCountsMatchDom) {
+  auto doc = xml::ParseXml(GetParam());
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  std::function<int(const xml::Node&)> count_elems =
+      [&](const xml::Node& n) -> int {
+    int c = 0;
+    for (const auto& child : n.children()) {
+      if (child->kind() == xml::NodeKind::kElement) c++;
+      c += count_elems(*child);
+    }
+    return c;
+  };
+  const int expected = count_elems(*doc.value());
+  auto query = xquery::ParseMainModule("doc(\"d.xml\")/descendant::*");
+  ASSERT_TRUE(query.ok()) << query.status();
+  const xquery::Expr& path = *query->body;
+  const xquery::IndexedHead head = xquery::HeadOf(path);
+  ASSERT_EQ(head.end(), 1u);
+  xquery::PathIndex index;
+  xquery::PathIndex::Counters counters;
+  const xdm::Item source = xdm::Item::Node(doc.value());
+  auto entry = index.Lookup(path, head, source, &counters);
+  EXPECT_EQ(static_cast<int>(entry->nodes.size()), expected);
+  EXPECT_EQ(index.Lookup(path, head, source, &counters), entry);
+  EXPECT_EQ(counters.builds, 1);
+  EXPECT_EQ(counters.hits, 1);
+  // Each engine answers the path from an entry of its own evaluation.
+  for (EngineKind kind : {EngineKind::kInterpreter, EngineKind::kRelational}) {
+    PeerNetwork net;
+    Peer* p0 = net.AddPeer("p0", kind);
+    ASSERT_TRUE(p0->AddDocumentNode("d.xml", doc.value()).ok());
+    auto report = net.Execute("p0", "count(doc(\"d.xml\")//*)");
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(xdm::SequenceToString(report->result),
+              std::to_string(expected))
+        << EngineKindToString(kind);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Docs, PathIndexProperty,
+    ::testing::Values("<a/>", "<a><b/></a>", "<a>text</a>",
+                      "<a><b><c><d/></c></b><e/></a>",
+                      "<r><x/><x/><x/><x/><x/></r>",
+                      "<r><a><a><a/></a></a></r>",
+                      "<r>t1<a/>t2<b/>t3</r>"));
 
 }  // namespace
 }  // namespace xrpc::core

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -166,6 +168,37 @@ TEST(XmlParser, CharacterReferencesKeepWhitespaceCharacters) {
   const Node& b = *back.value()->children()[0];
   EXPECT_EQ(b.FindAttribute(QName("v"))->value(), "1\r\n2\t3");
   EXPECT_EQ(b.StringValue(), "4\r\n5");
+}
+
+std::string Nested(int depth) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += "<a>";
+  text += "x";
+  for (int i = 0; i < depth; ++i) text += "</a>";
+  return text;
+}
+
+TEST(XmlParser, NestingPastTheLimitIsAParseErrorNotACrash) {
+  for (int depth : {kMaxElementDepth + 1, 100000}) {
+    auto doc = ParseXml(Nested(depth));
+    ASSERT_FALSE(doc.ok()) << depth;
+    EXPECT_EQ(doc.status().code(), StatusCode::kParseError);
+    EXPECT_NE(doc.status().message().find("nested deeper than"),
+              std::string::npos)
+        << doc.status();
+  }
+  EXPECT_FALSE(ParseXmlFragment(Nested(100000)).ok());
+}
+
+TEST(XmlParser, DocumentAtTheDepthLimitParsesSerializesAndClones) {
+  const std::string text = Nested(kMaxElementDepth);
+  auto doc = ParseXml(text);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EXPECT_EQ(SerializeNode(*doc.value()->children()[0]), text);
+  NodePtr copy = doc.value()->Clone();
+  EXPECT_EQ(copy->StringValue(), "x");
+  doc.value().reset();
+  copy.reset();  // both trees are destroyed inside the test
 }
 
 TEST(XmlSerializer, RoundTripsDocument) {

@@ -164,6 +164,57 @@ TEST(ParserNegativeTest, DeeplyNestedParensDoNotOverflow) {
   }
 }
 
+std::string NestedParens(int depth) {
+  return std::string(depth, '(') + "1" + std::string(depth, ')');
+}
+
+TEST(ParserNegativeTest, NestingAtTheLimitParses) {
+  // The body is one level, each parenthesized expression one more.
+  EXPECT_TRUE(ParseMainModule(NestedParens(kMaxExprDepth - 1)).ok());
+  ExpectParseError(NestedParens(kMaxExprDepth), "nested deeper than");
+  // So is each direct element constructor.
+  std::string elements;
+  for (int i = 1; i < kMaxExprDepth; ++i) elements += "<a>";
+  for (int i = 1; i < kMaxExprDepth; ++i) elements += "</a>";
+  EXPECT_TRUE(ParseMainModule(elements).ok());
+  ExpectParseError("<a>" + elements + "</a>", "nested deeper than");
+}
+
+TEST(ParserNegativeTest, DeepNestingIsAParseErrorNotACrash) {
+  constexpr int kDepth = 100000;
+  ExpectParseError(NestedParens(kDepth), "nested deeper than");
+  std::string elements;
+  for (int i = 0; i < kDepth; ++i) elements += "<a>";
+  for (int i = 0; i < kDepth; ++i) elements += "</a>";
+  ExpectParseError(elements, "nested deeper than");
+  std::string predicates = "doc(\"d.xml\")";
+  for (int i = 0; i < kDepth; ++i) predicates += "/a[b";
+  predicates += std::string(kDepth, ']');
+  ExpectParseError(predicates, "nested deeper than");
+}
+
+// -- XUST0001: updating expressions where no update may be -----------------
+
+TEST(ParserNegativeTest, UpdatingExpressionInAFlworClauseIsXUST0001) {
+  const std::string insert =
+      "insert nodes <x/> into doc(\"persons.xml\")/site/people";
+  ExpectParseError("for $a in (1, 2) for $b in (" + insert +
+                       ", 1) return $b",
+                   "XUST0001: updating expression in a for binding");
+  ExpectParseError("let $b := (" + insert + ") return 1",
+                   "XUST0001: updating expression in a let binding");
+  ExpectParseError("for $a in (1, 2) where (delete nodes doc(\"d.xml\")//a,"
+                   " true()) return $a",
+                   "XUST0001: updating expression in a where clause");
+  ExpectParseError("for $a in (1, 2) order by (put(<a/>, \"a.xml\"), $a) "
+                   "return $a",
+                   "XUST0001: updating expression in an order by key");
+  ExpectParseError("let $p := put(<a/>, \"a.xml\") return 1",
+                   "XUST0001");
+  // The return clause is an updating position.
+  EXPECT_TRUE(ParseMainModule("for $a in (1, 2) return " + insert).ok());
+}
+
 TEST(ParserNegativeTest, TrailingContentIsRejected) {
   // (Note `1 + 1 <banana` would be VALID — `<` is the less-than operator
   // and `banana` a child step. Use genuinely trailing content.)
