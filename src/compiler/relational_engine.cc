@@ -2,6 +2,12 @@
 
 namespace xrpc::compiler {
 
+LoopLiftConfig LoopLiftConfigFor(const server::CallContext& c) {
+  return {.documents = c.documents, .modules = c.modules, .rpc = c.rpc,
+          .cancel = c.cancel, .path_index = c.path_index,
+          .index_counters = c.index_counters};
+}
+
 StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRequest(
     const soap::XrpcRequest& request, const server::CallContext& context,
     xquery::PendingUpdateList* pul) {
@@ -28,13 +34,9 @@ StatusOr<std::vector<xdm::Sequence>> RelationalEngine::ExecuteRequest(
     }
   }
 
-  LoopLiftConfig config;
-  config.documents = context.documents;
-  config.modules = context.modules;
-  config.rpc = context.rpc;
-  config.cancel = context.cancel;
-  if (f.reparsed == nullptr) config.path_index = context.path_index;
-  config.index_counters = context.index_counters;
+  LoopLiftConfig config = LoopLiftConfigFor(context);
+  // A re-parsed module's expressions are not the index's keys.
+  if (f.reparsed != nullptr) config.path_index = nullptr;
   LoopLiftedEvaluator evaluator(config);
   XRPC_ASSIGN_OR_RETURN(
       std::vector<xquery::QueryResult> results,

@@ -12,6 +12,10 @@
 
 namespace xrpc::compiler {
 
+/// The loop-lifted evaluator configuration that evaluates over `context`
+/// (the engine's request path and p0 alike).
+LoopLiftConfig LoopLiftConfigFor(const server::CallContext& context);
+
 /// The MonetDB/XQuery-style execution engine: serves XRPC requests through
 /// the loop-lifted relational evaluator, executing ALL calls of a Bulk RPC
 /// request in one set-oriented pass (the request's calls become the loop

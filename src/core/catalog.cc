@@ -192,21 +192,6 @@ void Catalog::AdvanceFragmentDataVersion(std::string_view collection,
   if (version > v) v = version;
 }
 
-std::vector<std::pair<int, uint64_t>> Catalog::FragmentDataVersions(
-    std::string_view collection) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<int, uint64_t>> out;
-  auto it = collections_.find(collection);
-  if (it == collections_.end()) return out;
-  for (const ShardInfo& s : it->second.shards) {
-    auto fv = fragment_versions_.find(FragmentKey(collection, s.index));
-    if (fv != fragment_versions_.end() && fv->second > 0) {
-      out.emplace_back(s.index, fv->second);
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> Catalog::CollectionNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;

@@ -118,11 +118,6 @@ class Catalog {
   void AdvanceFragmentDataVersion(std::string_view collection, int shard_index,
                                   uint64_t version);
 
-  /// Every fragment of `collection` whose data version is non-zero, as
-  /// (shard_index, version) pairs — what a rejoining replica diffs its
-  /// applied versions against.
-  std::vector<std::pair<int, uint64_t>> FragmentDataVersions(
-      std::string_view collection) const;
 
   std::vector<std::string> CollectionNames() const;
 

@@ -1,12 +1,13 @@
 #include "core/peer_network.h"
 
 #include <chrono>
+#include <optional>
 
 #include "base/clock.h"
 #include "base/string_util.h"
 #include "compiler/loop_lift.h"
 #include "net/uri.h"
-#include "server/remote_docs.h"
+#include "server/query_scope.h"
 #include "server/wsat.h"
 #include "xquery/interpreter.h"
 #include "xquery/normalize.h"
@@ -208,7 +209,7 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
 
   // Query-level options (Section 2.2).
   bool repeatable = false;
-  int64_t timeout_sec = 30;
+  soap::QueryId qid;
   if (const std::string* iso = query.prolog.FindOption(
           std::string("{") + xml::kXrpcNs + "}isolation")) {
     if (*iso == "repeatable") {
@@ -219,8 +220,11 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
   }
   if (const std::string* t = query.prolog.FindOption(
           std::string("{") + xml::kXrpcNs + "}timeout")) {
-    auto parsed = ParseInt64(*t);
-    if (parsed.ok()) timeout_sec = parsed.value();
+    auto parsed = soap::ParseQueryTimeout(*t);
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("malformed xrpc:timeout option: " + *t);
+    }
+    qid.timeout_sec = parsed.value();
   }
   // End-to-end deadline: ExecuteOptions wins over the query's declared
   // option; 0 (neither set) keeps deadline-free behavior.
@@ -236,44 +240,27 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
       deadline_budget_us = parsed.value();
     }
   }
-  CancellationToken cancel_token;
-  const CancellationToken* cancel = nullptr;
-  if (deadline_budget_us > 0) {
-    cancel_token.ArmDeadline(
-        network_.clock().NowMicros() + deadline_budget_us,
-        [this] { return network_.clock().NowMicros(); });
-    cancel = &cancel_token;
-  }
-
-  server::RpcClient::Options copts;
-  soap::QueryId qid;
   if (repeatable) {
     qid.id = peer_name + "-q" + std::to_string(next_query_serial_++);
     qid.host = p0->uri();
     qid.timestamp = WallClockMicros();
-    qid.timeout_sec = timeout_sec;
-    copts.isolation = server::IsolationLevel::kRepeatable;
-    copts.query_id = qid;
-    copts.simple_query = IsSimpleXrpcQuery(query);
   }
-  // Outgoing requests go through the retry/timeout decorator, which also
-  // records per-peer wire metrics (so the client itself must not record —
-  // that would double count). Fan-out shape/latency is a separate metrics
-  // dimension and is recorded by the client.
-  copts.dispatch_pool = dispatch_pool_.get();
-  copts.metrics = &metrics_;
-  if (deadline_budget_us > 0) {
-    copts.deadline_us = cancel_token.deadline_us();
-    copts.now_us = [this] { return network_.clock().NowMicros(); };
-  }
-  copts.catalog = &catalog_;
-  server::RpcClient client(&transport_, copts);
-  server::LiveDocumentProvider local_docs(&p0->db_);
-  server::FederatedDocumentProvider federated(&local_docs, &client);
-  // Sharded-collection resolution on top of federation: doc("shard:C")
-  // assembles the whole collection at p0; a collection's logical name
-  // resolves to p0-local fragments if it stores any.
-  server::ShardDocumentProvider docs(&federated, &catalog_, p0->uri());
+  // p0 reads its live documents (no snapshot session) and may dispatch on
+  // the network's pool.
+  auto now = [this] { return network_.clock().NowMicros(); };
+  server::QueryScope scope(
+      {.self_uri = p0->uri(),
+       .database = &p0->db_,
+       .modules = &p0->registry_,
+       .catalog = &catalog_,
+       .transport = &transport_,
+       .metrics = &metrics_,
+       .dispatch_pool = dispatch_pool_.get(),
+       .query_id = repeatable ? std::optional(qid) : std::nullopt,
+       .simple_query = repeatable && IsSimpleXrpcQuery(query),
+       .deadline_us = deadline_budget_us > 0 ? now() + deadline_budget_us : 0,
+       .now_us = now});
+  server::RpcClient& client = *scope.client();
 
   ExecutionReport report;
   StopWatch wall;
@@ -283,25 +270,16 @@ StatusOr<ExecutionReport> PeerNetwork::Execute(const std::string& peer_name,
                            !options.force_one_at_a_time;
   xquery::QueryResult evaluated;
   if (relational) {
-    compiler::LoopLiftConfig cfg;
-    cfg.documents = &docs;
-    cfg.modules = &p0->registry_;
-    cfg.rpc = &client;
+    compiler::LoopLiftConfig cfg = compiler::LoopLiftConfigFor(scope.context());
     cfg.trace_bulk_rpc = options.trace_bulk_rpc;
     cfg.enable_hoisting = !options.disable_hoisting;
     cfg.enable_join_rewrite = !options.disable_join_rewrite;
-    cfg.cancel = cancel;
     compiler::LoopLiftedEvaluator evaluator(cfg);
     XRPC_ASSIGN_OR_RETURN(evaluated, evaluator.EvaluateQuery(query));
     report.used_relational = true;
     report.traces = evaluator.traces();
   } else {
-    xquery::Interpreter::Config cfg;
-    cfg.documents = &docs;
-    cfg.modules = &p0->registry_;
-    cfg.rpc = &client;
-    cfg.cancel = cancel;
-    xquery::Interpreter interpreter(cfg);
+    xquery::Interpreter interpreter(server::InterpreterConfig(scope.context()));
     XRPC_ASSIGN_OR_RETURN(evaluated, interpreter.EvaluateQuery(query));
   }
   report.result = std::move(evaluated.sequence);

@@ -17,7 +17,7 @@
 #include "net/rpc_metrics.h"
 #include "net/simulated_network.h"
 #include "net/thread_pool.h"
-#include "server/remote_docs.h"
+#include "server/query_scope.h"
 #include "server/rpc_client.h"
 #include "server/xrpc_service.h"
 #include "wrapper/wrapper_engine.h"
@@ -25,7 +25,7 @@
 namespace xrpc::core {
 
 /// Namespace of the built-in system module every peer serves (remote
-/// document fetch); see server/remote_docs.h.
+/// document fetch); see server/query_scope.h.
 using server::kSystemModuleNs;
 
 /// Which XQuery engine a peer runs.

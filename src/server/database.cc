@@ -115,9 +115,4 @@ std::vector<std::string> Database::DocumentNames() const {
   return names;
 }
 
-bool Database::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return docs_.count(name) > 0;
-}
-
 }  // namespace xrpc::server

@@ -9,7 +9,7 @@
 
 #include "base/statusor.h"
 #include "xml/node.h"
-#include "xquery/context.h"
+#include "xquery/update.h"
 
 namespace xrpc::server {
 
@@ -17,8 +17,8 @@ namespace xrpc::server {
 /// counters (the `db_p(t)` of the paper's formal semantics).
 ///
 /// Reads under `isolation=none` see the live trees. Repeatable-read
-/// queries get lazily cloned private copies from the IsolationManager and
-/// commit through ReplaceIfVersion(), which implements first-committer-wins
+/// queries get lazily cloned private copies, kept in their IsolationManager
+/// session by the query's DocumentResolver, and commit through ReplaceIfVersion(), which implements first-committer-wins
 /// conflict detection for distributed snapshot-style updates.
 ///
 /// A database is also where fn:put stores documents (xquery::PutSink).
@@ -64,7 +64,6 @@ class Database : public xquery::PutSink {
   void SetAppliedDataVersion(const std::string& name, uint64_t version);
 
   std::vector<std::string> DocumentNames() const;
-  bool Contains(const std::string& name) const;
 
   /// fn:put: stores (or replaces) `doc` under `uri`.
   Status Put(const std::string& uri, xml::NodePtr doc) override;
@@ -81,18 +80,6 @@ class Database : public xquery::PutSink {
   };
   mutable std::mutex mu_;
   std::map<std::string, Entry> docs_;
-};
-
-/// DocumentProvider view over the live database (isolation "none").
-class LiveDocumentProvider : public xquery::DocumentProvider {
- public:
-  explicit LiveDocumentProvider(Database* db) : db_(db) {}
-  StatusOr<xml::NodePtr> GetDocument(const std::string& uri) override {
-    return db_->GetDocument(uri);
-  }
-
- private:
-  Database* db_;
 };
 
 }  // namespace xrpc::server

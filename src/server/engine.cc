@@ -1,7 +1,6 @@
 #include "server/engine.h"
 
 #include "server/rpc_client.h"
-#include "xquery/interpreter.h"
 #include "xquery/normalize.h"
 #include "xquery/parser.h"
 
@@ -41,6 +40,12 @@ StatusOr<RequestFunction> ResolveRequestFunction(
   return out;
 }
 
+xquery::Interpreter::Config InterpreterConfig(const CallContext& c) {
+  return {.documents = c.documents, .rpc = c.rpc, .modules = c.modules,
+          .cancel = c.cancel, .path_index = c.path_index,
+          .index_counters = c.index_counters};
+}
+
 std::vector<xdm::Sequence> MergeCallResults(
     std::vector<xquery::QueryResult> calls, xquery::PendingUpdateList* pul) {
   std::vector<xdm::Sequence> results;
@@ -60,14 +65,7 @@ StatusOr<std::vector<xdm::Sequence>> InterpreterEngine::ExecuteRequest(
     xquery::PendingUpdateList* pul) {
   XRPC_ASSIGN_OR_RETURN(RequestFunction f,
                         ResolveRequestFunction(request, context));
-  xquery::Interpreter::Config config;
-  config.documents = context.documents;
-  config.modules = context.modules;
-  config.rpc = context.rpc;
-  config.cancel = context.cancel;
-  config.path_index = context.path_index;
-  config.index_counters = context.index_counters;
-  xquery::Interpreter interp(config);
+  xquery::Interpreter interp(InterpreterConfig(context));
   XRPC_ASSIGN_OR_RETURN(
       std::vector<xquery::QueryResult> call_results,
       interp.CallModuleFunction(*f.module, *f.def, request.calls));

@@ -10,6 +10,7 @@
 #include "server/module_registry.h"
 #include "soap/message.h"
 #include "xquery/context.h"
+#include "xquery/interpreter.h"
 #include "xquery/path_index.h"
 #include "xquery/update.h"
 
@@ -17,9 +18,10 @@ namespace xrpc::server {
 
 class RpcClient;
 
-/// Everything an engine needs to execute one XRPC request: the database
-/// view chosen by the isolation level, the module resolver, and the
-/// outgoing RPC client for nested `execute at` calls.
+/// Everything an engine needs to evaluate one query at one peer: the
+/// document view chosen by the isolation level, the module resolver, and the
+/// outgoing RPC client for nested `execute at` calls. A server::QueryScope
+/// builds it, at p0 and at every served hop alike.
 struct CallContext {
   xquery::DocumentProvider* documents = nullptr;
   xquery::ModuleResolver* modules = nullptr;
@@ -77,6 +79,9 @@ struct RequestFunction {
 StatusOr<RequestFunction> ResolveRequestFunction(
     const soap::XrpcRequest& request, const CallContext& context,
     bool reparse = false, ModuleRegistry* registry = nullptr);
+
+/// The interpreter configuration that evaluates over `context`.
+xquery::Interpreter::Config InterpreterConfig(const CallContext& context);
 
 /// One result sequence per call, in call order. Each call's pending
 /// updates join `pul` (when non-null) as one update source: calls that

@@ -1,6 +1,7 @@
 #include "server/isolation.h"
 
 #include <chrono>
+#include <limits>
 
 namespace xrpc::server {
 
@@ -14,9 +15,8 @@ int64_t SteadyNowMicros() {
 
 }  // namespace
 
-IsolationManager::IsolationManager(Database* db,
-                                   std::function<int64_t()> now_us)
-    : db_(db), now_us_(now_us ? std::move(now_us) : SteadyNowMicros) {}
+IsolationManager::IsolationManager(std::function<int64_t()> now_us)
+    : now_us_(now_us ? std::move(now_us) : SteadyNowMicros) {}
 
 StatusOr<QuerySession*> IsolationManager::GetSession(const soap::QueryId& id) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -44,7 +44,11 @@ StatusOr<QuerySession*> IsolationManager::GetSession(const soap::QueryId& id) {
   }
   auto session = std::make_unique<QuerySession>();
   session->id = id;
-  session->deadline_us = now + id.timeout_sec * 1'000'000;
+  // The decoder bounds timeout_sec so its micros fit; the sum saturates.
+  const int64_t timeout_us = id.timeout_sec * 1'000'000;
+  session->deadline_us = timeout_us > std::numeric_limits<int64_t>::max() - now
+                             ? std::numeric_limits<int64_t>::max()
+                             : now + timeout_us;
   QuerySession* raw = session.get();
   sessions_[id.id] = std::move(session);
   return raw;
@@ -98,17 +102,6 @@ void IsolationManager::Reset() {
 size_t IsolationManager::active_sessions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return sessions_.size();
-}
-
-StatusOr<xml::NodePtr> IsolationManager::SnapshotProvider::GetDocument(
-    const std::string& uri) {
-  auto it = session_->docs.find(uri);
-  if (it != session_->docs.end()) return it->second.first;
-  // First access under this query: pin a private copy of the current state.
-  XRPC_ASSIGN_OR_RETURN(auto versioned, db_->GetWithVersion(uri));
-  xml::NodePtr clone = versioned.first->Clone();
-  session_->docs[uri] = {clone, versioned.second};
-  return clone;
 }
 
 }  // namespace xrpc::server

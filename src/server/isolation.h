@@ -10,9 +10,8 @@
 #include <string>
 
 #include "base/statusor.h"
-#include "server/database.h"
 #include "soap/message.h"
-#include "xquery/context.h"
+#include "xml/node.h"
 #include "xquery/update.h"
 
 namespace xrpc::server {
@@ -59,8 +58,7 @@ struct QuerySession {
 class IsolationManager {
  public:
   /// `now_us` supplies monotonic time; injectable for deterministic tests.
-  explicit IsolationManager(Database* db,
-                            std::function<int64_t()> now_us = nullptr);
+  explicit IsolationManager(std::function<int64_t()> now_us = nullptr);
 
   IsolationManager(const IsolationManager&) = delete;
   IsolationManager& operator=(const IsolationManager&) = delete;
@@ -92,21 +90,6 @@ class IsolationManager {
 
   size_t active_sessions() const;
 
-  /// A DocumentProvider serving a session's pinned state: documents are
-  /// cloned from the live database on first access and cached in the
-  /// session, so every call of the query sees the same trees.
-  class SnapshotProvider : public xquery::DocumentProvider {
-   public:
-    SnapshotProvider(Database* db, QuerySession* session)
-        : db_(db), session_(session) {}
-    StatusOr<xml::NodePtr> GetDocument(const std::string& uri) override;
-
-   private:
-    Database* db_;
-    QuerySession* session_;
-  };
-
-  Database* database() { return db_; }
   int64_t NowMicros() const { return now_us_(); }
 
   /// Replaces the time source (deterministic expiry tests).
@@ -115,7 +98,6 @@ class IsolationManager {
   }
 
  private:
-  Database* db_;
   std::function<int64_t()> now_us_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<QuerySession>> sessions_;

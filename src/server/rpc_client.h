@@ -169,8 +169,6 @@ class RpcClient : public xquery::RpcHandler {
   /// Accumulated measured processing time at destination peers.
   int64_t remote_micros() const;
 
-  const Options& options() const { return options_; }
-
  private:
   /// Accounting of one wire exchange, kept local to the exchange so that
   /// concurrent per-destination calls never contend on — or interleave

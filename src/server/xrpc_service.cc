@@ -8,10 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "base/cancellation.h"
 #include "base/string_util.h"
-#include "server/remote_docs.h"
-#include "server/rpc_client.h"
+#include "server/query_scope.h"
 
 namespace xrpc::server {
 
@@ -23,7 +21,6 @@ XrpcService::XrpcService(Options options, Database* database,
       registry_(registry),
       engine_(engine),
       outgoing_(outgoing),
-      isolation_(database),
       now_us_([] {
         return std::chrono::duration_cast<std::chrono::microseconds>(
                    std::chrono::steady_clock::now().time_since_epoch())
@@ -83,23 +80,20 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
   const soap::XrpcRequest& request = parsed.value();
   calls_handled_ += static_cast<int64_t>(request.calls.size());
 
-  // Deadline admission + cancellation arming. The header carries the
-  // budget REMAINING when the caller sent the request; this hop anchors it
-  // to its own clock at entry (no cross-host clock agreement needed). An
+  // Deadline admission. The header carries the budget REMAINING when the
+  // caller sent the request; this hop anchors it to its own clock at entry
+  // (no cross-host clock agreement needed) and its query scope arms the
+  // cancellation token from that anchor. An
   // already-spent budget is rejected before any module resolution or
   // compilation — the cheapest place to shed doomed work.
   const int64_t entry_us = now_us_();
-  CancellationToken cancel_token;
-  if (request.deadline_us.has_value()) {
-    if (*request.deadline_us <= 0) {
-      if (metrics_ != nullptr) {
-        metrics_->Add(net::Metric::kDeadlineServerRejects);
-      }
-      return fault_reply(Status::DeadlineExceeded(
-          "request arrived with an exhausted deadline budget at " +
-          options_.self_uri));
+  if (request.deadline_us.has_value() && *request.deadline_us <= 0) {
+    if (metrics_ != nullptr) {
+      metrics_->Add(net::Metric::kDeadlineServerRejects);
     }
-    cancel_token.ArmDeadline(entry_us + *request.deadline_us, now_us_);
+    return fault_reply(Status::DeadlineExceeded(
+        "request arrived with an exhausted deadline budget at " +
+        options_.self_uri));
   }
 
   // Catalog epoch fence (DESIGN.md §14). A shard-routed request carries the
@@ -175,57 +169,37 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
     pinned_fragment.emplace(collection.name, shard.doc_name);
   }
 
-  // Choose the database view per the isolation level of the request.
+  // Under a queryID the documents come from the session's snapshot.
   QuerySession* session = nullptr;
-  std::unique_ptr<xquery::DocumentProvider> provider;
   if (request.query_id.has_value()) {
     auto session_or = isolation_.GetSession(*request.query_id);
     if (!session_or.ok()) {
       return fault_reply(session_or.status());
     }
     session = session_or.value();
-    provider = std::make_unique<IsolationManager::SnapshotProvider>(database_,
-                                                                    session);
-  } else {
-    provider = std::make_unique<LiveDocumentProvider>(database_);
   }
 
-  // Nested `execute at` calls from function bodies reuse this query's
-  // isolation options and contribute to the participating-peer set.
-  std::unique_ptr<RpcClient> nested;
-  if (outgoing_ != nullptr) {
-    RpcClient::Options copts;
-    if (request.query_id.has_value()) {
-      copts.isolation = IsolationLevel::kRepeatable;
-      copts.query_id = request.query_id;
-    }
-    if (request.deadline_us.has_value()) {
-      // Nested relocation hops inherit the budget MINUS whatever this hop
-      // spends before each send: the client stamps the remainder at send
-      // time against this service's clock.
-      copts.deadline_us = entry_us + *request.deadline_us;
-      copts.now_us = now_us_;
-    }
-    copts.catalog = options_.catalog;
-    nested = std::make_unique<RpcClient>(outgoing_, copts);
-  }
-
-  // Function bodies may themselves call fn:doc on xrpc:// URIs (the Q_B2
-  // execution-relocation pattern); route those through the nested client.
-  FederatedDocumentProvider federated(provider.get(), nested.get());
-  // On top of federation, resolve sharded collections: a shard peer's
-  // module body calls doc("<collection>") and sees its local fragments.
-  ShardDocumentProvider sharded(&federated, options_.catalog,
-                                options_.self_uri);
+  // Nested `execute at` calls from function bodies (and fn:doc on xrpc://
+  // URIs, the Q_B2 execution-relocation pattern) reuse this query's
+  // isolation options and contribute to the participating-peer set. They
+  // inherit the budget MINUS whatever this hop spends before each send.
+  QueryScope query_scope({.self_uri = options_.self_uri,
+                          .database = database_,
+                          .session = session,
+                          .modules = registry_,
+                          .catalog = options_.catalog,
+                          .transport = outgoing_,
+                          .metrics = metrics_,
+                          .query_id = request.query_id,
+                          .deadline_us = request.deadline_us.has_value()
+                                             ? entry_us + *request.deadline_us
+                                             : 0,
+                          .now_us = now_us_});
   if (pinned_fragment.has_value()) {
-    sharded.PinFragment(pinned_fragment->first, pinned_fragment->second);
+    query_scope.documents().PinFragment(pinned_fragment->first,
+                                        pinned_fragment->second);
   }
-
-  CallContext context;
-  context.documents = &sharded;
-  context.modules = registry_;
-  context.rpc = nested.get();
-  context.cancel = &cancel_token;
+  CallContext& context = query_scope.context();
   context.path_index = &path_index_;
   xquery::PathIndex::Counters index_counters;
   context.index_counters = &index_counters;
@@ -293,7 +267,7 @@ StatusOr<std::string> XrpcService::HandleXrpc(const std::string& body) {
   response.method = request.method;
   response.results = std::move(results).value();
   response.participating_peers.push_back(options_.self_uri);
-  if (nested != nullptr) {
+  if (const RpcClient* nested = query_scope.client()) {
     for (const std::string& peer : nested->participating_peers()) {
       response.participating_peers.push_back(peer);
     }

@@ -1,5 +1,6 @@
 #include "soap/message.h"
 
+#include <limits>
 #include <string_view>
 
 #include "base/string_util.h"
@@ -252,8 +253,13 @@ StatusOr<XrpcRequest> ParseRequest(std::string_view text) {
         if (ts.ok()) q.timestamp = ts.value();
       }
       if (const Node* a = child->FindAttribute(QName("timeout"))) {
-        auto t = ParseInt64(a->value());
-        if (t.ok()) q.timeout_sec = t.value();
+        auto t = ParseQueryTimeout(a->value());
+        if (!t.ok()) {
+          return Status::InvalidArgument(
+              "SOAP: malformed xrpc:queryID timeout: \"" + a->value() +
+              "\" (expected non-negative seconds)");
+        }
+        q.timeout_sec = t.value();
       }
       out.query_id = std::move(q);
       continue;
@@ -319,6 +325,16 @@ std::string SerializeFault(const Fault& fault) {
   w.EndElement();
   w.EndElement();
   return FinishEnvelope(&w);
+}
+
+StatusOr<int64_t> ParseQueryTimeout(std::string_view text) {
+  XRPC_ASSIGN_OR_RETURN(int64_t seconds, ParseInt64(text));
+  if (seconds < 0 ||
+      seconds > std::numeric_limits<int64_t>::max() / 1'000'000) {
+    return Status::InvalidArgument("queryID timeout out of range: " +
+                                   std::string(text));
+  }
+  return seconds;
 }
 
 Fault FaultFromStatus(const Status& status) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/statusor.h"
@@ -23,6 +24,11 @@ struct QueryId {
     return a.id == b.id;
   }
 };
+
+/// Parses a queryID timeout: non-negative seconds whose microseconds fit an
+/// int64. kInvalidArgument for anything else (negative, malformed, or too
+/// large to become a deadline).
+StatusOr<int64_t> ParseQueryTimeout(std::string_view text);
 
 /// A SOAP XRPC request: one Bulk RPC with one or more calls to the same
 /// function (module, method, arity), each with `arity` parameter sequences.

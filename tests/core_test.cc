@@ -384,6 +384,19 @@ TEST_F(CoreTest, LocalQueryNeedsNoNetwork) {
   EXPECT_EQ(last_report_.requests_sent, 0);
 }
 
+TEST_F(CoreTest, MalformedOrNegativeTimeoutOptionIsRejected) {
+  for (const char* bad : {"-5", "soon", "9223372036855"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(Run(std::string("declare option xrpc:isolation \"repeatable\";"
+                              "declare option xrpc:timeout \"") +
+                  bad + "\"; 1"),
+              std::string("ERROR: InvalidArgument: malformed xrpc:timeout "
+                          "option: ") +
+                  bad);
+  }
+  EXPECT_EQ(Run("declare option xrpc:timeout \"0\"; 1"), "1");
+}
+
 TEST_F(CoreTest, NestedXrpcCallsAcrossThreePeers) {
   // p0 -> y -> z: the function at y itself performs an XRPC call to z.
   ASSERT_TRUE(y_->RegisterModule(R"(

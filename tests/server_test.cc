@@ -224,6 +224,28 @@ TEST_F(ServerTest, ExpiredQueryIdIsRejected) {
   EXPECT_FALSE(again.ok());
 }
 
+TEST_F(ServerTest, LargestQueryIdTimeoutSaturatesInsteadOfWrapping) {
+  // The largest timeout the decoder admits, on a clock far from zero: the
+  // snapshot deadline saturates rather than overflowing into the past.
+  int64_t fake_now = 4'000'000'000'000'000'000;
+  peer_.service().isolation().SetTimeSource([&] { return fake_now; });
+
+  RpcClient::Options opts;
+  opts.isolation = IsolationLevel::kRepeatable;
+  soap::QueryId qid;
+  qid.id = "query-max";
+  qid.host = "xrpc://p0";
+  qid.timestamp = 78;
+  qid.timeout_sec = 9'223'372'036'854;
+  opts.query_id = qid;
+  RpcClient client(&net_, opts);
+
+  ASSERT_TRUE(client.Execute(FilmsByActor("Sean Connery")).ok());
+  fake_now += 1'000'000'000'000'000'000;
+  auto later = client.Execute(FilmsByActor("Sean Connery"));
+  EXPECT_TRUE(later.ok()) << later.status();
+}
+
 TEST_F(ServerTest, UpdatingCallWithoutIsolationAppliesImmediately) {
   // Rule RFu: the pending update list is applied per request.
   RpcClient client(&net_, {});

@@ -566,6 +566,39 @@ TEST(Message, NegativeDeadlineHeaderRejected) {
   EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A queryID timeout must be non-negative seconds whose micros fit an
+// int64: the peer adds it to its clock to expire the query's snapshot.
+TEST(Message, MalformedQueryIdTimeoutIsASenderFault) {
+  XrpcRequest req = MinimalRequest();
+  QueryId qid;
+  qid.id = "q-1";
+  qid.timeout_sec = 42;
+  req.query_id = qid;
+  const std::string text = SerializeRequest(req);
+  const std::string field = "timeout=\"42\"";
+  const size_t pos = text.find(field);
+  ASSERT_NE(pos, std::string::npos);
+  for (const char* bad : {"-1", "soon", "", "9223372036855",
+                          "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    std::string garbled = text;
+    garbled.replace(pos, field.size(), std::string("timeout=\"") + bad + "\"");
+    auto back = ParseRequest(garbled);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(back.status().message(),
+              std::string("SOAP: malformed xrpc:queryID timeout: \"") + bad +
+                  "\" (expected non-negative seconds)");
+    EXPECT_EQ(FaultFromStatus(back.status()).code, "env:Sender");
+  }
+  // The largest timeout whose micros fit an int64 still decodes.
+  std::string edge = text;
+  edge.replace(pos, field.size(), "timeout=\"9223372036854\"");
+  auto back = ParseRequest(edge);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->query_id->timeout_sec, 9223372036854);
+}
+
 TEST(Message, UnknownHeaderChildrenIgnored) {
   // mustUnderstand-free extensibility: a newer client's extra header
   // entries must not break this peer.

@@ -6,6 +6,7 @@
 
 #include "server/database.h"
 #include "server/module_registry.h"
+#include "server/query_scope.h"
 #include "soap/message.h"
 #include "wrapper/codegen.h"
 #include "wrapper/wrapper_engine.h"
@@ -62,7 +63,8 @@ class WrapperTest : public ::testing::Test {
   }
 
   server::Database db_;
-  server::LiveDocumentProvider docs_{&db_};
+  server::DocumentResolver docs_{&db_, /*session=*/nullptr, /*client=*/nullptr,
+                                 /*catalog=*/nullptr, ""};
   server::ModuleRegistry registry_;
   server::CallContext context_;
   WrapperEngine engine_;

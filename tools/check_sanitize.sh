@@ -23,6 +23,9 @@
 # ParserNegativeTest and the XmlParser suite hold the parsers' depth
 # guards: the deepest input each parser accepts must fit the stack with
 # sanitizer frames, and deeper input must be a clean error.
+# DocumentResolverTest and QueryScopeTest hold the per-query scope every
+# request builds (server/query_scope.h); HTTP workers build one per request
+# concurrently, over one shared catalog, registry and metrics.
 #
 # Usage: tools/check_sanitize.sh [thread|address]
 set -euo pipefail
@@ -36,7 +39,7 @@ cmake -B "$BUILD" -S "$ROOT" -DXRPC_SANITIZE="$SANITIZER" \
 cmake --build "$BUILD" -j
 cd "$BUILD"
 ctest --output-on-failure -j"$(nproc)" \
-      -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest|ParallelExecTest|Marshal|Message|XmlParser|XmlNode|XmlSerializer|EdgeCases|PathIndexTest|TableTest|DisjointUnionTest|SortByTest|ScatterGatherMergeTest|LoopLiftTest|EngineEquivalence|EngineErrorEquivalence|CoreTest|DifferentialCorpusTest|ParserNegativeTest'
+      -R 'HttpServer|HttpTransport|HttpPost|HttpIntegrationTest|Retry|FaultInjection|SimulatedNetwork|RpcMetrics|LatencyHistogram|Uri|BulkRetry|TxnLog|PulSerialization|TxnRecovery|ThreadPool|ParallelGroup|ParallelDispatch|RetryJitter|CancellationToken|CircuitBreaker|RetryingTransportDeadline|RetryingTransportBreaker|DeadlineChain|CatalogTest|ShardExecTest|ParallelExecTest|Marshal|Message|XmlParser|XmlNode|XmlSerializer|EdgeCases|PathIndexTest|TableTest|DisjointUnionTest|SortByTest|ScatterGatherMergeTest|LoopLiftTest|EngineEquivalence|EngineErrorEquivalence|CoreTest|DifferentialCorpusTest|ParserNegativeTest|DocumentResolverTest|QueryScopeTest'
 # The failover lane by label: replica failover + epoch fencing
 # (failover_test) and the half-open probe races (circuit_breaker_test).
 ctest --output-on-failure -j"$(nproc)" -L failover
